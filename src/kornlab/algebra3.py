@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * vectors have shape (..., 3), matrices shape (..., 3, 3); every operation
-  broadcasts over leading axes so sample batches stay vectorized,
+  broadcasts over leading axes, so sample batches, stacks of frequencies
+  and the tensor-last coefficient grids of kornlab.fields all go through
+  the same code,
 * entries may be real or complex.  The only pairing is the bilinear
   (non-conjugated) one, ``dot``/``frob``; magnitudes are measured separately
   with the Hermitian norms ``vec_norm``/``mat_norm``,
@@ -79,15 +81,28 @@ def axl(A, tol=TOL_SKEW):
 def cross(P, b, side="right"):
     """Matrix cross product with a vector.
 
-    side="right": P x b, acting on rows (P @ anti(b)).
+    side="right": P x b, acting on rows (P @ anti(b)), each row crossed with b.
     side="left":  b x P, acting on columns (anti(b) @ P).
+
+    Leading axes of P and b broadcast, so one call serves a single point,
+    a stack of frequencies or a whole grid of coefficients.  The right
+    product is written out component by component: on a 16^3 coefficient
+    grid that takes less than half the time of the batched 3x3 matmul, and it
+    keeps the left product an independent route for the identity checks.
     """
     P = np.asarray(P)
-    B = anti(b)
     if side == "right":
-        return P @ B
+        b = np.asarray(b)[..., None, :]
+        P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
+        b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+        first = P2 * b3 - P3 * b2
+        out = np.empty(first.shape + (3,), first.dtype)
+        out[..., 0] = first
+        out[..., 1] = P3 * b1 - P1 * b3
+        out[..., 2] = P1 * b2 - P2 * b1
+        return out
     if side == "left":
-        return B @ P
+        return anti(b) @ P
     raise ValueError("side must be 'right' or 'left'")
 
 
@@ -108,7 +123,7 @@ def dev(X):
 
 
 def tr(X):
-    return np.trace(np.asarray(X), axis1=-2, axis2=-1)
+    return np.einsum("...ii->...", np.asarray(X))
 
 
 def tp(X):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
 from .algebra3 import anti, dev, mat_norm, sym
-from .fields import BoxDomain, UnderResolvedError, growth_ratio, halfspace_ratio
+from .fields import (BoxDomain, NonFiniteError, UnderResolvedError, growth_ratio,
+                     halfspace_ratio)
 
 SCHEMA_VERSION = "kornlab/1"
 
@@ -283,7 +284,7 @@ def run_counterexample(cfg):
     for k in range(1, cfg["kmax"] + 1):
         try:
             growth.append([k, growth_ratio(k, cfg["p"], box)])
-        except UnderResolvedError as exc:
+        except (UnderResolvedError, NonFiniteError) as exc:
             errors.append("growth ratio k=%d: %s" % (k, exc))
             break
     halfspace = []
@@ -291,7 +292,7 @@ def run_counterexample(cfg):
     while k <= min(cfg["kmax"], 32):
         try:
             halfspace.append([k, halfspace_ratio(k, cfg["p"])])
-        except UnderResolvedError as exc:
+        except (UnderResolvedError, NonFiniteError) as exc:
             errors.append("halfspace ratio k=%d: %s" % (k, exc))
             break
         k *= 2
@@ -399,9 +400,11 @@ def main(argv=None):
     if cap is not None:
         try:
             from threadpoolctl import threadpool_limits
-            limiter = threadpool_limits(limits=cap)
         except ImportError:
-            pass
+            print("kornlab: warning: KORNLAB_THREADS=%d is not applied because "
+                  "threadpoolctl is not installed" % cap, file=sys.stderr)
+        else:
+            limiter = threadpool_limits(limits=cap)
     try:
         results, errors = COMMANDS[args.command](cfg)
     finally:

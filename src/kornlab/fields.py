@@ -3,14 +3,16 @@
 Periodic side
 -------------
 Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
-stored by their discrete Fourier coefficients (numpy fftn layout, integer
-frequencies fftfreq(n) * n).  Differential operators act frequency by
-frequency; the derivative multipliers drop the unpaired Nyquist mode so
-that real-tagged fields stay real.  Scalar fields have coefficient shape
-(n, n, n), vector fields (3, n, n, n), matrix fields (3, 3, n, n, n).
+stored by their discrete Fourier coefficients (numpy fftn layout over the
+three grid axes, integer frequencies fftfreq(n) * n).  Differential
+operators act frequency by frequency; the derivative multipliers drop the
+unpaired Nyquist mode so that real-tagged fields stay real.  Coefficients
+and grid samples are stored tensor-last: scalar fields have shape
+(n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).  Every
+pointwise operation is therefore a broadcast call into algebra3.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
-frequency k goes to -i * (P x k) = -i * P @ anti(k), and "inc" is the curl
+frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
 of the transposed curl.
 
 Box side
@@ -27,16 +29,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import anti as _anti3
+from .algebra3 import (EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp, tr,
+                       vec_norm)
 from .symbol import complex_kernel_witness
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
+    "NonFiniteError", "CorruptFieldError",
     "GridSpec", "GridField", "BoxDomain", "BoxField",
     "field_from_samples", "field_from_coef", "values",
     "apply_operator", "pointwise_part", "field_trace", "field_axl", "field_anti",
     "field_spherical",
-    "lp_norm", "random_bandlimited", "random_vector_bandlimited",
+    "magnitude", "lp_norm", "random_bandlimited", "random_vector_bandlimited",
     "random_scalar_bandlimited",
     "growth_ratio", "halfspace_ratio", "bump_profile",
     "dump_field", "load_field",
@@ -48,6 +52,9 @@ QUAD_RTOL = 1e-3
 REALITY_TOL = 1e-12
 
 _OPS = ("grad", "div", "curl_vec", "curl_mat", "inc", "sym_curl", "devsym_curl")
+_PARTS = {"transpose": tp, "sym": sym, "skew": skew, "dev": dev,
+          "devsym": lambda X: dev(sym(X))}
+_NORMS = (np.abs, vec_norm, mat_norm)       # pointwise Hermitian magnitude, by rank
 _STRUCTURES = ("general", "skew", "sym", "skew_plus_spherical")
 
 
@@ -65,6 +72,14 @@ class BandTooWideError(ValueError):
 
 class UnderResolvedError(RuntimeError):
     """Quadrature refinement hit the cap before the result settled."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A quadrature produced an infinite or NaN value."""
+
+
+class CorruptFieldError(ValueError):
+    """A field file has a malformed header or a payload of the wrong size."""
 
 
 def _check_exponent(p):
@@ -96,36 +111,21 @@ class GridSpec:
 
 @lru_cache(maxsize=None)
 def _freq_grids(n):
-    """Integer frequency grids, shape (3, n, n, n), Nyquist mode zeroed."""
+    """Integer frequency vectors, shape (n, n, n, 3), Nyquist mode zeroed."""
     k = np.fft.fftfreq(n) * n
     k[n // 2] = 0.0          # unpaired mode: dropped by every derivative
-    kg = np.array(np.meshgrid(k, k, k, indexing="ij"))
-    kg.setflags(write=False)
-    return kg
-
-
-@lru_cache(maxsize=None)
-def _anti_freq_grids(n):
-    """anti(k) per frequency, shape (3, 3, n, n, n)."""
-    kg = _freq_grids(n)
-    A = np.zeros((3, 3) + kg.shape[1:])
-    A[0, 1] = -kg[2]
-    A[0, 2] = kg[1]
-    A[1, 0] = kg[2]
-    A[1, 2] = -kg[0]
-    A[2, 0] = -kg[1]
-    A[2, 1] = kg[0]
-    A.setflags(write=False)
-    return A
+    K = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
+    K.setflags(write=False)
+    return K
 
 
 def _reflect(coef):
-    """Coefficient array evaluated at -k (mod n) on the last three axes."""
-    return np.roll(coef[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
+    """Coefficient array evaluated at -k (mod n) on the three grid axes."""
+    return np.roll(coef[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
 
 
 def _coef_shape(rank, n):
-    return (3,) * rank + (n, n, n)
+    return (n, n, n) + (3,) * rank
 
 
 @dataclass(frozen=True)
@@ -186,27 +186,26 @@ def field_from_coef(spec, rank, coef, reality="complex"):
 
 
 def field_from_samples(spec, rank, samples):
-    """Build a field from grid samples (trailing axes are the grid)."""
+    """Build a field from grid samples of shape (n, n, n) + (3,) * rank."""
     samples = np.asarray(samples)
     if samples.shape != _coef_shape(rank, spec.n):
         raise ValueError("sample shape %s does not match rank %d on n=%d"
                          % (samples.shape, rank, spec.n))
-    coef = np.fft.fftn(samples, axes=(-3, -2, -1))
+    coef = np.fft.fftn(samples, axes=(0, 1, 2))
     reality = "complex" if np.iscomplexobj(samples) else "real"
     return GridField(spec=spec, rank=rank, coef=coef, reality=reality)
 
 
 def values(f):
     """Grid samples of the field (real array for real-tagged fields)."""
-    v = np.fft.ifftn(f.coef, axes=(-3, -2, -1))
+    v = np.fft.ifftn(f.coef, axes=(0, 1, 2))
     if f.reality == "real":
         return v.real
     return v
 
 
-def _curl_mat_coef(coef, n):
-    A = _anti_freq_grids(n)
-    return -1j * np.einsum("im...,mj...->ij...", coef, A)
+def _curl(coef, K):
+    return -1j * cross(coef, K)
 
 
 def apply_operator(f, op):
@@ -219,44 +218,34 @@ def apply_operator(f, op):
     """
     if op not in _OPS:
         raise ValueError("unknown operator %r" % (op,))
-    n = f.spec.n
-    kg = _freq_grids(n)
+    K = _freq_grids(f.spec.n)
     c = f.coef
     if op == "grad":
         if f.rank == 0:
-            out, rank = 1j * kg * c, 1
+            out, rank = 1j * K * c[..., None], 1
         elif f.rank == 1:
-            out, rank = 1j * np.einsum("i...,j...->ij...", c, kg), 2
+            out, rank = 1j * (c[..., :, None] * K[..., None, :]), 2
         else:
             raise RankMismatchError("grad needs a scalar or vector field")
     elif op == "div":
         if f.rank != 1:
             raise RankMismatchError("div needs a vector field")
-        out, rank = 1j * np.einsum("j...,j...->...", c, kg), 0
+        out, rank = 1j * dot(c, K), 0
     elif op == "curl_vec":
         if f.rank != 1:
             raise RankMismatchError("curl_vec needs a vector field")
-        out = 1j * np.stack([
-            kg[1] * c[2] - kg[2] * c[1],
-            kg[2] * c[0] - kg[0] * c[2],
-            kg[0] * c[1] - kg[1] * c[0],
-        ])
-        rank = 1
+        out, rank = 1j * np.cross(K, c), 1
     else:
         if f.rank != 2:
             raise RankMismatchError("%s needs a matrix field" % op)
         if op == "inc":
-            out = _curl_mat_coef(_curl_mat_coef(c, n).swapaxes(0, 1), n)
+            out = _curl(tp(_curl(c, K)), K)
         else:
-            out = _curl_mat_coef(c, n)
+            out = _curl(c, K)
             if op == "sym_curl":
-                out = 0.5 * (out + out.swapaxes(0, 1))
+                out = sym(out)
             elif op == "devsym_curl":
-                out = 0.5 * (out + out.swapaxes(0, 1))
-                trace = np.einsum("ii...->...", out) / 3.0
-                out = out.copy()
-                for i in range(3):
-                    out[i, i] -= trace
+                out = dev(sym(out))
         rank = 2
     return GridField(f.spec, rank, out, f.reality)
 
@@ -265,65 +254,41 @@ def pointwise_part(f, part):
     """Slot-wise sym / skew / dev / devsym / transpose of a matrix field."""
     if f.rank != 2:
         raise RankMismatchError("pointwise parts need a matrix field")
-    c = f.coef
-    if part == "transpose":
-        out = c.swapaxes(0, 1)
-    elif part == "sym":
-        out = 0.5 * (c + c.swapaxes(0, 1))
-    elif part == "skew":
-        out = 0.5 * (c - c.swapaxes(0, 1))
-    elif part in ("dev", "devsym"):
-        out = 0.5 * (c + c.swapaxes(0, 1)) if part == "devsym" else c.copy()
-        trace = np.einsum("ii...->...", out) / 3.0
-        for i in range(3):
-            out[i, i] = out[i, i] - trace
-    else:
+    if part not in _PARTS:
         raise ValueError("unknown pointwise part %r" % (part,))
-    return GridField(f.spec, 2, out, f.reality)
+    return GridField(f.spec, 2, _PARTS[part](f.coef), f.reality)
 
 
 def field_trace(f):
     if f.rank != 2:
         raise RankMismatchError("trace needs a matrix field")
-    return GridField(f.spec, 0, np.einsum("ii...->...", f.coef), f.reality)
+    return GridField(f.spec, 0, tr(f.coef), f.reality)
 
 
 def field_axl(f):
     """Axial vector of the skew part of a matrix field."""
     if f.rank != 2:
         raise RankMismatchError("axl needs a matrix field")
-    c = 0.5 * (f.coef - f.coef.swapaxes(0, 1))
-    out = np.stack([c[2, 1], c[0, 2], c[1, 0]])
-    return GridField(f.spec, 1, out, f.reality)
+    return GridField(f.spec, 1, axl(skew(f.coef)), f.reality)
 
 
 def field_anti(f):
     """Embed a vector field a as the skew matrix field anti(a)."""
     if f.rank != 1:
         raise RankMismatchError("anti needs a vector field")
-    c = f.coef
-    out = np.zeros((3, 3) + c.shape[1:], dtype=complex)
-    out[0, 1], out[0, 2] = -c[2], c[1]
-    out[1, 0], out[1, 2] = c[2], -c[0]
-    out[2, 0], out[2, 1] = -c[1], c[0]
-    return GridField(f.spec, 2, out, f.reality)
+    return GridField(f.spec, 2, anti(f.coef), f.reality)
 
 
 def field_spherical(f):
     """Embed a scalar field z as the spherical matrix field z * id."""
     if f.rank != 0:
         raise RankMismatchError("spherical embedding needs a scalar field")
-    out = np.zeros((3, 3) + f.coef.shape, dtype=complex)
-    for i in range(3):
-        out[i, i] = f.coef
-    return GridField(f.spec, 2, out, f.reality)
+    return GridField(f.spec, 2, f.coef[..., None, None] * EYE3, f.reality)
 
 
-def _magnitude(v, rank):
-    if rank == 0:
-        return np.abs(v)
-    axes = tuple(range(rank))
-    return np.sqrt(np.sum(np.abs(v) ** 2, axis=axes))
+def magnitude(f):
+    """Pointwise Hermitian magnitude of the field's grid samples, shape (n, n, n)."""
+    return _NORMS[f.rank](values(f))
 
 
 def random_bandlimited(spec, seed, kmax, structure="general"):
@@ -334,39 +299,39 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
     """
     if structure not in _STRUCTURES:
         raise ValueError("unknown structure %r" % (structure,))
-    coef = _bandlimited_coef(spec, seed, kmax, (3, 3))
+    coef = _bandlimited_coef(spec, seed, kmax, 2)
     if structure == "skew":
-        coef = 0.5 * (coef - coef.swapaxes(0, 1))
+        coef = skew(coef)
     elif structure == "sym":
-        coef = 0.5 * (coef + coef.swapaxes(0, 1))
+        coef = sym(coef)
     elif structure == "skew_plus_spherical":
-        sph = np.einsum("ii...->...", coef) / 3.0
-        coef = 0.5 * (coef - coef.swapaxes(0, 1))
-        for i in range(3):
-            coef[i, i] += sph
+        coef = skew(coef) + (tr(coef) / 3.0)[..., None, None] * EYE3
     return GridField(spec, 2, coef, "real")
 
 
 def random_vector_bandlimited(spec, seed, kmax):
-    return GridField(spec, 1, _bandlimited_coef(spec, seed, kmax, (3,)), "real")
+    return GridField(spec, 1, _bandlimited_coef(spec, seed, kmax, 1), "real")
 
 
 def random_scalar_bandlimited(spec, seed, kmax):
-    return GridField(spec, 0, _bandlimited_coef(spec, seed, kmax, ()), "real")
+    return GridField(spec, 0, _bandlimited_coef(spec, seed, kmax, 0), "real")
 
 
-def _bandlimited_coef(spec, seed, kmax, slots):
+def _bandlimited_coef(spec, seed, kmax, rank):
     n = spec.n
     if not (0 <= kmax <= n // 2 - 1):
         raise BandTooWideError("kmax=%r does not fit on an n=%d grid "
                                "(need 0 <= kmax <= n/2 - 1)" % (kmax, n))
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(slots + (n, n, n))
-    coef = np.fft.fftn(noise, axes=(-3, -2, -1))
+    # the noise is drawn slot-major, so that a seed names the same field it
+    # always has, and then moved to the tensor-last layout
+    noise = np.moveaxis(rng.standard_normal((3,) * rank + (n, n, n)),
+                        tuple(range(rank)), tuple(range(-rank, 0)))
+    coef = np.fft.fftn(noise, axes=(0, 1, 2))
     k = np.fft.fftfreq(n) * n
     keep = np.abs(k) <= kmax
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-    return coef * mask
+    return coef * mask[(...,) + (None,) * rank]
 
 
 def lp_norm(f, p):
@@ -378,10 +343,8 @@ def lp_norm(f, p):
     p = _check_exponent(p)
     if isinstance(f, BoxField):
         return _resolve(lambda m: f._lp(p, m))
-    v = values(f)
-    mag = _magnitude(v, f.rank)
     w = (2.0 * np.pi / f.spec.n) ** 3
-    return float((np.sum(mag ** p) * w) ** (1.0 / p))
+    return float((np.sum(magnitude(f) ** p) * w) ** (1.0 / p))
 
 
 # ----------------------------------------------------------------------------
@@ -434,11 +397,17 @@ class BoxField:
 
 def _resolve(compute, start=QUAD_START, cap=QUAD_CAP, rtol=QUAD_RTOL):
     """Double the per-axis point count until the result settles within rtol."""
+    def finite(m):
+        value = compute(m)
+        if not np.isfinite(value):
+            raise NonFiniteError("quadrature gave %r at %d points/axis" % (value, m))
+        return value
+
     m = start
-    prev = compute(m)
+    prev = finite(m)
     while m < cap:
         m *= 2
-        cur = compute(m)
+        cur = finite(m)
         if abs(cur - prev) <= rtol * max(abs(prev), 1e-300):
             return cur
         prev = cur
@@ -451,7 +420,9 @@ def growth_ratio(k, p, box):
 
     The integrand only involves (x1, x2), so the x3 axis contributes its
     Gauss weight sum exactly; both norms are evaluated on the same rule and
-    the refinement loop watches the ratio itself.
+    the refinement loop watches the ratio itself.  |z|^2 is scaled by its
+    maximum on the rule before it is raised to the power k*p/2, so the
+    powers stay in [0, 1] and cannot overflow at large k*p.
     """
     p = _check_exponent(p)
     if k < 1:
@@ -462,10 +433,12 @@ def growth_ratio(k, p, box):
         x2, w2 = box.axis_rule(1, m)
         len3 = box.hi[2] - box.lo[2]
         r2 = x1[:, None] ** 2 + x2[None, :] ** 2
+        top = r2.max()
+        q = r2 / top
         def norm_of_power(j):
-            integrand = r2 ** (j * p / 2.0) if j > 0 else np.ones_like(r2)
+            integrand = q ** (j * p / 2.0) if j > 0 else np.ones_like(q)
             return (len3 * np.einsum("i,j,ij->", w1, w2, integrand)) ** (1.0 / p)
-        return k * norm_of_power(k - 1) / norm_of_power(k)
+        return k / np.sqrt(top) * norm_of_power(k - 1) / norm_of_power(k)
 
     return _resolve(compute)
 
@@ -493,19 +466,11 @@ def bump_profile(r):
 
 def _witness_grams():
     w = complex_kernel_witness()
-    sym_imgs, dev_imgs = [], []
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        m = w.p_hat @ _anti3(e)
-        s = 0.5 * (m + m.T)
-        sym_imgs.append(s)
-        dev_imgs.append(s - np.trace(s) / 3.0 * np.eye(3))
-    sym_imgs = np.array(sym_imgs)
-    dev_imgs = np.array(dev_imgs)
+    sym_imgs = sym(cross(w.p_hat, EYE3))      # sym(p_hat x e_j), stacked over j
+    dev_imgs = dev(sym_imgs)
     gram_sym = np.real(np.einsum("jab,lab->jl", sym_imgs, sym_imgs.conj()))
     gram_dev = np.real(np.einsum("jab,lab->jl", dev_imgs, dev_imgs.conj()))
-    t = np.imag(np.einsum("jaa->j", sym_imgs))
+    t = np.imag(tr(sym_imgs))
     return gram_sym, gram_dev, t
 
 
@@ -559,28 +524,43 @@ def dump_field(f, path):
     """Write a field: one ASCII header line, then little-endian complex64.
 
     The header is "kornlab-field v1; rank=<r>; n=<n>; reality=<tag>\\n".
-    Coefficients follow in frequency-major order: the three frequency axes
-    vary slowest (C order, k1 outermost), tensor slots fastest.
+    Coefficients follow in the order they are stored: the three frequency
+    axes vary slowest (C order, k1 outermost), tensor slots fastest.
     """
-    slots = tuple(range(f.rank))
-    arr = np.moveaxis(f.coef, slots, tuple(range(-f.rank, 0))) if f.rank else f.coef
     header = "kornlab-field v1; rank=%d; n=%d; reality=%s\n" % (f.rank, f.spec.n, f.reality)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(arr, dtype="<c8").tobytes())
+        fh.write(np.ascontiguousarray(f.coef, dtype="<c8").tobytes())
 
 
 def load_field(path):
-    """Read a field written by dump_field (coefficients come back complex64-rounded)."""
+    """Read a field written by dump_field (coefficients come back complex64-rounded).
+
+    Raises CorruptFieldError when the header lacks an integer rank or n or
+    a real/complex tag, or when the payload does not hold exactly
+    n^3 * 3^rank complex64 values.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline().decode("ascii", errors="replace").strip()
         raw = fh.read()
     if not header.startswith("kornlab-field v1"):
-        raise ValueError("not a kornlab-field v1 file")
-    fields = dict(item.strip().split("=") for item in header.split(";")[1:])
-    rank, n = int(fields["rank"]), int(fields["n"])
-    reality = fields["reality"]
-    arr = np.frombuffer(raw, dtype="<c8").astype(complex)
-    arr = arr.reshape((n, n, n) + (3,) * rank)
-    coef = np.moveaxis(arr, tuple(range(-rank, 0)), tuple(range(rank))) if rank else arr
+        raise CorruptFieldError("not a kornlab-field v1 file")
+    meta = {}
+    for item in header.split(";")[1:]:
+        key, _, value = item.strip().partition("=")
+        meta[key] = value
+    try:
+        rank, n = int(meta["rank"]), int(meta["n"])
+    except (KeyError, ValueError):
+        raise CorruptFieldError("header needs integer rank and n: %r" % header) from None
+    reality = meta.get("reality")
+    if reality not in ("real", "complex"):
+        raise CorruptFieldError("header needs reality=real or reality=complex: %r" % header)
+    if rank not in (0, 1, 2) or n < 1:
+        raise CorruptFieldError("header has rank=%d, n=%d" % (rank, n))
+    shape = _coef_shape(rank, n)
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"
+                                % (len(raw), rank, n, 8 * int(np.prod(shape))))
+    coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
     return GridField(GridSpec(n), rank, coef, reality)

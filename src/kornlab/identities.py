@@ -340,28 +340,19 @@ ALGEBRA = [
 # spectral calculus on random band-limited fields
 
 
-def _point_mag(v, rank):
-    if rank == 0:
-        return np.abs(v)
-    return np.sqrt(np.sum(np.abs(v) ** 2, axis=tuple(range(rank))))
-
-
 def _fmax(f):
-    return float(np.max(_point_mag(fields.values(f), f.rank)))
+    return float(np.max(fields.magnitude(f)))
 
 
 def frel(fa, fb):
     """Worst pointwise relative deviation between two fields."""
-    va, vb = fields.values(fa), fields.values(fb)
-    diff = _point_mag(va - vb, fa.rank)
     scale = max(1.0, _fmax(fa), _fmax(fb))
-    return float(np.max(diff) / scale)
+    return _fmax(fa - fb) / scale
 
 
 def fzero(f, scale_field):
     """Worst pointwise magnitude of f relative to the size of scale_field."""
-    mag = _point_mag(fields.values(f), f.rank)
-    return float(np.max(mag) / max(1.0, _fmax(scale_field)))
+    return _fmax(f) / max(1.0, _fmax(scale_field))
 
 
 def _spectral_data(n, seed):
@@ -484,14 +475,12 @@ def _s_operator_matches_symbol(d):
     # it and the per-frequency 9x9 symbol only needs checking on the band
     got = fields.apply_operator(d.P, "devsym_curl")
     freqs = d.spec.frequencies
-    band = np.where(np.abs(freqs) <= d.kmax)[0]
+    band = np.flatnonzero(np.abs(freqs) <= d.kmax)
+    k = freqs[band].astype(float)
+    K_band = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
+    idx = np.ix_(band, band, band)
     want = np.zeros_like(d.P.coef)
-    for i1 in band:
-        for i2 in band:
-            for i3 in band:
-                k = np.array([freqs[i1], freqs[i2], freqs[i3]], dtype=float)
-                op = curl_symbol(k, "devsym")
-                want[:, :, i1, i2, i3] = apply_symbol(op, d.P.coef[:, :, i1, i2, i3])
+    want[idx] = apply_symbol(curl_symbol(K_band, "devsym"), d.P.coef[idx])
     rhs = fields.GridField(d.spec, 2, want, "complex")
     return frel(got, rhs)
 

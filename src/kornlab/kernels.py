@@ -20,9 +20,9 @@ from .algebra3 import anti, dot
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
-    "KernelElement", "ConformalKilling", "PointCloud",
+    "KernelElement", "PointCloud",
     "eval_kernel", "axial_polynomial", "curl_kernel_closed_form",
-    "conformal_field", "ProjectionResult", "project_kernel",
+    "ProjectionResult", "project_kernel",
     "boundary_system", "boundary_rank",
 ]
 
@@ -65,22 +65,6 @@ class KernelElement:
 
 
 @dataclass(frozen=True)
-class ConformalKilling:
-    """Quadratic vector field <a,x>x - a|x|^2/2 + A_axial x x + beta*x + b."""
-
-    a: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    A_axial: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    beta: float = 0.0
-    b: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec(self.a))
-        object.__setattr__(self, "A_axial", _vec(self.A_axial))
-        object.__setattr__(self, "b", _vec(self.b))
-        object.__setattr__(self, "beta", float(self.beta))
-
-
-@dataclass(frozen=True)
 class PointCloud:
     points: np.ndarray
 
@@ -116,19 +100,6 @@ def curl_kernel_closed_form(e, x):
     scale = 2.0 * (e.beta + dot(e.d, x))
     return (scale[..., None, None] * np.eye(3)
             + anti(e.a_tilde) + anti(np.cross(e.d, x)))
-
-
-def conformal_field(c, x):
-    """Value of a ConformalKilling field at x."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.sum(x * x, axis=-1)[..., None]
-    return (dot(c.a, x)[..., None] * x - 0.5 * c.a * x2
-            + np.cross(c.A_axial, x) + c.beta * x + c.b)
-
-
-def as_conformal(e):
-    """The conformal Killing field matching axl of the kernel field of e."""
-    return ConformalKilling(a=e.d, A_axial=e.a_tilde, beta=e.beta, b=e.b)
 
 
 def _design_columns(x, space):
@@ -198,8 +169,8 @@ def project_kernel(points, matrices, space="devsym"):
 def boundary_system(points):
     """Rows of the vanishing conditions f(x) = 0, three per point, ten unknowns.
 
-    Unknown order: (A_axial, beta, b, d) for the quadratic field
-    f(x) = A_axial x x + beta*x + b + <d,x>x - d|x|^2/2.
+    Unknown order: (a_tilde, beta, b, d), the parameters of KernelElement,
+    so the three rows of a point x evaluate axial_polynomial at x.
     """
     pts = _points_of(points)
     m = pts.shape[0]

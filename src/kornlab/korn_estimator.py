@@ -24,7 +24,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import fields
-from .symbol import curl_symbol, sharp_ratio
+from .algebra3 import sym, tp
+from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
     "NoConvergenceError",
@@ -37,22 +38,23 @@ CONVENTION = ("form |sym P|^2 + |devsym(P x k)|^2 per integer frequency k of the
               "the skew matrices; c = 1/sqrt(min lambda)")
 
 
+# matrix of P -> sym P in the row-major flattening; sym is an orthogonal
+# projector, so this matrix is also the Gram matrix S*S of |sym P|^2
+_SYM_FORM = sym(basis_matrices()).reshape(9, 9)
+
+
 class NoConvergenceError(RuntimeError):
     """Iterative eigensolver did not reach the requested residual."""
 
 
 def frequency_form(k):
-    """Hermitian 9x9 form Q_k = S*S + C_k*C_k in the row-major flattening."""
+    """Hermitian 9x9 form Q_k = S*S + C_k*C_k in the row-major flattening.
+
+    A stack of frequencies of shape (..., 3) gives a stack of forms.
+    """
     k = np.asarray(k, dtype=float)
-    s = _sym_projector()
     c = curl_symbol(k, "devsym")
-    return s.T @ s + c.conj().T @ c
-
-
-def _sym_projector():
-    basis = np.eye(9).reshape(9, 3, 3)
-    imgs = 0.5 * (basis + basis.swapaxes(-1, -2))
-    return imgs.reshape(9, 9).T.copy()
+    return _SYM_FORM + tp(c.conj()) @ c
 
 
 def _eigh_real_embedding(h):
@@ -102,7 +104,6 @@ class KornReport:
     tail_min: float
     non_monotone_tail: bool
     convention: str = CONVENTION
-    crosscheck_residual: float | None = None
 
 
 def korn_constant(kmax):
@@ -160,7 +161,7 @@ def _deflation_basis(spec):
                     A = np.zeros((3, 3))
                     A[(ax + 1) % 3, (ax + 2) % 3] = -1.0
                     A[(ax + 2) % 3, (ax + 1) % 3] = 1.0
-                    fld = A[:, :, None, None, None] * sign
+                    fld = sign[..., None, None] * A
                     v = fld.reshape(-1)
                     out.append(v / np.linalg.norm(v))
     return np.array(out).T
@@ -184,13 +185,13 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
 
     def matvec(v):
         v = np.asarray(v).reshape(-1)
-        coef = np.fft.fftn(v.reshape(3, 3, n, n, n), axes=(-3, -2, -1))
+        coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
         f = fields.field_from_coef(spec, 2, coef, "complex")
         s = fields.pointwise_part(f, "sym")
         c = fields.apply_operator(f, "curl_mat")
         c = fields.pointwise_part(c, "devsym")
         c = fields.apply_operator(c, "curl_mat")
-        out = np.fft.ifftn(s.coef + c.coef, axes=(-3, -2, -1)).real
+        out = np.fft.ifftn(s.coef + c.coef, axes=(0, 1, 2)).real
         return out.reshape(dim) + shift * (defl @ (defl.T @ v))
 
     # inverse-Helmholtz smoother: scalar per frequency, spectrally equivalent
@@ -198,12 +199,12 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     k1d = np.fft.fftfreq(n) * n
     k1d[n // 2] = 0.0
     ksq = (k1d[:, None, None] ** 2 + k1d[None, :, None] ** 2 + k1d[None, None, :] ** 2)
-    smoother = 1.0 / (1.0 + ksq)
+    smoother = (1.0 / (1.0 + ksq))[..., None, None]
 
     def precond(v):
         v = np.asarray(v).reshape(-1)
-        c = np.fft.fftn(v.reshape(3, 3, n, n, n), axes=(-3, -2, -1)) * smoother
-        return np.fft.ifftn(c, axes=(-3, -2, -1)).real.reshape(-1)
+        c = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2)) * smoother
+        return np.fft.ifftn(c, axes=(0, 1, 2)).real.reshape(-1)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
     prec = LinearOperator((dim, dim), matvec=precond, dtype=float)

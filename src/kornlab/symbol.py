@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .algebra3 import EYE3, anti, dev, dot, mat_norm, sym
+from .algebra3 import EYE3, anti, cross, dev, dot, mat_norm, sym
 
 __all__ = [
     "ZeroFrequencyError", "TOL_KERNEL",
@@ -40,29 +40,29 @@ def basis_matrices():
     return np.eye(9).reshape(9, 3, 3)
 
 
-def _project(M, part):
-    if part == "full":
-        return M
-    if part == "sym":
-        return sym(M)
-    if part == "devsym":
-        return dev(sym(M))
-    raise ValueError("part must be one of %s" % (_PARTS,))
-
-
 def curl_symbol(xi, part="full"):
     """Symbol of (a projection of) the row-wise matrix curl at frequency xi.
 
-    Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).
+    Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).  A
+    stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
     """
+    if part not in _PARTS:
+        raise ValueError("part must be one of %s" % (_PARTS,))
     xi = np.asarray(xi)
-    A = anti(xi)
-    images = _project(-1j * (basis_matrices() @ A), part)
-    return images.reshape(9, 9).T.copy()
+    images = -1j * cross(basis_matrices(), xi[..., None, :])
+    if part == "sym":
+        images = sym(images)
+    elif part == "devsym":
+        images = dev(sym(images))
+    return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
 
 
 def apply_symbol(op, P):
-    """Apply a SymbolOperator to a 3x3 matrix, returning a 3x3 matrix."""
+    """Apply a SymbolOperator to a 3x3 matrix, returning a 3x3 matrix.
+
+    Leading axes of op and P broadcast, so a stack of symbols applies to a
+    stack of coefficients in one call.
+    """
     P = np.asarray(P)
     return (op @ P.reshape(P.shape[:-2] + (9,))[..., None])[..., 0].reshape(P.shape[:-2] + (3, 3))
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_thread_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("KORNLAB_THREADS", "2")
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "2"])
     assert code == 0
+
+
+def test_thread_cap_without_threadpoolctl_warns(monkeypatch, capsys):
+    monkeypatch.delenv("KORNLAB_THREADS", raising=False)
+    _, plain, err = run_cli(capsys, ["korn", "--kmax", "2"])
+    assert "warning" not in err
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
+    monkeypatch.setenv("KORNLAB_THREADS", "2")
+    code, out, err = run_cli(capsys, ["korn", "--kmax", "2"])
+    assert code == 0
+    assert out == plain
+    warnings = [line for line in err.splitlines() if line.startswith("kornlab: warning:")]
+    assert len(warnings) == 1 and "KORNLAB_THREADS" in warnings[0]
 
 
 # ----------------------------------------------------------------------------

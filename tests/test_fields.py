@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kornlab import fields
 from kornlab.fields import (
-    BadExponentError, BandTooWideError, BoxDomain, BoxField, GridField,
-    GridSpec, RankMismatchError, UnderResolvedError, apply_operator,
+    BadExponentError, BandTooWideError, BoxDomain, BoxField, CorruptFieldError,
+    GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
+    apply_operator,
     bump_profile, dump_field, field_anti, field_axl, field_from_coef,
     field_from_samples, field_spherical, field_trace, growth_ratio,
     halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited,
@@ -36,7 +39,7 @@ def test_gridspec_validation():
 def test_samples_values_roundtrip():
     spec = GridSpec(8)
     for rank in (0, 1, 2):
-        shape = (3,) * rank + (8, 8, 8)
+        shape = (8, 8, 8) + (3,) * rank
         samples = RNG.standard_normal(shape)
         f = field_from_samples(spec, rank, samples)
         assert f.reality == "real"
@@ -64,7 +67,7 @@ def test_real_tag_is_validated():
 def test_field_shape_and_rank_checks():
     spec = GridSpec(4)
     with pytest.raises(ValueError):
-        GridField(spec, 3, np.zeros((3, 3, 3, 4, 4, 4)))
+        GridField(spec, 3, np.zeros((4, 4, 4, 3, 3, 3)))
     with pytest.raises(ValueError):
         GridField(spec, 1, np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
@@ -103,39 +106,39 @@ def test_grad_of_sine():
     g = apply_operator(f, "grad")
     assert g.rank == 1 and g.reality == "real"
     v = values(g)
-    assert_allclose(v[0], np.cos(X1), atol=1e-12)
-    assert_allclose(v[1], 0.0, atol=1e-12)
-    assert_allclose(v[2], 0.0, atol=1e-12)
+    assert_allclose(v[..., 0], np.cos(X1), atol=1e-12)
+    assert_allclose(v[..., 1], 0.0, atol=1e-12)
+    assert_allclose(v[..., 2], 0.0, atol=1e-12)
 
 
 def test_div_and_curl_vec():
     spec = GridSpec(16)
     X1, _, _ = grid_xyz(spec)
     u = field_from_samples(spec, 1, np.stack([
-        np.sin(X1), np.zeros_like(X1), np.sin(X1)]))
+        np.sin(X1), np.zeros_like(X1), np.sin(X1)], axis=-1))
     assert_allclose(values(apply_operator(u, "div")), np.cos(X1), atol=1e-12)
     c = values(apply_operator(u, "curl_vec"))
-    assert_allclose(c[0], 0.0, atol=1e-12)
-    assert_allclose(c[1], -np.cos(X1), atol=1e-12)
-    assert_allclose(c[2], 0.0, atol=1e-12)
+    assert_allclose(c[..., 0], 0.0, atol=1e-12)
+    assert_allclose(c[..., 1], -np.cos(X1), atol=1e-12)
+    assert_allclose(c[..., 2], 0.0, atol=1e-12)
 
 
 def test_matrix_curl_is_rowwise():
     # P = sin(x3) e1 (x) e2 has Curl P = -cos(x3) e1 (x) e1
     spec = GridSpec(16)
     _, _, X3 = grid_xyz(spec)
-    P = np.zeros((3, 3, 16, 16, 16))
-    P[0, 1] = np.sin(X3)
+    P = np.zeros((16, 16, 16, 3, 3))
+    P[..., 0, 1] = np.sin(X3)
     c = values(apply_operator(field_from_samples(spec, 2, P), "curl_mat"))
     want = np.zeros_like(c)
-    want[0, 0] = -np.cos(X3)
+    want[..., 0, 0] = -np.cos(X3)
     assert_allclose(c, want, atol=1e-12)
 
 
 def test_curl_of_constant_skew_vanishes():
     spec = GridSpec(8)
-    P = np.zeros((3, 3, 8, 8, 8))
-    P[0, 1], P[1, 0] = 1.0, -1.0
+    P = np.zeros((8, 8, 8, 3, 3))
+    P[..., 0, 1], P[..., 1, 0] = 1.0, -1.0
     c = apply_operator(field_from_samples(spec, 2, P), "curl_mat")
     assert_allclose(values(c), 0.0, atol=1e-13)
 
@@ -203,16 +206,16 @@ def test_pointwise_parts():
     f = random_bandlimited(spec, 3, 2)
     V = values(f)
     assert_allclose(values(pointwise_part(f, "sym")),
-                    0.5 * (V + V.swapaxes(0, 1)), atol=1e-12)
+                    0.5 * (V + V.swapaxes(-1, -2)), atol=1e-12)
     assert_allclose(values(pointwise_part(f, "skew")),
-                    0.5 * (V - V.swapaxes(0, 1)), atol=1e-12)
+                    0.5 * (V - V.swapaxes(-1, -2)), atol=1e-12)
     assert_allclose(values(pointwise_part(f, "transpose")),
-                    V.swapaxes(0, 1), atol=1e-12)
+                    V.swapaxes(-1, -2), atol=1e-12)
     D = values(pointwise_part(f, "dev"))
-    assert_allclose(np.einsum("ii...->...", D), 0.0, atol=1e-12)
+    assert_allclose(np.einsum("...ii->...", D), 0.0, atol=1e-12)
     DS = values(pointwise_part(f, "devsym"))
-    assert_allclose(DS, DS.swapaxes(0, 1), atol=1e-12)
-    assert_allclose(np.einsum("ii...->...", DS), 0.0, atol=1e-12)
+    assert_allclose(DS, DS.swapaxes(-1, -2), atol=1e-12)
+    assert_allclose(np.einsum("...ii->...", DS), 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         pointwise_part(f, "hermitian")
     with pytest.raises(RankMismatchError):
@@ -227,8 +230,8 @@ def test_trace_axl_anti_spherical():
     assert_allclose(values(field_trace(field_spherical(z))), 3.0 * values(z),
                     atol=1e-12)
     sph = values(field_spherical(z))
-    assert_allclose(sph[0, 1], 0.0, atol=1e-13)
-    assert_allclose(sph[0, 0], values(z), atol=1e-12)
+    assert_allclose(sph[..., 0, 1], 0.0, atol=1e-13)
+    assert_allclose(sph[..., 0, 0], values(z), atol=1e-12)
     with pytest.raises(RankMismatchError):
         field_axl(u)
     with pytest.raises(RankMismatchError):
@@ -249,23 +252,23 @@ def test_bandlimited_band_and_tag():
     assert f.reality == "real"
     k = np.fft.fftfreq(16) * 16
     outside = np.abs(k) > 3
-    assert_allclose(f.coef[..., outside, :, :], 0.0)
-    assert_allclose(f.coef[..., :, outside, :], 0.0)
-    assert_allclose(f.coef[..., :, :, outside], 0.0)
+    assert_allclose(f.coef[outside], 0.0)
+    assert_allclose(f.coef[:, outside], 0.0)
+    assert_allclose(f.coef[:, :, outside], 0.0)
     assert float(np.abs(f.coef).max()) > 0.0
 
 
 def test_bandlimited_structures():
     spec = GridSpec(8)
     V = values(random_bandlimited(spec, 2, 2, "skew"))
-    assert_allclose(V, -V.swapaxes(0, 1), atol=1e-12)
+    assert_allclose(V, -V.swapaxes(-1, -2), atol=1e-12)
     V = values(random_bandlimited(spec, 2, 2, "sym"))
-    assert_allclose(V, V.swapaxes(0, 1), atol=1e-12)
+    assert_allclose(V, V.swapaxes(-1, -2), atol=1e-12)
     V = values(random_bandlimited(spec, 2, 2, "skew_plus_spherical"))
-    S = 0.5 * (V + V.swapaxes(0, 1))
-    trace = np.einsum("ii...->...", V) / 3.0
-    assert_allclose(S[0, 0], trace, atol=1e-12)
-    assert_allclose(S[0, 1], 0.0, atol=1e-12)
+    S = 0.5 * (V + V.swapaxes(-1, -2))
+    trace = np.einsum("...ii->...", V) / 3.0
+    assert_allclose(S[..., 0, 0], trace, atol=1e-12)
+    assert_allclose(S[..., 0, 1], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         random_bandlimited(spec, 2, 2, "diagonal")
 
@@ -313,7 +316,7 @@ def test_lp_norm_vector_magnitude():
     spec = GridSpec(16)
     X1, _, _ = grid_xyz(spec)
     u = field_from_samples(spec, 1, np.stack([
-        np.sin(X1), np.cos(X1), np.zeros_like(X1)]))
+        np.sin(X1), np.cos(X1), np.zeros_like(X1)], axis=-1))
     # pointwise magnitude is identically 1
     assert lp_norm(u, 2.0) == pytest.approx((2.0 * np.pi) ** 1.5, rel=1e-12)
 
@@ -362,6 +365,14 @@ def test_under_resolved_error():
         lp_norm(BoxField(box, drifting), 2.0)
 
 
+def test_non_finite_quadrature_is_an_error():
+    box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteError):
+            lp_norm(BoxField(box, lambda x1, x2, x3, bad=bad: bad + 0.0 * x1 * x2), 2.0)
+    assert issubclass(NonFiniteError, ArithmeticError)
+
+
 def test_growth_ratio_exact_values():
     box = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
     # p = 2 integrands are polynomials, so the resolved values are exact
@@ -380,6 +391,18 @@ def test_growth_ratio_other_exponent_and_box():
         growth_ratio(0, 2.0, wide)
     with pytest.raises(BadExponentError):
         growth_ratio(2, 0.5, wide)
+
+
+def test_growth_ratio_large_exponent():
+    # |z|^(k p) overflows a double for k*p beyond about 2000 on the unit
+    # box; the ratio must stay above its floor k / max|z| = k / sqrt(2)
+    # and keep increasing instead of collapsing to 0 or failing to settle
+    box = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
+    ratios = [growth_ratio(k, 64.0, box) for k in range(1, 101)]
+    for k, r in enumerate(ratios, start=1):
+        assert r >= k / np.sqrt(2.0), "k=%d: %r" % (k, r)
+    for k in range(5, 101):
+        assert ratios[k - 1] > ratios[k - 2], "not increasing at k=%d" % k
 
 
 def test_bump_profile_shape():
@@ -443,8 +466,49 @@ def test_dump_header_is_ascii(tmp_path):
     assert header == b"kornlab-field v1; rank=0; n=4; reality=real\n"
 
 
+def test_dump_byte_order(tmp_path):
+    # k1 outermost, then k2, k3, then the tensor slots, each value as
+    # little-endian (real, imag) float32
+    n = 4
+    coef = (np.arange(n ** 3 * 9) + 0.5j * np.arange(n ** 3 * 9)).reshape(n, n, n, 3, 3)
+    path = tmp_path / "order.bin"
+    dump_field(field_from_coef(GridSpec(n), 2, coef), path)
+    want = bytearray()
+    for k1 in range(n):
+        for k2 in range(n):
+            for k3 in range(n):
+                for i in range(3):
+                    for j in range(3):
+                        z = coef[k1, k2, k3, i, j]
+                        want += struct.pack("<ff", z.real, z.imag)
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"kornlab-field v1; rank=2; n=4; reality=complex\n"
+        assert fh.read() == bytes(want)
+
+
 def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"some other format\n\x00\x01")
     with pytest.raises(ValueError):
         load_field(path)
+
+
+def test_load_rejects_corrupt_files(tmp_path):
+    spec = GridSpec(4)
+    path = tmp_path / "f.bin"
+    dump_field(random_bandlimited(spec, 3, 1), path)
+    good = path.read_bytes()
+    header, payload = good.split(b"\n", 1)
+    corrupt = {
+        "truncated": good[:-8],
+        "wrong_n": header.replace(b"n=4", b"n=8") + b"\n" + payload,
+        "missing_rank": header.replace(b" rank=2;", b"") + b"\n" + payload,
+        "bad_rank": header.replace(b"rank=2", b"rank=two") + b"\n" + payload,
+        "bad_reality": header.replace(b"reality=real", b"reality=maybe") + b"\n" + payload,
+    }
+    for name, data in corrupt.items():
+        path.write_bytes(data)
+        with pytest.raises(CorruptFieldError):
+            load_field(path)
+    path.write_bytes(good)
+    assert load_field(path).rank == 2

@@ -4,10 +4,9 @@ from numpy.testing import assert_allclose
 
 from kornlab.algebra3 import anti, dev, sym
 from kornlab.kernels import (
-    ConformalKilling, DegenerateGeometryError, KernelElement, PointCloud,
-    TooFewSamplesError, as_conformal, axial_polynomial, boundary_rank,
-    boundary_system, conformal_field, curl_kernel_closed_form, eval_kernel,
-    project_kernel,
+    DegenerateGeometryError, KernelElement, PointCloud, TooFewSamplesError,
+    axial_polynomial, boundary_rank, boundary_system, curl_kernel_closed_form,
+    eval_kernel, project_kernel,
 )
 
 RNG = np.random.default_rng(20240820)
@@ -83,18 +82,10 @@ def test_sym_subfamily_has_skew_curl():
     assert_allclose(sym(c), 0.0, atol=1e-14)
 
 
-def test_conformal_correspondence():
-    e = random_element(RNG)
-    c = as_conformal(e)
-    assert isinstance(c, ConformalKilling)
-    x = RNG.standard_normal((30, 3))
-    assert_allclose(conformal_field(c, x), axial_polynomial(e, x), atol=1e-13)
-
-
 def test_conformal_field_has_no_devsym_gradient():
-    c = ConformalKilling(a=RNG.standard_normal(3),
-                         A_axial=RNG.standard_normal(3),
-                         beta=1.3, b=RNG.standard_normal(3))
+    # the axial polynomial is a conformal Killing field
+    e = KernelElement(a_tilde=RNG.standard_normal(3), beta=1.3,
+                      b=RNG.standard_normal(3), d=RNG.standard_normal(3))
     h = 1e-4
     for _ in range(10):
         x = RNG.standard_normal(3)
@@ -102,8 +93,8 @@ def test_conformal_field_has_no_devsym_gradient():
         for l in range(3):
             step = np.zeros(3)
             step[l] = h
-            grad[:, l] = (conformal_field(c, x + step)
-                          - conformal_field(c, x - step)) / (2.0 * h)
+            grad[:, l] = (axial_polynomial(e, x + step)
+                          - axial_polynomial(e, x - step)) / (2.0 * h)
         assert_allclose(dev(sym(grad)), 0.0, atol=1e-9)
 
 
@@ -166,13 +157,13 @@ def test_boundary_system_encodes_the_field():
     pts = RNG.standard_normal((6, 3))
     rows = boundary_system(pts)
     assert rows.shape == (18, 10)
-    A_axial = RNG.standard_normal(3)
+    a_tilde = RNG.standard_normal(3)
     beta = float(RNG.standard_normal())
     b = RNG.standard_normal(3)
     d = RNG.standard_normal(3)
-    theta = np.concatenate([A_axial, [beta], b, d])
-    c = ConformalKilling(a=d, A_axial=A_axial, beta=beta, b=b)
-    want = conformal_field(c, pts).reshape(18)
+    theta = np.concatenate([a_tilde, [beta], b, d])
+    e = KernelElement(a_tilde=a_tilde, beta=beta, b=b, d=d)
+    want = axial_polynomial(e, pts).reshape(18)
     assert_allclose(rows @ theta, want, atol=1e-12)
 
 

@@ -26,6 +26,14 @@ def test_frequency_form_is_hermitian_psd():
         assert w[0] > -1e-12
 
 
+def test_frequency_form_accepts_frequency_stacks():
+    k = np.random.default_rng(2).integers(-5, 6, size=(10, 3))
+    q = frequency_form(k)
+    assert q.shape == (10, 9, 9)
+    for m in range(10):
+        assert_allclose(q[m], frequency_form(k[m]), atol=1e-14)
+
+
 def test_frequency_form_spot_value():
     # P = anti(e1) at k = e3: |sym P|^2 = 0 and |devsym(P x k)|^2 = 1/2,
     # so the Rayleigh quotient of this skew pair is 1/4

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kornlab.algebra3 import anti, dev, dot, mat_norm, sym
 from kornlab.symbol import (
@@ -49,6 +49,19 @@ def test_curl_symbol_linear_in_xi():
     for part in ("full", "sym", "devsym"):
         assert_allclose(curl_symbol(xi + eta, part),
                         curl_symbol(xi, part) + curl_symbol(eta, part), atol=1e-13)
+
+
+def test_curl_symbol_accepts_frequency_stacks():
+    xi = RNG.standard_normal((12, 3))
+    P = RNG.standard_normal((12, 3, 3)) + 1j * RNG.standard_normal((12, 3, 3))
+    for part in ("full", "sym", "devsym"):
+        ops = curl_symbol(xi, part)
+        assert ops.shape == (12, 9, 9)
+        images = apply_symbol(ops, P)
+        for m in range(12):
+            one = curl_symbol(xi[m], part)
+            assert_array_equal(ops[m], one)
+            assert_allclose(images[m], apply_symbol(one, P[m]), atol=1e-14)
 
 
 def test_curl_symbol_bad_part():
