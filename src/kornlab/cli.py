@@ -20,8 +20,8 @@ import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
 from .algebra3 import anti, dev, mat_norm, sym
-from .fields import (BoxDomain, NonFiniteError, UnderResolvedError, growth_ratio,
-                     halfspace_ratio)
+from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
+                     _check_exponent, growth_ratio, halfspace_ratio)
 
 SCHEMA_VERSION = "kornlab/1"
 
@@ -167,10 +167,18 @@ def resolve_config(args):
     cfg["kmax"] = int(cfg["kmax"])
     cfg["grid_n"] = int(cfg["grid_n"])
     cfg["p"] = float(cfg["p"])
-    if cfg["samples"] < 1 or cfg["kmax"] < 1 or cfg["grid_n"] < 4:
-        raise UsageError("samples and kmax must be >= 1, grid-n >= 4")
+    if cfg["samples"] < 1 or cfg["kmax"] < 1:
+        raise UsageError("samples and kmax must be >= 1")
     if cfg["format"] not in ("json", "csv"):
         raise UsageError("format must be json or csv")
+    # the library's own validators, so that a bad value is a usage error
+    # here rather than a traceback inside the command
+    try:
+        GridSpec(cfg["grid_n"])
+        _check_exponent(cfg["p"])
+        BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 

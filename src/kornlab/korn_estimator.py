@@ -10,13 +10,14 @@ the only null directions, so the zero frequency is minimized on the
 complement of the skew matrices, where the form is exactly the identity.
 The estimated constant is c = 1 / sqrt(min_k lambda_min(Q_k)).
 
-Two independent routes to the same number: a direct dense eigensolve per
-frequency (eigensolves run through the doubled real symmetric embedding
-of the Hermitian form), and an iterative smallest-eigenvalue solve of the
-assembled field-level operator sym + curl(devsym(curl .)) on a grid,
-deflating the modes the derivative multipliers cannot see.
+Two independent routes to the same number: a direct dense eigensolve of
+the complex Hermitian forms, stacked over frequencies (the scan runs one
+stacked solve per k1 plane), and an iterative smallest-eigenvalue solve
+of the assembled field-level operator sym + curl(devsym(curl .)) on a
+grid, deflating the modes the derivative multipliers cannot see.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ CONVENTION = ("form |sym P|^2 + |devsym(P x k)|^2 per integer frequency k of the
 # matrix of P -> sym P in the row-major flattening; sym is an orthogonal
 # projector, so this matrix is also the Gram matrix S*S of |sym P|^2
 _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
+# |sym P|^2 + |skew P|^2 = |P|^2, so adding this to the k = 0 form (which is
+# _SYM_FORM) gives exactly the identity: the form on the complement of the
+# skew matrices, extended by 1 on the skew ones
+_SKEW_FORM = np.eye(9) - _SYM_FORM
 
 
 class NoConvergenceError(RuntimeError):
@@ -57,42 +62,20 @@ def frequency_form(k):
     return _SYM_FORM + tp(c.conj()) @ c
 
 
-def _eigh_real_embedding(h):
-    """Eigen-decomposition of a Hermitian matrix via its doubled real embedding."""
-    re, im = h.real, h.imag
-    emb = np.block([[re, -im], [im, re]])
-    w, v = np.linalg.eigh(emb)
-    return w, v
-
-
 def lambda_min(k):
-    """Smallest eigenvalue of Q_k and a minimizing 3x3 coefficient.
+    """Smallest eigenvalue of Q_k and a unit minimizing 3x3 coefficient.
 
-    At k = 0 the form is restricted to the complement of the skew
-    matrices, where it equals the identity (so the value is exactly 1).
+    k is one frequency or a stack of shape (..., 3); the values have shape
+    (...) and the minimizers (..., 3, 3), from one stacked eigensolve.  At
+    k = 0 the form is restricted to the complement of the skew matrices,
+    where it equals the identity: the value is exactly 1 and the minimizer
+    is the symmetric E11.
     """
     k = np.asarray(k, dtype=float)
     q = frequency_form(k)
-    if not k.any():
-        w_basis = _symmetric_basis()            # (9, 6), real orthonormal columns
-        q6 = w_basis.T @ q.real @ w_basis
-        w, v = _eigh_real_embedding(q6.astype(complex))
-        m = w_basis @ (v[:6, 0] + 1j * v[6:, 0])
-    else:
-        w, v = _eigh_real_embedding(q)
-        m = v[:9, 0] + 1j * v[9:, 0]
-    m = m / np.linalg.norm(m)
-    return float(w[0]), m.reshape(3, 3)
-
-
-def _symmetric_basis():
-    cols = []
-    for i in range(3):
-        for j in range(i, 3):
-            M = np.zeros((3, 3))
-            M[i, j] = M[j, i] = 1.0
-            cols.append(M.reshape(9) / np.linalg.norm(M))
-    return np.array(cols).T
+    q[~k.any(axis=-1)] += _SKEW_FORM
+    w, v = np.linalg.eigh(q)
+    return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -113,29 +96,23 @@ def korn_constant(kmax):
     the global minimum, which would mean the scan radius truncated the
     search too early.
     """
+    kmax = operator.index(kmax)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    rows = []
-    lam_global = np.inf
-    tail_min = np.inf
-    rng_axis = range(-kmax, kmax + 1)
-    for k1 in rng_axis:
-        for k2 in rng_axis:
-            for k3 in rng_axis:
-                lam, _ = lambda_min([k1, k2, k3])
-                rows.append((k1, k2, k3, lam))
-                lam_global = min(lam_global, lam)
-                if max(abs(k1), abs(k2), abs(k3)) == kmax:
-                    tail_min = min(tail_min, lam)
-    entries = np.array(rows)
-    non_monotone = bool(tail_min <= lam_global * (1.0 + 1e-12))
+    axis = np.arange(-kmax, kmax + 1)
+    K = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    # one stacked solve per k1 plane: the whole cube at once would hold
+    # (2 kmax + 1)^3 forms and their eigenvectors in memory
+    lam = np.stack([lambda_min(plane)[0] for plane in K])
+    lam_global = lam.min()
+    tail_min = lam[np.abs(K).max(axis=-1) == kmax].min()
     return KornReport(
-        kmax=int(kmax),
-        entries=entries,
+        kmax=kmax,
+        entries=np.column_stack([K.reshape(-1, 3), lam.reshape(-1)]),
         lambda_global=float(lam_global),
         c_estimate=float(1.0 / np.sqrt(lam_global)),
         tail_min=float(tail_min),
-        non_monotone_tail=non_monotone,
+        non_monotone_tail=bool(tail_min <= lam_global * (1.0 + 1e-12)),
     )
 
 
@@ -226,16 +203,8 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
         raise NoConvergenceError("grid eigensolve stalled: residual %.3e after %d iterations"
                                  % (resid, iterations))
 
-    half = n // 2
-    lam_direct = 1.0
-    for k1 in range(-half + 1, half):
-        for k2 in range(-half + 1, half):
-            for k3 in range(-half + 1, half):
-                if (k1, k2, k3) == (0, 0, 0):
-                    continue
-                lam, _ = lambda_min([k1, k2, k3])
-                lam_direct = min(lam_direct, lam)
-    return abs(lam_grid - lam_direct)
+    # the scan includes k = 0, whose value 1 bounds every other minimum
+    return abs(lam_grid - korn_constant(n // 2 - 1).lambda_global)
 
 
 def sphere_directions(samples, seed=1):

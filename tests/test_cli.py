@@ -95,6 +95,13 @@ def test_bad_flag_values(capsys):
     assert code == 2 and out == ""
     code, out, err = run_cli(capsys, ["counterexample", "--box", "1,2,3"])
     assert code == 2
+    # values the library validators reject are usage errors, not tracebacks
+    for argv in (["identities", "--grid-n", "12"],
+                 ["counterexample", "--p", "0.5"],
+                 ["counterexample", "--box", "1,1,1,0,0,0"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("kornlab: ")
 
 
 def test_unknown_command_is_usage_error():

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kornlab.algebra3 import anti
+from kornlab.algebra3 import anti, random_rotation
 from kornlab.korn_estimator import (
     KornReport, equivalence_constant, frequency_form, grid_crosscheck,
     korn_constant, lambda_min, sphere_directions,
 )
 
 # smallest per-frequency eigenvalue on the axis |k| = 1, and the constant
-# it produces; both frozen from an independent scan of the 18x18 embedded
-# forms (they equal (3 - sqrt 5)/4 and sqrt(3 + sqrt 5) to all digits)
+# it produces, frozen as printed; they equal the closed form (3 - sqrt 5)/4
+# at t = |k|^2 = 1 and sqrt(3 + sqrt 5) to all digits
 LAMBDA_AXIS = 0.19098300562505258
 C_ESTIMATE = 2.2882456112707374
+
+
+def closed_form(k):
+    """(2 + t - sqrt(t^2 + 4)) / 4 with t = |k|^2 for k != 0, and 1 at k = 0."""
+    t = np.sum(np.asarray(k, dtype=float) ** 2, axis=-1)
+    return np.where(t == 0, 1.0, (2.0 + t - np.sqrt(t * t + 4.0)) / 4.0)
 
 
 def test_frequency_form_is_hermitian_psd():
@@ -92,6 +98,35 @@ def test_lambda_min_rotation_symmetric():
     for k in ([3, 1, 2], [-1, 2, -3], [2, 3, 1]):
         lam, _ = lambda_min(k)
         assert lam == pytest.approx(lam0, abs=1e-12)
+    # and so does any rotation of a real frequency
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        k = 3.0 * rng.standard_normal(3)
+        lam_k, _ = lambda_min(k)
+        lam_rk, _ = lambda_min(random_rotation(rng) @ k)
+        assert lam_rk == pytest.approx(lam_k, abs=1e-12)
+
+
+def test_lambda_min_closed_form():
+    axis = np.arange(-8, 9)
+    K = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    lam, m = lambda_min(K)
+    assert lam.shape == K.shape[:-1] and m.shape == K.shape[:-1] + (3, 3)
+    assert_allclose(lam, closed_form(K), rtol=0, atol=1e-12)
+    assert lam[8, 8, 8] == 1.0                     # k = 0, exactly
+
+
+def test_lambda_min_stack_matches_points():
+    K = np.concatenate([np.random.default_rng(5).integers(-6, 7, size=(30, 3)),
+                        np.zeros((1, 3), dtype=int)])
+    lam, m = lambda_min(K)
+    for kk, lam_k, m_k in zip(K, lam, m):
+        lam_point, _ = lambda_min(kk)
+        assert lam_k == pytest.approx(lam_point, abs=1e-13)
+        v = m_k.reshape(9)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
+        q = frequency_form(kk) if kk.any() else np.eye(9)
+        assert float(np.linalg.norm(q @ v - lam_k * v)) < 1e-10
 
 
 def test_korn_constant_report():
@@ -116,6 +151,8 @@ def test_korn_constant_flags_kmax_one():
     assert korn_constant(1).non_monotone_tail is True
     with pytest.raises(ValueError):
         korn_constant(0)
+    with pytest.raises(TypeError):
+        korn_constant(2.5)
 
 
 def test_c_estimate_is_closed_form():
