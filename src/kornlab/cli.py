@@ -129,6 +129,21 @@ def _parse_box(text):
     return vals
 
 
+def _int_value(key, val):
+    """An integral number as an int; any other value is a usage error."""
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise UsageError("%s must be an integer, got %r" % (key, val))
+    return val
+
+
+def _float_value(key, val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise UsageError("%s must be a number, got %r" % (key, val))
+    return float(val)
+
+
 def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -145,7 +160,7 @@ def load_config_file(path):
         if isinstance(box, str):
             data["box"] = _parse_box(box)
         elif isinstance(box, (list, tuple)) and len(box) == 6:
-            data["box"] = tuple(float(v) for v in box)
+            data["box"] = tuple(_float_value("box", v) for v in box)
         else:
             raise UsageError("config file %s: box wants six numbers" % path)
     return data
@@ -162,11 +177,11 @@ def resolve_config(args):
             cfg[key] = val
     if args.box is not None:
         cfg["box"] = _parse_box(args.box)
-    cfg["seed"] = int(cfg["seed"])
-    cfg["samples"] = int(cfg["samples"])
-    cfg["kmax"] = int(cfg["kmax"])
-    cfg["grid_n"] = int(cfg["grid_n"])
-    cfg["p"] = float(cfg["p"])
+    for key in ("seed", "samples", "kmax", "grid_n"):
+        cfg[key] = _int_value(key, cfg[key])
+    cfg["p"] = _float_value("p", cfg["p"])
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise UsageError("out must be a file name, got %r" % (cfg["out"],))
     if cfg["samples"] < 1 or cfg["kmax"] < 1:
         raise UsageError("samples and kmax must be >= 1")
     if cfg["format"] not in ("json", "csv"):
@@ -227,16 +242,13 @@ def run_symbol(cfg):
         gaps.append(float(sv[4] / max(sv[5], 1e-300)))
     if any(d != 4 for d in dims):
         errors.append("kernel dimension of the devsym curl symbol left 4")
-    mult_resid = 0.0
-    homo_resid = 0.0
-    for _ in range(100):
-        xi = rng.standard_normal(3)
-        xi /= np.linalg.norm(xi)
-        m = symbol.build_multiplier(xi)
-        a = symbol.curl_symbol(xi, "devsym")
-        a_sym = symbol.curl_symbol(xi, "sym")
-        mult_resid = max(mult_resid, float(np.linalg.norm(m @ a - a_sym)))
-        homo_resid = max(homo_resid, float(np.linalg.norm(symbol.build_multiplier(2.0 * xi) - m)))
+    xi = rng.standard_normal((100, 3))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    m = symbol.build_multiplier(xi)
+    a = symbol.curl_symbol(xi, "devsym")
+    a_sym = symbol.curl_symbol(xi, "sym")
+    mult_resid = float(np.linalg.norm(m @ a - a_sym, axis=(-2, -1)).max())
+    homo_resid = float(np.linalg.norm(symbol.build_multiplier(2.0 * xi) - m, axis=(-2, -1)).max())
     if mult_resid > 1e-10:
         errors.append("multiplier identity M(xi) A(xi) = A_sym(xi) violated")
     if homo_resid > 1e-10:

@@ -396,9 +396,9 @@ class BoxField:
 
 
 def _resolve(compute, start=QUAD_START, cap=QUAD_CAP, rtol=QUAD_RTOL):
-    """Double the per-axis point count until the result settles within rtol."""
+    """Double the per-axis point count until the float result settles within rtol."""
     def finite(m):
-        value = compute(m)
+        value = float(compute(m))
         if not np.isfinite(value):
             raise NonFiniteError("quadrature gave %r at %d points/axis" % (value, m))
         return value

@@ -512,13 +512,9 @@ def run_algebra(samples=1000, seed=1):
 
 
 def run_spectral(n=16, seed=1, draws=3):
-    out = []
-    for name, fn in SPECTRAL:
-        worst = 0.0
-        for j in range(draws):
-            worst = max(worst, fn(_spectral_data(n, seed + 101 * j)))
-        out.append(IdentityResult(name, draws, worst, SPECTRAL_TOL))
-    return out
+    data = [_spectral_data(n, seed + 101 * j) for j in range(draws)]
+    return [IdentityResult(name, draws, max(fn(d) for d in data), SPECTRAL_TOL)
+            for name, fn in SPECTRAL]
 
 
 def run_all(samples=1000, seed=1, n=16):

@@ -30,7 +30,8 @@ COND_LIMIT = 1e12
 RANK_TOL = 1e-8
 
 MIN_SAMPLES = {"sym": 6, "devsym": 10}
-PARAM_COUNT = {"sym": 6, "devsym": 10}
+# design columns of each family, in the parameter order (a_tilde, beta, b, d)
+_COLUMNS = {"sym": np.r_[0:3, 4:7], "devsym": np.arange(10)}
 
 
 class TooFewSamplesError(ValueError):
@@ -102,21 +103,18 @@ def curl_kernel_closed_form(e, x):
             + anti(e.a_tilde) + anti(np.cross(e.d, x)))
 
 
-def _design_columns(x, space):
-    """Stack of 3x3 matrix images of the unit parameter directions at x."""
-    cols = []
-    for j in range(3):
-        a = np.zeros(3); a[j] = 1.0
-        cols.append(eval_kernel(KernelElement(a_tilde=a), x))
-    for j in range(3):
-        b = np.zeros(3); b[j] = 1.0
-        cols.append(eval_kernel(KernelElement(b=b), x))
-    if space == "devsym":
-        cols.append(eval_kernel(KernelElement(beta=1.0), x))
-        for j in range(3):
-            d = np.zeros(3); d[j] = 1.0
-            cols.append(eval_kernel(KernelElement(d=d), x))
-    return cols
+def _element(theta):
+    """KernelElement of a parameter vector in the order (a_tilde, beta, b, d)."""
+    return KernelElement(a_tilde=theta[0:3], beta=theta[3], b=theta[4:7], d=theta[7:10])
+
+
+def _axial_design(pts):
+    """Axial vectors of the ten unit parameter directions at each point, (m, 3, 10).
+
+    The map from parameters to axial vectors is linear, so this design
+    matrix times theta is axial_polynomial(_element(theta), pts).
+    """
+    return np.stack([axial_polynomial(_element(u), pts) for u in np.eye(10)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -146,11 +144,8 @@ def project_kernel(points, matrices, space="devsym"):
     if m < MIN_SAMPLES[space]:
         raise TooFewSamplesError("space %r needs at least %d samples, got %d"
                                  % (space, MIN_SAMPLES[space], m))
-    nparam = PARAM_COUNT[space]
-    design = np.zeros((9 * m, nparam))
-    for i, x in enumerate(pts):
-        for j, col in enumerate(_design_columns(x, space)):
-            design[9 * i:9 * i + 9, j] = col.reshape(9)
+    cols = _COLUMNS[space]
+    design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
     rhs = mats.reshape(9 * m)
     sv = np.linalg.svd(design, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -159,10 +154,9 @@ def project_kernel(points, matrices, space="devsym"):
                                       % (cond, COND_LIMIT))
     theta, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.linalg.norm(design @ theta - rhs))
-    if space == "sym":
-        e = KernelElement(a_tilde=theta[0:3], b=theta[3:6])
-    else:
-        e = KernelElement(a_tilde=theta[0:3], b=theta[3:6], beta=theta[6], d=theta[7:10])
+    params = np.zeros(10)
+    params[cols] = theta
+    e = _element(params)
     return ProjectionResult(element=e, residual=residual, cond=cond)
 
 
@@ -173,15 +167,7 @@ def boundary_system(points):
     so the three rows of a point x evaluate axial_polynomial at x.
     """
     pts = _points_of(points)
-    m = pts.shape[0]
-    rows = np.zeros((3 * m, 10))
-    for i, x in enumerate(pts):
-        blk = rows[3 * i:3 * i + 3]
-        blk[:, 0:3] = -anti(x)
-        blk[:, 3] = x
-        blk[:, 4:7] = np.eye(3)
-        blk[:, 7:10] = np.outer(x, x) - 0.5 * np.dot(x, x) * np.eye(3)
-    return rows
+    return _axial_design(pts).reshape(3 * pts.shape[0], 10)
 
 
 def boundary_rank(points, tol=RANK_TOL):

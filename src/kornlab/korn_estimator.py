@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import fields
-from .algebra3 import sym, tp
+from .algebra3 import anti, dot, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -121,27 +121,15 @@ def _deflation_basis(spec):
 
     The mean and the unpaired checkerboard modes (every component 0 or
     -n/2) have zero derivative; their skew content must be deflated before
-    asking for the smallest eigenvalue.
+    asking for the smallest eigenvalue.  Columns: the eight sign patterns
+    (no flip or an alternating sign along each axis) times anti(e_j).
     """
     n = spec.n
-    m = np.arange(n)
-    out = []
-    for f1 in (0, 1):
-        for f2 in (0, 1):
-            for f3 in (0, 1):
-                sign = (np.where(f1, (-1.0) ** m, 1.0)[:, None, None]
-                        * np.where(f2, (-1.0) ** m, 1.0)[None, :, None]
-                        * np.where(f3, (-1.0) ** m, 1.0)[None, None, :])
-                for ax in range(3):
-                    e = np.zeros(3)
-                    e[ax] = 1.0
-                    A = np.zeros((3, 3))
-                    A[(ax + 1) % 3, (ax + 2) % 3] = -1.0
-                    A[(ax + 2) % 3, (ax + 1) % 3] = 1.0
-                    fld = sign[..., None, None] * A
-                    v = fld.reshape(-1)
-                    out.append(v / np.linalg.norm(v))
-    return np.array(out).T
+    alt = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
+    sign = (alt[:, None, None, :, None, None] * alt[None, :, None, None, :, None]
+            * alt[None, None, :, None, None, :]).reshape(8, 1, n, n, n, 1, 1)
+    v = (sign * anti(np.eye(3))[:, None, None, None]).reshape(24, -1)
+    return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
 
 
 def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
@@ -153,8 +141,8 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     returns |lambda_grid - min_k lambda_min(k)| over the frequencies the
     grid derivatives represent.
     """
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError("grid size must be a power of two, at least 8")
+    if n < 8:
+        raise ValueError("grid size must be at least 8")
     spec = fields.GridSpec(n)
     dim = 9 * n ** 3
     defl = _deflation_basis(spec)
@@ -173,10 +161,8 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
 
     # inverse-Helmholtz smoother: scalar per frequency, spectrally equivalent
     # to the inverse of the operator without using its 9x9 block structure
-    k1d = np.fft.fftfreq(n) * n
-    k1d[n // 2] = 0.0
-    ksq = (k1d[:, None, None] ** 2 + k1d[None, :, None] ** 2 + k1d[None, None, :] ** 2)
-    smoother = (1.0 / (1.0 + ksq))[..., None, None]
+    K = fields._freq_grids(n)
+    smoother = (1.0 / (1.0 + dot(K, K)))[..., None, None]
 
     def precond(v):
         v = np.asarray(v).reshape(-1)
@@ -220,7 +206,10 @@ def equivalence_constant(samples=1000, seed=1):
     The ratio is direction independent; a spread above 1e-9 across the
     sample means the symbol machinery is broken, so that is an error.
     """
-    ratios = np.array([sharp_ratio(xi) for xi in sphere_directions(samples, seed)])
+    dirs = sphere_directions(samples, seed)
+    # stacked calls of at most 4096 directions: the multiplier stack and its
+    # SVD workspace would otherwise grow without bound with --samples
+    ratios = np.concatenate([sharp_ratio(dirs[i:i + 4096]) for i in range(0, samples, 4096)])
     spread = float(ratios.max() - ratios.min())
     if spread > 1e-9:
         raise RuntimeError("direction-dependent ratio (spread %.3e)" % spread)

@@ -9,13 +9,15 @@ a single 1 at (j // 3, j % 3).
 The curl of a matrix field acts row-wise, and on the Fourier side a
 coefficient P_hat at frequency xi is mapped to -i * (P_hat x xi); the
 optional symmetric / trace-free symmetric projections are applied after
-the cross product.
+the cross product.  The degree-zero multiplier M(xi) maps the trace-free
+symmetric symbol onto the symmetric one, and the sharp ratio
+sup |sym(P x xi)| / |devsym(P x xi)| is its operator norm.  Every
+function of a frequency also takes a (..., 3) stack of frequencies.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra3 import EYE3, anti, cross, dev, dot, mat_norm, sym
 
@@ -98,35 +100,27 @@ def build_multiplier(xi, tol=TOL_KERNEL):
     tol * sigma_max), so Q A = id - (kernel projector) and Q vanishes on
     the orthogonal complement of the range of A.  Because the kernels of
     A and A_sym agree at real frequencies, M A = A_sym holds exactly and
-    M is homogeneous of degree zero in xi.
+    M is homogeneous of degree zero in xi.  A stack of frequencies of
+    shape (..., 3) gives a stack of shape (..., 9, 9); any zero frequency
+    in it raises ZeroFrequencyError.
     """
     xi = np.asarray(xi)
-    if float(np.sqrt(np.sum(np.abs(xi) ** 2))) <= 1e-12:
+    if np.any(np.sqrt(np.sum(np.abs(xi) ** 2, axis=-1)) <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    a_dev = curl_symbol(xi, "devsym")
-    a_sym = curl_symbol(xi, "sym")
-    q = np.linalg.pinv(a_dev, rcond=tol)
-    return a_sym @ q
+    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=tol)
+    return curl_symbol(xi, "sym") @ q
 
 
 def sharp_ratio(xi, tol=TOL_KERNEL):
     """Largest ratio |sym(P x xi)| / |devsym(P x xi)| over admissible P.
 
-    Solved as a generalized Hermitian eigenproblem on the orthogonal
-    complement of the (common) kernel of the two projected symbols.
+    This is the operator norm of the multiplier: M maps devsym(P x xi) to
+    sym(P x xi), and P outside the common kernel reaches every direction
+    of the range of A.  One frequency gives a float, a (..., 3) stack an
+    array of shape (...).
     """
-    xi = np.asarray(xi)
-    if float(np.sqrt(np.sum(np.abs(xi) ** 2))) <= 1e-12:
-        raise ZeroFrequencyError("sharp ratio needs a nonzero frequency")
-    c_sym = curl_symbol(xi, "sym")
-    c_dev = curl_symbol(xi, "devsym")
-    _, s, vh = np.linalg.svd(c_dev)
-    keep = s > tol * s[0]
-    w = vh[keep].conj().T                      # columns span (ker A)^perp
-    num = w.conj().T @ (c_sym.conj().T @ c_sym) @ w
-    den = w.conj().T @ (c_dev.conj().T @ c_dev) @ w
-    lam = scipy.linalg.eigh(num, den, eigvals_only=True)
-    return float(np.sqrt(lam[-1]))
+    ratio = np.linalg.svd(build_multiplier(xi, tol), compute_uv=False)[..., 0]
+    return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 
 @dataclass(frozen=True)

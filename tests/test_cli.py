@@ -90,6 +90,33 @@ def test_config_file_invalid_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"box": ["a", 1, 1, 2, 2, 2]},
+    {"seed": "x"},
+    {"p": "two"},
+    {"samples": None},
+    {"kmax": 2.5},
+    {"out": 5},
+])
+def test_config_file_wrong_types(tmp_path, capsys, data):
+    # a value of the wrong type is a usage error, not a traceback, and a
+    # non-integral count is rejected rather than truncated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["korn", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("kornlab: ")
+    assert next(iter(data)) in err
+
+
+def test_config_file_integral_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": 2.0}))
+    code, out, _ = run_cli(capsys, ["korn", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["config"]["kmax"] == 2
+
+
 def test_bad_flag_values(capsys):
     code, out, err = run_cli(capsys, ["korn", "--kmax", "0"])
     assert code == 2 and out == ""

@@ -177,5 +177,6 @@ def test_sphere_directions():
 
 
 def test_equivalence_constant_is_sqrt3():
-    assert equivalence_constant(samples=100) == pytest.approx(
-        np.sqrt(3.0), abs=1e-11)
+    for samples in (100, 5000):      # 5000 spans two stacked blocks
+        assert equivalence_constant(samples=samples) == pytest.approx(
+            np.sqrt(3.0), abs=1e-11)

@@ -128,6 +128,28 @@ def test_zero_frequency_rejected():
         sharp_ratio(np.zeros(3))
 
 
+def test_multiplier_and_ratio_accept_frequency_stacks():
+    xi = RNG.standard_normal((4, 5, 3))
+    m = build_multiplier(xi)
+    ratios = sharp_ratio(xi)
+    assert m.shape == (4, 5, 9, 9)
+    assert ratios.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        assert_array_equal(m[idx], build_multiplier(xi[idx]))
+        assert ratios[idx] == sharp_ratio(xi[idx])
+    # one frequency still gives a plain float
+    assert type(sharp_ratio(xi[0, 0])) is float
+
+
+def test_zero_frequency_in_a_stack_rejected():
+    xi = RNG.standard_normal((6, 3))
+    xi[4] = 0.0
+    with pytest.raises(ZeroFrequencyError):
+        build_multiplier(xi)
+    with pytest.raises(ZeroFrequencyError):
+        sharp_ratio(xi)
+
+
 def test_sharp_ratio_is_sqrt3_everywhere():
     assert sharp_ratio([0.0, 0.0, 1.0]) == pytest.approx(SQRT3, abs=1e-12)
     assert sharp_ratio([1.0, 0.0, 0.0]) == pytest.approx(SQRT3, abs=1e-12)
