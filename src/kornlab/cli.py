@@ -278,9 +278,22 @@ def run_symbol(cfg):
 def run_korn(cfg):
     errors = []
     report = korn_estimator.korn_constant(cfg["kmax"])
-    lam = report.entries[:, 3]
+    K, lam = report.entries[:, :3], report.entries[:, 3]
     if np.any(lam <= 0.0) or np.any(lam > 1.0 + 1e-12):
         errors.append("per-frequency minimum left the interval (0, 1]")
+    # closed form (2 + t - sqrt(t^2 + 4)) / 4, t = |k|^2, written without the
+    # cancellation at large t, and 1 at k = 0; the eigensolve is accurate to
+    # a few ulps of the form's norm, which grows like t
+    t = np.sum(K * K, axis=1)
+    exact = np.where(t == 0.0, 1.0, t / (2.0 + t + np.sqrt(t * t + 4.0)))
+    excess = np.abs(lam - exact) - (1e-12 + 16.0 * np.finfo(float).eps * t)
+    if np.any(excess > 0.0):
+        i = int(np.argmax(excess))
+        errors.append("%d per-frequency minima differ from the closed form "
+                      "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
+                      "worst at k = (%d, %d, %d): %s against %s"
+                      % (np.count_nonzero(excess > 0.0), *K[i],
+                         _fmt_float(lam[i]), _fmt_float(exact[i])))
     if report.non_monotone_tail:
         errors.append("outermost frequency shell attains the minimum "
                       "(scan radius too small)")

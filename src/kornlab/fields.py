@@ -19,11 +19,12 @@ Box side
 --------
 Non-periodic profiles (polynomial growth families, exponential boundary
 layers) are never forced through the FFT; they are integrated directly
-with tensorized Gauss-Legendre rules on a BoxDomain, starting at 64 points
-per axis and doubling until the result moves by less than 0.1% (capped at
-1024 points per axis, then UnderResolvedError).
+with tensorized Gauss-Legendre rules on a BoxDomain, built once per size,
+starting at 64 points per axis and doubling until the result moves by
+less than 0.1% (capped at 1024 points per axis, then UnderResolvedError).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -342,7 +343,8 @@ def lp_norm(f, p):
     """
     p = _check_exponent(p)
     if isinstance(f, BoxField):
-        return _resolve(lambda m: f._lp(p, m))
+        power = lambda X1, X2, x3: np.asarray(f.magnitude(X1, X2, x3), dtype=float) ** p
+        return _resolve(lambda m: _box_sum(f.box, m, power) ** (1.0 / p))
     w = (2.0 * np.pi / f.spec.n) ** 3
     return float((np.sum(magnitude(f) ** p) * w) ** (1.0 / p))
 
@@ -367,32 +369,43 @@ class BoxDomain:
         object.__setattr__(self, "hi", hi)
 
     def axis_rule(self, axis, m):
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = _legendre(m)
         a, b = self.lo[axis], self.hi[axis]
         return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+
+
+@lru_cache(maxsize=None)
+def _legendre(m):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1], one read-only (2, m) array."""
+    rule = np.array(np.polynomial.legendre.leggauss(m))
+    rule.setflags(write=False)
+    return rule
+
+
+def _box_sum(box, m, integrand):
+    """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
+
+    integrand(X1 (m, 1), X2 (1, m), x3) returns values broadcasting to
+    (..., m, m) at one x3 node; the leading axes are kept in the sum.
+    """
+    (x1, w1), (x2, w2), (x3, w3) = (box.axis_rule(axis, m) for axis in range(3))
+    X1, X2 = x1[:, None], x2[None, :]
+    total = 0.0
+    for x3v, w3v in zip(x3, w3):
+        F = np.asarray(integrand(X1, X2, x3v), dtype=float)
+        total += w3v * (np.broadcast_to(F, F.shape[:-2] + (m, m)) @ w2 @ w1)
+    return total
 
 
 @dataclass(frozen=True)
 class BoxField:
     """Field on a box given by its pointwise magnitude |f|(x1, x2, x3).
 
-    magnitude must broadcast over open-grid arguments of shapes
-    (m, 1), (1, m) and scalar.
+    magnitude must broadcast over open-grid arguments (m, 1), (1, m) and scalar.
     """
 
     box: BoxDomain
     magnitude: object
-
-    def _lp(self, p, m):
-        x1, w1 = self.box.axis_rule(0, m)
-        x2, w2 = self.box.axis_rule(1, m)
-        x3, w3 = self.box.axis_rule(2, m)
-        X1, X2 = x1[:, None], x2[None, :]
-        total = 0.0
-        for x3v, w3v in zip(x3, w3):
-            F = np.asarray(self.magnitude(X1, X2, x3v), dtype=float)
-            total += w3v * np.einsum("i,j,ij->", w1, w2, np.broadcast_to(F ** p, (m, m)))
-        return total ** (1.0 / p)
 
 
 def _resolve(compute, start=QUAD_START, cap=QUAD_CAP, rtol=QUAD_RTOL):
@@ -416,29 +429,24 @@ def _resolve(compute, start=QUAD_START, cap=QUAD_CAP, rtol=QUAD_RTOL):
 
 
 def growth_ratio(k, p, box):
-    """Seminorm quotient ||k z^(k-1)||_p / ||z^k||_p on a box, z = x1 + i*x2.
+    """Seminorm quotient ||k z^(k-1)||_p / ||z^k||_p on a box, z = x1 + i*x2, k >= 1.
 
-    The integrand only involves (x1, x2), so the x3 axis contributes its
-    Gauss weight sum exactly; both norms are evaluated on the same rule and
-    the refinement loop watches the ratio itself.  |z|^2 is scaled by its
-    maximum on the rule before it is raised to the power k*p/2, so the
-    powers stay in [0, 1] and cannot overflow at large k*p.
+    The integrand only involves (x1, x2), so the x3 extent cancels and both
+    norms use the (x1, x2) rule; the refinement loop watches the ratio.
+    |z|^2 is scaled by its maximum on the rule before it is raised to the
+    power j*p/2, so the powers stay in [0, 1] and cannot overflow at large k*p.
     """
     p = _check_exponent(p)
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
+    powers = np.array([k - 1, k])[:, None, None] * p / 2.0
 
     def compute(m):
-        x1, w1 = box.axis_rule(0, m)
-        x2, w2 = box.axis_rule(1, m)
-        len3 = box.hi[2] - box.lo[2]
+        (x1, w1), (x2, w2) = (box.axis_rule(axis, m) for axis in (0, 1))
         r2 = x1[:, None] ** 2 + x2[None, :] ** 2
         top = r2.max()
-        q = r2 / top
-        def norm_of_power(j):
-            integrand = q ** (j * p / 2.0) if j > 0 else np.ones_like(q)
-            return (len3 * np.einsum("i,j,ij->", w1, w2, integrand)) ** (1.0 / p)
-        return k / np.sqrt(top) * norm_of_power(k - 1) / norm_of_power(k)
+        below, above = (r2 / top) ** powers @ w2 @ w1
+        return k / np.sqrt(top) * (below / above) ** (1.0 / p)
 
     return _resolve(compute)
 
@@ -451,16 +459,13 @@ def bump_profile(r):
         m = t > 0
         out[m] = np.exp(-1.0 / t[m])
         return out
-    def hp(t):
-        out = np.zeros_like(t)
-        m = t > 0
-        out[m] = np.exp(-1.0 / t[m]) / t[m] ** 2
-        return out
     u, v = h(2.0 - r), h(r - 1.0)
     den = np.maximum(u + v, 1e-300)
     g = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, u / den))
     mid = (r > 1.0) & (r < 2.0)
-    gp = np.where(mid, (-hp(2.0 - r) * v - u * hp(r - 1.0)) / den ** 2, 0.0)
+    # h'(t) = h(t) / t^2; off the open shell the quotients are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gp = np.where(mid, -(u / (2.0 - r) ** 2 * v + u * (v / (r - 1.0) ** 2)) / den ** 2, 0.0)
     return g, gp
 
 
@@ -486,32 +491,26 @@ def halfspace_ratio(k, p):
     with the shared refinement loop watching the quotient.
     """
     p = _check_exponent(p)
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
     gram_sym, gram_dev, t_sym = _witness_grams()
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
+    def integrands(X1, X2, x3):
+        r = np.sqrt(X1 ** 2 + X2 ** 2 + x3 ** 2)
+        g, gp = bump_profile(r)
+        rs = np.maximum(r, 1e-300)
+        c = np.stack([gp * X1 / rs, gp * X2 / rs, gp * (x3 / rs)])
+        dev_sq = np.einsum("jxy,jl,lxy->xy", c, gram_dev, c)
+        sym_sq = (3.0 * g * g
+                  + (2.0 * g / k) * np.einsum("j,jxy->xy", t_sym, c)
+                  + np.einsum("jxy,jl,lxy->xy", c, gram_sym, c) / k ** 2)
+        return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
+                                              dev_sq ** (p / 2.0) / k ** p])
+
     def compute(m):
-        x1, w1 = box.axis_rule(0, m)
-        x2, w2 = box.axis_rule(1, m)
-        x3, w3 = box.axis_rule(2, m)
-        X1, X2 = x1[:, None], x2[None, :]
-        num_p = 0.0
-        den_p = 0.0
-        for x3v, w3v in zip(x3, w3):
-            r = np.sqrt(X1 ** 2 + X2 ** 2 + x3v ** 2)
-            g, gp = bump_profile(r)
-            rs = np.maximum(r, 1e-300)
-            c = np.stack([gp * X1 / rs, gp * X2 / rs, gp * (x3v / rs)])
-            c = np.broadcast_to(c, (3, m, m))
-            dev_sq = np.einsum("jxy,jl,lxy->xy", c, gram_dev, c)
-            sym_sq = (3.0 * g * g
-                      + (2.0 * g / k) * np.einsum("j,jxy->xy", t_sym, c)
-                      + np.einsum("jxy,jl,lxy->xy", c, gram_sym, c) / k ** 2)
-            env = np.exp(p * k * X1) * np.ones_like(g)
-            num_p += w3v * np.einsum("i,j,ij->", w1, w2, env * np.maximum(sym_sq, 0.0) ** (p / 2.0))
-            den_p += w3v * np.einsum("i,j,ij->", w1, w2, env * dev_sq ** (p / 2.0) / k ** p)
-        return (num_p ** (1.0 / p)) / (den_p ** (1.0 / p))
+        num, den = _box_sum(box, m, integrands) ** (1.0 / p)
+        return num / den
 
     return _resolve(compute)
 

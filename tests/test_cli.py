@@ -188,6 +188,26 @@ def test_korn_kmax_one_reports_truncation(capsys):
     assert len(report["errors"]) == 1
 
 
+def test_korn_names_entries_off_the_closed_form(monkeypatch, capsys):
+    # one k1 plane of the scan is corrupted by 1e-9: still inside (0, 1],
+    # so only the closed-form check can name it
+    from kornlab import korn_estimator
+    lambda_min = korn_estimator.lambda_min
+
+    def corrupted(k):
+        w, v = lambda_min(k)
+        if np.asarray(k)[..., 0].flat[0] == 1:
+            w = w + 1e-9
+        return w, v
+
+    monkeypatch.setattr(korn_estimator, "lambda_min", corrupted)
+    code, out, _ = run_cli(capsys, ["korn", "--kmax", "2"])
+    assert code == 1
+    (error,) = json.loads(out)["errors"]
+    assert error.startswith("25 per-frequency minima differ from the closed form")
+    assert "worst at k = (1, 0, 0)" in error
+
+
 def test_korn_csv_format(capsys):
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "1", "--format", "csv"])
     assert code == 1

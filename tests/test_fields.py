@@ -1,4 +1,7 @@
+import math
 import struct
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,11 +343,34 @@ def test_box_validation():
         BoxDomain(lo=(0, 0), hi=(1, 1))
 
 
-def test_axis_rule_integrates_polynomials():
+def test_axis_rule_integrates_polynomials(monkeypatch):
     box = BoxDomain(lo=(-1.0, 0.0, 0.0), hi=(2.0, 1.0, 1.0))
     x, w = box.axis_rule(0, 3)     # 3-point Gauss is exact to degree 5
     assert np.sum(w * x ** 5) == pytest.approx((2.0 ** 6 - 1.0) / 6.0, rel=1e-13)
     assert np.sum(w) == pytest.approx(3.0, rel=1e-14)
+    # the rule on [-1, 1] is cached per size: writing into a mapped rule
+    # must not reach the cache, and the cached arrays refuse writes
+    x_saved, w_saved = x.copy(), w.copy()
+    x[:] = 7.0
+    w[:] = 7.0
+    x2, w2 = box.axis_rule(0, 3)
+    assert np.array_equal(x2, x_saved) and np.array_equal(w2, w_saved)
+    with pytest.raises(ValueError):
+        fields._legendre(3)[0][0] = 7.0
+
+    # one Legendre rule per distinct size over a whole growth sweep
+    sizes = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(m):
+        sizes[m] += 1
+        return leggauss(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    fields._legendre.cache_clear()
+    for k in range(1, 21):
+        growth_ratio(k, 2.0, box)
+    assert sizes and set(sizes.values()) == {1}, sizes
 
 
 def test_box_field_constant_norm():
@@ -379,6 +405,14 @@ def test_growth_ratio_exact_values():
     assert growth_ratio(1, 2.0, box) == pytest.approx(np.sqrt(1.5), rel=1e-12)
     assert growth_ratio(2, 2.0, box) == pytest.approx(2.0 * np.sqrt(15.0 / 14.0),
                                                       rel=1e-12)
+    # N(j) = integral of |z|^(2j) over the unit box, exact; the ratio at
+    # p = 2 is k sqrt(N(k-1) / N(k)), and the resolved rule is exact there
+    def moment(j):
+        return 2 * sum(math.comb(j, i) * Fraction(2, 2 * i + 1) * Fraction(2, 2 * (j - i) + 1)
+                       for i in range(j + 1))
+    for k in range(1, 101):
+        exact = k * math.sqrt(moment(k - 1) / moment(k))
+        assert growth_ratio(k, 2.0, box) == pytest.approx(exact, rel=3e-14), k
 
 
 def test_growth_ratio_other_exponent_and_box():
@@ -389,6 +423,8 @@ def test_growth_ratio_other_exponent_and_box():
         growth_ratio(3, 4.0, wide), rel=1e-9)
     with pytest.raises(ValueError):
         growth_ratio(0, 2.0, wide)
+    with pytest.raises(TypeError):
+        growth_ratio(2.5, 2.0, wide)
     with pytest.raises(BadExponentError):
         growth_ratio(2, 0.5, wide)
 
@@ -435,6 +471,8 @@ def test_halfspace_ratio_reference_values():
     assert halfspace_ratio(4, 2.0) == pytest.approx(4.958, rel=2e-3)
     with pytest.raises(ValueError):
         halfspace_ratio(0, 2.0)
+    with pytest.raises(TypeError):
+        halfspace_ratio(2.5, 2.0)
 
 
 # ----------------------------------------------------------------------------
