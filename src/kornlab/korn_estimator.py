@@ -14,7 +14,12 @@ Two independent routes to the same number: a direct dense eigensolve of
 the complex Hermitian forms, stacked over frequencies (the scan runs one
 stacked solve per k1 plane), and an iterative smallest-eigenvalue solve
 of the assembled field-level operator sym + curl(devsym(curl .)) on a
-grid, deflating the modes the derivative multipliers cannot see.
+grid, deflating the modes the derivative multipliers cannot see.  The
+grid route is LOBPCG from a 4-column start block, preconditioned by the
+exact inverse of the operator's own 9x9 block at each grid frequency.
+Those blocks are probed through the fields module (the operator applied
+to the nine constant coefficient arrays), never built from the symbol,
+so the two routes stay independent.
 """
 
 import operator
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import fields
-from .algebra3 import anti, dot, sym, tp
+from .algebra3 import anti, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -46,6 +51,14 @@ _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
 # _SYM_FORM) gives exactly the identity: the form on the complement of the
 # skew matrices, extended by 1 on the skew ones
 _SKEW_FORM = np.eye(9) - _SYM_FORM
+# grid_crosscheck preconditions with (Q_k + _PRECOND_SHIFT * I)^-1 per grid
+# frequency; the shift bounds every inverted block by 1/_PRECOND_SHIFT
+# whatever the probe returns.  A preconditioner cannot move the converged
+# eigenvalue; at n = 16 shifts 0, 0.05 and 0.2 took 15, 16 and 21 iterations
+_PRECOND_SHIFT = 0.05
+# LOBPCG start block width: at n = 16, 16 columns took 17 iterations and
+# 191 MB peak RSS, 4 columns 16 iterations and 109 MB
+_START_COLUMNS = 4
 
 
 class NoConvergenceError(RuntimeError):
@@ -132,14 +145,40 @@ def _deflation_basis(spec):
     return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
 
 
+def _apply_hat(spec, coef):
+    """Fourier side of sym + curl(devsym(curl .)) on (n, n, n, 3, 3) coefficients."""
+    f = fields.field_from_coef(spec, 2, coef, "complex")
+    s = fields.pointwise_part(f, "sym")
+    c = fields.apply_operator(f, "curl_mat")
+    c = fields.pointwise_part(c, "devsym")
+    c = fields.apply_operator(c, "curl_mat")
+    return s.coef + c.coef
+
+
+def _probed_blocks(spec):
+    """The operator's 9x9 block at every grid frequency, shape (n, n, n, 9, 9).
+
+    The operator commutes with translations, so applying its Fourier side to
+    the constant coefficient arrays E_j gives column j of every block at
+    once: nine calls through the fields module, no symbol or form.
+    """
+    n = spec.n
+    cols = [_apply_hat(spec, np.broadcast_to(e, (n, n, n, 3, 3))) for e in basis_matrices()]
+    return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
+
+
 def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     """Iterative grid eigenvalue versus the per-frequency minimum.
 
     Assembles P -> sym P + curl(devsym(curl P)) through the fields module
     on an n^3 grid (n a power of two, at least 8), finds its smallest
-    eigenvalue on the deflated real field space with blocked LOBPCG, and
-    returns |lambda_grid - min_k lambda_min(k)| over the frequencies the
-    grid derivatives represent.
+    eigenvalue on the deflated real field space with LOBPCG from a
+    4-column random start block, and returns |lambda_grid - min_k
+    lambda_min(k)| over the frequencies the grid derivatives represent.
+    The preconditioner is the inverse of each frequency's probed block
+    (_probed_blocks) plus _PRECOND_SHIFT, applied to the whole LOBPCG block
+    at once, so LOBPCG stops by its tolerance long before the iteration
+    cap; NoConvergenceError if the explicit residual still exceeds 1e-4.
     """
     if n < 8:
         raise ValueError("grid size must be at least 8")
@@ -151,28 +190,24 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     def matvec(v):
         v = np.asarray(v).reshape(-1)
         coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
-        f = fields.field_from_coef(spec, 2, coef, "complex")
-        s = fields.pointwise_part(f, "sym")
-        c = fields.apply_operator(f, "curl_mat")
-        c = fields.pointwise_part(c, "devsym")
-        c = fields.apply_operator(c, "curl_mat")
-        out = np.fft.ifftn(s.coef + c.coef, axes=(0, 1, 2)).real
+        out = np.fft.ifftn(_apply_hat(spec, coef), axes=(0, 1, 2)).real
         return out.reshape(dim) + shift * (defl @ (defl.T @ v))
 
-    # inverse-Helmholtz smoother: scalar per frequency, spectrally equivalent
-    # to the inverse of the operator without using its 9x9 block structure
-    K = fields._freq_grids(n)
-    smoother = (1.0 / (1.0 + dot(K, K)))[..., None, None]
+    # the eight K = 0 modes (mean and checkerboards) have the singular block
+    # _SYM_FORM; the identity there stands in for the deflation shift
+    q = _probed_blocks(spec)
+    q[~fields._freq_grids(n).any(axis=-1)] += np.eye(9)
+    q_inv = np.linalg.inv(q + _PRECOND_SHIFT * np.eye(9))
 
-    def precond(v):
-        v = np.asarray(v).reshape(-1)
-        c = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2)) * smoother
-        return np.fft.ifftn(c, axes=(0, 1, 2)).real.reshape(-1)
+    def precond(x):
+        x = np.asarray(x)
+        c = np.fft.fftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
+        return np.fft.ifftn(q_inv @ c, axes=(0, 1, 2)).real.reshape(x.shape)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    prec = LinearOperator((dim, dim), matvec=precond, dtype=float)
+    prec = LinearOperator((dim, dim), matvec=precond, matmat=precond, dtype=float)
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((dim, 16))
+    x0 = rng.standard_normal((dim, _START_COLUMNS))
     x0 -= defl @ (defl.T @ x0)
     # convergence is gated on the explicit residual check below, not on
     # lobpcg hitting tol for the whole block, so its warnings are noise
@@ -186,8 +221,11 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     # lam_grid is a Rayleigh quotient, so its error is bounded by resid^2
     # over the spectral gap (about 0.1 here); 1e-4 keeps it below 1e-7.
     if not np.isfinite(lam_grid) or resid > 1e-4:
-        raise NoConvergenceError("grid eigensolve stalled: residual %.3e after %d iterations"
-                                 % (resid, iterations))
+        # lobpcg returns its best iterate and cuts the history just after it,
+        # so len(hist) - 2 is the iteration that made it; at the cap scipy
+        # runs one update past maxiter, so this can exceed `iterations`
+        raise NoConvergenceError("grid eigensolve stalled: residual %.3e after %d LOBPCG "
+                                 "iterations (maxiter %d)" % (resid, len(hist) - 2, iterations))
 
     # the scan includes k = 0, whose value 1 bounds every other minimum
     return abs(lam_grid - korn_constant(n // 2 - 1).lambda_global)

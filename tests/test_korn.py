@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kornlab import fields, korn_estimator
 from kornlab.algebra3 import anti, random_rotation
 from kornlab.korn_estimator import (
-    KornReport, equivalence_constant, frequency_form, grid_crosscheck,
+    KornReport, NoConvergenceError, equivalence_constant, frequency_form, grid_crosscheck,
     korn_constant, lambda_min, sphere_directions,
 )
 
@@ -180,3 +181,41 @@ def test_equivalence_constant_is_sqrt3():
     for samples in (100, 5000):      # 5000 spans two stacked blocks
         assert equivalence_constant(samples=samples) == pytest.approx(
             np.sqrt(3.0), abs=1e-11)
+
+
+def _record_lobpcg_iterations(monkeypatch):
+    """Wrap korn_estimator.lobpcg; the list collects len(hist) - 2 per call."""
+    real, used = korn_estimator.lobpcg, []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        used.append(len(result[2]) - 2)
+        return result
+
+    monkeypatch.setattr(korn_estimator, "lobpcg", recording)
+    return used
+
+
+def test_grid_crosscheck_stops_by_tolerance(monkeypatch):
+    used = _record_lobpcg_iterations(monkeypatch)
+    assert grid_crosscheck(8) < 1e-8
+    assert len(used) == 1 and used[0] < 40, "LOBPCG used %s of 80 iterations" % used
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+def test_grid_crosscheck_stall_names_iterations_used(monkeypatch, cap):
+    used = _record_lobpcg_iterations(monkeypatch)
+    with pytest.raises(NoConvergenceError, match="stalled: residual") as err:
+        grid_crosscheck(8, iterations=cap)
+    assert "after %d LOBPCG iterations (maxiter %d)" % (used[0], cap) in str(err.value)
+
+
+def test_probed_blocks_are_the_frequency_forms():
+    # the third check of the operator: every grid frequency, not only the
+    # band a random field occupies
+    K = fields._freq_grids(8)
+    q = korn_estimator._probed_blocks(fields.GridSpec(8))
+    assert_allclose(q, frequency_form(K), rtol=0, atol=1e-12)
+    nonzero = K.any(axis=-1)
+    assert_allclose(np.linalg.eigvalsh(q[nonzero])[:, 0], lambda_min(K[nonzero])[0],
+                    rtol=0, atol=1e-12)
