@@ -117,9 +117,16 @@ def skew(X):
 
 
 def dev(X):
-    """Trace-free part X - tr(X)/3 * id."""
+    """Trace-free part X - tr(X)/3 * id.
+
+    The third of the trace comes off the diagonal of one copy of X (through
+    einsum's writable diagonal view); on a coefficient grid no (..., 3, 3)
+    multiple of the identity is built.
+    """
     X = np.asarray(X)
-    return X - tr(X)[..., None, None] / 3.0 * EYE3
+    out = X.astype(np.result_type(X.dtype, float))
+    np.einsum("...ii->...i", out)[...] -= tr(X)[..., None] / 3.0
+    return out
 
 
 def tr(X):

@@ -15,11 +15,16 @@ the complex Hermitian forms, stacked over frequencies (the scan runs one
 stacked solve per k1 plane), and an iterative smallest-eigenvalue solve
 of the assembled field-level operator sym + curl(devsym(curl .)) on a
 grid, deflating the modes the derivative multipliers cannot see.  The
-grid route is LOBPCG from a 4-column start block, preconditioned by the
-exact inverse of the operator's own 9x9 block at each grid frequency.
-Those blocks are probed through the fields module (the operator applied
-to the nine constant coefficient arrays), never built from the symbol,
-so the two routes stay independent.
+grid operator commutes with translations, so it is one 9x9 block per
+grid frequency.  Those blocks are probed through the fields module (the
+operator applied to the nine constant coefficient arrays), never built
+from the symbol, so the two routes stay independent.  LOBPCG runs from a
+4-column start block on the probed blocks, applied to the whole block of
+real fields over the real half-spectrum, preconditioned by each block's
+exact (shifted) inverse; the eigenvector it returns must then pass a
+residual gate on the fields chain itself, so a wrong probe cannot pass.
+scipy is loaded on the first call of `lobpcg`, so importing kornlab
+loads no scipy module.
 """
 
 import operator
@@ -27,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from . import fields
 from .algebra3 import anti, sym, tp
@@ -57,8 +61,18 @@ _SKEW_FORM = np.eye(9) - _SYM_FORM
 # eigenvalue; at n = 16 shifts 0, 0.05 and 0.2 took 15, 16 and 21 iterations
 _PRECOND_SHIFT = 0.05
 # LOBPCG start block width: at n = 16, 16 columns took 17 iterations and
-# 191 MB peak RSS, 4 columns 16 iterations and 109 MB
+# 191 MB peak RSS, 4 columns 16 iterations and 101 MB (scipy included)
 _START_COLUMNS = 4
+
+
+def lobpcg(*args, **kwargs):
+    """scipy.sparse.linalg.lobpcg, imported on first call.
+
+    Only grid_crosscheck needs scipy; importing it here keeps about 0.3 s
+    of scipy.sparse out of every other kornlab process.
+    """
+    from scipy.sparse.linalg import lobpcg as scipy_lobpcg
+    return scipy_lobpcg(*args, **kwargs)
 
 
 class NoConvergenceError(RuntimeError):
@@ -155,6 +169,13 @@ def _apply_hat(spec, coef):
     return s.coef + c.coef
 
 
+def _apply_fields(spec, v):
+    """The operator on one real field, flattened to (9 n^3,), through the fields chain."""
+    n = spec.n
+    coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
+    return np.fft.ifftn(_apply_hat(spec, coef), axes=(0, 1, 2)).real.reshape(v.shape)
+
+
 def _probed_blocks(spec):
     """The operator's 9x9 block at every grid frequency, shape (n, n, n, 9, 9).
 
@@ -167,57 +188,74 @@ def _probed_blocks(spec):
     return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
 
 
+def _apply_blocks(blocks, x):
+    """Per-frequency 9x9 blocks applied to real fields, one per column of x.
+
+    blocks holds the real half-spectrum, shape (n, n, n // 2 + 1, 9, 9); x
+    has shape (9 n^3, m) or (9 n^3,).  A real field's coefficients at -k
+    are the conjugates of those at k and the blocks of a real operator obey
+    the same symmetry, so the half-spectrum determines the result.
+    """
+    n = blocks.shape[0]
+    c = np.fft.rfftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
+    return np.fft.irfftn(blocks @ c, s=(n, n, n), axes=(0, 1, 2)).reshape(x.shape)
+
+
 def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     """Iterative grid eigenvalue versus the per-frequency minimum.
 
-    Assembles P -> sym P + curl(devsym(curl P)) through the fields module
-    on an n^3 grid (n a power of two, at least 8), finds its smallest
-    eigenvalue on the deflated real field space with LOBPCG from a
-    4-column random start block, and returns |lambda_grid - min_k
-    lambda_min(k)| over the frequencies the grid derivatives represent.
-    The preconditioner is the inverse of each frequency's probed block
-    (_probed_blocks) plus _PRECOND_SHIFT, applied to the whole LOBPCG block
-    at once, so LOBPCG stops by its tolerance long before the iteration
-    cap; NoConvergenceError if the explicit residual still exceeds 1e-4.
+    Finds the smallest eigenvalue of P -> sym P + curl(devsym(curl P)) on
+    the deflated real field space of an n^3 grid (n a power of two, at
+    least 8) with LOBPCG from a 4-column random start block, and returns
+    |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
+    derivatives represent.  LOBPCG applies the operator as the probed
+    9x9 block of each frequency (_probed_blocks) to its whole block of
+    fields at once, over the real half-spectrum, and is preconditioned by
+    the inverse of each block plus _PRECOND_SHIFT, so it stops by its
+    tolerance long before the iteration cap.  The eigenvector it returns
+    is then checked on the fields chain (_apply_fields), independently of
+    the probe: NoConvergenceError if that explicit residual exceeds 1e-4.
+    The first call loads scipy.sparse.linalg.
     """
     if n < 8:
         raise ValueError("grid size must be at least 8")
     spec = fields.GridSpec(n)
-    dim = 9 * n ** 3
     defl = _deflation_basis(spec)
     shift = 10.0
+    half = n // 2 + 1
 
-    def matvec(v):
-        v = np.asarray(v).reshape(-1)
-        coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
-        out = np.fft.ifftn(_apply_hat(spec, coef), axes=(0, 1, 2)).real
-        return out.reshape(dim) + shift * (defl @ (defl.T @ v))
+    def deflate(x):
+        return shift * (defl @ (defl.T @ x))
 
+    # the real half-spectrum fixes a real operator; the copy lets the full
+    # probe be freed
+    q = _probed_blocks(spec)[:, :, :half].copy()
     # the eight K = 0 modes (mean and checkerboards) have the singular block
     # _SYM_FORM; the identity there stands in for the deflation shift
-    q = _probed_blocks(spec)
-    q[~fields._freq_grids(n).any(axis=-1)] += np.eye(9)
-    q_inv = np.linalg.inv(q + _PRECOND_SHIFT * np.eye(9))
+    zero = ~fields._freq_grids(n)[:, :, :half].any(axis=-1)
+    q_inv = q.copy()
+    q_inv[zero] += np.eye(9)
+    q_inv = np.linalg.inv(q_inv + _PRECOND_SHIFT * np.eye(9))
+
+    def op(x):
+        return _apply_blocks(q, x) + deflate(x)
 
     def precond(x):
-        x = np.asarray(x)
-        c = np.fft.fftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
-        return np.fft.ifftn(q_inv @ c, axes=(0, 1, 2)).real.reshape(x.shape)
+        return _apply_blocks(q_inv, x)
 
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    prec = LinearOperator((dim, dim), matvec=precond, matmat=precond, dtype=float)
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((dim, _START_COLUMNS))
+    x0 = rng.standard_normal((9 * n ** 3, _START_COLUMNS))
     x0 -= defl @ (defl.T @ x0)
     # convergence is gated on the explicit residual check below, not on
     # lobpcg hitting tol for the whole block, so its warnings are noise
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        w, v, hist = lobpcg(op, x0, M=prec, largest=False, tol=tol, maxiter=iterations,
+        w, v, hist = lobpcg(op, x0, M=precond, largest=False, tol=tol, maxiter=iterations,
                             retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
     vec = v[:, int(np.argmin(w))]
-    resid = float(np.linalg.norm(matvec(vec) - lam_grid * vec) / np.linalg.norm(vec))
+    resid = float(np.linalg.norm(_apply_fields(spec, vec) + deflate(vec) - lam_grid * vec)
+                  / np.linalg.norm(vec))
     # lam_grid is a Rayleigh quotient, so its error is bounded by resid^2
     # over the spectral gap (about 0.1 here); 1e-4 keeps it below 1e-7.
     if not np.isfinite(lam_grid) or resid > 1e-4:

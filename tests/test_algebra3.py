@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kornlab.algebra3 import (
     NotSkewError, NotTracelessSymError, NotUnitError, ZeroDirectionError,
@@ -68,6 +68,28 @@ def test_parts_sum_and_project():
     assert_allclose(tr(dev(X)), 0.0, atol=1e-13)
     assert_allclose(sym(sym(X)), sym(X))
     assert_allclose(tp(tp(X)), X)
+
+
+def test_dev_matches_identity_formula_bitwise():
+    # dev subtracts tr/3 from the diagonal of a copy of X; the formula
+    # X - tr(X)/3 * id gives the same bits except at a zero off-diagonal
+    # entry: under a negative trace the formula computes -0.0 - (-0.0) =
+    # +0.0 where dev keeps the -0.0
+    def identity_formula(X):
+        return X - tr(X)[..., None, None] / 3.0 * np.eye(3)
+
+    real = RNG.standard_normal((40, 3, 3))
+    real[:20, 0, 1] = -0.0
+    real[20:, 2, 1] = 0.0
+    cplx = RNG.standard_normal((2, 8, 3, 3)) + 1j * RNG.standard_normal((2, 8, 3, 3))
+    cplx[0, :, 1, 0] = -0.0
+    for X in (real, RNG.standard_normal((3, 3)), cplx):
+        new, old = dev(X), identity_formula(X)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert_array_equal(new, old)
+        new_parts, old_parts = np.stack([new.real, new.imag]), np.stack([old.real, old.imag])
+        flipped = np.signbit(new_parts) != np.signbit(old_parts)
+        assert not (flipped & ((new_parts != 0) | np.eye(3, dtype=bool))).any()
 
 
 def test_bilinear_pairing_is_not_hermitian():

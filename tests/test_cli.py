@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import kornlab
 from kornlab import cli
 
 
@@ -260,6 +263,25 @@ def test_kernel_command(capsys):
     assert res["line_rank"] == 9
     assert res["recovery_error"] < 1e-8
     assert res["projection_residual"] < 1e-8
+
+
+def test_import_and_light_commands_load_no_scipy():
+    # only grid_crosscheck needs scipy; a fresh process that imports kornlab
+    # and runs `kernel` and `symbol` must not load any scipy module
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import kornlab, kornlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [kornlab.cli.main(['kernel']), kornlab.cli.main(['symbol'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kornlab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []
 
 
 def test_out_file(tmp_path, capsys):

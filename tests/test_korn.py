@@ -219,3 +219,35 @@ def test_probed_blocks_are_the_frequency_forms():
     nonzero = K.any(axis=-1)
     assert_allclose(np.linalg.eigvalsh(q[nonzero])[:, 0], lambda_min(K[nonzero])[0],
                     rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("columns", [1, 4])
+def test_block_operator_matches_fields_chain(columns):
+    # LOBPCG's operator (probed blocks over the real half-spectrum) against
+    # the fields chain that gates its result, column by column; the inputs
+    # carry the Nyquist planes and the deflated checkerboard modes
+    n = 8
+    spec = fields.GridSpec(n)
+    rng = np.random.default_rng(columns)
+    x = rng.standard_normal((n, n, n, 9, columns))
+    alt = (-1.0) ** np.arange(n)
+    for axis in range(3):           # one field on each k_axis = n/2 plane
+        x += alt.reshape([-1 if a == axis else 1 for a in range(3)] + [1, 1]) \
+            * rng.standard_normal([1 if a == axis else n for a in range(3)] + [9, columns])
+    x = x.reshape(9 * n ** 3, columns)
+    x += korn_estimator._deflation_basis(spec) @ rng.standard_normal((24, columns))
+    blocks = korn_estimator._probed_blocks(spec)[:, :, :n // 2 + 1]
+    got = korn_estimator._apply_blocks(blocks, x)
+    want = np.stack([korn_estimator._apply_fields(spec, x[:, j]) for j in range(columns)],
+                    axis=1)
+    assert got.shape == x.shape
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_residual_gate_is_on_the_fields_chain(monkeypatch):
+    # a 1 % wrong probe moves LOBPCG's eigenvalue by 1 %; the gate recomputes
+    # the residual through the fields chain, so it must catch that
+    probed = korn_estimator._probed_blocks
+    monkeypatch.setattr(korn_estimator, "_probed_blocks", lambda spec: 1.01 * probed(spec))
+    with pytest.raises(NoConvergenceError, match="stalled: residual"):
+        grid_crosscheck(8)
