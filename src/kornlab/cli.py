@@ -184,6 +184,8 @@ def resolve_config(args):
         raise UsageError("out must be a file name, got %r" % (cfg["out"],))
     if cfg["samples"] < 1 or cfg["kmax"] < 1:
         raise UsageError("samples and kmax must be >= 1")
+    if cfg["seed"] < 0:
+        raise UsageError("seed must be >= 0, got %d" % cfg["seed"])
     if cfg["format"] not in ("json", "csv"):
         raise UsageError("format must be json or csv")
     # the library's own validators, so that a bad value is a usage error
@@ -260,8 +262,8 @@ def run_symbol(cfg):
     try:
         equiv = korn_estimator.equivalence_constant(samples=cfg["samples"], seed=cfg["seed"])
     except RuntimeError as exc:
-        errors.append(str(exc))
-        equiv = float("nan")
+        errors.append("equivalence_constant: %s" % exc)
+        equiv = None                # reported as null, named in the errors
     results = {
         "kernel_dimension_min": min(dims), "kernel_dimension_max": max(dims),
         "kernel_gap_min": min(gaps),

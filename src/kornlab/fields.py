@@ -535,9 +535,9 @@ def dump_field(f, path):
 def load_field(path):
     """Read a field written by dump_field (coefficients come back complex64-rounded).
 
-    Raises CorruptFieldError when the header lacks an integer rank or n or
-    a real/complex tag, or when the payload does not hold exactly
-    n^3 * 3^rank complex64 values.
+    Raises CorruptFieldError when the header lacks an integer rank, an n
+    that is a power of two of at least 4, or a real/complex tag, or when
+    the payload does not hold exactly n^3 * 3^rank complex64 values.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
@@ -555,8 +555,9 @@ def load_field(path):
     reality = meta.get("reality")
     if reality not in ("real", "complex"):
         raise CorruptFieldError("header needs reality=real or reality=complex: %r" % header)
-    if rank not in (0, 1, 2) or n < 1:
-        raise CorruptFieldError("header has rank=%d, n=%d" % (rank, n))
+    if rank not in (0, 1, 2) or n < 4 or n & (n - 1):
+        raise CorruptFieldError("header has rank=%d, n=%d (n must be a power of two, "
+                                "at least 4)" % (rank, n))
     shape = _coef_shape(rank, n)
     if len(raw) != 8 * int(np.prod(shape)):
         raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"

@@ -5,24 +5,26 @@ For each integer frequency k the quadratic form
     Q_k(P) = |sym P|^2 + |devsym(P x k)|^2
 
 is a Hermitian 9x9 form on complex 3x3 coefficients (the second term is
-the trace-free symmetric curl symbol squared).  Constant skew fields are
-the only null directions, so the zero frequency is minimized on the
-complement of the skew matrices, where the form is exactly the identity.
+the trace-free symmetric curl symbol squared).  The estimate holds modulo
+the skew part of the modes the derivatives cannot see, where Q_k is only
+|sym P|^2; there the form is completed by |skew P|^2 to exactly |P|^2.
 The estimated constant is c = 1 / sqrt(min_k lambda_min(Q_k)).
 
-Two independent routes to the same number: a direct dense eigensolve of
-the complex Hermitian forms, stacked over frequencies (the scan runs one
-stacked solve per k1 plane), and an iterative smallest-eigenvalue solve
-of the assembled field-level operator sym + curl(devsym(curl .)) on a
-grid, deflating the modes the derivative multipliers cannot see.  The
-grid operator commutes with translations, so it is one 9x9 block per
-grid frequency.  Those blocks are probed through the fields module (the
-operator applied to the nine constant coefficient arrays), never built
-from the symbol, so the two routes stay independent.  LOBPCG runs from a
-4-column start block on the probed blocks, applied to the whole block of
-real fields over the real half-spectrum, preconditioned by each block's
-exact (shifted) inverse; the eigenvector it returns must then pass a
-residual gate on the fields chain itself, so a wrong probe cannot pass.
+Two independent routes to the same number, each stating that zero-mode
+rule once: a direct dense eigensolve of the complex Hermitian forms,
+stacked over frequencies (the scan runs one stacked solve per k1 plane;
+the rule sits in frequency_form at k = 0), and an iterative
+smallest-eigenvalue solve of the assembled field-level operator
+sym + curl(devsym(curl .)) on a grid (the rule sits in its Fourier side,
+at the mean and the seven checkerboard modes).  The grid operator
+commutes with translations, so it is one 9x9 block per grid frequency.
+Those blocks are probed through the fields module (the operator applied
+to the nine constant coefficient arrays), never built from the symbol,
+so the two routes stay independent.  LOBPCG runs from a 4-column start
+block on the probed blocks, applied to the whole block of real fields
+over the real half-spectrum, preconditioned by each block's exact
+(shifted) inverse; the eigenvector it returns must then pass a residual
+gate on the fields chain itself, so a wrong probe cannot pass.
 scipy is loaded on the first call of `lobpcg`, so importing kornlab
 loads no scipy module.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import anti, sym, tp
+from .algebra3 import sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -52,16 +54,15 @@ CONVENTION = ("form |sym P|^2 + |devsym(P x k)|^2 per integer frequency k of the
 # projector, so this matrix is also the Gram matrix S*S of |sym P|^2
 _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
 # |sym P|^2 + |skew P|^2 = |P|^2, so adding this to the k = 0 form (which is
-# _SYM_FORM) gives exactly the identity: the form on the complement of the
-# skew matrices, extended by 1 on the skew ones
+# _SYM_FORM) gives exactly the identity: the zero-mode completion
 _SKEW_FORM = np.eye(9) - _SYM_FORM
 # grid_crosscheck preconditions with (Q_k + _PRECOND_SHIFT * I)^-1 per grid
 # frequency; the shift bounds every inverted block by 1/_PRECOND_SHIFT
 # whatever the probe returns.  A preconditioner cannot move the converged
-# eigenvalue; at n = 16 shifts 0, 0.05 and 0.2 took 15, 16 and 21 iterations
+# eigenvalue; at n = 16 shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
 _PRECOND_SHIFT = 0.05
-# LOBPCG start block width: at n = 16, 16 columns took 17 iterations and
-# 191 MB peak RSS, 4 columns 16 iterations and 101 MB (scipy included)
+# LOBPCG start block width: at n = 16, 16 columns took 16 iterations and
+# 164 MB peak RSS, 4 columns 15 iterations and 93 MB (scipy included)
 _START_COLUMNS = 4
 
 
@@ -80,28 +81,30 @@ class NoConvergenceError(RuntimeError):
 
 
 def frequency_form(k):
-    """Hermitian 9x9 form Q_k = S*S + C_k*C_k in the row-major flattening.
+    """Completed Hermitian 9x9 form Q_k = S*S + C_k*C_k in the row-major flattening.
 
-    A stack of frequencies of shape (..., 3) gives a stack of forms.
+    At k = 0 the derivatives see nothing and the skew matrices are null
+    directions of S*S; the estimate holds modulo them, so the form there is
+    completed by _SKEW_FORM to exactly the identity.  A stack of frequencies
+    of shape (..., 3) gives a stack of forms.
     """
     k = np.asarray(k, dtype=float)
     c = curl_symbol(k, "devsym")
-    return _SYM_FORM + tp(c.conj()) @ c
+    q = _SYM_FORM + tp(c.conj()) @ c
+    q[~k.any(axis=-1)] += _SKEW_FORM
+    return q
 
 
 def lambda_min(k):
     """Smallest eigenvalue of Q_k and a unit minimizing 3x3 coefficient.
 
     k is one frequency or a stack of shape (..., 3); the values have shape
-    (...) and the minimizers (..., 3, 3), from one stacked eigensolve.  At
-    k = 0 the form is restricted to the complement of the skew matrices,
-    where it equals the identity: the value is exactly 1 and the minimizer
-    is the symmetric E11.
+    (...) and the minimizers (..., 3, 3), from one stacked eigensolve of
+    the completed forms.  At k = 0 the form is the identity: the value is
+    exactly 1 and the minimizer is the symmetric E11.
     """
     k = np.asarray(k, dtype=float)
-    q = frequency_form(k)
-    q[~k.any(axis=-1)] += _SKEW_FORM
-    w, v = np.linalg.eigh(q)
+    w, v = np.linalg.eigh(frequency_form(k))
     return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
 
 
@@ -143,30 +146,20 @@ def korn_constant(kmax):
     )
 
 
-def _deflation_basis(spec):
-    """Real skew fields invisible to the derivative multipliers.
-
-    The mean and the unpaired checkerboard modes (every component 0 or
-    -n/2) have zero derivative; their skew content must be deflated before
-    asking for the smallest eigenvalue.  Columns: the eight sign patterns
-    (no flip or an alternating sign along each axis) times anti(e_j).
-    """
-    n = spec.n
-    alt = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
-    sign = (alt[:, None, None, :, None, None] * alt[None, :, None, None, :, None]
-            * alt[None, None, :, None, None, :]).reshape(8, 1, n, n, n, 1, 1)
-    v = (sign * anti(np.eye(3))[:, None, None, None]).reshape(24, -1)
-    return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
-
-
 def _apply_hat(spec, coef):
-    """Fourier side of sym + curl(devsym(curl .)) on (n, n, n, 3, 3) coefficients."""
+    """Fourier side of sym + curl(devsym(curl .)) on (n, n, n, 3, 3) coefficients.
+
+    The mean and the seven checkerboard modes (every component 0 or n/2)
+    have zero grid frequency: the derivatives drop them, and their skew
+    part is added back, the same completion as frequency_form at k = 0.
+    """
     f = fields.field_from_coef(spec, 2, coef, "complex")
-    s = fields.pointwise_part(f, "sym")
     c = fields.apply_operator(f, "curl_mat")
     c = fields.pointwise_part(c, "devsym")
-    c = fields.apply_operator(c, "curl_mat")
-    return s.coef + c.coef
+    out = fields.pointwise_part(f, "sym").coef + fields.apply_operator(c, "curl_mat").coef
+    zero = ~fields._freq_grids(spec.n).any(axis=-1)
+    out[zero] += fields.pointwise_part(f, "skew").coef[zero]
+    return out
 
 
 def _apply_fields(spec, v):
@@ -205,10 +198,13 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     """Iterative grid eigenvalue versus the per-frequency minimum.
 
     Finds the smallest eigenvalue of P -> sym P + curl(devsym(curl P)) on
-    the deflated real field space of an n^3 grid (n a power of two, at
-    least 8) with LOBPCG from a 4-column random start block, and returns
+    the real fields of an n^3 grid (n a power of two, at least 8), completed
+    by skew P at the eight zero grid frequencies (_apply_hat), with LOBPCG
+    from a 4-column random start block, and returns
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
-    derivatives represent.  LOBPCG applies the operator as the probed
+    derivatives represent.  The completion puts the otherwise null skew
+    modes at eigenvalue 1, above every grid minimum, so no mode is
+    projected out.  LOBPCG applies the operator as the probed
     9x9 block of each frequency (_probed_blocks) to its whole block of
     fields at once, over the real half-spectrum, and is preconditioned by
     the inverse of each block plus _PRECOND_SHIFT, so it stops by its
@@ -220,32 +216,18 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
     if n < 8:
         raise ValueError("grid size must be at least 8")
     spec = fields.GridSpec(n)
-    defl = _deflation_basis(spec)
-    shift = 10.0
-    half = n // 2 + 1
-
-    def deflate(x):
-        return shift * (defl @ (defl.T @ x))
-
     # the real half-spectrum fixes a real operator; the copy lets the full
     # probe be freed
-    q = _probed_blocks(spec)[:, :, :half].copy()
-    # the eight K = 0 modes (mean and checkerboards) have the singular block
-    # _SYM_FORM; the identity there stands in for the deflation shift
-    zero = ~fields._freq_grids(n)[:, :, :half].any(axis=-1)
-    q_inv = q.copy()
-    q_inv[zero] += np.eye(9)
-    q_inv = np.linalg.inv(q_inv + _PRECOND_SHIFT * np.eye(9))
+    q = _probed_blocks(spec)[:, :, :n // 2 + 1].copy()
+    q_inv = np.linalg.inv(q + _PRECOND_SHIFT * np.eye(9))
 
     def op(x):
-        return _apply_blocks(q, x) + deflate(x)
+        return _apply_blocks(q, x)
 
     def precond(x):
         return _apply_blocks(q_inv, x)
 
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((9 * n ** 3, _START_COLUMNS))
-    x0 -= defl @ (defl.T @ x0)
+    x0 = np.random.default_rng(seed).standard_normal((9 * n ** 3, _START_COLUMNS))
     # convergence is gated on the explicit residual check below, not on
     # lobpcg hitting tol for the whole block, so its warnings are noise
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -254,7 +236,7 @@ def grid_crosscheck(n, seed=1, iterations=80, tol=1e-7):
                             retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
     vec = v[:, int(np.argmin(w))]
-    resid = float(np.linalg.norm(_apply_fields(spec, vec) + deflate(vec) - lam_grid * vec)
+    resid = float(np.linalg.norm(_apply_fields(spec, vec) - lam_grid * vec)
                   / np.linalg.norm(vec))
     # lam_grid is a Rayleigh quotient, so its error is bounded by resid^2
     # over the spectral gap (about 0.1 here); 1e-4 keeps it below 1e-7.

@@ -100,6 +100,7 @@ def test_config_file_invalid_json(tmp_path, capsys):
     {"samples": None},
     {"kmax": 2.5},
     {"out": 5},
+    {"seed": -1},
 ])
 def test_config_file_wrong_types(tmp_path, capsys, data):
     # a value of the wrong type is a usage error, not a traceback, and a
@@ -127,6 +128,9 @@ def test_bad_flag_values(capsys):
     assert code == 2
     # values the library validators reject are usage errors, not tracebacks
     for argv in (["identities", "--grid-n", "12"],
+                 ["symbol", "--seed", "-1"],
+                 ["kernel", "--seed", "-1"],
+                 ["identities", "--seed", "-1"],
                  ["counterexample", "--p", "0.5"],
                  ["counterexample", "--box", "1,1,1,0,0,0"]):
         code, out, err = run_cli(capsys, argv)
@@ -240,6 +244,22 @@ def test_symbol_command(capsys):
     assert res["equivalence_constant"] == pytest.approx(np.sqrt(3.0), abs=1e-11)
     assert res["witness_devsym_residual"] == 0.0
     assert res["witness_sym_residual"] == 0.0
+
+
+def test_symbol_names_a_failed_equivalence_constant(monkeypatch, capsys):
+    # a failed value is written as null and named in the errors, exit 1
+    from kornlab import korn_estimator
+
+    def failing(samples, seed):
+        raise RuntimeError("direction-dependent ratio (spread 1.000e-03)")
+
+    monkeypatch.setattr(korn_estimator, "equivalence_constant", failing)
+    code, out, _ = run_cli(capsys, ["symbol", "--samples", "30"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["results"]["equivalence_constant"] is None
+    assert report["errors"] == ["equivalence_constant: direction-dependent ratio "
+                                "(spread 1.000e-03)"]
 
 
 def test_counterexample_command(capsys):

@@ -540,6 +540,9 @@ def test_load_rejects_corrupt_files(tmp_path):
     corrupt = {
         "truncated": good[:-8],
         "wrong_n": header.replace(b"n=4", b"n=8") + b"\n" + payload,
+        # 27 values match the payload size of n = 3, which is no grid size
+        "n_not_power_of_two": header.replace(b"rank=2; n=4", b"rank=0; n=3") + b"\n"
+        + payload[:8 * 27],
         "missing_rank": header.replace(b" rank=2;", b"") + b"\n" + payload,
         "bad_rank": header.replace(b"rank=2", b"rank=two") + b"\n" + payload,
         "bad_reality": header.replace(b"reality=real", b"reality=maybe") + b"\n" + payload,

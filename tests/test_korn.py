@@ -61,6 +61,11 @@ def test_skew_rayleigh_grows_with_k():
         assert val == pytest.approx(ksq / 4.0, rel=1e-12)
 
 
+def test_frequency_form_is_completed_at_zero():
+    # the zero-mode rule: |sym P|^2 + |skew P|^2 = |P|^2, exactly
+    assert np.array_equal(frequency_form([0, 0, 0]), np.eye(9))
+
+
 def test_lambda_min_zero_frequency():
     lam, m = lambda_min([0, 0, 0])
     assert lam == pytest.approx(1.0, abs=1e-12)
@@ -126,7 +131,7 @@ def test_lambda_min_stack_matches_points():
         assert lam_k == pytest.approx(lam_point, abs=1e-13)
         v = m_k.reshape(9)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
-        q = frequency_form(kk) if kk.any() else np.eye(9)
+        q = frequency_form(kk)
         assert float(np.linalg.norm(q @ v - lam_k * v)) < 1e-10
 
 
@@ -212,20 +217,20 @@ def test_grid_crosscheck_stall_names_iterations_used(monkeypatch, cap):
 
 def test_probed_blocks_are_the_frequency_forms():
     # the third check of the operator: every grid frequency, not only the
-    # band a random field occupies
+    # band a random field occupies, and the eight zero modes, where both
+    # routes complete the form by its skew part
     K = fields._freq_grids(8)
     q = korn_estimator._probed_blocks(fields.GridSpec(8))
     assert_allclose(q, frequency_form(K), rtol=0, atol=1e-12)
-    nonzero = K.any(axis=-1)
-    assert_allclose(np.linalg.eigvalsh(q[nonzero])[:, 0], lambda_min(K[nonzero])[0],
-                    rtol=0, atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(q)[..., 0], lambda_min(K)[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("columns", [1, 4])
 def test_block_operator_matches_fields_chain(columns):
     # LOBPCG's operator (probed blocks over the real half-spectrum) against
     # the fields chain that gates its result, column by column; the inputs
-    # carry the Nyquist planes and the deflated checkerboard modes
+    # carry the Nyquist planes and all eight zero modes (mean and
+    # checkerboards), where the skew completion acts
     n = 8
     spec = fields.GridSpec(n)
     rng = np.random.default_rng(columns)
@@ -234,8 +239,11 @@ def test_block_operator_matches_fields_chain(columns):
     for axis in range(3):           # one field on each k_axis = n/2 plane
         x += alt.reshape([-1 if a == axis else 1 for a in range(3)] + [1, 1]) \
             * rng.standard_normal([1 if a == axis else n for a in range(3)] + [9, columns])
+    signs = np.stack([np.ones(n), alt])
+    for s1, s2, s3 in np.ndindex(2, 2, 2):      # no flip or alternating, per axis
+        pattern = signs[s1][:, None, None] * signs[s2][:, None] * signs[s3]
+        x += pattern[..., None, None] * rng.standard_normal((9, columns))
     x = x.reshape(9 * n ** 3, columns)
-    x += korn_estimator._deflation_basis(spec) @ rng.standard_normal((24, columns))
     blocks = korn_estimator._probed_blocks(spec)[:, :, :n // 2 + 1]
     got = korn_estimator._apply_blocks(blocks, x)
     want = np.stack([korn_estimator._apply_fields(spec, x[:, j]) for j in range(columns)],
