@@ -64,15 +64,15 @@ def anti(a):
     return out
 
 
-def axl(A, tol=TOL_SKEW):
+def axl(A):
     """Axial vector of a skew matrix; inverse of anti.
 
-    Raises NotSkewError when the symmetric part of A exceeds tol relative
+    Raises NotSkewError when the symmetric part of A exceeds TOL_SKEW relative
     to the size of A.
     """
     A = np.asarray(A)
     defect = mat_norm(A + tp(A)) / (2.0 * np.maximum(mat_norm(A), 1e-300))
-    if np.any(defect > tol):
+    if np.any(defect > TOL_SKEW):
         raise NotSkewError("matrix is not skew-symmetric (relative defect %.3e)"
                            % float(np.max(defect)))
     return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
@@ -185,7 +185,7 @@ def orth_decompose(X):
     return OrthSplit(devsym=s - sphere[..., None, None] * EYE3, skew=skew(X), sphere=sphere)
 
 
-def recover_axial(M, b, tol=TOL_SKEW):
+def recover_axial(M, b):
     """Recover a from M = devsym(anti(a) x b) for a known real direction b.
 
     The map a -> devsym(anti(a) x b) is injective for b != 0; its left
@@ -202,8 +202,8 @@ def recover_axial(M, b, tol=TOL_SKEW):
         if np.any(np.abs(b.imag) > 0):
             raise ZeroDirectionError("direction must be real")
         b = b.real
-    scale = np.maximum(mat_norm(M), 1e-300)
-    if np.any(mat_norm(M - tp(M)) > 2.0 * tol * scale) or np.any(np.abs(tr(M)) > tol * scale):
+    cut = TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
+    if np.any(mat_norm(M - tp(M)) > 2.0 * cut) or np.any(np.abs(tr(M)) > cut):
         raise NotTracelessSymError("matrix is not traceless symmetric within tolerance")
     b2 = np.sum(b * b, axis=-1)
     if np.any(b2 <= TOL_ZERO ** 2):
@@ -213,10 +213,10 @@ def recover_axial(M, b, tol=TOL_SKEW):
     return 2.0 / b2[..., None] * (Mb - 0.25 * coef[..., None] * b)
 
 
-def tangential_projector(nu, tol=TOL_UNIT):
+def tangential_projector(nu):
     """Projector id - nu (x) nu onto the plane orthogonal to a unit vector."""
     nu = np.asarray(nu, dtype=float)
-    if np.any(np.abs(vec_norm(nu) - 1.0) > tol):
+    if np.any(np.abs(vec_norm(nu) - 1.0) > TOL_UNIT):
         raise NotUnitError("direction must have unit length")
     return EYE3 - nu[..., :, None] * nu[..., None, :]
 

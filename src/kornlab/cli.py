@@ -4,15 +4,15 @@ Subcommands: identities, symbol, korn, counterexample, kernel.  Reports go
 to stdout (or --out) as JSON with schema_version "kornlab/1", or as CSV
 with --format csv.  Every float is serialized with 17 significant digits
 and the emitted bytes are a pure function of (command, config, seed):
-wall-clock timings are printed to stderr only, and the thread cap from
-KORNLAB_THREADS influences scheduling but never the report.  Exit status:
-0 clean, 1 when a named invariant failed (see the "errors" array), 2 for
-usage problems.
+wall-clock timings are printed to stderr only, and the BLAS thread count
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
+report.  Exit status: 0 clean, 1 when a named invariant failed (see the
+"errors" array; each error is also printed to stderr, so a CSV report
+names it too), 2 for usage problems.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -108,6 +108,8 @@ def to_csv(command, results):
                     walk("%s[%d]" % (prefix, i), v)
             elif isinstance(value, (float, np.floating)):
                 lines.append("%s,%s" % (prefix, _fmt_float(value)))
+            elif value is None:
+                lines.append("%s,null" % prefix)
             else:
                 lines.append("%s,%s" % (prefix, value))
         walk("", results)
@@ -197,19 +199,6 @@ def resolve_config(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
-
-
-def thread_cap():
-    raw = os.environ.get("KORNLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError("KORNLAB_THREADS must be a positive integer, got %r" % raw) from None
-    return val
 
 
 # ----------------------------------------------------------------------------
@@ -413,11 +402,10 @@ def build_parser():
 
 
 def _config_echo(cfg):
-    return {
-        "seed": cfg["seed"], "samples": cfg["samples"], "kmax": cfg["kmax"],
-        "grid_n": cfg["grid_n"], "p": cfg["p"], "box": list(cfg["box"]),
-        "format": cfg["format"],
-    }
+    """The resolved config in DEFAULTS order, without the output file name."""
+    echo = {key: val for key, val in cfg.items() if key != "out"}
+    echo["box"] = list(cfg["box"])
+    return echo
 
 
 def main(argv=None):
@@ -425,26 +413,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        cap = thread_cap()
     except UsageError as exc:
         print("kornlab: %s" % exc, file=sys.stderr)
         return 2
 
     started = time.perf_counter()
-    limiter = None
-    if cap is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            print("kornlab: warning: KORNLAB_THREADS=%d is not applied because "
-                  "threadpoolctl is not installed" % cap, file=sys.stderr)
-        else:
-            limiter = threadpool_limits(limits=cap)
-    try:
-        results, errors = COMMANDS[args.command](cfg)
-    finally:
-        if limiter is not None:
-            limiter.unregister()
+    results, errors = COMMANDS[args.command](cfg)
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
     report = {
@@ -466,6 +440,8 @@ def main(argv=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+    for err in errors:
+        print("kornlab: error: %s" % err, file=sys.stderr)
     print("kornlab: %s finished in %.1f ms" % (args.command, elapsed_ms), file=sys.stderr)
     return 1 if errors else 0
 

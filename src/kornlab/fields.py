@@ -408,24 +408,29 @@ class BoxField:
     magnitude: object
 
 
-def _resolve(compute, start=QUAD_START, cap=QUAD_CAP, rtol=QUAD_RTOL):
-    """Double the per-axis point count until the float result settles within rtol."""
+def _resolve(compute):
+    """Double the points per axis until the float result settles within QUAD_RTOL.
+
+    Refinement starts at QUAD_START and raises UnderResolvedError past
+    QUAD_CAP.  The constants are read at each call, so a patched module
+    value takes effect.
+    """
     def finite(m):
         value = float(compute(m))
         if not np.isfinite(value):
             raise NonFiniteError("quadrature gave %r at %d points/axis" % (value, m))
         return value
 
-    m = start
+    m = QUAD_START
     prev = finite(m)
-    while m < cap:
+    while m < QUAD_CAP:
         m *= 2
         cur = finite(m)
-        if abs(cur - prev) <= rtol * max(abs(prev), 1e-300):
+        if abs(cur - prev) <= QUAD_RTOL * max(abs(prev), 1e-300):
             return cur
         prev = cur
     raise UnderResolvedError("quadrature did not settle below %.1e by %d points/axis"
-                             % (rtol, cap))
+                             % (QUAD_RTOL, QUAD_CAP))
 
 
 def growth_ratio(k, p, box):

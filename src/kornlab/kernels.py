@@ -170,7 +170,7 @@ def boundary_system(points):
     return _axial_design(pts).reshape(3 * pts.shape[0], 10)
 
 
-def boundary_rank(points, tol=RANK_TOL):
+def boundary_rank(points):
     """Number of kernel parameters a point set pins down (10 = rigid).
 
     Twelve points in general position on a sphere give 10; point sets on a
@@ -180,4 +180,4 @@ def boundary_rank(points, tol=RANK_TOL):
     sv = np.linalg.svd(boundary_system(points), compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))

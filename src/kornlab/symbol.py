@@ -78,26 +78,26 @@ class KernelBasis:
     singular_values: np.ndarray  # all nine, descending
 
 
-def kernel_basis(op, tol=TOL_KERNEL):
+def kernel_basis(op):
     """Numerical kernel of a SymbolOperator via SVD.
 
-    Directions whose singular value is below tol * sigma_max count as
+    Directions whose singular value is below TOL_KERNEL * sigma_max count as
     kernel.  The returned vectors are orthonormal 3x3 matrices.
     """
     op = np.asarray(op, dtype=complex)
     _, s, vh = np.linalg.svd(op)
-    cut = tol * (s[0] if s[0] > 0 else 1.0)
+    cut = TOL_KERNEL * (s[0] if s[0] > 0 else 1.0)
     rank = int(np.sum(s > cut))
     vecs = vh[rank:].conj().reshape(-1, 3, 3)
     return KernelBasis(vectors=vecs, dimension=9 - rank, singular_values=s)
 
 
-def build_multiplier(xi, tol=TOL_KERNEL):
+def build_multiplier(xi):
     """Bounded degree-0 multiplier M with M(xi) A(xi) = A_sym(xi).
 
     A is the trace-free symmetric curl symbol and A_sym the symmetric one.
     M = A_sym @ Q where Q is the SVD pseudo-inverse of A (cut at
-    tol * sigma_max), so Q A = id - (kernel projector) and Q vanishes on
+    TOL_KERNEL * sigma_max), so Q A = id - (kernel projector) and Q vanishes on
     the orthogonal complement of the range of A.  Because the kernels of
     A and A_sym agree at real frequencies, M A = A_sym holds exactly and
     M is homogeneous of degree zero in xi.  A stack of frequencies of
@@ -107,11 +107,11 @@ def build_multiplier(xi, tol=TOL_KERNEL):
     xi = np.asarray(xi)
     if np.any(np.sqrt(np.sum(np.abs(xi) ** 2, axis=-1)) <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=tol)
+    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=TOL_KERNEL)
     return curl_symbol(xi, "sym") @ q
 
 
-def sharp_ratio(xi, tol=TOL_KERNEL):
+def sharp_ratio(xi):
     """Largest ratio |sym(P x xi)| / |devsym(P x xi)| over admissible P.
 
     This is the operator norm of the multiplier: M maps devsym(P x xi) to
@@ -119,7 +119,7 @@ def sharp_ratio(xi, tol=TOL_KERNEL):
     of the range of A.  One frequency gives a float, a (..., 3) stack an
     array of shape (...).
     """
-    ratio = np.linalg.svd(build_multiplier(xi, tol), compute_uv=False)[..., 0]
+    ratio = np.linalg.svd(build_multiplier(xi), compute_uv=False)[..., 0]
     return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 

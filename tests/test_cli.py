@@ -143,29 +143,6 @@ def test_unknown_command_is_usage_error():
         cli.main(["transmogrify"])
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("KORNLAB_THREADS", "zero")
-    code, out, err = run_cli(capsys, ["korn", "--kmax", "1"])
-    assert code == 2
-    assert "KORNLAB_THREADS" in err
-    monkeypatch.setenv("KORNLAB_THREADS", "2")
-    code, out, _ = run_cli(capsys, ["korn", "--kmax", "2"])
-    assert code == 0
-
-
-def test_thread_cap_without_threadpoolctl_warns(monkeypatch, capsys):
-    monkeypatch.delenv("KORNLAB_THREADS", raising=False)
-    _, plain, err = run_cli(capsys, ["korn", "--kmax", "2"])
-    assert "warning" not in err
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
-    monkeypatch.setenv("KORNLAB_THREADS", "2")
-    code, out, err = run_cli(capsys, ["korn", "--kmax", "2"])
-    assert code == 0
-    assert out == plain
-    warnings = [line for line in err.splitlines() if line.startswith("kornlab: warning:")]
-    assert len(warnings) == 1 and "KORNLAB_THREADS" in warnings[0]
-
-
 # ----------------------------------------------------------------------------
 # subcommands end to end
 
@@ -246,20 +223,43 @@ def test_symbol_command(capsys):
     assert res["witness_sym_residual"] == 0.0
 
 
+def _failing_equivalence(samples, seed):
+    raise RuntimeError("direction-dependent ratio (spread 1.000e-03)")
+
+
 def test_symbol_names_a_failed_equivalence_constant(monkeypatch, capsys):
     # a failed value is written as null and named in the errors, exit 1
     from kornlab import korn_estimator
-
-    def failing(samples, seed):
-        raise RuntimeError("direction-dependent ratio (spread 1.000e-03)")
-
-    monkeypatch.setattr(korn_estimator, "equivalence_constant", failing)
+    monkeypatch.setattr(korn_estimator, "equivalence_constant", _failing_equivalence)
     code, out, _ = run_cli(capsys, ["symbol", "--samples", "30"])
     assert code == 1
     report = json.loads(out)
     assert report["results"]["equivalence_constant"] is None
     assert report["errors"] == ["equivalence_constant: direction-dependent ratio "
                                 "(spread 1.000e-03)"]
+
+
+def _stderr_errors(err):
+    prefix = "kornlab: error: "
+    return [line[len(prefix):] for line in err.splitlines() if line.startswith(prefix)]
+
+
+def test_errors_go_to_stderr_in_every_format(monkeypatch, capsys):
+    # a CSV report has no "errors" array, so stderr is where it names them
+    from kornlab import korn_estimator
+    monkeypatch.setattr(korn_estimator, "equivalence_constant", _failing_equivalence)
+    code, out, err = run_cli(capsys, ["symbol", "--samples", "30", "--format", "csv"])
+    assert code == 1
+    assert "equivalence_constant,null" in out.splitlines()
+    assert _stderr_errors(err) == ["equivalence_constant: direction-dependent ratio "
+                                   "(spread 1.000e-03)"]
+    _, out, err = run_cli(capsys, ["korn", "--kmax", "1"])
+    (error,) = json.loads(out)["errors"]
+    assert _stderr_errors(err) == [error]
+    code, _, csv_err = run_cli(capsys, ["korn", "--kmax", "1", "--format", "csv"])
+    assert code == 1 and _stderr_errors(csv_err) == [error]
+    code, _, err = run_cli(capsys, ["korn", "--kmax", "2", "--format", "csv"])
+    assert code == 0 and _stderr_errors(err) == []
 
 
 def test_counterexample_command(capsys):

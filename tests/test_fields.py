@@ -391,6 +391,18 @@ def test_under_resolved_error():
         lp_norm(BoxField(box, drifting), 2.0)
 
 
+def test_patched_quadrature_cap_takes_effect(monkeypatch):
+    # the refinement loop reads QUAD_CAP when it runs, not when it is defined
+    monkeypatch.setattr(fields, "QUAD_CAP", 128)
+    box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
+
+    def drifting(x1, x2, x3):
+        return np.full((x1.shape[0], x2.shape[1]), float(x1.shape[0]))
+
+    with pytest.raises(UnderResolvedError, match="by 128 points/axis"):
+        lp_norm(BoxField(box, drifting), 2.0)
+
+
 def test_non_finite_quadrature_is_an_error():
     box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
     for bad in (np.inf, np.nan):

@@ -210,8 +210,9 @@ def test_grid_crosscheck_stops_by_tolerance(monkeypatch):
 @pytest.mark.parametrize("cap", [2, 4])
 def test_grid_crosscheck_stall_names_iterations_used(monkeypatch, cap):
     used = _record_lobpcg_iterations(monkeypatch)
+    monkeypatch.setattr(korn_estimator, "_LOBPCG_MAXITER", cap)
     with pytest.raises(NoConvergenceError, match="stalled: residual") as err:
-        grid_crosscheck(8, iterations=cap)
+        grid_crosscheck(8)
     assert "after %d LOBPCG iterations (maxiter %d)" % (used[0], cap) in str(err.value)
 
 
