@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -416,14 +417,33 @@ def main(argv=None):
     except UsageError as exc:
         print("kornlab: %s" % exc, file=sys.stderr)
         return 2
+    # opened before the command runs, so that an unwritable path costs no run
+    try:
+        sink = (open(cfg["out"], "w", encoding="utf-8", newline="") if cfg["out"]
+                else nullcontext(sys.stdout))
+    except OSError as exc:
+        print("kornlab: cannot write %s: %s" % (cfg["out"], exc.strerror or exc),
+              file=sys.stderr)
+        return 2
 
-    started = time.perf_counter()
-    results, errors = COMMANDS[args.command](cfg)
-    elapsed_ms = 1000.0 * (time.perf_counter() - started)
+    with sink as fh:
+        started = time.perf_counter()
+        results, errors = COMMANDS[args.command](cfg)
+        elapsed_ms = 1000.0 * (time.perf_counter() - started)
+        fh.write(_render(args.command, cfg, results, errors))
+    for err in errors:
+        print("kornlab: error: %s" % err, file=sys.stderr)
+    print("kornlab: %s finished in %.1f ms" % (args.command, elapsed_ms), file=sys.stderr)
+    return 1 if errors else 0
 
+
+def _render(command, cfg, results, errors):
+    """The report text in the configured format."""
+    if cfg["format"] == "csv":
+        return to_csv(command, results)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": args.command,
+        "command": command,
         "config": _config_echo(cfg),
         "results": results,
         "errors": errors,
@@ -431,19 +451,7 @@ def main(argv=None):
         # emitted report stays byte-identical for equal config and seed
         "timings_ms": {},
     }
-    if cfg["format"] == "json":
-        text = to_json(report) + "\n"
-    else:
-        text = to_csv(args.command, results)
-    if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    for err in errors:
-        print("kornlab: error: %s" % err, file=sys.stderr)
-    print("kornlab: %s finished in %.1f ms" % (args.command, elapsed_ms), file=sys.stderr)
-    return 1 if errors else 0
+    return to_json(report) + "\n"
 
 
 if __name__ == "__main__":

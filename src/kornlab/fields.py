@@ -11,6 +11,13 @@ and grid samples are stored tensor-last: scalar fields have shape
 (n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).  Every
 pointwise operation is therefore a broadcast call into algebra3.
 
+A "real" tag is checked where coefficients enter: the GridField
+constructor, field_from_coef, field_from_samples, load_field and the
+random builders refuse coefficients that are not finite or not
+conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
+from fields (operators, parts, trace/axl/anti/spherical, + - and scalar *)
+keep that symmetry exactly, so they are built without a copy or a re-check.
+
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
 of the transposed curl.
@@ -80,7 +87,11 @@ class NonFiniteError(ArithmeticError):
 
 
 class CorruptFieldError(ValueError):
-    """A field file has a malformed header or a payload of the wrong size."""
+    """A field file has a malformed header or a payload that does not fit it.
+
+    The payload is of the wrong size, or it is tagged real and is not finite
+    and conjugate-symmetric.
+    """
 
 
 def _check_exponent(p):
@@ -148,14 +159,16 @@ class GridField:
             raise ValueError("coefficient shape %s does not match rank %d on n=%d"
                              % (coef.shape, self.rank, self.spec.n))
         if self.reality == "real":
+            if not np.isfinite(coef).all():
+                raise ValueError("coefficients are not finite; refusing the 'real' tag")
             mirror = np.conj(_reflect(coef))
             scale = max(float(np.abs(coef).max()), 1.0)
             if float(np.abs(coef - mirror).max()) > REALITY_TOL * scale:
                 raise ValueError("coefficients lack conjugate symmetry; "
                                  "refusing the 'real' tag")
-            # snap to exact symmetry: frequency-wise multipliers then keep it
-            # exactly, so derived fields stay valid even when they are zero
-            # up to rounding and their own scale is pure noise
+            # snap to exact symmetry: the operators, parts and arithmetic
+            # below then keep it exactly, which is why derived fields skip
+            # this check (tests/test_fields.py pins it for each of them)
             coef = 0.5 * (coef + mirror)
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
@@ -166,7 +179,7 @@ class GridField:
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
         reality = "real" if (self.reality == "real" and other.reality == "real") else "complex"
-        return GridField(self.spec, self.rank, op(self.coef, other.coef), reality)
+        return _derived(self.spec, self.rank, op(self.coef, other.coef), reality)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -177,9 +190,21 @@ class GridField:
     def __mul__(self, c):
         c = complex(c)
         reality = "real" if (self.reality == "real" and c.imag == 0.0) else "complex"
-        return GridField(self.spec, self.rank, c * self.coef, reality)
+        return _derived(self.spec, self.rank, c * self.coef, reality)
 
     __rmul__ = __mul__
+
+
+def _derived(spec, rank, coef, reality):
+    """A field computed from fields: coef is kept as it is, not copied or re-checked.
+
+    The inputs were checked where their coefficients entered, and every map
+    that calls this keeps exact conjugate symmetry; coef is only frozen.
+    """
+    coef.setflags(write=False)
+    f = object.__new__(GridField)
+    vars(f).update(spec=spec, rank=rank, coef=coef, reality=reality)
+    return f
 
 
 def field_from_coef(spec, rank, coef, reality="complex"):
@@ -248,7 +273,7 @@ def apply_operator(f, op):
             elif op == "devsym_curl":
                 out = dev(sym(out))
         rank = 2
-    return GridField(f.spec, rank, out, f.reality)
+    return _derived(f.spec, rank, out, f.reality)
 
 
 def pointwise_part(f, part):
@@ -257,34 +282,34 @@ def pointwise_part(f, part):
         raise RankMismatchError("pointwise parts need a matrix field")
     if part not in _PARTS:
         raise ValueError("unknown pointwise part %r" % (part,))
-    return GridField(f.spec, 2, _PARTS[part](f.coef), f.reality)
+    return _derived(f.spec, 2, _PARTS[part](f.coef), f.reality)
 
 
 def field_trace(f):
     if f.rank != 2:
         raise RankMismatchError("trace needs a matrix field")
-    return GridField(f.spec, 0, tr(f.coef), f.reality)
+    return _derived(f.spec, 0, tr(f.coef), f.reality)
 
 
 def field_axl(f):
     """Axial vector of the skew part of a matrix field."""
     if f.rank != 2:
         raise RankMismatchError("axl needs a matrix field")
-    return GridField(f.spec, 1, axl(skew(f.coef)), f.reality)
+    return _derived(f.spec, 1, axl(skew(f.coef)), f.reality)
 
 
 def field_anti(f):
     """Embed a vector field a as the skew matrix field anti(a)."""
     if f.rank != 1:
         raise RankMismatchError("anti needs a vector field")
-    return GridField(f.spec, 2, anti(f.coef), f.reality)
+    return _derived(f.spec, 2, anti(f.coef), f.reality)
 
 
 def field_spherical(f):
     """Embed a scalar field z as the spherical matrix field z * id."""
     if f.rank != 0:
         raise RankMismatchError("spherical embedding needs a scalar field")
-    return GridField(f.spec, 2, f.coef[..., None, None] * EYE3, f.reality)
+    return _derived(f.spec, 2, f.coef[..., None, None] * EYE3, f.reality)
 
 
 def magnitude(f):
@@ -363,8 +388,9 @@ class BoxDomain:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
         hi = tuple(float(v) for v in self.hi)
-        if len(lo) != 3 or len(hi) != 3 or any(h <= l for l, h in zip(lo, hi)):
-            raise ValueError("box needs lo < hi componentwise, three axes")
+        if (len(lo) != 3 or len(hi) != 3 or not np.isfinite(lo + hi).all()
+                or any(h <= l for l, h in zip(lo, hi))):
+            raise ValueError("box needs finite lo < hi componentwise, three axes")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -531,18 +557,23 @@ def dump_field(f, path):
     Coefficients follow in the order they are stored: the three frequency
     axes vary slowest (C order, k1 outermost), tensor slots fastest.
     """
+    # a derived field is symmetric in value but may hold a -0.0 where the
+    # snap at entry writes +0.0; entering it again writes every real field
+    # as its snapped form, whatever route built it
+    coef = GridField(f.spec, f.rank, f.coef, f.reality).coef
     header = "kornlab-field v1; rank=%d; n=%d; reality=%s\n" % (f.rank, f.spec.n, f.reality)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.coef, dtype="<c8").tobytes())
+        fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())
 
 
 def load_field(path):
     """Read a field written by dump_field (coefficients come back complex64-rounded).
 
     Raises CorruptFieldError when the header lacks an integer rank, an n
-    that is a power of two of at least 4, or a real/complex tag, or when
-    the payload does not hold exactly n^3 * 3^rank complex64 values.
+    that is a power of two of at least 4, or a real/complex tag, when the
+    payload does not hold exactly n^3 * 3^rank complex64 values, or when a
+    reality=real payload is not finite and conjugate-symmetric.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
@@ -568,4 +599,7 @@ def load_field(path):
         raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"
                                 % (len(raw), rank, n, 8 * int(np.prod(shape))))
     coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
-    return GridField(GridSpec(n), rank, coef, reality)
+    try:
+        return GridField(GridSpec(n), rank, coef, reality)
+    except ValueError as exc:
+        raise CorruptFieldError("payload does not fit reality=%s: %s" % (reality, exc)) from None

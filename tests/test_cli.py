@@ -132,10 +132,21 @@ def test_bad_flag_values(capsys):
                  ["kernel", "--seed", "-1"],
                  ["identities", "--seed", "-1"],
                  ["counterexample", "--p", "0.5"],
-                 ["counterexample", "--box", "1,1,1,0,0,0"]):
+                 ["counterexample", "--box", "1,1,1,0,0,0"],
+                 ["counterexample", "--box", "nan,0,0,1,1,1"],
+                 ["counterexample", "--box", "0,0,0,1,1,inf"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("kornlab: ")
+
+
+def test_config_file_non_finite_box(tmp_path, capsys):
+    # JSON reads 1e999 as an infinite float
+    path = tmp_path / "cfg.json"
+    path.write_text('{"box": [0, 0, 0, 1, 1, 1e999]}')
+    code, out, err = run_cli(capsys, ["counterexample", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("kornlab: ") and "finite" in err
 
 
 def test_unknown_command_is_usage_error():
@@ -311,6 +322,17 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["command"] == "korn"
+
+
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before the command runs
+    monkeypatch.setitem(cli.COMMANDS, "korn", lambda cfg: pytest.fail("command ran"))
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["korn", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err == "kornlab: cannot write %s: No such file or directory\n" % target
+    code, out, err = run_cli(capsys, ["korn", "--out", str(tmp_path)])
+    assert code == 2 and err.startswith("kornlab: cannot write %s: " % tmp_path)
 
 
 def test_repeat_runs_byte_identical(capsys):

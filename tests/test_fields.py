@@ -65,6 +65,14 @@ def test_real_tag_is_validated():
         field_from_coef(spec, 0, coef, reality="real")
     # the same coefficients are fine as a complex field
     field_from_coef(spec, 0, coef, reality="complex")
+    # one non-finite coefficient fails the real tag closed; a complex tag
+    # takes it as it is
+    for bad in (np.nan, np.inf):
+        coef = random_scalar_bandlimited(spec, 1, 1).coef.copy()
+        coef[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            field_from_coef(spec, 0, coef, reality="real")
+        field_from_coef(spec, 0, coef, reality="complex")
 
 
 def test_field_shape_and_rank_checks():
@@ -96,6 +104,66 @@ def test_coefficients_are_frozen():
     f = field_from_samples(spec, 0, RNG.standard_normal((4, 4, 4)))
     with pytest.raises(ValueError):
         f.coef[0, 0, 0] = 1.0
+    # derived fields keep their coefficients without a copy, frozen too,
+    # including the transpose, which is a view of its input's coefficients
+    P = random_bandlimited(spec, 1, 1)
+    u = random_vector_bandlimited(spec, 1, 1)
+    derived = [apply_operator(P, "inc"), apply_operator(u, "grad"),
+               apply_operator(f, "grad"), P + P, P - P, 2.0 * P, 1j * P,
+               field_trace(P), field_axl(P), field_anti(u), field_spherical(f)]
+    derived += [pointwise_part(P, part) for part in fields._PARTS]
+    for g in derived:
+        with pytest.raises(ValueError):
+            g.coef[(0,) * g.coef.ndim] = 1.0
+    assert np.shares_memory(pointwise_part(P, "transpose").coef, P.coef)
+
+
+def _asymmetry(f):
+    return float(np.abs(f.coef - np.conj(fields._reflect(f.coef))).max())
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_derived_fields_stay_exactly_conjugate_symmetric(n):
+    # derived fields are built without a reality check, so every map that
+    # builds them must keep the exact symmetry the entry fields were snapped
+    # to; full-band samples include the unpaired Nyquist planes
+    spec = GridSpec(n)
+    rng = np.random.default_rng(n)
+    f, g = ({rank: field_from_samples(spec, rank, rng.standard_normal(fields._coef_shape(rank, n)))
+             for rank in (0, 1, 2)} for _ in range(2))
+    assert all(_asymmetry(h) == 0.0 for h in (*f.values(), *g.values()))
+    ranks = {"grad": (0, 1), "div": (1,), "curl_vec": (1,)}
+    derived = {}
+    for op in fields._OPS:
+        for rank in ranks.get(op, (2,)):
+            derived["%s of rank %d" % (op, rank)] = apply_operator(f[rank], op)
+    for part in fields._PARTS:
+        derived[part] = pointwise_part(f[2], part)
+    derived.update(trace=field_trace(f[2]), axl=field_axl(pointwise_part(f[2], "skew")),
+                   anti=field_anti(f[1]), spherical=field_spherical(f[0]))
+    for rank in (0, 1, 2):
+        derived["sum of rank %d" % rank] = f[rank] + g[rank]
+        derived["difference of rank %d" % rank] = f[rank] - g[rank]
+        derived["scalar multiple of rank %d" % rank] = -2.75 * f[rank]
+    for name, h in derived.items():
+        assert h.reality == "real", name
+        assert _asymmetry(h) == 0.0, name
+
+
+def test_reality_is_checked_once_per_entry_field(monkeypatch):
+    # the default spectral suite builds 15 random fields (three draws of
+    # five); everything else it builds is derived and is not re-checked
+    from kornlab import identities
+    calls = []
+    reflect = fields._reflect
+
+    def counting(coef):
+        calls.append(coef.shape)
+        return reflect(coef)
+
+    monkeypatch.setattr(fields, "_reflect", counting)
+    assert all(res.passed for res in identities.run_spectral())
+    assert len(calls) == 15
 
 
 # ----------------------------------------------------------------------------
@@ -341,6 +409,11 @@ def test_box_validation():
         BoxDomain(lo=(0, 0, 0), hi=(1, 1, 0))
     with pytest.raises(ValueError):
         BoxDomain(lo=(0, 0), hi=(1, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(lo=(bad, 0, 0), hi=(1, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(lo=(0, 0, 0), hi=(1, 1, bad))
 
 
 def test_axis_rule_integrates_polynomials(monkeypatch):
@@ -558,6 +631,8 @@ def test_load_rejects_corrupt_files(tmp_path):
         "missing_rank": header.replace(b" rank=2;", b"") + b"\n" + payload,
         "bad_rank": header.replace(b"rank=2", b"rank=two") + b"\n" + payload,
         "bad_reality": header.replace(b"reality=real", b"reality=maybe") + b"\n" + payload,
+        "asymmetric": header + b"\n" + _edit_payload(payload, (1, 0, 0, 0, 1), 1.0),
+        "infinite": header + b"\n" + _edit_payload(payload, (0, 0, 0, 0, 0), np.inf),
     }
     for name, data in corrupt.items():
         path.write_bytes(data)
@@ -565,3 +640,22 @@ def test_load_rejects_corrupt_files(tmp_path):
             load_field(path)
     path.write_bytes(good)
     assert load_field(path).rank == 2
+
+
+def _edit_payload(payload, index, add):
+    """A rank-2, n = 4 complex64 payload with add put onto one coefficient."""
+    coef = np.frombuffer(payload, dtype="<c8").reshape(4, 4, 4, 3, 3).copy()
+    coef[index] += add
+    return coef.tobytes()
+
+
+def test_dump_bytes_do_not_depend_on_the_route(tmp_path):
+    # a derived field may hold a -0.0 where the snap at entry writes +0.0;
+    # its file is the same as that of the same values built by the constructor
+    spec = GridSpec(8)
+    derived = apply_operator(random_bandlimited(spec, 3, 2), "inc")
+    entered = GridField(spec, 2, derived.coef, "real")
+    assert np.array_equal(derived.coef, entered.coef)
+    dump_field(derived, tmp_path / "derived.bin")
+    dump_field(entered, tmp_path / "entered.bin")
+    assert (tmp_path / "derived.bin").read_bytes() == (tmp_path / "entered.bin").read_bytes()
