@@ -13,6 +13,7 @@ names it too), 2 for usage problems.
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -50,13 +51,35 @@ class UsageError(Exception):
 
 def _fmt_float(x):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
     return format(x, ".17g")
 
 
+class KornEntries:
+    """The korn table: a float array of rows (k1, k2, k3, lambda_min).
+
+    Iterating gives the rows as [k1, k2, k3, lambda] lists of Python floats.
+    to_json writes each row with one format instead of the recursive walk,
+    which would cost more than the scan itself; the bytes are those of the
+    same rows as [int, int, int, float] lists.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        # a block at a time: the whole table as lists would hold about
+        # 180 bytes a row, more than the rendered text
+        for i in range(0, len(self.rows), 4096):
+            yield from self.rows[i:i + 4096].tolist()
+
+
 def to_json(obj):
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant digits."""
+    if isinstance(obj, KornEntries):
+        return "[" + ",".join(["[%d,%d,%d,%s]" % (k1, k2, k3, _fmt_float(lam))
+                               for k1, k2, k3, lam in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -296,8 +319,7 @@ def run_korn(cfg):
         "tail_min": report.tail_min,
         "non_monotone_tail": report.non_monotone_tail,
         "convention": report.convention,
-        "entries": [[int(k1), int(k2), int(k3), float(l)]
-                    for k1, k2, k3, l in report.entries],
+        "entries": KornEntries(report.entries),
     }
     return results, errors
 

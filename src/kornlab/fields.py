@@ -439,10 +439,12 @@ def _resolve(compute):
 
     Refinement starts at QUAD_START and raises UnderResolvedError past
     QUAD_CAP.  The constants are read at each call, so a patched module
-    value takes effect.
+    value takes effect.  numpy's floating-point warnings are silenced while
+    compute runs: a non-finite result is named by NonFiniteError instead.
     """
     def finite(m):
-        value = float(compute(m))
+        with np.errstate(all="ignore"):
+            value = float(compute(m))
         if not np.isfinite(value):
             raise NonFiniteError("quadrature gave %r at %d points/axis" % (value, m))
         return value

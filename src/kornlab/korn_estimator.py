@@ -12,9 +12,10 @@ The estimated constant is c = 1 / sqrt(min_k lambda_min(Q_k)).
 
 Two independent routes to the same number, each stating that zero-mode
 rule once: a direct dense eigensolve of the complex Hermitian forms,
-stacked over frequencies (the scan runs one stacked solve per k1 plane;
-the rule sits in frequency_form at k = 0), and an iterative
-smallest-eigenvalue solve of the assembled field-level operator
+stacked over frequencies (the scan solves one representative per orbit of
+the cube's signed permutations, in one stack; the rule sits in
+frequency_form at k = 0), and an iterative smallest-eigenvalue solve of
+the assembled field-level operator
 sym + curl(devsym(curl .)) on a grid (the rule sits in its Fourier side,
 at the mean and the seven checkerboard modes).  The grid operator
 commutes with translations, so it is one 9x9 block per grid frequency.
@@ -126,23 +127,31 @@ class KornReport:
 def korn_constant(kmax):
     """Scan all frequencies |k|_inf <= kmax and report the resulting constant.
 
-    The tail diagnostic flags the case where the outermost shell attains
-    the global minimum, which would mean the scan radius truncated the
-    search too early.
+    lambda_min is constant on each orbit of the 48 signed permutations of k
+    (Q_Rk is Q_k conjugated by P -> R P R^T), so one stacked solve covers
+    the representatives k1 >= k2 >= k3 >= 0, C(kmax + 3, 3) forms, and each
+    entry of the cube reads the slot of its |k| sorted in descending order.
+    The table starts at zero, so a slot left unfilled fails the report's
+    (0, 1] check.  The tail diagnostic flags the case where the outermost
+    shell attains the global minimum, which would mean the scan radius
+    truncated the search too early.
     """
     kmax = operator.index(kmax)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    a, b, c = np.indices((kmax + 1,) * 3)
+    reps = np.argwhere((a >= b) & (b >= c))
+    table = np.zeros(a.shape)
+    table[tuple(reps.T)] = lambda_min(reps)[0]
     axis = np.arange(-kmax, kmax + 1)
-    K = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    # one stacked solve per k1 plane: the whole cube at once would hold
-    # (2 kmax + 1)^3 forms and their eigenvectors in memory
-    lam = np.stack([lambda_min(plane)[0] for plane in K])
+    K = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    s = np.sort(np.abs(K), axis=-1)
+    lam = table[s[:, 2], s[:, 1], s[:, 0]]
     lam_global = lam.min()
-    tail_min = lam[np.abs(K).max(axis=-1) == kmax].min()
+    tail_min = lam[s[:, 2] == kmax].min()
     return KornReport(
         kmax=kmax,
-        entries=np.column_stack([K.reshape(-1, 3), lam.reshape(-1)]),
+        entries=np.column_stack([K, lam]),
         lambda_global=float(lam_global),
         c_estimate=float(1.0 / np.sqrt(lam_global)),
         tail_min=float(tail_min),

@@ -184,23 +184,34 @@ def test_korn_kmax_one_reports_truncation(capsys):
 
 
 def test_korn_names_entries_off_the_closed_form(monkeypatch, capsys):
-    # one k1 plane of the scan is corrupted by 1e-9: still inside (0, 1],
-    # so only the closed-form check can name it
+    # the orbit representative (1, 0, 0) is corrupted by 1e-9: still inside
+    # (0, 1], so only the closed-form check can name its six cube entries
     from kornlab import korn_estimator
     lambda_min = korn_estimator.lambda_min
 
     def corrupted(k):
         w, v = lambda_min(k)
-        if np.asarray(k)[..., 0].flat[0] == 1:
-            w = w + 1e-9
-        return w, v
+        return w + 1e-9 * (np.asarray(k) == (1, 0, 0)).all(axis=-1), v
 
     monkeypatch.setattr(korn_estimator, "lambda_min", corrupted)
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "2"])
     assert code == 1
     (error,) = json.loads(out)["errors"]
-    assert error.startswith("25 per-frequency minima differ from the closed form")
-    assert "worst at k = (1, 0, 0)" in error
+    assert error.startswith("6 per-frequency minima differ from the closed form")
+    assert "worst at k = (-1, 0, 0)" in error
+
+
+def test_korn_report_bytes_match_the_generic_walk(capsys):
+    # the row renderer writes what to_json writes for [int, int, int, float] lists
+    code, out, _ = run_cli(capsys, ["korn", "--kmax", "4"])
+    assert code == 0
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["korn", "--kmax", "4"]))
+    results, errors = cli.run_korn(cfg)
+    assert isinstance(results["entries"], cli.KornEntries)
+    results["entries"] = [[int(k1), int(k2), int(k3), lam]
+                          for k1, k2, k3, lam in results["entries"]]
+    assert len(results["entries"]) == 729
+    assert out == cli._render("korn", cfg, results, errors)
 
 
 def test_korn_csv_format(capsys):
@@ -283,6 +294,21 @@ def test_counterexample_command(capsys):
     halfspace = dict((int(k), r) for k, r in res["halfspace"])
     assert sorted(halfspace) == [2, 4]
     assert res["monotone_from"] == 1
+
+
+def test_counterexample_overflow_prints_no_raw_warning():
+    # |z|^2 overflows on a huge finite box: the quadrature's NaN is named in
+    # the errors, and numpy's own RuntimeWarning lines stay off stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kornlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "kornlab.cli", "counterexample",
+                           "--box=-1e308,-1e308,-1e308,1e308,1e308,1e308", "--kmax", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert ("kornlab: error: growth ratio k=1: quadrature gave nan"
+            in proc.stderr.splitlines()[0])
+    assert json.loads(proc.stdout)["errors"][0].startswith(
+        "growth ratio k=1: quadrature gave nan")
 
 
 def test_kernel_command(capsys):

@@ -152,6 +152,26 @@ def test_korn_constant_report():
     assert zero_row[0, 3] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_korn_constant_solves_one_frequency_per_orbit(monkeypatch):
+    # one stacked call on the C(11, 3) = 165 representatives k1 >= k2 >= k3 >= 0,
+    # and every cube entry agrees with its own per-point solve
+    calls = []
+
+    def counted(k):
+        calls.append(np.asarray(k).shape)
+        return lambda_min(k)
+
+    monkeypatch.setattr(korn_estimator, "lambda_min", counted)
+    rep = korn_constant(8)
+    assert calls == [(165, 3)]
+    axis = np.arange(-8, 9)
+    K = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert (rep.entries[:, :3] == K).all()
+    t = np.sum(K * K, axis=-1)
+    assert (np.abs(rep.entries[:, 3] - lambda_min(K)[0])
+            <= 1e-12 + 16.0 * np.finfo(float).eps * t).all()
+
+
 def test_korn_constant_flags_kmax_one():
     # with kmax = 1 the minimum sits on the outermost shell by construction
     assert korn_constant(1).non_monotone_tail is True
