@@ -315,7 +315,7 @@ def run_korn(cfg):
     results = {
         "kmax": report.kmax,
         "lambda_min": report.lambda_global,
-        "c_estimate": report.c_estimate,
+        "c_estimate": report.c_estimate,   # null at a minimum <= 0, named in the errors
         "tail_min": report.tail_min,
         "non_monotone_tail": report.non_monotone_tail,
         "convention": report.convention,

@@ -29,6 +29,10 @@ layers) are never forced through the FFT; they are integrated directly
 with tensorized Gauss-Legendre rules on a BoxDomain, built once per size,
 starting at 64 points per axis and doubling until the result moves by
 less than 0.1% (capped at 1024 points per axis, then UnderResolvedError).
+An integrand that vanishes off a ball about the origin (the boundary layer
+of halfspace_ratio) is summed on each x3 plane only over the nodes of the
+disc's bounding square: the nodes left out contribute exact zeros, so the
+sum is the full tensor sum in another order.
 """
 
 import operator
@@ -408,19 +412,36 @@ def _legendre(m):
     return rule
 
 
-def _box_sum(box, m, integrand):
+def _box_sum(box, m, integrand, radius=None):
     """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
 
-    integrand(X1 (m, 1), X2 (1, m), x3) returns values broadcasting to
-    (..., m, m) at one x3 node; the leading axes are kept in the sum.
+    integrand(X1 (m1, 1), X2 (1, m2), x3) returns values broadcasting to
+    (..., m1, m2) at one x3 node; the leading axes are kept in the sum.
+    Without a radius every plane takes all m x m nodes.  With one, the
+    integrand must be exactly zero at every node with x1^2 + x2^2 + x3^2 >=
+    radius^2, and each plane passes only the nodes with x1^2 and x2^2 below
+    radius^2 - x3^2, the bounding square of the plane's disc: the nodes
+    left out contribute exact zeros, so only the summation order changes.
+    The kept nodes are contiguous because Gauss-Legendre nodes are sorted.
     """
     (x1, w1), (x2, w2), (x3, w3) = (box.axis_rule(axis, m) for axis in range(3))
-    X1, X2 = x1[:, None], x2[None, :]
     total = 0.0
     for x3v, w3v in zip(x3, w3):
+        if radius is None:
+            s1 = s2 = slice(None)
+        else:
+            reach = radius ** 2 - x3v ** 2
+            s1, s2 = _inside(x1, reach), _inside(x2, reach)
+        X1, X2 = x1[s1, None], x2[None, s2]
         F = np.asarray(integrand(X1, X2, x3v), dtype=float)
-        total += w3v * (np.broadcast_to(F, F.shape[:-2] + (m, m)) @ w2 @ w1)
+        total += w3v * (np.broadcast_to(F, F.shape[:-2] + (X1.size, X2.size)) @ w2[s2] @ w1[s1])
     return total
+
+
+def _inside(x, reach):
+    """The slice of the sorted nodes x with x * x < reach."""
+    idx = np.flatnonzero(x * x < reach)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 @dataclass(frozen=True)
@@ -519,9 +540,14 @@ def halfspace_ratio(k, p):
     witness coefficient p_hat and the radial cutoff eta of bump_profile.
     Its row-wise curl splits into eta * (p_hat x xi) (whose trace-free
     symmetric part vanishes identically, leaving i*id in the symmetric
-    part) plus a cutoff-gradient correction of size 1/k.  Both seminorms
-    are exact closed forms integrated over [-2, 0] x [-2, 2] x [-2, 2]
-    with the shared refinement loop watching the quotient.
+    part) plus a cutoff-gradient correction (eta'(r)/r) * x of size 1/k.
+    Both seminorms are exact closed forms: the correction enters through
+    the quadratic forms x^T G x of the witness Grams and the linear form
+    t . x.  They are integrated over [-2, 0] x [-2, 2] x [-2, 2] with the
+    shared refinement loop watching the quotient.  eta and eta' are exactly
+    zero at r >= 2 (and exp(-1/(2 - r)) is already 0 within rounding of the
+    edge), so both integrands vanish there for every p >= 1 and each x3
+    plane is summed only inside the ball of radius 2.
     """
     p = _check_exponent(p)
     if operator.index(k) < 1:
@@ -532,20 +558,27 @@ def halfspace_ratio(k, p):
     def integrands(X1, X2, x3):
         r = np.sqrt(X1 ** 2 + X2 ** 2 + x3 ** 2)
         g, gp = bump_profile(r)
-        rs = np.maximum(r, 1e-300)
-        c = np.stack([gp * X1 / rs, gp * X2 / rs, gp * (x3 / rs)])
-        dev_sq = np.einsum("jxy,jl,lxy->xy", c, gram_dev, c)
+        s = gp / np.maximum(r, 1e-300)
+        s2 = s * s
+        dev_sq = s2 * _quadratic(gram_dev, X1, X2, x3)
         sym_sq = (3.0 * g * g
-                  + (2.0 * g / k) * np.einsum("j,jxy->xy", t_sym, c)
-                  + np.einsum("jxy,jl,lxy->xy", c, gram_sym, c) / k ** 2)
+                  + (2.0 * g / k) * s * ((t_sym[0] * X1 + t_sym[2] * x3) + t_sym[1] * X2)
+                  + s2 * _quadratic(gram_sym, X1, X2, x3) / k ** 2)
         return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
                                               dev_sq ** (p / 2.0) / k ** p])
 
     def compute(m):
-        num, den = _box_sum(box, m, integrands) ** (1.0 / p)
+        num, den = _box_sum(box, m, integrands, radius=2.0) ** (1.0 / p)
         return num / den
 
     return _resolve(compute)
+
+
+def _quadratic(G, X1, X2, x3):
+    """x^T G x for a symmetric G at x = (X1 (m1, 1), X2 (1, m2), x3) on the open grid."""
+    row = G[0, 0] * X1 ** 2 + 2.0 * G[0, 2] * x3 * X1 + G[2, 2] * x3 ** 2
+    col = G[1, 1] * X2 ** 2 + 2.0 * G[1, 2] * x3 * X2
+    return row + col + (2.0 * G[0, 1] * X1) * X2
 
 
 # ----------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class KornReport:
     kmax: int
     entries: np.ndarray          # rows (k1, k2, k3, lambda_min), lexicographic
     lambda_global: float
-    c_estimate: float
+    c_estimate: float            # None when lambda_global is not positive
     tail_min: float
     non_monotone_tail: bool
     convention: str = CONVENTION
@@ -132,9 +132,11 @@ def korn_constant(kmax):
     the representatives k1 >= k2 >= k3 >= 0, C(kmax + 3, 3) forms, and each
     entry of the cube reads the slot of its |k| sorted in descending order.
     The table starts at zero, so a slot left unfilled fails the report's
-    (0, 1] check.  The tail diagnostic flags the case where the outermost
-    shell attains the global minimum, which would mean the scan radius
-    truncated the search too early.
+    (0, 1] check; c_estimate = 1/sqrt(lambda_global) is None when the
+    minimum is not positive, since no finite constant follows.  The tail
+    diagnostic flags the case where the outermost shell attains the global
+    minimum, which would mean the scan radius truncated the search too
+    early.
     """
     kmax = operator.index(kmax)
     if kmax < 1:
@@ -153,7 +155,7 @@ def korn_constant(kmax):
         kmax=kmax,
         entries=np.column_stack([K, lam]),
         lambda_global=float(lam_global),
-        c_estimate=float(1.0 / np.sqrt(lam_global)),
+        c_estimate=float(1.0 / np.sqrt(lam_global)) if lam_global > 0.0 else None,
         tail_min=float(tail_min),
         non_monotone_tail=bool(tail_min <= lam_global * (1.0 + 1e-12)),
     )

@@ -201,6 +201,33 @@ def test_korn_names_entries_off_the_closed_form(monkeypatch, capsys):
     assert "worst at k = (-1, 0, 0)" in error
 
 
+@pytest.mark.filterwarnings("error")
+def test_korn_reports_a_zero_minimum(monkeypatch, capsys):
+    # a per-frequency minimum of 0 gives no finite constant: c_estimate is
+    # null, the (0, 1] check names it, exit 1, and no numpy warning is raised
+    from kornlab import korn_estimator
+    lambda_min = korn_estimator.lambda_min
+
+    def zeroed(k):
+        w, v = lambda_min(k)
+        return np.where((np.asarray(k) == (2, 1, 0)).all(axis=-1), 0.0, w), v
+
+    monkeypatch.setattr(korn_estimator, "lambda_min", zeroed)
+    code, out, err = run_cli(capsys, ["korn", "--kmax", "3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["results"]["c_estimate"] is None
+    assert report["results"]["lambda_min"] == 0.0
+    assert "per-frequency minimum left the interval (0, 1]" in report["errors"]
+    assert _stderr_errors(err) == report["errors"]
+    code, out, err = run_cli(capsys, ["korn", "--kmax", "3", "--format", "csv"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 + 7 ** 3
+    assert "2,1,0,0" in lines and "-1,0,2,0" in lines
+    assert _stderr_errors(err) == report["errors"]
+
+
 def test_korn_report_bytes_match_the_generic_walk(capsys):
     # the row renderer writes what to_json writes for [int, int, int, float] lists
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "4"])

@@ -549,6 +549,76 @@ def test_bump_profile_derivative():
     assert_allclose(gp, (g_plus - g_minus) / (2.0 * h), atol=1e-7)
 
 
+def test_bump_profile_is_flat_at_the_support_edges():
+    # the glued quotient rounds to exactly 0 / 1 one ulp inside each edge,
+    # which is what lets halfspace_ratio drop the nodes off the ball
+    g, gp = bump_profile(np.nextafter(2.0, 0.0))
+    assert g == 0.0 and gp == 0.0
+    g, gp = bump_profile(np.nextafter(1.0, 2.0))
+    assert g == 1.0 and gp == 0.0
+
+
+def test_box_sum_on_the_support_of_a_ball():
+    box = BoxDomain(lo=(-1.5, -2.0, -1.0), hi=(1.0, 1.5, 2.0))
+    radius = 1.7
+    seen = []
+
+    def bump(X1, X2, x3):
+        seen.append((X1, X2, x3))
+        f = np.maximum(radius ** 2 - (X1 ** 2 + X2 ** 2 + x3 ** 2), 0.0) ** 2
+        return np.stack([f, f * np.exp(X1 - X2)])
+
+    for m in (16, 64):
+        full = fields._box_sum(box, m, bump)
+        seen.clear()
+        cut = fields._box_sum(box, m, bump, radius=radius)
+        assert_allclose(cut, full, rtol=1e-15, atol=0.0)
+        assert len(seen) == m
+        for X1, X2, x3 in seen:
+            reach = radius ** 2 - x3 ** 2
+            assert np.all(X1 ** 2 < reach) and np.all(X2 ** 2 < reach)
+        assert min(X1.size * X2.size for X1, X2, _ in seen) < m * m // 4
+
+
+def _halfspace_full_planes(k, p):
+    """halfspace_ratio as it was first written, the reference for the support sum.
+
+    The cutoff-gradient coefficients c = (eta'(r)/r) * x are stacked to
+    (3, m, m) and contracted with the witness Grams by einsum, on every
+    node of every plane.
+    """
+    gram_sym, gram_dev, t_sym = fields._witness_grams()
+    box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
+
+    def integrands(X1, X2, x3):
+        r = np.sqrt(X1 ** 2 + X2 ** 2 + x3 ** 2)
+        g, gp = bump_profile(r)
+        rs = np.maximum(r, 1e-300)
+        c = np.stack([gp * X1 / rs, gp * X2 / rs, gp * (x3 / rs)])
+        dev_sq = np.einsum("jxy,jl,lxy->xy", c, gram_dev, c)
+        sym_sq = (3.0 * g * g
+                  + (2.0 * g / k) * np.einsum("j,jxy->xy", t_sym, c)
+                  + np.einsum("jxy,jl,lxy->xy", c, gram_sym, c) / k ** 2)
+        return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
+                                              dev_sq ** (p / 2.0) / k ** p])
+
+    def compute(m):
+        num, den = fields._box_sum(box, m, integrands) ** (1.0 / p)
+        return num / den
+
+    return fields._resolve(compute)
+
+
+def test_halfspace_ratio_matches_the_full_plane_reference(monkeypatch):
+    # the refinement would not settle on rules this small, so each side
+    # returns its quotient at every level instead of the settled one
+    monkeypatch.setattr(fields, "_resolve", lambda compute: [compute(m) for m in (16, 32, 64)])
+    for p in (1.0, 2.0, 3.0):
+        for k in (2, 8, 32):
+            assert_allclose(halfspace_ratio(k, p), _halfspace_full_planes(k, p),
+                            rtol=1e-13, atol=0.0, err_msg="p=%r k=%d" % (p, k))
+
+
 def test_halfspace_ratio_reference_values():
     # reference values from an independent direct quadrature of the
     # boundary-layer family
