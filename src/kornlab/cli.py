@@ -8,7 +8,8 @@ wall-clock timings are printed to stderr only, and the BLAS thread count
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
 report.  Exit status: 0 clean, 1 when a named invariant failed (see the
 "errors" array; each error is also printed to stderr, so a CSV report
-names it too), 2 for usage problems.
+names it too), 2 for usage problems.  A non-finite result is written as
+null and named in the errors.
 """
 
 import argparse
@@ -21,7 +22,6 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
-from .algebra3 import anti, dev, mat_norm, sym
 from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
                      _check_exponent, growth_ratio, halfspace_ratio)
 
@@ -50,6 +50,9 @@ class UsageError(Exception):
 
 
 def _fmt_float(x):
+    """A report number at 17 significant digits; None, a value left out, is null."""
+    if x is None:
+        return "null"
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
@@ -73,6 +76,20 @@ class KornEntries:
         # 180 bytes a row, more than the rendered text
         for i in range(0, len(self.rows), 4096):
             yield from self.rows[i:i + 4096].tolist()
+
+
+def _nulled(value, found):
+    """The results tree with each non-finite float replaced by None; each is appended to found."""
+    if isinstance(value, KornEntries) and not np.isfinite(value.rows).all():
+        value = [[int(k1), int(k2), int(k3), lam] for k1, k2, k3, lam in value]
+    if isinstance(value, dict):
+        return {k: _nulled(v, found) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v, found) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        found.append(value)
+        return None
+    return value
 
 
 def to_json(obj):
@@ -130,10 +147,8 @@ def to_csv(command, results):
             elif isinstance(value, (list, tuple)):
                 for i, v in enumerate(value):
                     walk("%s[%d]" % (prefix, i), v)
-            elif isinstance(value, (float, np.floating)):
+            elif value is None or isinstance(value, (float, np.floating)):
                 lines.append("%s,%s" % (prefix, _fmt_float(value)))
-            elif value is None:
-                lines.append("%s,null" % prefix)
             else:
                 lines.append("%s,%s" % (prefix, value))
         walk("", results)
@@ -268,10 +283,7 @@ def run_symbol(cfg):
         errors.append("multiplier identity M(xi) A(xi) = A_sym(xi) violated")
     if homo_resid > 1e-10:
         errors.append("multiplier homogeneity violated")
-    w = symbol.complex_kernel_witness()
-    c = w.p_hat @ anti(w.xi)
-    witness_dev = float(mat_norm(dev(sym(c))))
-    witness_sym = float(mat_norm(sym(c) - 1j * np.eye(3)))
+    witness = symbol.KernelWitness()
     try:
         equiv = korn_estimator.equivalence_constant(samples=cfg["samples"], seed=cfg["seed"])
     except RuntimeError as exc:
@@ -284,8 +296,8 @@ def run_symbol(cfg):
         "multiplier_homogeneity_max": homo_resid,
         "sharp_ratio_e3": symbol.sharp_ratio([0.0, 0.0, 1.0]),
         "equivalence_constant": equiv,
-        "witness_devsym_residual": witness_dev,
-        "witness_sym_residual": witness_sym,
+        "witness_devsym_residual": witness.devsym_residual,
+        "witness_sym_residual": witness.sym_residual,
     }
     return results, errors
 
@@ -294,7 +306,7 @@ def run_korn(cfg):
     errors = []
     report = korn_estimator.korn_constant(cfg["kmax"])
     K, lam = report.entries[:, :3], report.entries[:, 3]
-    if np.any(lam <= 0.0) or np.any(lam > 1.0 + 1e-12):
+    if not np.all((lam > 0.0) & (lam <= 1.0 + 1e-12)):      # a NaN fails it too
         errors.append("per-frequency minimum left the interval (0, 1]")
     # closed form (2 + t - sqrt(t^2 + 4)) / 4, t = |k|^2, written without the
     # cancellation at large t, and 1 at k = 0; the eigensolve is accurate to
@@ -302,13 +314,13 @@ def run_korn(cfg):
     t = np.sum(K * K, axis=1)
     exact = np.where(t == 0.0, 1.0, t / (2.0 + t + np.sqrt(t * t + 4.0)))
     excess = np.abs(lam - exact) - (1e-12 + 16.0 * np.finfo(float).eps * t)
-    if np.any(excess > 0.0):
-        i = int(np.argmax(excess))
+    missed = ~(excess <= 0.0)                               # a NaN counts as missed
+    if np.any(missed):
+        i = int(np.argmax(excess))      # the first NaN, if there is one
         errors.append("%d per-frequency minima differ from the closed form "
                       "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
-                      "worst at k = (%d, %d, %d): %s against %s"
-                      % (np.count_nonzero(excess > 0.0), *K[i],
-                         _fmt_float(lam[i]), _fmt_float(exact[i])))
+                      "worst at k = (%d, %d, %d): %.17g against %.17g"
+                      % (np.count_nonzero(missed), *K[i], lam[i], exact[i]))
     if report.non_monotone_tail:
         errors.append("outermost frequency shell attains the minimum "
                       "(scan radius too small)")
@@ -451,6 +463,10 @@ def main(argv=None):
     with sink as fh:
         started = time.perf_counter()
         results, errors = COMMANDS[args.command](cfg)
+        found = []
+        results = _nulled(results, found)
+        if found:
+            errors.append("%d non-finite values in the results are written as null" % len(found))
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
         fh.write(_render(args.command, cfg, results, errors))
     for err in errors:

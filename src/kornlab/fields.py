@@ -4,7 +4,7 @@ Periodic side
 -------------
 Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
 stored by their discrete Fourier coefficients (numpy fftn layout over the
-three grid axes, integer frequencies fftfreq(n) * n).  Differential
+three grid axes, integer frequencies GridSpec.frequencies).  Differential
 operators act frequency by frequency; the derivative multipliers drop the
 unpaired Nyquist mode so that real-tagged fields stay real.  Coefficients
 and grid samples are stored tensor-last: scalar fields have shape
@@ -35,6 +35,7 @@ disc's bounding square: the nodes left out contribute exact zeros, so the
 sum is the full tensor sum in another order.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +44,7 @@ import numpy as np
 
 from .algebra3 import (EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp, tr,
                        vec_norm)
-from .symbol import complex_kernel_witness
+from .symbol import KernelWitness
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -63,11 +64,11 @@ QUAD_CAP = 1024
 QUAD_RTOL = 1e-3
 REALITY_TOL = 1e-12
 
-_OPS = ("grad", "div", "curl_vec", "curl_mat", "inc", "sym_curl", "devsym_curl")
+_OPS = ("grad", "div", "curl_vec", "curl_mat", "inc")
 _PARTS = {"transpose": tp, "sym": sym, "skew": skew, "dev": dev,
           "devsym": lambda X: dev(sym(X))}
 _NORMS = (np.abs, vec_norm, mat_norm)       # pointwise Hermitian magnitude, by rank
-_STRUCTURES = ("general", "skew", "sym", "skew_plus_spherical")
+_STRUCTURES = ("general", "skew", "sym")
 
 
 class RankMismatchError(ValueError):
@@ -128,7 +129,7 @@ class GridSpec:
 @lru_cache(maxsize=None)
 def _freq_grids(n):
     """Integer frequency vectors, shape (n, n, n, 3), Nyquist mode zeroed."""
-    k = np.fft.fftfreq(n) * n
+    k = GridSpec(n).frequencies.astype(float)
     k[n // 2] = 0.0          # unpaired mode: dropped by every derivative
     K = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
     K.setflags(write=False)
@@ -242,9 +243,9 @@ def apply_operator(f, op):
     """Apply a differential operator spectrally.
 
     op is one of "grad" (rank 0 -> 1 or 1 -> 2, the Jacobian a (x) nabla),
-    "div" (1 -> 0), "curl_vec" (1 -> 1), "curl_mat" / "sym_curl" /
-    "devsym_curl" (2 -> 2, row-wise curl with optional projection) and
-    "inc" (2 -> 2, curl of the transposed curl).
+    "div" (1 -> 0), "curl_vec" (1 -> 1), "curl_mat" (2 -> 2, row-wise curl)
+    and "inc" (2 -> 2, curl of the transposed curl).  A projected curl such
+    as dev sym Curl P is pointwise_part(apply_operator(P, "curl_mat"), part).
     """
     if op not in _OPS:
         raise ValueError("unknown operator %r" % (op,))
@@ -268,14 +269,7 @@ def apply_operator(f, op):
     else:
         if f.rank != 2:
             raise RankMismatchError("%s needs a matrix field" % op)
-        if op == "inc":
-            out = _curl(tp(_curl(c, K)), K)
-        else:
-            out = _curl(c, K)
-            if op == "sym_curl":
-                out = sym(out)
-            elif op == "devsym_curl":
-                out = dev(sym(out))
+        out = _curl(tp(_curl(c, K)), K) if op == "inc" else _curl(c, K)
         rank = 2
     return _derived(f.spec, rank, out, f.reality)
 
@@ -324,18 +318,13 @@ def magnitude(f):
 def random_bandlimited(spec, seed, kmax, structure="general"):
     """Deterministic random real matrix field with |k|_inf <= kmax.
 
-    structure: "general", "skew", "sym" or "skew_plus_spherical" (skew part
-    plus a multiple of the identity), imposed slot-wise.
+    structure: "general", "skew" or "sym", imposed slot-wise.
     """
     if structure not in _STRUCTURES:
         raise ValueError("unknown structure %r" % (structure,))
     coef = _bandlimited_coef(spec, seed, kmax, 2)
-    if structure == "skew":
-        coef = skew(coef)
-    elif structure == "sym":
-        coef = sym(coef)
-    elif structure == "skew_plus_spherical":
-        coef = skew(coef) + (tr(coef) / 3.0)[..., None, None] * EYE3
+    if structure != "general":
+        coef = _PARTS[structure](coef)
     return GridField(spec, 2, coef, "real")
 
 
@@ -358,8 +347,7 @@ def _bandlimited_coef(spec, seed, kmax, rank):
     noise = np.moveaxis(rng.standard_normal((3,) * rank + (n, n, n)),
                         tuple(range(rank)), tuple(range(-rank, 0)))
     coef = np.fft.fftn(noise, axes=(0, 1, 2))
-    k = np.fft.fftfreq(n) * n
-    keep = np.abs(k) <= kmax
+    keep = np.abs(spec.frequencies) <= kmax
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     return coef * mask[(...,) + (None,) * rank]
 
@@ -524,7 +512,7 @@ def bump_profile(r):
 
 
 def _witness_grams():
-    w = complex_kernel_witness()
+    w = KernelWitness()
     sym_imgs = sym(cross(w.p_hat, EYE3))      # sym(p_hat x e_j), stacked over j
     dev_imgs = dev(sym_imgs)
     gram_sym = np.real(np.einsum("jab,lab->jl", sym_imgs, sym_imgs.conj()))
@@ -620,21 +608,21 @@ def load_field(path):
         key, _, value = item.strip().partition("=")
         meta[key] = value
     try:
-        rank, n = int(meta["rank"]), int(meta["n"])
+        rank, spec = int(meta["rank"]), GridSpec(int(meta["n"]))
     except (KeyError, ValueError):
-        raise CorruptFieldError("header needs integer rank and n: %r" % header) from None
-    reality = meta.get("reality")
-    if reality not in ("real", "complex"):
-        raise CorruptFieldError("header needs reality=real or reality=complex: %r" % header)
-    if rank not in (0, 1, 2) or n < 4 or n & (n - 1):
-        raise CorruptFieldError("header has rank=%d, n=%d (n must be a power of two, "
-                                "at least 4)" % (rank, n))
+        raise CorruptFieldError("header needs an integer rank and an n that is a power "
+                                "of two, at least 4: %r" % header) from None
+    reality, n = meta.get("reality"), spec.n
+    if rank not in (0, 1, 2) or reality not in ("real", "complex"):
+        raise CorruptFieldError("header needs rank 0, 1 or 2 and reality=real or "
+                                "reality=complex: %r" % header)
     shape = _coef_shape(rank, n)
-    if len(raw) != 8 * int(np.prod(shape)):
+    need = 8 * math.prod(shape)        # exact: n^3 overflows int64 from n = 2^21
+    if len(raw) != need:
         raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"
-                                % (len(raw), rank, n, 8 * int(np.prod(shape))))
+                                % (len(raw), rank, n, need))
     coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
     try:
-        return GridField(GridSpec(n), rank, coef, reality)
+        return GridField(spec, rank, coef, reality)
     except ValueError as exc:
         raise CorruptFieldError("payload does not fit reality=%s: %s" % (reality, exc)) from None

@@ -372,9 +372,9 @@ def _s_curl_of_gradient(d):
     return fzero(fields.apply_operator(g, "curl_mat"), g)
 
 
-def _s_sym_curl_kernel(d):
+def _s_sym_of_curl_kernel(d):
     f = fields.field_spherical(d.zeta) + fields.apply_operator(d.u, "grad")
-    return fzero(fields.apply_operator(f, "sym_curl"), f)
+    return fzero(fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "sym"), f)
 
 
 def _s_inc_sym_gradient(d):
@@ -473,7 +473,7 @@ def _s_div_of_curl(d):
 def _s_operator_matches_symbol(d):
     # the per-frequency 9x9 symbol on every grid frequency, one k1 plane at
     # a time: all n^3 symbols at once add about 15 MB to the peak at n = 16
-    got = fields.apply_operator(d.P, "devsym_curl")
+    got = fields.pointwise_part(fields.apply_operator(d.P, "curl_mat"), "devsym")
     want = np.stack([apply_symbol(curl_symbol(K, "devsym"), c)
                      for K, c in zip(fields._freq_grids(d.spec.n), d.P.coef)])
     rhs = fields.GridField(d.spec, 2, want, "complex")
@@ -482,7 +482,7 @@ def _s_operator_matches_symbol(d):
 
 SPECTRAL = [
     ("curl_of_gradient_vanishes", _s_curl_of_gradient),
-    ("sym_curl_kernel_forward", _s_sym_curl_kernel),
+    ("sym_curl_kernel_forward", _s_sym_of_curl_kernel),
     ("inc_of_sym_gradient_vanishes", _s_inc_sym_gradient),
     ("inc_of_skew_gradient_vanishes", _s_inc_skew_gradient),
     ("curl_of_spherical_field", _s_curl_spherical),

@@ -25,12 +25,12 @@ __all__ = [
     "ZeroFrequencyError", "TOL_KERNEL",
     "basis_matrices", "curl_symbol", "apply_symbol",
     "KernelBasis", "kernel_basis", "build_multiplier",
-    "sharp_ratio", "KernelWitness", "complex_kernel_witness",
+    "sharp_ratio", "KernelWitness",
 ]
 
 TOL_KERNEL = 1e-8
 
-_PARTS = ("full", "sym", "devsym")
+_PARTS = {"full": lambda X: X, "sym": sym, "devsym": lambda X: dev(sym(X))}
 
 
 class ZeroFrequencyError(ValueError):
@@ -49,13 +49,9 @@ def curl_symbol(xi, part="full"):
     stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
     """
     if part not in _PARTS:
-        raise ValueError("part must be one of %s" % (_PARTS,))
+        raise ValueError("part must be one of %s" % (tuple(_PARTS),))
     xi = np.asarray(xi)
-    images = -1j * cross(basis_matrices(), xi[..., None, :])
-    if part == "sym":
-        images = sym(images)
-    elif part == "devsym":
-        images = dev(sym(images))
+    images = _PARTS[part](-1j * cross(basis_matrices(), xi[..., None, :]))
     return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
 
 
@@ -129,24 +125,23 @@ class KernelWitness:
 
     The pair satisfies devsym(p_hat x xi) = 0 while sym(p_hat x xi) = i*id,
     and the bilinear pairing <xi, xi> vanishes, which is why a complex
-    frequency can do what no real one can.  Both identities are re-checked
-    on construction.
+    frequency can do what no real one can.  The constructor checks all three
+    identities and keeps those of the first two as devsym_residual and sym_residual.
     """
 
     p_hat: np.ndarray = field(default_factory=lambda: np.array(
         [[0, 0, -1], [0, 0, 1j], [0, -1j, 0]], dtype=complex))
     xi: np.ndarray = field(default_factory=lambda: np.array([1, 1j, 0], dtype=complex))
+    devsym_residual: float = field(init=False)
+    sym_residual: float = field(init=False)
 
     def __post_init__(self):
         c = self.p_hat @ anti(self.xi)
-        if float(mat_norm(dev(sym(c)))) > 1e-15:
+        object.__setattr__(self, "devsym_residual", float(mat_norm(dev(sym(c)))))
+        object.__setattr__(self, "sym_residual", float(mat_norm(sym(c) - 1j * EYE3)))
+        if self.devsym_residual > 1e-15:
             raise ValueError("witness failed: devsym(p_hat x xi) != 0")
-        if float(mat_norm(sym(c) - 1j * EYE3)) > 1e-15:
+        if self.sym_residual > 1e-15:
             raise ValueError("witness failed: sym(p_hat x xi) != i*id")
         if abs(complex(dot(self.xi, self.xi))) > 1e-15:
             raise ValueError("witness failed: <xi, xi> != 0")
-
-
-def complex_kernel_witness():
-    """The stored witness pair (p_hat, xi), verified before it is returned."""
-    return KernelWitness()

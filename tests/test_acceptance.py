@@ -119,7 +119,7 @@ def test_criterion_05_sharp_ratio():
 
 
 def test_criterion_06_complex_witness():
-    w = symbol.complex_kernel_witness()
+    w = symbol.KernelWitness()
     c = w.p_hat @ anti(w.xi)
     assert float(mat_norm(dev(sym(c)))) < 1e-15
     assert float(mat_norm(sym(c) - 1j * np.eye(3))) < 1e-15

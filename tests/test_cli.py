@@ -228,6 +228,41 @@ def test_korn_reports_a_zero_minimum(monkeypatch, capsys):
     assert _stderr_errors(err) == report["errors"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_korn_reports_a_nan_minimum(monkeypatch, capsys):
+    # a NaN per-frequency minimum fails the (0, 1] and closed-form checks;
+    # every non-finite value is written as null in both formats, exit 1
+    from kornlab import korn_estimator
+    lambda_min = korn_estimator.lambda_min
+
+    def nanned(k):
+        w, v = lambda_min(k)
+        return np.where((np.asarray(k) == (2, 1, 0)).all(axis=-1), np.nan, w), v
+
+    monkeypatch.setattr(korn_estimator, "lambda_min", nanned)
+    code, out, err = run_cli(capsys, ["korn", "--kmax", "3"])
+    assert code == 1
+    report = json.loads(out)
+    res = report["results"]
+    assert res["lambda_min"] is None and res["c_estimate"] is None
+    nulls = [e[:3] for e in res["entries"] if e[3] is None]
+    assert len(nulls) == 24                 # the signed permutations of (2, 1, 0)
+    assert sorted(sorted(map(abs, k)) for k in nulls) == [[0, 1, 2]] * 24
+    errors = report["errors"]
+    assert "per-frequency minimum left the interval (0, 1]" in errors
+    assert any(e.startswith("24 per-frequency minima differ from the closed form")
+               and ": nan against " in e for e in errors)
+    assert "25 non-finite values in the results are written as null" in errors
+    assert _stderr_errors(err) == errors
+    code, out, err = run_cli(capsys, ["korn", "--kmax", "3", "--format", "csv"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 + 7 ** 3
+    assert "2,1,0,null" in lines and "-1,0,2,null" in lines
+    assert sum(line.endswith(",null") for line in lines) == 24
+    assert _stderr_errors(err) == errors
+
+
 def test_korn_report_bytes_match_the_generic_walk(capsys):
     # the row renderer writes what to_json writes for [int, int, int, float] lists
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "4"])
@@ -270,6 +305,22 @@ def test_symbol_command(capsys):
     assert res["equivalence_constant"] == pytest.approx(np.sqrt(3.0), abs=1e-11)
     assert res["witness_devsym_residual"] == 0.0
     assert res["witness_sym_residual"] == 0.0
+
+
+def test_symbol_reports_the_witness_residuals(monkeypatch, capsys):
+    # run_symbol reads the residuals the KernelWitness constructor keeps;
+    # a pair perturbed below the gate makes them nonzero
+    from kornlab import symbol
+    p = symbol.KernelWitness().p_hat.copy()
+    p[0, 0] += 2e-16
+    p[1, 2] += 1e-16
+    witness = symbol.KernelWitness(p_hat=p)
+    monkeypatch.setattr(symbol, "KernelWitness", lambda: witness)
+    code, out, _ = run_cli(capsys, ["symbol", "--samples", "30"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["witness_devsym_residual"] == witness.devsym_residual > 0.0
+    assert res["witness_sym_residual"] == witness.sym_residual > 0.0
 
 
 def _failing_equivalence(samples, seed):

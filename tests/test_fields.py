@@ -214,16 +214,6 @@ def test_curl_of_constant_skew_vanishes():
     assert_allclose(values(c), 0.0, atol=1e-13)
 
 
-def test_projected_curls_match_pointwise_projection():
-    spec = GridSpec(16)
-    f = random_bandlimited(spec, 5, 4)
-    c = apply_operator(f, "curl_mat")
-    assert_allclose(values(apply_operator(f, "sym_curl")),
-                    values(pointwise_part(c, "sym")), atol=1e-11)
-    assert_allclose(values(apply_operator(f, "devsym_curl")),
-                    values(pointwise_part(pointwise_part(c, "sym"), "dev")), atol=1e-11)
-
-
 def test_inc_is_curl_transpose_curl():
     spec = GridSpec(16)
     f = random_bandlimited(spec, 6, 4)
@@ -247,6 +237,10 @@ def test_operator_rank_checks():
         apply_operator(mat, "curl_vec")
     with pytest.raises(ValueError):
         apply_operator(vec, "laplace")
+    # a projected curl has one spelling, pointwise_part(apply_operator(P, "curl_mat"), part)
+    for op in ("sym_curl", "devsym_curl"):
+        with pytest.raises(ValueError):
+            apply_operator(mat, op)
 
 
 def test_nyquist_mode_has_zero_derivative():
@@ -262,7 +256,7 @@ def test_nyquist_mode_has_zero_derivative():
 def test_derivatives_preserve_real_tag():
     spec = GridSpec(16)
     f = random_bandlimited(spec, 9, 7)   # band right up to n/2 - 1
-    for op in ("curl_mat", "sym_curl", "devsym_curl", "inc"):
+    for op in ("curl_mat", "inc"):
         g = apply_operator(f, op)
         assert g.reality == "real"
         assert np.isrealobj(values(g))
@@ -335,13 +329,9 @@ def test_bandlimited_structures():
     assert_allclose(V, -V.swapaxes(-1, -2), atol=1e-12)
     V = values(random_bandlimited(spec, 2, 2, "sym"))
     assert_allclose(V, V.swapaxes(-1, -2), atol=1e-12)
-    V = values(random_bandlimited(spec, 2, 2, "skew_plus_spherical"))
-    S = 0.5 * (V + V.swapaxes(-1, -2))
-    trace = np.einsum("...ii->...", V) / 3.0
-    assert_allclose(S[..., 0, 0], trace, atol=1e-12)
-    assert_allclose(S[..., 0, 1], 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        random_bandlimited(spec, 2, 2, "diagonal")
+    for structure in ("diagonal", "skew_plus_spherical"):
+        with pytest.raises(ValueError):
+            random_bandlimited(spec, 2, 2, structure)
 
 
 def test_bandlimited_is_seeded():
@@ -703,11 +693,17 @@ def test_load_rejects_corrupt_files(tmp_path):
         "bad_reality": header.replace(b"reality=real", b"reality=maybe") + b"\n" + payload,
         "asymmetric": header + b"\n" + _edit_payload(payload, (1, 0, 0, 0, 1), 1.0),
         "infinite": header + b"\n" + _edit_payload(payload, (0, 0, 0, 0, 0), np.inf),
+        # n^3 * 9 * 8 bytes overflows int64 from n = 2^21
+        "huge_n": header.replace(b"n=4", b"n=2097152") + b"\n",
+        "huger_n": header.replace(b"n=4", b"n=4194304") + b"\n",
     }
     for name, data in corrupt.items():
         path.write_bytes(data)
         with pytest.raises(CorruptFieldError):
             load_field(path)
+    path.write_bytes(corrupt["huge_n"])
+    with pytest.raises(CorruptFieldError, match="needs %d$" % (8 * 9 * 2097152 ** 3)):
+        load_field(path)
     path.write_bytes(good)
     assert load_field(path).rank == 2
 

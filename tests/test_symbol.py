@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from kornlab.algebra3 import anti, dev, dot, mat_norm, sym
 from kornlab.symbol import (
     KernelWitness, ZeroFrequencyError, apply_symbol, basis_matrices,
-    build_multiplier, complex_kernel_witness, curl_symbol, kernel_basis,
+    build_multiplier, curl_symbol, kernel_basis,
     sharp_ratio,
 )
 
@@ -164,11 +164,23 @@ def test_sharp_ratio_scale_invariant():
 
 
 def test_witness_identities():
-    w = complex_kernel_witness()
+    w = KernelWitness()
     c = w.p_hat @ anti(w.xi)
     assert float(mat_norm(dev(sym(c)))) == 0.0
     assert float(mat_norm(sym(c) - 1j * np.eye(3))) == 0.0
     assert abs(complex(dot(w.xi, w.xi))) == 0.0
+
+
+def test_witness_keeps_its_residuals():
+    # a pair perturbed below the 1e-15 gate: the kept residuals are the
+    # constructor's own norms, not zeros
+    p = KernelWitness().p_hat.copy()
+    p[0, 0] += 2e-16
+    p[1, 2] += 1e-16
+    w = KernelWitness(p_hat=p)
+    c = p @ anti(w.xi)
+    assert w.devsym_residual == float(mat_norm(dev(sym(c)))) > 0.0
+    assert w.sym_residual == float(mat_norm(sym(c) - 1j * np.eye(3))) > 0.0
 
 
 def test_witness_rejects_wrong_pair():
@@ -181,7 +193,7 @@ def test_witness_rejects_wrong_pair():
 def test_witness_lies_in_devsym_kernel_only():
     # at the isotropic frequency the witness is killed by the devsym symbol
     # but emphatically not by the sym one
-    w = complex_kernel_witness()
+    w = KernelWitness()
     dev_img = apply_symbol(curl_symbol(w.xi, "devsym"), w.p_hat)
     sym_img = apply_symbol(curl_symbol(w.xi, "sym"), w.p_hat)
     assert float(mat_norm(dev_img)) < 1e-15
