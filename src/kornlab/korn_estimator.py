@@ -21,11 +21,15 @@ at the mean and the seven checkerboard modes).  The grid operator
 commutes with translations, so it is one 9x9 block per grid frequency.
 Those blocks are probed through the fields module (the operator applied
 to the nine constant coefficient arrays), never built from the symbol,
-so the two routes stay independent.  LOBPCG runs from a 4-column start
-block on the probed blocks, applied to the whole block of real fields
-over the real half-spectrum, preconditioned by each block's exact
-(shifted) inverse; the eigenvector it returns must then pass a residual
-gate on the fields chain itself, so a wrong probe cannot pass.
+so the two routes stay independent.  The curl symbol enters twice, so
+its factors of i cancel: every block is real, and in orthonormal Hartley
+coordinates (_hartley) the operator on real fields is exactly one real
+9x9 matrix per frequency.  LOBPCG runs there from a 4-column start
+block, each iteration one stacked matmul with no FFT, preconditioned by
+each block's exact (shifted) inverse.  Two gates on the fields chain
+itself follow, so a wrong probe cannot pass: the eigenvector it returns
+must have a small residual, and the blocks must reproduce the chain on
+a random field at every frequency at once.
 scipy is loaded on the first call of `lobpcg`, so importing kornlab
 loads no scipy module.
 """
@@ -41,7 +45,7 @@ from .algebra3 import sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
-    "NoConvergenceError",
+    "NoConvergenceError", "ProbeError",
     "frequency_form", "lambda_min", "KornReport", "korn_constant",
     "grid_crosscheck", "equivalence_constant", "sphere_directions",
 ]
@@ -59,11 +63,13 @@ _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
 _SKEW_FORM = np.eye(9) - _SYM_FORM
 # grid_crosscheck preconditions with (Q_k + _PRECOND_SHIFT * I)^-1 per grid
 # frequency; the shift bounds every inverted block by 1/_PRECOND_SHIFT
-# whatever the probe returns.  A preconditioner cannot move the converged
-# eigenvalue; at n = 16 shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
+# whatever the probe returns, and is applied in Hartley coordinates like the
+# blocks.  A preconditioner cannot move the converged eigenvalue; at n = 16
+# shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
 _PRECOND_SHIFT = 0.05
-# LOBPCG start block width: at n = 16, 16 columns took 16 iterations and
-# 164 MB peak RSS, 4 columns 15 iterations and 93 MB (scipy included)
+# LOBPCG start block width, drawn in Hartley coordinates: at n = 16, 16
+# columns took 16 iterations and 164 MB peak RSS, 4 columns 15 iterations
+# and 89 MB (scipy included)
 _START_COLUMNS = 4
 # LOBPCG's own stopping rule; the start block is drawn from seed 1.  With the
 # block preconditioner it stops after about 15 iterations at n = 8 and 16
@@ -83,6 +89,10 @@ def lobpcg(*args, **kwargs):
 
 class NoConvergenceError(RuntimeError):
     """Iterative eigensolver did not reach the requested residual."""
+
+
+class ProbeError(RuntimeError):
+    """The probed 9x9 blocks are not the grid operator of the fields chain."""
 
 
 def frequency_form(k):
@@ -196,17 +206,28 @@ def _probed_blocks(spec):
     return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
 
 
-def _apply_blocks(blocks, x):
-    """Per-frequency 9x9 blocks applied to real fields, one per column of x.
+def _hartley(x, n):
+    """Orthonormal Hartley transform of real fields, one per column of x.
 
-    blocks holds the real half-spectrum, shape (n, n, n // 2 + 1, 9, 9); x
-    has shape (9 n^3, m) or (9 n^3,).  A real field's coefficients at -k
-    are the conjugates of those at k and the blocks of a real operator obey
-    the same symmetry, so the half-spectrum determines the result.
+    x has shape (9 n^3, m) or (9 n^3,), nine slots per grid point; each slot
+    maps to (Re - Im)(fftn) / n^(3/2), the cas transform.  The map is
+    orthogonal and symmetric, so it is its own inverse.
+    """
+    f = np.fft.fftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
+    return ((f.real - f.imag) / n ** 1.5).reshape(x.shape)
+
+
+def _apply_blocks(blocks, x):
+    """Per-frequency real 9x9 blocks applied in Hartley coordinates.
+
+    blocks has shape (n, n, n, 9, 9); x holds the Hartley coordinates of
+    real fields, shape (9 n^3, m) or (9 n^3,).  The operator multiplies the
+    Fourier coefficients at k by Q(k); a real Q(k) commutes with taking
+    real and imaginary parts, so it maps the cas coefficients at k the
+    same way: the operator is one matmul per frequency.
     """
     n = blocks.shape[0]
-    c = np.fft.rfftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
-    return np.fft.irfftn(blocks @ c, s=(n, n, n), axes=(0, 1, 2)).reshape(x.shape)
+    return (blocks @ x.reshape(n, n, n, 9, -1)).reshape(x.shape)
 
 
 def grid_crosscheck(n):
@@ -219,21 +240,29 @@ def grid_crosscheck(n):
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is
-    projected out.  LOBPCG applies the operator as the probed
-    9x9 block of each frequency (_probed_blocks) to its whole block of
-    fields at once, over the real half-spectrum, and is preconditioned by
-    the inverse of each block plus _PRECOND_SHIFT, so it stops by its
-    tolerance _LOBPCG_TOL long before the cap of _LOBPCG_MAXITER iterations.
-    The eigenvector it returns is checked on the fields chain
-    (_apply_fields), independently of the probe: NoConvergenceError if that
-    explicit residual exceeds 1e-4.  The first call loads scipy.sparse.linalg.
+    projected out.  LOBPCG works in orthonormal Hartley coordinates
+    (_hartley), where the operator is the real probed 9x9 block of each
+    frequency (_probed_blocks) applied to its whole block of fields at
+    once, and is preconditioned by the inverse of each block plus
+    _PRECOND_SHIFT, so it stops by its tolerance _LOBPCG_TOL long before
+    the cap of _LOBPCG_MAXITER iterations.  Two gates use the fields chain
+    (_apply_fields), independently of the probe: NoConvergenceError if the
+    returned eigenvector's explicit residual exceeds 1e-4, and ProbeError
+    if the blocks miss the chain on one seeded random field by more than
+    1e-10 relative, or if the probe has an imaginary part.  The first call
+    loads scipy.sparse.linalg.
     """
     if n < 8:
         raise ValueError("grid size must be at least 8")
     spec = fields.GridSpec(n)
-    # the real half-spectrum fixes a real operator; the copy lets the full
-    # probe be freed
-    q = _probed_blocks(spec)[:, :, :n // 2 + 1].copy()
+    q = _probed_blocks(spec)
+    scale = float(np.abs(q).max())
+    imag = float(np.abs(q.imag).max())
+    if not imag <= 1e-12 * scale:
+        raise ProbeError("probed blocks are not real: max |Im| %.3e of max |q| %.3e"
+                         % (imag, scale))
+    # the copy lets the complex probe be freed
+    q = q.real.copy()
     q_inv = np.linalg.inv(q + _PRECOND_SHIFT * np.eye(9))
 
     def op(x):
@@ -242,7 +271,10 @@ def grid_crosscheck(n):
     def precond(x):
         return _apply_blocks(q_inv, x)
 
-    x0 = np.random.default_rng(1).standard_normal((9 * n ** 3, _START_COLUMNS))
+    # H is orthogonal, so a Gaussian block drawn in Hartley coordinates has
+    # the same distribution as one drawn on the grid
+    rng = np.random.default_rng(1)
+    x0 = rng.standard_normal((9 * n ** 3, _START_COLUMNS))
     # convergence is gated on the explicit residual check below, not on
     # lobpcg hitting tol for the whole block, so its warnings are noise
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -250,7 +282,7 @@ def grid_crosscheck(n):
         w, v, hist = lobpcg(op, x0, M=precond, largest=False, tol=_LOBPCG_TOL,
                             maxiter=_LOBPCG_MAXITER, retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
-    vec = v[:, int(np.argmin(w))]
+    vec = _hartley(v[:, int(np.argmin(w))], n)
     resid = float(np.linalg.norm(_apply_fields(spec, vec) - lam_grid * vec)
                   / np.linalg.norm(vec))
     # lam_grid is a Rayleigh quotient, so its error is bounded by resid^2
@@ -262,6 +294,15 @@ def grid_crosscheck(n):
         raise NoConvergenceError("grid eigensolve stalled: residual %.3e after %d LOBPCG "
                                  "iterations (maxiter %d)"
                                  % (resid, len(hist) - 2, _LOBPCG_MAXITER))
+    # the residual gate sees only the minimizing block (and names a wrong
+    # one as a stall); a random field has a component at every frequency,
+    # so this sees every block
+    field = rng.standard_normal(9 * n ** 3)
+    want = _hartley(_apply_fields(spec, field), n)
+    miss = float(np.linalg.norm(_apply_blocks(q, _hartley(field, n)) - want)
+                 / np.linalg.norm(want))
+    if not miss <= 1e-10:
+        raise ProbeError("probed blocks miss the fields chain by %.3e relative" % miss)
 
     # the scan includes k = 0, whose value 1 bounds every other minimum
     return abs(lam_grid - korn_constant(n // 2 - 1).lambda_global)

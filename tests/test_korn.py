@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from kornlab import fields, korn_estimator
 from kornlab.algebra3 import anti, random_rotation
 from kornlab.korn_estimator import (
-    KornReport, NoConvergenceError, equivalence_constant, frequency_form, grid_crosscheck,
-    korn_constant, lambda_min, sphere_directions,
+    KornReport, NoConvergenceError, ProbeError, equivalence_constant, frequency_form,
+    grid_crosscheck, korn_constant, lambda_min, sphere_directions,
 )
 
 # smallest per-frequency eigenvalue on the axis |k| = 1, and the constant
@@ -248,10 +248,10 @@ def test_probed_blocks_are_the_frequency_forms():
 
 @pytest.mark.parametrize("columns", [1, 4])
 def test_block_operator_matches_fields_chain(columns):
-    # LOBPCG's operator (probed blocks over the real half-spectrum) against
-    # the fields chain that gates its result, column by column; the inputs
-    # carry the Nyquist planes and all eight zero modes (mean and
-    # checkerboards), where the skew completion acts
+    # LOBPCG's operator (probed blocks in Hartley coordinates) against the
+    # fields chain that gates its result, column by column; the inputs carry
+    # the Nyquist planes and all eight zero modes (mean and checkerboards),
+    # where the skew completion acts
     n = 8
     spec = fields.GridSpec(n)
     rng = np.random.default_rng(columns)
@@ -265,12 +265,50 @@ def test_block_operator_matches_fields_chain(columns):
         pattern = signs[s1][:, None, None] * signs[s2][:, None] * signs[s3]
         x += pattern[..., None, None] * rng.standard_normal((9, columns))
     x = x.reshape(9 * n ** 3, columns)
-    blocks = korn_estimator._probed_blocks(spec)[:, :, :n // 2 + 1]
-    got = korn_estimator._apply_blocks(blocks, x)
+    blocks = korn_estimator._probed_blocks(spec).real
+    got = korn_estimator._apply_blocks(blocks, korn_estimator._hartley(x, n))
     want = np.stack([korn_estimator._apply_fields(spec, x[:, j]) for j in range(columns)],
                     axis=1)
     assert got.shape == x.shape
-    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert_allclose(got, korn_estimator._hartley(want, n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9 * 8 ** 3,), (9 * 8 ** 3, 3)])
+def test_hartley_is_an_orthogonal_involution(shape):
+    x = np.random.default_rng(5).standard_normal(shape)
+    h = korn_estimator._hartley(x, 8)
+    assert h.shape == x.shape
+    assert_allclose(korn_estimator._hartley(h, 8), x, rtol=0, atol=1e-13)
+    assert_allclose(np.linalg.norm(h, axis=0), np.linalg.norm(x, axis=0), rtol=1e-14)
+
+
+def test_complex_probe_raises(monkeypatch):
+    # the blocks are real because the curl symbol's factors of i cancel;
+    # a probe that is not must be named, never cut to its real part
+    probed = korn_estimator._probed_blocks
+
+    def complex_probe(spec):
+        q = probed(spec)
+        q[1, 2, 3] += 1e-6j
+        return q
+    monkeypatch.setattr(korn_estimator, "_probed_blocks", complex_probe)
+    with pytest.raises(ProbeError, match="not real"):
+        grid_crosscheck(8)
+
+
+def test_probe_gate_catches_a_wrong_non_minimal_block(monkeypatch):
+    # k = (3, 2, 1) is far from the minimizing frequencies, so scaling its
+    # block leaves the eigenpair and its residual gate untouched; only the
+    # comparison with the fields chain at every frequency sees it
+    probed = korn_estimator._probed_blocks
+
+    def corrupted(spec):
+        q = probed(spec)
+        q[3, 2, 1] *= 1.5
+        return q
+    monkeypatch.setattr(korn_estimator, "_probed_blocks", corrupted)
+    with pytest.raises(ProbeError, match="miss the fields chain"):
+        grid_crosscheck(8)
 
 
 def test_residual_gate_is_on_the_fields_chain(monkeypatch):
