@@ -8,8 +8,10 @@ wall-clock timings are printed to stderr only, and the BLAS thread count
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
 report.  Exit status: 0 clean, 1 when a named invariant failed (see the
 "errors" array; each error is also printed to stderr, so a CSV report
-names it too), 2 for usage problems.  A non-finite result is written as
-null and named in the errors.
+names it too), 2 for usage problems.  Each command returns its checks as
+(message, holds) rows, every row written as a pass condition so that a NaN
+fails it, and main names each failing row in the errors.  A non-finite
+result is written as null and named in the errors.
 """
 
 import argparse
@@ -241,25 +243,20 @@ def resolve_config(args):
 
 
 # ----------------------------------------------------------------------------
-# subcommands;  each returns (results, errors)
+# subcommands;  each returns (results, checks), checks a list of
+# (message, holds) rows in report order
 
 
 def run_identities(cfg):
-    errors = []
     suite = identities.run_all(samples=cfg["samples"], seed=cfg["seed"], n=cfg["grid_n"])
-    rows = []
-    for res in suite:
-        rows.append({"name": res.name, "samples": res.samples,
-                     "max_residual": res.max_residual, "tolerance": res.tolerance,
-                     "passed": res.passed})
-        if not res.passed:
-            errors.append("identity %s exceeded tolerance (%.3e >= %.3e)"
-                          % (res.name, res.max_residual, res.tolerance))
-    return {"suite": rows, "tolerances": identities.tolerance_table()}, errors
+    rows = [{"name": res.name, "samples": res.samples, "max_residual": res.max_residual,
+             "tolerance": res.tolerance, "passed": res.passed} for res in suite]
+    checks = [("identity %s exceeded tolerance (%.3e >= %.3e)"
+               % (res.name, res.max_residual, res.tolerance), res.passed) for res in suite]
+    return {"suite": rows, "tolerances": identities.tolerance_table()}, checks
 
 
 def run_symbol(cfg):
-    errors = []
     rng = np.random.default_rng(cfg["seed"])
     dims = []
     gaps = []
@@ -270,8 +267,6 @@ def run_symbol(cfg):
         dims.append(basis.dimension)
         sv = basis.singular_values
         gaps.append(float(sv[4] / max(sv[5], 1e-300)))
-    if any(d != 4 for d in dims):
-        errors.append("kernel dimension of the devsym curl symbol left 4")
     xi = rng.standard_normal((100, 3))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     m = symbol.build_multiplier(xi)
@@ -279,15 +274,14 @@ def run_symbol(cfg):
     a_sym = symbol.curl_symbol(xi, "sym")
     mult_resid = float(np.linalg.norm(m @ a - a_sym, axis=(-2, -1)).max())
     homo_resid = float(np.linalg.norm(symbol.build_multiplier(2.0 * xi) - m, axis=(-2, -1)).max())
-    if mult_resid > 1e-10:
-        errors.append("multiplier identity M(xi) A(xi) = A_sym(xi) violated")
-    if homo_resid > 1e-10:
-        errors.append("multiplier homogeneity violated")
+    checks = [("kernel dimension of the devsym curl symbol left 4", all(d == 4 for d in dims)),
+              ("multiplier identity M(xi) A(xi) = A_sym(xi) violated", mult_resid <= 1e-10),
+              ("multiplier homogeneity violated", homo_resid <= 1e-10)]
     witness = symbol.KernelWitness()
     try:
         equiv = korn_estimator.equivalence_constant(samples=cfg["samples"], seed=cfg["seed"])
     except RuntimeError as exc:
-        errors.append("equivalence_constant: %s" % exc)
+        checks.append(("equivalence_constant: %s" % exc, False))
         equiv = None                # reported as null, named in the errors
     results = {
         "kernel_dimension_min": min(dims), "kernel_dimension_max": max(dims),
@@ -299,31 +293,28 @@ def run_symbol(cfg):
         "witness_devsym_residual": witness.devsym_residual,
         "witness_sym_residual": witness.sym_residual,
     }
-    return results, errors
+    return results, checks
 
 
 def run_korn(cfg):
-    errors = []
     report = korn_estimator.korn_constant(cfg["kmax"])
     K, lam = report.entries[:, :3], report.entries[:, 3]
-    if not np.all((lam > 0.0) & (lam <= 1.0 + 1e-12)):      # a NaN fails it too
-        errors.append("per-frequency minimum left the interval (0, 1]")
     # closed form (2 + t - sqrt(t^2 + 4)) / 4, t = |k|^2, written without the
     # cancellation at large t, and 1 at k = 0; the eigensolve is accurate to
     # a few ulps of the form's norm, which grows like t
     t = np.sum(K * K, axis=1)
     exact = np.where(t == 0.0, 1.0, t / (2.0 + t + np.sqrt(t * t + 4.0)))
     excess = np.abs(lam - exact) - (1e-12 + 16.0 * np.finfo(float).eps * t)
-    missed = ~(excess <= 0.0)                               # a NaN counts as missed
-    if np.any(missed):
-        i = int(np.argmax(excess))      # the first NaN, if there is one
-        errors.append("%d per-frequency minima differ from the closed form "
-                      "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
-                      "worst at k = (%d, %d, %d): %.17g against %.17g"
-                      % (np.count_nonzero(missed), *K[i], lam[i], exact[i]))
-    if report.non_monotone_tail:
-        errors.append("outermost frequency shell attains the minimum "
-                      "(scan radius too small)")
+    met = excess <= 0.0
+    i = int(np.argmax(excess))      # the first NaN, if there is one
+    checks = [("per-frequency minimum left the interval (0, 1]",
+               np.all((lam > 0.0) & (lam <= 1.0 + 1e-12))),
+              ("%d per-frequency minima differ from the closed form "
+               "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
+               "worst at k = (%d, %d, %d): %.17g against %.17g"
+               % (met.size - np.count_nonzero(met), *K[i], lam[i], exact[i]), np.all(met)),
+              ("outermost frequency shell attains the minimum (scan radius too small)",
+               not report.non_monotone_tail)]
     results = {
         "kmax": report.kmax,
         "lambda_min": report.lambda_global,
@@ -333,18 +324,18 @@ def run_korn(cfg):
         "convention": report.convention,
         "entries": KornEntries(report.entries),
     }
-    return results, errors
+    return results, checks
 
 
 def run_counterexample(cfg):
-    errors = []
+    checks = []
     box = BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])
     growth = []
     for k in range(1, cfg["kmax"] + 1):
         try:
             growth.append([k, growth_ratio(k, cfg["p"], box)])
         except (UnderResolvedError, NonFiniteError) as exc:
-            errors.append("growth ratio k=%d: %s" % (k, exc))
+            checks.append(("growth ratio k=%d: %s" % (k, exc), False))
             break
     halfspace = []
     k = 2
@@ -352,7 +343,7 @@ def run_counterexample(cfg):
         try:
             halfspace.append([k, halfspace_ratio(k, cfg["p"])])
         except (UnderResolvedError, NonFiniteError) as exc:
-            errors.append("halfspace ratio k=%d: %s" % (k, exc))
+            checks.append(("halfspace ratio k=%d: %s" % (k, exc), False))
             break
         k *= 2
     ratios = [r for _, r in growth]
@@ -363,26 +354,21 @@ def run_counterexample(cfg):
     results = {"p": cfg["p"], "box": list(cfg["box"]),
                "growth": growth, "halfspace": halfspace,
                "monotone_from": monotone_from}
-    return results, errors
+    return results, checks
 
 
 def run_kernel(cfg):
-    errors = []
     rng = np.random.default_rng(cfg["seed"])
     sphere_ranks = []
     for _ in range(20):
         pts = rng.standard_normal((12, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         sphere_ranks.append(kernels.boundary_rank(pts))
-    if any(r != 10 for r in sphere_ranks):
-        errors.append("random spherical 12-point cloud is not rigid (rank != 10)")
     th = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
     circle = np.stack([np.cos(th), 1.0 + np.sin(th), np.zeros_like(th)], axis=1)
     circle_rank = kernels.boundary_rank(circle)
     line = np.array([[t, 0.5 * t, -0.25 * t] for t in np.linspace(-2, 2, 5)])
     line_rank = kernels.boundary_rank(line)
-    if circle_rank >= 10 or line_rank >= 10:
-        errors.append("degenerate configuration (circle/line) reported as rigid")
     element = kernels.KernelElement(a_tilde=rng.standard_normal(3),
                                     beta=float(rng.standard_normal()),
                                     b=rng.standard_normal(3),
@@ -395,13 +381,17 @@ def run_kernel(cfg):
         abs(fit.element.beta - element.beta),
         np.max(np.abs(fit.element.b - element.b)),
         np.max(np.abs(fit.element.d - element.d))))
-    if recovery > 1e-8 or fit.residual > 1e-8:
-        errors.append("exact kernel sample was not recovered by projection")
+    checks = [("random spherical 12-point cloud is not rigid (rank != 10)",
+               all(r == 10 for r in sphere_ranks)),
+              ("degenerate configuration (circle/line) reported as rigid",
+               circle_rank < 10 and line_rank < 10),
+              ("exact kernel sample was not recovered by projection",
+               recovery <= 1e-8 and fit.residual <= 1e-8)]
     results = {"sphere_ranks": sphere_ranks, "circle_rank": circle_rank,
                "line_rank": line_rank, "recovery_error": recovery,
                "projection_residual": fit.residual,
                "projection_cond": fit.cond}
-    return results, errors
+    return results, checks
 
 
 COMMANDS = {
@@ -462,11 +452,12 @@ def main(argv=None):
 
     with sink as fh:
         started = time.perf_counter()
-        results, errors = COMMANDS[args.command](cfg)
+        results, checks = COMMANDS[args.command](cfg)
         found = []
         results = _nulled(results, found)
-        if found:
-            errors.append("%d non-finite values in the results are written as null" % len(found))
+        checks.append(("%d non-finite values in the results are written as null" % len(found),
+                       not found))
+        errors = [message for message, holds in checks if not holds]
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
         fh.write(_render(args.command, cfg, results, errors))
     for err in errors:

@@ -475,20 +475,26 @@ def growth_ratio(k, p, box):
 
     The integrand only involves (x1, x2), so the x3 extent cancels and both
     norms use the (x1, x2) rule; the refinement loop watches the ratio.
-    |z|^2 is scaled by its maximum on the rule before it is raised to the
-    power j*p/2, so the powers stay in [0, 1] and cannot overflow at large k*p.
+    The nodes and weights are divided by a power of two s within a factor
+    2 of the largest |x1|, |x2| on the box first, so that |x|^2 and the
+    weight products neither underflow nor overflow on tiny or huge boxes;
+    the quotient then carries a factor 1/s, and both scalings are exact in
+    binary.  |z|^2 is scaled by its maximum on the rule before it is raised
+    to the power j*p/2, so the powers stay in [0, 1] and cannot overflow at
+    large k*p.
     """
     p = _check_exponent(p)
     if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
+    s = math.ldexp(0.5, math.frexp(max(map(abs, box.lo[:2] + box.hi[:2])))[1])
 
     def compute(m):
         (x1, w1), (x2, w2) = (box.axis_rule(axis, m) for axis in (0, 1))
-        r2 = x1[:, None] ** 2 + x2[None, :] ** 2
+        r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
         top = r2.max()
-        below, above = (r2 / top) ** powers @ w2 @ w1
-        return k / np.sqrt(top) * (below / above) ** (1.0 / p)
+        below, above = (r2 / top) ** powers @ (w2 / s) @ (w1 / s)
+        return k / np.sqrt(top) * (below / above) ** (1.0 / p) / s
 
     return _resolve(compute)
 

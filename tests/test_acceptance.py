@@ -7,7 +7,6 @@ package's eigenvalue route is checked against an independent computation.
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -179,20 +178,36 @@ def test_criterion_10_korn_constant():
     _ok(10, "korn constant stable under kmax and grid crosscheck")
 
 
+_DIGEST_ALL_REPORTS = """
+import contextlib, hashlib, io, json
+from kornlab import cli
+digest, codes = hashlib.sha256(), []
+for command in sorted(cli.COMMANDS):
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main([command, "--format", fmt]))
+        digest.update(out.getvalue().encode("utf-8"))
+print(json.dumps([codes, digest.hexdigest()]))
+"""
+
+
 def test_criterion_11_determinism():
-    exe = shutil.which("kornlab")
-    cmd = [exe] if exe else [sys.executable, "-m", "kornlab.cli"]
-    cmd += ["korn", "--kmax", "4", "--seed", "1"]
-    outputs = []
-    # the BLAS variables are the thread control, so the two reports come
-    # from two real thread counts
-    for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
-        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1], "reports differ between thread caps"
-    report = json.loads(outputs[0])
-    assert report["schema_version"] == "kornlab/1"
-    assert report["timings_ms"] == {}
-    _ok(11, "byte-identical reports across thread caps")
+    # two processes at once, differing in BLAS thread count and hash seed:
+    # every command's report in both formats must come out byte-identical
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    procs = []
+    for blas, hashseed in (("1", "0"), ("2", "1")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        procs.append(subprocess.Popen([sys.executable, "-c", _DIGEST_ALL_REPORTS], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    digests = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        codes, digest = json.loads(out)
+        assert codes == [0] * 10, codes
+        digests.append(digest)
+    assert digests[0] == digests[1], "reports differ between thread caps and hash seeds"
+    _ok(11, "byte-identical reports across thread caps and hash seeds")

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import kornlab
-from kornlab import cli
+from kornlab import cli, identities
+from kornlab.fields import UnderResolvedError
 
 
 def run_cli(capsys, argv):
@@ -268,12 +272,13 @@ def test_korn_report_bytes_match_the_generic_walk(capsys):
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "4"])
     assert code == 0
     cfg = cli.resolve_config(cli.build_parser().parse_args(["korn", "--kmax", "4"]))
-    results, errors = cli.run_korn(cfg)
+    results, checks = cli.run_korn(cfg)
     assert isinstance(results["entries"], cli.KornEntries)
     results["entries"] = [[int(k1), int(k2), int(k3), lam]
                           for k1, k2, k3, lam in results["entries"]]
     assert len(results["entries"]) == 729
-    assert out == cli._render("korn", cfg, results, errors)
+    assert all(holds for _, holds in checks)
+    assert out == cli._render("korn", cfg, results, [])
 
 
 def test_korn_csv_format(capsys):
@@ -360,6 +365,163 @@ def test_errors_go_to_stderr_in_every_format(monkeypatch, capsys):
     assert code == 1 and _stderr_errors(csv_err) == [error]
     code, _, err = run_cli(capsys, ["korn", "--kmax", "2", "--format", "csv"])
     assert code == 0 and _stderr_errors(err) == []
+
+
+# ----------------------------------------------------------------------------
+# one corruption case per check: each patches the call its row guards
+
+
+def _raising(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return lambda real: fake
+
+
+def _returning(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _replacing(**changes):
+    """The real call with fields of its dataclass result replaced."""
+    return lambda real: lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs),
+                                                                    **changes)
+
+
+def _one_identity(residual):
+    return _returning([identities.IdentityResult("planted", 10, residual,
+                                                 identities.ALGEBRA_TOL)])
+
+
+def _scaled_multiplier(factor):
+    """M(xi) times factor(|xi|): the identity sees |xi| = 1, the homogeneity |xi| = 2 too."""
+    return lambda real: lambda xi: real(xi) * factor(np.linalg.norm(xi, axis=-1))[..., None, None]
+
+
+def _last_korn_entry(update):
+    """The scan with the lambda of its last entry, k = (kmax, kmax, kmax), updated."""
+    def wrap(real):
+        def fake(kmax):
+            report = real(kmax)
+            entries = report.entries.copy()
+            entries[-1, 3] = update(entries[-1, 3])
+            return dataclasses.replace(report, entries=entries)
+        return fake
+    return wrap
+
+
+_IDENTITY = "identity %s exceeded tolerance (%.3e >= %.3e)"
+_DIMENSION = "kernel dimension of the devsym curl symbol left 4"
+_MULTIPLIER = "multiplier identity M(xi) A(xi) = A_sym(xi) violated"
+_HOMOGENEITY = "multiplier homogeneity violated"
+_EQUIVALENCE = "equivalence_constant: %s"
+_INTERVAL = "per-frequency minimum left the interval (0, 1]"
+_CLOSED_FORM = ("%d per-frequency minima differ from the closed form "
+                "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
+                "worst at k = (%d, %d, %d): %.17g against %.17g")
+_TAIL = "outermost frequency shell attains the minimum (scan radius too small)"
+_GROWTH = "growth ratio k=%d: %s"
+_HALFSPACE = "halfspace ratio k=%d: %s"
+_SPHERE = "random spherical 12-point cloud is not rigid (rank != 10)"
+_DEGENERATE = "degenerate configuration (circle/line) reported as rigid"
+_RECOVERY = "exact kernel sample was not recovered by projection"
+_NON_FINITE = "%d non-finite values in the results are written as null"
+
+# rows that a clean run at the defaults does not return: the three raised
+# on an exception and main's count of non-finite values
+_NOT_RETURNED_WHEN_CLEAN = {_EQUIVALENCE, _GROWTH, _HALFSPACE, _NON_FINITE}
+
+_SYMBOL = ["symbol", "--samples", "30"]
+_NAN = float("nan")
+
+CHECK_CASES = [
+    pytest.param(["identities"], _IDENTITY, "identities.run_all",
+                 _one_identity(identities.ALGEBRA_TOL), id="identity"),
+    pytest.param(["identities"], _IDENTITY, "identities.run_all", _one_identity(_NAN),
+                 id="identity-nan"),
+    pytest.param(_SYMBOL, _DIMENSION, "symbol.kernel_basis", _replacing(dimension=5),
+                 id="dimension"),
+    pytest.param(_SYMBOL, _MULTIPLIER, "symbol.build_multiplier",
+                 _scaled_multiplier(lambda r: np.full_like(r, 1.0 + 1e-9)), id="multiplier"),
+    pytest.param(_SYMBOL, _MULTIPLIER, "symbol.build_multiplier",
+                 _scaled_multiplier(lambda r: np.full_like(r, _NAN)), id="multiplier-nan"),
+    pytest.param(_SYMBOL, _HOMOGENEITY, "symbol.build_multiplier",
+                 _scaled_multiplier(lambda r: np.where(r > 1.5, 1.0 + 1e-9, 1.0)),
+                 id="homogeneity"),
+    pytest.param(_SYMBOL, _HOMOGENEITY, "symbol.build_multiplier",
+                 _scaled_multiplier(lambda r: np.where(r > 1.5, _NAN, 1.0)),
+                 id="homogeneity-nan"),
+    pytest.param(_SYMBOL, _EQUIVALENCE, "korn_estimator.equivalence_constant",
+                 _raising(RuntimeError("direction-dependent ratio")), id="equivalence"),
+    pytest.param(["korn"], _INTERVAL, "korn_estimator.korn_constant",
+                 _last_korn_entry(lambda lam: 1.5), id="interval"),
+    pytest.param(["korn"], _INTERVAL, "korn_estimator.korn_constant",
+                 _last_korn_entry(lambda lam: _NAN), id="interval-nan"),
+    pytest.param(["korn"], _CLOSED_FORM, "korn_estimator.korn_constant",
+                 _last_korn_entry(lambda lam: lam + 1e-9), id="closed-form"),
+    pytest.param(["korn"], _CLOSED_FORM, "korn_estimator.korn_constant",
+                 _last_korn_entry(lambda lam: _NAN), id="closed-form-nan"),
+    pytest.param(["korn"], _TAIL, "korn_estimator.korn_constant",
+                 _replacing(non_monotone_tail=True), id="tail"),
+    pytest.param(["counterexample"], _GROWTH, "growth_ratio",
+                 _raising(UnderResolvedError("planted")), id="growth"),
+    pytest.param(["counterexample"], _HALFSPACE, "halfspace_ratio",
+                 _raising(UnderResolvedError("planted")), id="halfspace"),
+    pytest.param(["kernel"], _SPHERE, "kernels.boundary_rank", _returning(9), id="sphere"),
+    pytest.param(["kernel"], _DEGENERATE, "kernels.boundary_rank", _returning(10),
+                 id="degenerate"),
+    pytest.param(["kernel"], _RECOVERY, "kernels.project_kernel", _replacing(residual=1e-7),
+                 id="recovery"),
+    pytest.param(["kernel"], _RECOVERY, "kernels.project_kernel", _replacing(residual=_NAN),
+                 id="recovery-nan"),
+    pytest.param(["kernel"], _NON_FINITE, "kernels.project_kernel", _replacing(cond=_NAN),
+                 id="non-finite"),
+]
+
+
+def _pattern(template):
+    """The messages a %-template formats, as a regular expression."""
+    return re.compile("(.+)".join(map(re.escape, re.split(r"%[.\d]*[sdeg]", template))))
+
+
+def _patch_cli_view(monkeypatch, target, fake):
+    """Replace what cli calls as target ("module.name" or a name of cli itself).
+
+    A module is replaced by a copy of its namespace, so library code that
+    calls the real name (sharp_ratio calls build_multiplier) is unaffected.
+    """
+    owner, _, name = target.rpartition(".")
+    if not owner:
+        monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+        return
+    module = getattr(cli, owner)
+    view = types.SimpleNamespace(**vars(module))
+    setattr(view, name, fake(getattr(module, name)))
+    monkeypatch.setattr(cli, owner, view)
+
+
+@pytest.mark.parametrize("argv, template, target, fake", CHECK_CASES)
+def test_each_check_names_its_corruption(monkeypatch, capsys, argv, template, target, fake):
+    _patch_cli_view(monkeypatch, target, fake)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    errors = json.loads(out)["errors"]
+    assert any(_pattern(template).fullmatch(e) for e in errors), errors
+    assert _stderr_errors(err) == errors
+
+
+def test_every_check_has_a_corruption_case():
+    # a clean run at the defaults returns each command's rows, all holding;
+    # a row whose message matches no template of the table has no case
+    templates = {case.values[1] for case in CHECK_CASES}
+    seen = set(_NOT_RETURNED_WHEN_CLEAN)
+    for command, run in cli.COMMANDS.items():
+        _, checks = run(cli.resolve_config(cli.build_parser().parse_args([command])))
+        for message, holds in checks:
+            assert holds, message
+            matched = [t for t in templates if _pattern(t).fullmatch(message)]
+            assert len(matched) == 1, "no corruption case for %r" % message
+            seen.add(matched[0])
+    assert seen == templates
 
 
 def test_counterexample_command(capsys):

@@ -504,6 +504,18 @@ def test_growth_ratio_other_exponent_and_box():
         growth_ratio(2, 0.5, wide)
 
 
+@pytest.mark.parametrize("e", [-1000, -530, 530, 1000])
+def test_growth_ratio_scales_exactly_on_tiny_and_huge_boxes(e):
+    # z -> 2^e z multiplies the quotient by 2^-e; squares and weight
+    # products of such nodes under- or overflow unless they are rescaled
+    unit = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
+    h = 2.0 ** e
+    box = BoxDomain(lo=(-h, -h, -1), hi=(h, h, 1))
+    for k in (1, 7, 40):
+        for p in (1, 2, 64):
+            assert growth_ratio(k, p, box) == growth_ratio(k, p, unit) * 2.0 ** -e, (k, p)
+
+
 def test_growth_ratio_large_exponent():
     # |z|^(k p) overflows a double for k*p beyond about 2000 on the unit
     # box; the ratio must stay above its floor k / max|z| = k / sqrt(2)
