@@ -32,7 +32,11 @@ less than 0.1% (capped at 1024 points per axis, then UnderResolvedError).
 An integrand that vanishes off a ball about the origin (the boundary layer
 of halfspace_ratio) is summed on each x3 plane only over the nodes of the
 disc's bounding square: the nodes left out contribute exact zeros, so the
-sum is the full tensor sum in another order.
+sum is the full tensor sum in another order.  Its integrands are also even
+in x2 and x3 (the witness Grams are diagonal, which halfspace_ratio checks
+on every call), so it sums only the quarter x2 > 0, x3 > 0 of the box with
+doubled weights: the mirrored nodes hold equal values, and again only the
+summation order changes.
 """
 
 import math
@@ -400,7 +404,7 @@ def _legendre(m):
     return rule
 
 
-def _box_sum(box, m, integrand, radius=None):
+def _box_sum(box, m, integrand, radius=None, even=()):
     """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
 
     integrand(X1 (m1, 1), X2 (1, m2), x3) returns values broadcasting to
@@ -411,8 +415,21 @@ def _box_sum(box, m, integrand, radius=None):
     radius^2 - x3^2, the bounding square of the plane's disc: the nodes
     left out contribute exact zeros, so only the summation order changes.
     The kept nodes are contiguous because Gauss-Legendre nodes are sorted.
+
+    Each axis in even must span an interval symmetric about 0, with m even,
+    and the integrand must take equal values at x and -x on it.  Such an
+    axis keeps only its m/2 positive nodes, at twice their weights: the
+    rule's nodes and weights are exact mirror images, so this too changes
+    only the summation order.
     """
-    (x1, w1), (x2, w2), (x3, w3) = (box.axis_rule(axis, m) for axis in range(3))
+    rules = [box.axis_rule(axis, m) for axis in range(3)]
+    for axis in even:
+        if m % 2 or box.lo[axis] != -box.hi[axis]:
+            raise ValueError("axis %d of %r cannot be folded at %d points"
+                             % (axis, (box.lo[axis], box.hi[axis]), m))
+        x, w = rules[axis]
+        rules[axis] = x[m // 2:], 2.0 * w[m // 2:]
+    (x1, w1), (x2, w2), (x3, w3) = rules
     total = 0.0
     for x3v, w3v in zip(x3, w3):
         if radius is None:
@@ -542,11 +559,23 @@ def halfspace_ratio(k, p):
     zero at r >= 2 (and exp(-1/(2 - r)) is already 0 within rounding of the
     edge), so both integrands vanish there for every p >= 1 and each x3
     plane is summed only inside the ball of radius 2.
+
+    The witness Grams are diagonal and t = (2, 0, 0), so both integrands
+    see x2 and x3 only through their squares: the sum folds both axes and
+    runs over the quarter x2 > 0, x3 > 0 of the box.  That is checked once
+    per call: a Gram with a nonzero off-diagonal entry or a t with a
+    nonzero x2 or x3 component raises RuntimeError instead of summing a
+    quarter of an integrand that is not even.
     """
     p = _check_exponent(p)
     if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
     gram_sym, gram_dev, t_sym = _witness_grams()
+    off = ~np.eye(3, dtype=bool)
+    if np.any(gram_sym[off] != 0.0) or np.any(gram_dev[off] != 0.0) or np.any(t_sym[1:] != 0.0):
+        raise RuntimeError("witness forms are not even in x2 and x3, so the half-space "
+                           "sum cannot be folded onto the quarter x2, x3 > 0")
+    d_sym, d_dev, t1 = np.diag(gram_sym), np.diag(gram_dev), t_sym[0]
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
     def integrands(X1, X2, x3):
@@ -554,25 +583,22 @@ def halfspace_ratio(k, p):
         g, gp = bump_profile(r)
         s = gp / np.maximum(r, 1e-300)
         s2 = s * s
-        dev_sq = s2 * _quadratic(gram_dev, X1, X2, x3)
-        sym_sq = (3.0 * g * g
-                  + (2.0 * g / k) * s * ((t_sym[0] * X1 + t_sym[2] * x3) + t_sym[1] * X2)
-                  + s2 * _quadratic(gram_sym, X1, X2, x3) / k ** 2)
+        dev_sq = s2 * _diagonal_form(d_dev, X1, X2, x3)
+        sym_sq = (3.0 * g * g + (2.0 * g / k) * s * (t1 * X1)
+                  + s2 * _diagonal_form(d_sym, X1, X2, x3) / k ** 2)
         return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
                                               dev_sq ** (p / 2.0) / k ** p])
 
     def compute(m):
-        num, den = _box_sum(box, m, integrands, radius=2.0) ** (1.0 / p)
+        num, den = _box_sum(box, m, integrands, radius=2.0, even=(1, 2)) ** (1.0 / p)
         return num / den
 
     return _resolve(compute)
 
 
-def _quadratic(G, X1, X2, x3):
-    """x^T G x for a symmetric G at x = (X1 (m1, 1), X2 (1, m2), x3) on the open grid."""
-    row = G[0, 0] * X1 ** 2 + 2.0 * G[0, 2] * x3 * X1 + G[2, 2] * x3 ** 2
-    col = G[1, 1] * X2 ** 2 + 2.0 * G[1, 2] * x3 * X2
-    return row + col + (2.0 * G[0, 1] * X1) * X2
+def _diagonal_form(d, X1, X2, x3):
+    """x^T diag(d) x at x = (X1 (m1, 1), X2 (1, m2), x3) on the open grid."""
+    return (d[0] * X1 ** 2 + d[2] * x3 ** 2) + d[1] * X2 ** 2
 
 
 # ----------------------------------------------------------------------------

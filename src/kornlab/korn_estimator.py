@@ -319,13 +319,14 @@ def equivalence_constant(samples=1000, seed=1):
     """Largest sym/devsym curl ratio over a sphere sample of directions.
 
     The ratio is direction independent; a spread above 1e-9 across the
-    sample means the symbol machinery is broken, so that is an error.
+    sample, or a NaN in it, means the symbol machinery is broken, so that
+    is an error.
     """
     dirs = sphere_directions(samples, seed)
     # stacked calls of at most 4096 directions: the multiplier stack and its
     # SVD workspace would otherwise grow without bound with --samples
     ratios = np.concatenate([sharp_ratio(dirs[i:i + 4096]) for i in range(0, samples, 4096)])
     spread = float(ratios.max() - ratios.min())
-    if spread > 1e-9:
+    if not spread <= 1e-9:
         raise RuntimeError("direction-dependent ratio (spread %.3e)" % spread)
     return float(ratios.max())

@@ -344,6 +344,20 @@ def test_symbol_names_a_failed_equivalence_constant(monkeypatch, capsys):
                                 "(spread 1.000e-03)"]
 
 
+def test_symbol_names_a_nan_direction(monkeypatch, capsys):
+    # one NaN ratio in the sphere sample is a failed equivalence check, not
+    # only a null in the results
+    from kornlab import korn_estimator
+    real = korn_estimator.sharp_ratio
+    monkeypatch.setattr(korn_estimator, "sharp_ratio",
+                        lambda xi: np.where(np.arange(len(xi)) == 0, np.nan, real(xi)))
+    code, out, _ = run_cli(capsys, ["symbol", "--samples", "30"])
+    assert code == 1
+    errors = json.loads(out)["errors"]
+    assert any(e.startswith("equivalence_constant: direction-dependent ratio") for e in errors), \
+        errors
+
+
 def _stderr_errors(err):
     prefix = "kornlab: error: "
     return [line[len(prefix):] for line in err.splitlines() if line.startswith(prefix)]

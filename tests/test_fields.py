@@ -582,6 +582,43 @@ def test_box_sum_on_the_support_of_a_ball():
         assert min(X1.size * X2.size for X1, X2, _ in seen) < m * m // 4
 
 
+def test_box_sum_folds_even_axes():
+    box = BoxDomain(lo=(-1.5, -2.0, -1.0), hi=(1.0, 2.0, 1.0))
+    radius = 1.7
+
+    def even(X1, X2, x3):
+        f = np.maximum(radius ** 2 - (X1 ** 2 + X2 ** 2 + x3 ** 2), 0.0) ** 2
+        return np.stack([f, f * np.exp(X1 - X2 ** 2) * np.cos(x3)])
+
+    for m in (16, 64):
+        for cut in (None, radius):
+            assert_allclose(fields._box_sum(box, m, even, radius=cut, even=(1, 2)),
+                            fields._box_sum(box, m, even, radius=cut),
+                            rtol=1e-15, atol=0.0, err_msg="m=%d radius=%r" % (m, cut))
+    lopsided = BoxDomain(lo=(-1.0, -2.0, -1.0), hi=(1.0, 1.5, 1.0))
+    with pytest.raises(ValueError):
+        fields._box_sum(lopsided, 16, even, even=(1,))
+    with pytest.raises(ValueError):
+        fields._box_sum(box, 15, even, even=(2,))
+
+
+@pytest.mark.parametrize("which, index", [(0, (1, 2)), (2, 2)], ids=["gram_sym", "t_sym"])
+def test_halfspace_ratio_refuses_forms_that_are_not_even(monkeypatch, which, index):
+    # the quarter-box sum is only the full sum when x2 and x3 enter squared;
+    # the planted entry makes the integrand odd in them, so summing a quarter
+    # would silently drop it
+    real = fields._witness_grams
+
+    def perturbed():
+        forms = [form.copy() for form in real()]
+        forms[which][index] = 1e-3
+        return tuple(forms)
+
+    monkeypatch.setattr(fields, "_witness_grams", perturbed)
+    with pytest.raises(RuntimeError, match="not even in x2 and x3"):
+        halfspace_ratio(2, 2.0)
+
+
 def _halfspace_full_planes(k, p):
     """halfspace_ratio as it was first written, the reference for the support sum.
 

@@ -208,6 +208,15 @@ def test_equivalence_constant_is_sqrt3():
             np.sqrt(3.0), abs=1e-11)
 
 
+def test_equivalence_constant_refuses_a_nan_direction(monkeypatch):
+    # NaN compares false with everything, so "spread > tol" would let it through
+    real = korn_estimator.sharp_ratio
+    monkeypatch.setattr(korn_estimator, "sharp_ratio",
+                        lambda xi: np.where(np.arange(len(xi)) == 0, np.nan, real(xi)))
+    with pytest.raises(RuntimeError, match="direction-dependent ratio"):
+        equivalence_constant(samples=30)
+
+
 def _record_lobpcg_iterations(monkeypatch):
     """Wrap korn_estimator.lobpcg; the list collects len(hist) - 2 per call."""
     real, used = korn_estimator.lobpcg, []
