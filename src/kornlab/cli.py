@@ -136,10 +136,9 @@ def to_csv(command, results):
                                              "true" if row["passed"] else "false"))
     elif command == "counterexample":
         lines.append("family,k,ratio")
-        for k, r in results["growth"]:
-            lines.append("growth,%d,%s" % (int(k), _fmt_float(r)))
-        for k, r in results["halfspace"]:
-            lines.append("halfspace,%d,%s" % (int(k), _fmt_float(r)))
+        for family in ("growth", "halfspace"):
+            for k, r in results[family]:
+                lines.append("%s,%d,%s" % (family, int(k), _fmt_float(r)))
     else:
         lines.append("key,value")
         def walk(prefix, value):
@@ -329,52 +328,43 @@ def run_korn(cfg):
 
 def run_counterexample(cfg):
     checks = []
-    box = BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])
-    growth = []
-    for k in range(1, cfg["kmax"] + 1):
-        try:
-            growth.append([k, growth_ratio(k, cfg["p"], box)])
-        except (UnderResolvedError, NonFiniteError) as exc:
-            checks.append(("growth ratio k=%d: %s" % (k, exc), False))
-            break
-    halfspace = []
-    k = 2
-    while k <= min(cfg["kmax"], 32):
-        try:
-            halfspace.append([k, halfspace_ratio(k, cfg["p"])])
-        except (UnderResolvedError, NonFiniteError) as exc:
-            checks.append(("halfspace ratio k=%d: %s" % (k, exc), False))
-            break
-        k *= 2
-    ratios = [r for _, r in growth]
+    p, box = cfg["p"], BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])
+    results = {"p": p, "box": list(cfg["box"]), "growth": [], "halfspace": []}
+    for family, ratio, ks in (
+            ("growth", lambda k: growth_ratio(k, p, box), range(1, cfg["kmax"] + 1)),
+            ("halfspace", lambda k: halfspace_ratio(k, p),
+             [k for k in (2, 4, 8, 16, 32) if k <= cfg["kmax"]])):
+        for k in ks:
+            try:
+                results[family].append([k, ratio(k)])
+            except (UnderResolvedError, NonFiniteError) as exc:
+                checks.append(("%s ratio k=%d: %s" % (family, k, exc), False))
+                break
+    ratios = [r for _, r in results["growth"]]
     monotone_from = 1
     for i in range(1, len(ratios)):
         if ratios[i] <= ratios[i - 1]:
             monotone_from = i + 2
-    results = {"p": cfg["p"], "box": list(cfg["box"]),
-               "growth": growth, "halfspace": halfspace,
-               "monotone_from": monotone_from}
+    results["monotone_from"] = monotone_from
     return results, checks
 
 
 def run_kernel(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    sphere_ranks = []
-    for _ in range(20):
-        pts = rng.standard_normal((12, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        sphere_ranks.append(kernels.boundary_rank(pts))
+    clouds = rng.standard_normal((20, 12, 3))
+    clouds /= np.linalg.norm(clouds, axis=-1, keepdims=True)
+    sphere_ranks = [kernels.boundary_rank(pts) for pts in clouds]
     th = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
     circle = np.stack([np.cos(th), 1.0 + np.sin(th), np.zeros_like(th)], axis=1)
     circle_rank = kernels.boundary_rank(circle)
-    line = np.array([[t, 0.5 * t, -0.25 * t] for t in np.linspace(-2, 2, 5)])
+    line = np.outer(np.linspace(-2, 2, 5), [1.0, 0.5, -0.25])
     line_rank = kernels.boundary_rank(line)
     element = kernels.KernelElement(a_tilde=rng.standard_normal(3),
                                     beta=float(rng.standard_normal()),
                                     b=rng.standard_normal(3),
                                     d=rng.standard_normal(3))
     pts = rng.standard_normal((14, 3))
-    mats = np.stack([kernels.eval_kernel(element, x) for x in pts])
+    mats = kernels.eval_kernel(element, pts)
     fit = kernels.project_kernel(pts, mats, "devsym")
     recovery = float(max(
         np.max(np.abs(fit.element.a_tilde - element.a_tilde)),
@@ -443,8 +433,8 @@ def main(argv=None):
         return 2
     # opened before the command runs, so that an unwritable path costs no run
     try:
-        sink = (open(cfg["out"], "w", encoding="utf-8", newline="") if cfg["out"]
-                else nullcontext(sys.stdout))
+        sink = (open(cfg["out"], "w", encoding="utf-8", newline="")
+                if cfg["out"] is not None else nullcontext(sys.stdout))
     except OSError as exc:
         print("kornlab: cannot write %s: %s" % (cfg["out"], exc.strerror or exc),
               file=sys.stderr)

@@ -33,10 +33,10 @@ An integrand that vanishes off a ball about the origin (the boundary layer
 of halfspace_ratio) is summed on each x3 plane only over the nodes of the
 disc's bounding square: the nodes left out contribute exact zeros, so the
 sum is the full tensor sum in another order.  Its integrands are also even
-in x2 and x3 (the witness Grams are diagonal, which halfspace_ratio checks
-on every call), so it sums only the quarter x2 > 0, x3 > 0 of the box with
-doubled weights: the mirrored nodes hold equal values, and again only the
-summation order changes.
+in x2 and x3 (the witness forms are closed-form diagonal constants, checked
+against the witness in the tests), so it sums only the quarter x2 > 0,
+x3 > 0 of the box with doubled weights: the mirrored nodes hold equal
+values, and again only the summation order changes.
 """
 
 import math
@@ -46,9 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import (EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp, tr,
-                       vec_norm)
-from .symbol import KernelWitness
+from .algebra3 import EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp, tr, vec_norm
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -519,14 +517,12 @@ def growth_ratio(k, p, box):
 def bump_profile(r):
     """Smooth radial cutoff: 1 on r <= 1, 0 on r >= 2, and its derivative."""
     r = np.asarray(r, dtype=float)
-    def h(t):
-        out = np.zeros_like(t)
-        m = t > 0
-        out[m] = np.exp(-1.0 / t[m])
-        return out
-    u, v = h(2.0 - r), h(r - 1.0)
-    den = np.maximum(u + v, 1e-300)
-    g = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, u / den))
+    # h(t) = exp(-1/t) for t > 0 and 0 otherwise: exp(-1e300) is exactly 0
+    u = np.exp(-1.0 / np.maximum(2.0 - r, 1e-300))
+    v = np.exp(-1.0 / np.maximum(r - 1.0, 1e-300))
+    # den stays above 0.27; u / u is exactly 1 at r <= 1, 0 / v exactly 0 at r >= 2
+    den = u + v
+    g = u / den
     mid = (r > 1.0) & (r < 2.0)
     # h'(t) = h(t) / t^2; off the open shell the quotients are discarded
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -534,14 +530,12 @@ def bump_profile(r):
     return g, gp
 
 
-def _witness_grams():
-    w = KernelWitness()
-    sym_imgs = sym(cross(w.p_hat, EYE3))      # sym(p_hat x e_j), stacked over j
-    dev_imgs = dev(sym_imgs)
-    gram_sym = np.real(np.einsum("jab,lab->jl", sym_imgs, sym_imgs.conj()))
-    gram_dev = np.real(np.einsum("jab,lab->jl", dev_imgs, dev_imgs.conj()))
-    t = np.imag(tr(sym_imgs))
-    return gram_sym, gram_dev, t
+# The witness forms of halfspace_ratio, in closed form: the Grams of the
+# maps x -> sym(p_hat x x) and x -> dev sym(p_hat x x) are diag(_GRAM_SYM)
+# and diag(_GRAM_DEV), and Im tr sym(p_hat x x) = _T1 * x1.
+_GRAM_SYM = (2.5, 1.5, 0.5)
+_GRAM_DEV = (7.0 / 6.0, 7.0 / 6.0, 0.5)
+_T1 = 2.0
 
 
 def halfspace_ratio(k, p):
@@ -560,22 +554,15 @@ def halfspace_ratio(k, p):
     edge), so both integrands vanish there for every p >= 1 and each x3
     plane is summed only inside the ball of radius 2.
 
-    The witness Grams are diagonal and t = (2, 0, 0), so both integrands
-    see x2 and x3 only through their squares: the sum folds both axes and
-    runs over the quarter x2 > 0, x3 > 0 of the box.  That is checked once
-    per call: a Gram with a nonzero off-diagonal entry or a t with a
-    nonzero x2 or x3 component raises RuntimeError instead of summing a
-    quarter of an integrand that is not even.
+    The witness Grams are the closed-form diagonal constants _GRAM_SYM and
+    _GRAM_DEV and t = (_T1, 0, 0), checked against the witness in the
+    tests, so both integrands see x2 and x3 only through their squares:
+    the sum folds both axes and runs over the quarter x2 > 0, x3 > 0 of
+    the box.
     """
     p = _check_exponent(p)
     if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
-    gram_sym, gram_dev, t_sym = _witness_grams()
-    off = ~np.eye(3, dtype=bool)
-    if np.any(gram_sym[off] != 0.0) or np.any(gram_dev[off] != 0.0) or np.any(t_sym[1:] != 0.0):
-        raise RuntimeError("witness forms are not even in x2 and x3, so the half-space "
-                           "sum cannot be folded onto the quarter x2, x3 > 0")
-    d_sym, d_dev, t1 = np.diag(gram_sym), np.diag(gram_dev), t_sym[0]
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
     def integrands(X1, X2, x3):
@@ -583,9 +570,9 @@ def halfspace_ratio(k, p):
         g, gp = bump_profile(r)
         s = gp / np.maximum(r, 1e-300)
         s2 = s * s
-        dev_sq = s2 * _diagonal_form(d_dev, X1, X2, x3)
-        sym_sq = (3.0 * g * g + (2.0 * g / k) * s * (t1 * X1)
-                  + s2 * _diagonal_form(d_sym, X1, X2, x3) / k ** 2)
+        dev_sq = s2 * _diagonal_form(_GRAM_DEV, X1, X2, x3)
+        sym_sq = (3.0 * g * g + (2.0 * g / k) * s * (_T1 * X1)
+                  + s2 * _diagonal_form(_GRAM_SYM, X1, X2, x3) / k ** 2)
         return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
                                               dev_sq ** (p / 2.0) / k ** p])
 

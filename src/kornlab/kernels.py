@@ -29,9 +29,10 @@ __all__ = [
 COND_LIMIT = 1e12
 RANK_TOL = 1e-8
 
-MIN_SAMPLES = {"sym": 6, "devsym": 10}
-# design columns of each family, in the parameter order (a_tilde, beta, b, d)
+# design columns of each family, in the parameter order (a_tilde, beta, b, d);
+# a fit needs at least as many samples as it has parameters
 _COLUMNS = {"sym": np.r_[0:3, 4:7], "devsym": np.arange(10)}
+MIN_SAMPLES = {space: cols.size for space, cols in _COLUMNS.items()}
 
 
 class TooFewSamplesError(ValueError):

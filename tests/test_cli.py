@@ -550,6 +550,22 @@ def test_counterexample_command(capsys):
     assert res["monotone_from"] == 1
 
 
+@pytest.mark.parametrize("failing, first, other, kept", [
+    ("growth", 1, "halfspace", [2, 4]),
+    ("halfspace", 2, "growth", [1, 2, 3, 4]),
+])
+def test_a_failing_family_does_not_stop_the_other(monkeypatch, capsys, failing, first, other,
+                                                  kept):
+    # each family breaks out of its own loop only
+    _patch_cli_view(monkeypatch, failing + "_ratio", _raising(UnderResolvedError("planted")))
+    code, out, _ = run_cli(capsys, ["counterexample"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["errors"] == ["%s ratio k=%d: planted" % (failing, first)]
+    assert report["results"][failing] == []
+    assert [k for k, _ in report["results"][other]] == kept
+
+
 def test_counterexample_overflow_prints_no_raw_warning():
     # |z|^2 overflows on a huge finite box: the quadrature's NaN is named in
     # the errors, and numpy's own RuntimeWarning lines stay off stderr
@@ -613,6 +629,20 @@ def test_unwritable_out_file_is_usage_error(tmp_path, capsys, monkeypatch):
     assert err == "kornlab: cannot write %s: No such file or directory\n" % target
     code, out, err = run_cli(capsys, ["korn", "--out", str(tmp_path)])
     assert code == 2 and err.startswith("kornlab: cannot write %s: " % tmp_path)
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_empty_out_path_is_usage_error(tmp_path, capsys, monkeypatch, form):
+    # an empty path is a path that cannot be written, not a request for stdout
+    monkeypatch.setitem(cli.COMMANDS, "kernel", lambda cfg: pytest.fail("command ran"))
+    argv = ["kernel", "--out", ""]
+    if form == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": ""}))
+        argv = ["kernel", "--config", str(config)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("kornlab: cannot write : ")
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kornlab import fields
+from kornlab.algebra3 import EYE3, cross, dev, sym, tr
 from kornlab.fields import (
     BadExponentError, BandTooWideError, BoxDomain, BoxField, CorruptFieldError,
     GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
@@ -17,6 +18,7 @@ from kornlab.fields import (
     halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited,
     random_scalar_bandlimited, random_vector_bandlimited, values,
 )
+from kornlab.symbol import KernelWitness
 
 RNG = np.random.default_rng(20240819)
 
@@ -602,21 +604,27 @@ def test_box_sum_folds_even_axes():
         fields._box_sum(box, 15, even, even=(2,))
 
 
-@pytest.mark.parametrize("which, index", [(0, (1, 2)), (2, 2)], ids=["gram_sym", "t_sym"])
-def test_halfspace_ratio_refuses_forms_that_are_not_even(monkeypatch, which, index):
-    # the quarter-box sum is only the full sum when x2 and x3 enter squared;
-    # the planted entry makes the integrand odd in them, so summing a quarter
-    # would silently drop it
-    real = fields._witness_grams
+def _witness_forms():
+    """The half-space witness forms, derived numerically from KernelWitness.
 
-    def perturbed():
-        forms = [form.copy() for form in real()]
-        forms[which][index] = 1e-3
-        return tuple(forms)
+    The Grams of x -> sym(p_hat x x) and x -> dev sym(p_hat x x), and the
+    vector t with t . x = Im tr sym(p_hat x x).
+    """
+    sym_imgs = sym(cross(KernelWitness().p_hat, EYE3))      # sym(p_hat x e_j), over j
+    dev_imgs = dev(sym_imgs)
+    gram_sym = np.real(np.einsum("jab,lab->jl", sym_imgs, sym_imgs.conj()))
+    gram_dev = np.real(np.einsum("jab,lab->jl", dev_imgs, dev_imgs.conj()))
+    return gram_sym, gram_dev, np.imag(tr(sym_imgs))
 
-    monkeypatch.setattr(fields, "_witness_grams", perturbed)
-    with pytest.raises(RuntimeError, match="not even in x2 and x3"):
-        halfspace_ratio(2, 2.0)
+
+def test_halfspace_forms_are_the_witness_forms():
+    # exact equality, off-diagonals included: zero off-diagonal entries and
+    # t2 = t3 = 0 make the integrands even in x2 and x3, which is what lets
+    # halfspace_ratio sum only the quarter x2, x3 > 0
+    gram_sym, gram_dev, t_sym = _witness_forms()
+    assert np.array_equal(gram_sym, np.diag(fields._GRAM_SYM))
+    assert np.array_equal(gram_dev, np.diag(fields._GRAM_DEV))
+    assert np.array_equal(t_sym, [fields._T1, 0.0, 0.0])
 
 
 def _halfspace_full_planes(k, p):
@@ -626,7 +634,7 @@ def _halfspace_full_planes(k, p):
     (3, m, m) and contracted with the witness Grams by einsum, on every
     node of every plane.
     """
-    gram_sym, gram_dev, t_sym = fields._witness_grams()
+    gram_sym, gram_dev, t_sym = _witness_forms()
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
     def integrands(X1, X2, x3):
