@@ -9,8 +9,7 @@ Conventions used throughout the package:
 * entries may be real or complex.  The only pairing is the bilinear
   (non-conjugated) one, ``dot``/``frob``; magnitudes are measured separately
   with the Hermitian norms ``vec_norm``/``mat_norm``,
-* ``cross(P, b, "right")`` is the row-wise matrix cross product P @ anti(b),
-  ``cross(P, b, "left")`` the column-wise anti(b) @ P, and
+* ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``.
 """
 
@@ -78,32 +77,25 @@ def axl(A):
     return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
 
 
-def cross(P, b, side="right"):
-    """Matrix cross product with a vector.
-
-    side="right": P x b, acting on rows (P @ anti(b)), each row crossed with b.
-    side="left":  b x P, acting on columns (anti(b) @ P).
+def cross(P, b):
+    """Matrix cross product P x b, acting on rows: P @ anti(b), each row crossed with b.
 
     Leading axes of P and b broadcast, so one call serves a single point,
-    a stack of frequencies or a whole grid of coefficients.  The right
-    product is written out component by component: on a 16^3 coefficient
-    grid that takes less than half the time of the batched 3x3 matmul, and it
-    keeps the left product an independent route for the identity checks.
+    a stack of frequencies or a whole grid of coefficients.  The product is
+    written out component by component: on a 16^3 coefficient grid that
+    takes less than half the time of the batched 3x3 matmul, and it leaves
+    the matmul an independent route for the identity checks.
     """
     P = np.asarray(P)
-    if side == "right":
-        b = np.asarray(b)[..., None, :]
-        P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
-        b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-        first = P2 * b3 - P3 * b2
-        out = np.empty(first.shape + (3,), first.dtype)
-        out[..., 0] = first
-        out[..., 1] = P3 * b1 - P1 * b3
-        out[..., 2] = P1 * b2 - P2 * b1
-        return out
-    if side == "left":
-        return anti(b) @ P
-    raise ValueError("side must be 'right' or 'left'")
+    b = np.asarray(b)[..., None, :]
+    P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    first = P2 * b3 - P3 * b2
+    out = np.empty(first.shape + (3,), first.dtype)
+    out[..., 0] = first
+    out[..., 1] = P3 * b1 - P1 * b3
+    out[..., 2] = P1 * b2 - P2 * b1
+    return out
 
 
 def sym(X):

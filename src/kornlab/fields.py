@@ -11,12 +11,16 @@ and grid samples are stored tensor-last: scalar fields have shape
 (n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).  Every
 pointwise operation is therefore a broadcast call into algebra3.
 
+Each field map is one table row that states its ranks: _OPS (the
+operators of apply_operator) and _PARTS (the slot-wise maps of
+pointwise_part) give, per name and input rank, the output rank and the map.
+
 A "real" tag is checked where coefficients enter: the GridField
 constructor, field_from_coef, field_from_samples, load_field and the
 random builders refuse coefficients that are not finite or not
 conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
-from fields (operators, parts, trace/axl/anti/spherical, + - and scalar *)
-keep that symmetry exactly, so they are built without a copy or a re-check.
+from fields (the table maps, + - and scalar *) keep that symmetry exactly,
+so they are built without a copy or a re-check.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
@@ -53,8 +57,7 @@ __all__ = [
     "NonFiniteError", "CorruptFieldError",
     "GridSpec", "GridField", "BoxDomain", "BoxField",
     "field_from_samples", "field_from_coef", "values",
-    "apply_operator", "pointwise_part", "field_trace", "field_axl", "field_anti",
-    "field_spherical",
+    "apply_operator", "pointwise_part",
     "magnitude", "lp_norm", "random_bandlimited", "random_vector_bandlimited",
     "random_scalar_bandlimited",
     "growth_ratio", "halfspace_ratio", "bump_profile",
@@ -66,9 +69,6 @@ QUAD_CAP = 1024
 QUAD_RTOL = 1e-3
 REALITY_TOL = 1e-12
 
-_OPS = ("grad", "div", "curl_vec", "curl_mat", "inc")
-_PARTS = {"transpose": tp, "sym": sym, "skew": skew, "dev": dev,
-          "devsym": lambda X: dev(sym(X))}
 _NORMS = (np.abs, vec_norm, mat_norm)       # pointwise Hermitian magnitude, by rank
 _STRUCTURES = ("general", "skew", "sym")
 
@@ -241,6 +241,21 @@ def _curl(coef, K):
     return -1j * cross(coef, K)
 
 
+_OPS = {    # name: {input rank: (output rank, map of coefficients c at frequencies K)}
+    "grad": {0: (1, lambda c, K: 1j * K * c[..., None]),
+             1: (2, lambda c, K: 1j * (c[..., :, None] * K[..., None, :]))},
+    "div": {1: (0, lambda c, K: 1j * dot(c, K))},
+    "curl_vec": {1: (1, lambda c, K: 1j * np.cross(K, c))},
+    "curl_mat": {2: (2, _curl)}, "inc": {2: (2, lambda c, K: _curl(tp(_curl(c, K)), K))},
+}
+_PARTS = {  # name: (input rank, output rank, slot-wise map)
+    "transpose": (2, 2, tp), "sym": (2, 2, sym), "skew": (2, 2, skew), "dev": (2, 2, dev),
+    "devsym": (2, 2, lambda X: dev(sym(X))), "trace": (2, 0, tr),
+    "axl": (2, 1, lambda X: axl(skew(X))), "anti": (1, 2, anti),
+    "spherical": (0, 2, lambda z: z[..., None, None] * EYE3),
+}
+
+
 def apply_operator(f, op):
     """Apply a differential operator spectrally.
 
@@ -251,65 +266,24 @@ def apply_operator(f, op):
     """
     if op not in _OPS:
         raise ValueError("unknown operator %r" % (op,))
-    K = _freq_grids(f.spec.n)
-    c = f.coef
-    if op == "grad":
-        if f.rank == 0:
-            out, rank = 1j * K * c[..., None], 1
-        elif f.rank == 1:
-            out, rank = 1j * (c[..., :, None] * K[..., None, :]), 2
-        else:
-            raise RankMismatchError("grad needs a scalar or vector field")
-    elif op == "div":
-        if f.rank != 1:
-            raise RankMismatchError("div needs a vector field")
-        out, rank = 1j * dot(c, K), 0
-    elif op == "curl_vec":
-        if f.rank != 1:
-            raise RankMismatchError("curl_vec needs a vector field")
-        out, rank = 1j * np.cross(K, c), 1
-    else:
-        if f.rank != 2:
-            raise RankMismatchError("%s needs a matrix field" % op)
-        out = _curl(tp(_curl(c, K)), K) if op == "inc" else _curl(c, K)
-        rank = 2
-    return _derived(f.spec, rank, out, f.reality)
+    rows = _OPS[op]
+    if f.rank not in rows:
+        raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
+    rank, fn = rows[f.rank]
+    return _derived(f.spec, rank, fn(f.coef, _freq_grids(f.spec.n)), f.reality)
 
 
 def pointwise_part(f, part):
-    """Slot-wise sym / skew / dev / devsym / transpose of a matrix field."""
-    if f.rank != 2:
-        raise RankMismatchError("pointwise parts need a matrix field")
+    """Slot-wise "transpose", "sym", "skew", "dev" or "devsym" (rank 2 -> 2), "trace"
+    (2 -> 0), "axl" (2 -> 1, axial vector of the skew part), "anti" (1 -> 2, a -> anti(a))
+    or "spherical" (0 -> 2, z -> z * id) of a field.
+    """
     if part not in _PARTS:
         raise ValueError("unknown pointwise part %r" % (part,))
-    return _derived(f.spec, 2, _PARTS[part](f.coef), f.reality)
-
-
-def field_trace(f):
-    if f.rank != 2:
-        raise RankMismatchError("trace needs a matrix field")
-    return _derived(f.spec, 0, tr(f.coef), f.reality)
-
-
-def field_axl(f):
-    """Axial vector of the skew part of a matrix field."""
-    if f.rank != 2:
-        raise RankMismatchError("axl needs a matrix field")
-    return _derived(f.spec, 1, axl(skew(f.coef)), f.reality)
-
-
-def field_anti(f):
-    """Embed a vector field a as the skew matrix field anti(a)."""
-    if f.rank != 1:
-        raise RankMismatchError("anti needs a vector field")
-    return _derived(f.spec, 2, anti(f.coef), f.reality)
-
-
-def field_spherical(f):
-    """Embed a scalar field z as the spherical matrix field z * id."""
-    if f.rank != 0:
-        raise RankMismatchError("spherical embedding needs a scalar field")
-    return _derived(f.spec, 2, f.coef[..., None, None] * EYE3, f.reality)
+    rank, out_rank, fn = _PARTS[part]
+    if f.rank != rank:
+        raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
+    return _derived(f.spec, out_rank, fn(f.coef), f.reality)
 
 
 def magnitude(f):
@@ -326,7 +300,7 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
         raise ValueError("unknown structure %r" % (structure,))
     coef = _bandlimited_coef(spec, seed, kmax, 2)
     if structure != "general":
-        coef = _PARTS[structure](coef)
+        coef = _PARTS[structure][2](coef)
     return GridField(spec, 2, coef, "real")
 
 

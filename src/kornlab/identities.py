@@ -283,7 +283,7 @@ def _i_double_cross_respects_split(d):
 
 
 def _i_left_right_transpose(d):
-    return rel(tp(cross(d.Pc, d.bc, side="left")), -cross(tp(d.Pc), d.bc, side="right"))
+    return rel(tp(anti(d.bc) @ d.Pc), -cross(tp(d.Pc), d.bc))
 
 
 def _i_rotation_equivariance(d):
@@ -373,7 +373,7 @@ def _s_curl_of_gradient(d):
 
 
 def _s_sym_of_curl_kernel(d):
-    f = fields.field_spherical(d.zeta) + fields.apply_operator(d.u, "grad")
+    f = fields.pointwise_part(d.zeta, "spherical") + fields.apply_operator(d.u, "grad")
     return fzero(fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "sym"), f)
 
 
@@ -388,43 +388,43 @@ def _s_inc_skew_gradient(d):
 
 
 def _s_curl_spherical(d):
-    lhs = fields.apply_operator(fields.field_spherical(d.zeta), "curl_mat")
-    rhs = (-1.0) * fields.field_anti(fields.apply_operator(d.zeta, "grad"))
+    lhs = fields.apply_operator(fields.pointwise_part(d.zeta, "spherical"), "curl_mat")
+    rhs = (-1.0) * fields.pointwise_part(fields.apply_operator(d.zeta, "grad"), "anti")
     return frel(lhs, rhs)
 
 
 def _s_curl_anti_field(d):
-    lhs = fields.apply_operator(fields.field_anti(d.u), "curl_mat")
-    rhs = fields.field_spherical(fields.apply_operator(d.u, "div")) \
+    lhs = fields.apply_operator(fields.pointwise_part(d.u, "anti"), "curl_mat")
+    rhs = fields.pointwise_part(fields.apply_operator(d.u, "div"), "spherical") \
         - fields.pointwise_part(fields.apply_operator(d.u, "grad"), "transpose")
     return frel(lhs, rhs)
 
 
 def _s_grad_axl_inversion(d):
     curl = fields.apply_operator(d.A, "curl_mat")
-    lhs = fields.apply_operator(fields.field_axl(d.A), "grad")
-    rhs = 0.5 * fields.field_spherical(fields.field_trace(curl)) \
+    lhs = fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad")
+    rhs = 0.5 * fields.pointwise_part(fields.pointwise_part(curl, "trace"), "spherical") \
         - fields.pointwise_part(curl, "transpose")
     return frel(lhs, rhs)
 
 
 def _s_trace_curl_sym(d):
     c = fields.apply_operator(d.S, "curl_mat")
-    return fzero(fields.field_trace(c), c)
+    return fzero(fields.pointwise_part(c, "trace"), c)
 
 
 def _s_inc_spherical(d):
-    lhs = fields.apply_operator(fields.field_spherical(d.zeta), "inc")
+    lhs = fields.apply_operator(fields.pointwise_part(d.zeta, "spherical"), "inc")
     grad = fields.apply_operator(d.zeta, "grad")
     hess = fields.apply_operator(grad, "grad")
-    lap = fields.field_trace(hess)
-    return frel(lhs, fields.field_spherical(lap) - hess)
+    lap = fields.pointwise_part(hess, "trace")
+    return frel(lhs, fields.pointwise_part(lap, "spherical") - hess)
 
 
 def _s_inc_anti(d):
-    lhs = fields.apply_operator(fields.field_anti(d.u), "inc")
-    rhs = (-1.0) * fields.field_anti(
-        fields.apply_operator(fields.apply_operator(d.u, "div"), "grad"))
+    lhs = fields.apply_operator(fields.pointwise_part(d.u, "anti"), "inc")
+    rhs = (-1.0) * fields.pointwise_part(
+        fields.apply_operator(fields.apply_operator(d.u, "div"), "grad"), "anti")
     return frel(lhs, rhs)
 
 
@@ -445,23 +445,26 @@ def _s_inc_transpose(d):
 
 def _s_trace_inc_curl_sym(d):
     c = fields.apply_operator(fields.apply_operator(d.S, "curl_mat"), "inc")
-    return fzero(fields.field_trace(c), c)
+    return fzero(fields.pointwise_part(c, "trace"), c)
 
 
 def _s_sym_grad_axl_chain(d):
     curl = fields.apply_operator(d.A, "curl_mat")
-    lhs = fields.pointwise_part(fields.apply_operator(fields.field_axl(d.A), "grad"), "sym")
-    rhs = 0.5 * fields.field_spherical(fields.field_trace(
-        fields.pointwise_part(curl, "sym"))) - fields.pointwise_part(curl, "sym")
+    lhs = fields.pointwise_part(
+        fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad"), "sym")
+    tr_sym_curl = fields.pointwise_part(fields.pointwise_part(curl, "sym"), "trace")
+    rhs = 0.5 * fields.pointwise_part(tr_sym_curl, "spherical") - fields.pointwise_part(curl, "sym")
     return frel(lhs, rhs)
 
 
 def _s_hessian_trace_chain(d):
     incdev = fields.apply_operator(
         fields.pointwise_part(fields.apply_operator(d.A, "curl_mat"), "devsym"), "inc")
-    t = fields.field_trace(fields.apply_operator(fields.field_axl(d.A), "grad"))
+    t = fields.pointwise_part(
+        fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad"), "trace")
     lhs = fields.apply_operator(fields.apply_operator(t, "grad"), "grad")
-    rhs = 1.5 * fields.field_spherical(fields.field_trace(incdev)) - 3.0 * incdev
+    tr_incdev = fields.pointwise_part(incdev, "trace")
+    rhs = 1.5 * fields.pointwise_part(tr_incdev, "spherical") - 3.0 * incdev
     return frel(lhs, rhs)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import EYE3, anti, cross, dev, dot, mat_norm, sym
+from .algebra3 import EYE3, anti, cross, dev, dot, mat_norm, sym, vec_norm
 
 __all__ = [
     "ZeroFrequencyError", "TOL_KERNEL",
@@ -101,7 +101,7 @@ def build_multiplier(xi):
     in it raises ZeroFrequencyError.
     """
     xi = np.asarray(xi)
-    if np.any(np.sqrt(np.sum(np.abs(xi) ** 2, axis=-1)) <= 1e-12):
+    if np.any(vec_norm(xi) <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
     q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=TOL_KERNEL)
     return curl_symbol(xi, "sym") @ q

@@ -47,10 +47,7 @@ def test_axl_rejects_non_skew():
 def test_cross_sides():
     P = RNG.standard_normal((3, 3))
     b = RNG.standard_normal(3)
-    assert_allclose(cross(P, b, "right"), P @ anti(b))
-    assert_allclose(cross(P, b, "left"), anti(b) @ P)
-    with pytest.raises(ValueError):
-        cross(P, b, side="up")
+    assert_allclose(cross(P, b), P @ anti(b))
 
 
 def test_cross_rowwise_meaning():

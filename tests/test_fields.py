@@ -13,8 +13,7 @@ from kornlab.fields import (
     BadExponentError, BandTooWideError, BoxDomain, BoxField, CorruptFieldError,
     GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
     apply_operator,
-    bump_profile, dump_field, field_anti, field_axl, field_from_coef,
-    field_from_samples, field_spherical, field_trace, growth_ratio,
+    bump_profile, dump_field, field_from_coef, field_from_samples, growth_ratio,
     halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited,
     random_scalar_bandlimited, random_vector_bandlimited, values,
 )
@@ -111,9 +110,10 @@ def test_coefficients_are_frozen():
     P = random_bandlimited(spec, 1, 1)
     u = random_vector_bandlimited(spec, 1, 1)
     derived = [apply_operator(P, "inc"), apply_operator(u, "grad"),
-               apply_operator(f, "grad"), P + P, P - P, 2.0 * P, 1j * P,
-               field_trace(P), field_axl(P), field_anti(u), field_spherical(f)]
-    derived += [pointwise_part(P, part) for part in fields._PARTS]
+               apply_operator(f, "grad"), P + P, P - P, 2.0 * P, 1j * P]
+    by_rank = (f, u, P)
+    derived += [pointwise_part(by_rank[rank], part)
+                for part, (rank, _, _) in fields._PARTS.items()]
     for g in derived:
         with pytest.raises(ValueError):
             g.coef[(0,) * g.coef.ndim] = 1.0
@@ -134,20 +134,20 @@ def test_derived_fields_stay_exactly_conjugate_symmetric(n):
     f, g = ({rank: field_from_samples(spec, rank, rng.standard_normal(fields._coef_shape(rank, n)))
              for rank in (0, 1, 2)} for _ in range(2))
     assert all(_asymmetry(h) == 0.0 for h in (*f.values(), *g.values()))
-    ranks = {"grad": (0, 1), "div": (1,), "curl_vec": (1,)}
     derived = {}
-    for op in fields._OPS:
-        for rank in ranks.get(op, (2,)):
+    for op, rows in fields._OPS.items():
+        for rank in rows:
             derived["%s of rank %d" % (op, rank)] = apply_operator(f[rank], op)
-    for part in fields._PARTS:
-        derived[part] = pointwise_part(f[2], part)
-    derived.update(trace=field_trace(f[2]), axl=field_axl(pointwise_part(f[2], "skew")),
-                   anti=field_anti(f[1]), spherical=field_spherical(f[0]))
+    for part, (rank, _, _) in fields._PARTS.items():
+        derived[part] = pointwise_part(f[rank], part)
     for rank in (0, 1, 2):
         derived["sum of rank %d" % rank] = f[rank] + g[rank]
         derived["difference of rank %d" % rank] = f[rank] - g[rank]
         derived["scalar multiple of rank %d" % rank] = -2.75 * f[rank]
     for name, h in derived.items():
+        # derived fields skip the constructor's shape check: each map's
+        # declared output rank must match the coefficients it builds
+        assert h.coef.shape == fields._coef_shape(h.rank, n), name
         assert h.reality == "real", name
         assert _asymmetry(h) == 0.0, name
 
@@ -233,7 +233,7 @@ def test_operator_rank_checks():
         apply_operator(scal, "div")
     with pytest.raises(RankMismatchError):
         apply_operator(vec, "curl_mat")
-    with pytest.raises(RankMismatchError):
+    with pytest.raises(RankMismatchError, match="grad needs a field of rank 0 or 1"):
         apply_operator(mat, "grad")
     with pytest.raises(RankMismatchError):
         apply_operator(mat, "curl_vec")
@@ -293,20 +293,21 @@ def test_trace_axl_anti_spherical():
     spec = GridSpec(8)
     u = random_vector_bandlimited(spec, 4, 2)
     z = random_scalar_bandlimited(spec, 4, 2)
-    assert_allclose(values(field_axl(field_anti(u))), values(u), atol=1e-12)
-    assert_allclose(values(field_trace(field_spherical(z))), 3.0 * values(z),
+    assert_allclose(values(pointwise_part(pointwise_part(u, "anti"), "axl")), values(u),
                     atol=1e-12)
-    sph = values(field_spherical(z))
+    sph = pointwise_part(z, "spherical")
+    assert_allclose(values(pointwise_part(sph, "trace")), 3.0 * values(z), atol=1e-12)
+    sph = values(sph)
     assert_allclose(sph[..., 0, 1], 0.0, atol=1e-13)
     assert_allclose(sph[..., 0, 0], values(z), atol=1e-12)
     with pytest.raises(RankMismatchError):
-        field_axl(u)
+        pointwise_part(u, "axl")
     with pytest.raises(RankMismatchError):
-        field_anti(z)
+        pointwise_part(z, "anti")
     with pytest.raises(RankMismatchError):
-        field_spherical(u)
+        pointwise_part(u, "spherical")
     with pytest.raises(RankMismatchError):
-        field_trace(z)
+        pointwise_part(z, "trace")
 
 
 # ----------------------------------------------------------------------------
