@@ -61,29 +61,18 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
-class KornEntries:
-    """The korn table: a float array of rows (k1, k2, k3, lambda_min).
-
-    Iterating gives the rows as [k1, k2, k3, lambda] lists of Python floats.
-    to_json writes each row with one format instead of the recursive walk,
-    which would cost more than the scan itself; the bytes are those of the
-    same rows as [int, int, int, float] lists.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __iter__(self):
-        # a block at a time: the whole table as lists would hold about
-        # 180 bytes a row, more than the rendered text
-        for i in range(0, len(self.rows), 4096):
-            yield from self.rows[i:i + 4096].tolist()
+def _rows(table):
+    """The rows of a 2-D array as lists of Python floats."""
+    # a block at a time: the whole table as lists would hold about 180 bytes
+    # a row, more than the rendered text
+    for i in range(0, len(table), 4096):
+        yield from table[i:i + 4096].tolist()
 
 
 def _nulled(value, found):
     """The results tree with each non-finite float replaced by None; each is appended to found."""
-    if isinstance(value, KornEntries) and not np.isfinite(value.rows).all():
-        value = [[int(k1), int(k2), int(k3), lam] for k1, k2, k3, lam in value]
+    if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _nulled(v, found) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -96,9 +85,6 @@ def _nulled(value, found):
 
 def to_json(obj):
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant digits."""
-    if isinstance(obj, KornEntries):
-        return "[" + ",".join(["[%d,%d,%d,%s]" % (k1, k2, k3, _fmt_float(lam))
-                               for k1, k2, k3, lam in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -116,7 +102,16 @@ def to_json(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist())
+        # a 2-D float table (the korn entries): one "%.17g" row format, filled
+        # a block of rows at a time, instead of the recursive walk, which would
+        # cost more than the scan itself (row by row, the scan's peak RSS rose);
+        # integral floats print as integers, so the bytes are the walk's
+        if not np.isfinite(obj).all():
+            raise ValueError("refusing to serialize a non-finite float")
+        row = "[" + ",".join(["%.17g"] * obj.shape[1]) + "]"
+        blocks = (obj[i:i + 4096] for i in range(0, len(obj), 4096))
+        return "[" + ",".join([",".join([row] * len(b)) % tuple(b.ravel().tolist())
+                               for b in blocks]) + "]"
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -125,7 +120,8 @@ def to_csv(command, results):
     lines = []
     if command == "korn":
         lines.append("k1,k2,k3,lambda_min")
-        for k1, k2, k3, lam in results["entries"]:
+        entries = results["entries"]
+        for k1, k2, k3, lam in _rows(entries) if isinstance(entries, np.ndarray) else entries:
             lines.append("%d,%d,%d,%s" % (int(k1), int(k2), int(k3), _fmt_float(lam)))
     elif command == "identities":
         lines.append("name,samples,max_residual,tolerance,passed")
@@ -252,7 +248,7 @@ def run_identities(cfg):
              "tolerance": res.tolerance, "passed": res.passed} for res in suite]
     checks = [("identity %s exceeded tolerance (%.3e >= %.3e)"
                % (res.name, res.max_residual, res.tolerance), res.passed) for res in suite]
-    return {"suite": rows, "tolerances": identities.tolerance_table()}, checks
+    return {"suite": rows, "tolerances": {res.name: res.tolerance for res in suite}}, checks
 
 
 def run_symbol(cfg):
@@ -321,7 +317,7 @@ def run_korn(cfg):
         "tail_min": report.tail_min,
         "non_monotone_tail": report.non_monotone_tail,
         "convention": report.convention,
-        "entries": KornEntries(report.entries),
+        "entries": report.entries,
     }
     return results, checks
 
@@ -408,7 +404,7 @@ def build_parser():
     parser.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--box", type=str, default=None,
-                        help="x0,y0,z0,x1,y1,z1")
+                        help="--box=x0,y0,z0,x1,y1,z1 (keep the '=' when x0 is negative)")
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--config", type=str, default=None,

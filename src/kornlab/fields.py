@@ -16,8 +16,8 @@ operators of apply_operator) and _PARTS (the slot-wise maps of
 pointwise_part) give, per name and input rank, the output rank and the map.
 
 A "real" tag is checked where coefficients enter: the GridField
-constructor, field_from_coef, field_from_samples, load_field and the
-random builders refuse coefficients that are not finite or not
+constructor, field_from_coef, field_from_samples, load_field and
+random_bandlimited refuse coefficients that are not finite or not
 conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
 from fields (the table maps, + - and scalar *) keep that symmetry exactly,
 so they are built without a copy or a re-check.
@@ -58,8 +58,7 @@ __all__ = [
     "GridSpec", "GridField", "BoxDomain", "BoxField",
     "field_from_samples", "field_from_coef", "values",
     "apply_operator", "pointwise_part",
-    "magnitude", "lp_norm", "random_bandlimited", "random_vector_bandlimited",
-    "random_scalar_bandlimited",
+    "magnitude", "lp_norm", "random_bandlimited",
     "growth_ratio", "halfspace_ratio", "bump_profile",
     "dump_field", "load_field",
 ]
@@ -70,7 +69,8 @@ QUAD_RTOL = 1e-3
 REALITY_TOL = 1e-12
 
 _NORMS = (np.abs, vec_norm, mat_norm)       # pointwise Hermitian magnitude, by rank
-_STRUCTURES = ("general", "skew", "sym")
+_STRUCTURES = {"scalar": (0, None), "vector": (1, None),     # name: (rank, part or None)
+               "general": (2, None), "sym": (2, "sym"), "skew": (2, "skew")}
 
 
 class RankMismatchError(ValueError):
@@ -292,24 +292,18 @@ def magnitude(f):
 
 
 def random_bandlimited(spec, seed, kmax, structure="general"):
-    """Deterministic random real matrix field with |k|_inf <= kmax.
+    """Deterministic random real field with |k|_inf <= kmax.
 
-    structure: "general", "skew" or "sym", imposed slot-wise.
+    structure: "scalar", "vector", or a matrix field that is "general",
+    "sym" or "skew", imposed slot-wise.
     """
     if structure not in _STRUCTURES:
         raise ValueError("unknown structure %r" % (structure,))
-    coef = _bandlimited_coef(spec, seed, kmax, 2)
-    if structure != "general":
-        coef = _PARTS[structure][2](coef)
-    return GridField(spec, 2, coef, "real")
-
-
-def random_vector_bandlimited(spec, seed, kmax):
-    return GridField(spec, 1, _bandlimited_coef(spec, seed, kmax, 1), "real")
-
-
-def random_scalar_bandlimited(spec, seed, kmax):
-    return GridField(spec, 0, _bandlimited_coef(spec, seed, kmax, 0), "real")
+    rank, part = _STRUCTURES[structure]
+    coef = _bandlimited_coef(spec, seed, kmax, rank)
+    if part is not None:
+        coef = _PARTS[part][2](coef)
+    return GridField(spec, rank, coef, "real")
 
 
 def _bandlimited_coef(spec, seed, kmax, rank):
@@ -331,15 +325,21 @@ def _bandlimited_coef(spec, seed, kmax, rank):
 def lp_norm(f, p):
     """L^p norm of the pointwise Hermitian magnitude.
 
-    Periodic fields use the uniform grid weight (2*pi/n)^3; box fields use
-    the resolved Gauss-Legendre rule of their domain.
+    Periodic fields use the uniform grid weight (2*pi/n)^3, and the
+    magnitude is divided by its maximum before the power, so that neither
+    underflows to 0 nor overflows to inf at large p; box fields use the
+    resolved Gauss-Legendre rule of their domain.
     """
     p = _check_exponent(p)
     if isinstance(f, BoxField):
         power = lambda X1, X2, x3: np.asarray(f.magnitude(X1, X2, x3), dtype=float) ** p
         return _resolve(lambda m: _box_sum(f.box, m, power) ** (1.0 / p))
+    mag = magnitude(f)
+    top = float(mag.max())
+    if top == 0.0:
+        return 0.0
     w = (2.0 * np.pi / f.spec.n) ** 3
-    return float((np.sum(magnitude(f) ** p) * w) ** (1.0 / p))
+    return top * float((np.sum((mag / top) ** p) * w) ** (1.0 / p))
 
 
 # ----------------------------------------------------------------------------
@@ -614,7 +614,8 @@ def load_field(path):
     if len(raw) != need:
         raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"
                                 % (len(raw), rank, n, need))
-    coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
+    with np.errstate(invalid="ignore"):     # a signalling NaN warns as it widens
+        coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
     try:
         return GridField(spec, rank, coef, reality)
     except ValueError as exc:

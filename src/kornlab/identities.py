@@ -22,7 +22,7 @@ from .algebra3 import (EYE3, anti, axl, cross, dev, dot, frob, mat_norm,
 from .symbol import apply_symbol, curl_symbol
 
 __all__ = ["IdentityResult", "ALGEBRA_TOL", "SPECTRAL_TOL",
-           "run_algebra", "run_spectral", "run_all", "tolerance_table"]
+           "run_algebra", "run_spectral", "run_all"]
 
 ALGEBRA_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
@@ -359,8 +359,8 @@ def _spectral_data(n, seed):
     spec = fields.GridSpec(n)
     kmax = n // 4
     d = SimpleNamespace(spec=spec, kmax=kmax, seed=seed)
-    d.zeta = fields.random_scalar_bandlimited(spec, seed + 11, kmax)
-    d.u = fields.random_vector_bandlimited(spec, seed + 12, kmax)
+    d.zeta = fields.random_bandlimited(spec, seed + 11, kmax, "scalar")
+    d.u = fields.random_bandlimited(spec, seed + 12, kmax, "vector")
     d.P = fields.random_bandlimited(spec, seed + 13, kmax, "general")
     d.S = fields.random_bandlimited(spec, seed + 14, kmax, "sym")
     d.A = fields.random_bandlimited(spec, seed + 15, kmax, "skew")
@@ -517,9 +517,3 @@ def run_spectral(n=16, seed=1, draws=3):
 
 def run_all(samples=1000, seed=1, n=16):
     return run_algebra(samples, seed) + run_spectral(n, seed)
-
-
-def tolerance_table():
-    table = {name: ALGEBRA_TOL for name, _ in ALGEBRA}
-    table.update({name: SPECTRAL_TOL for name, _ in SPECTRAL})
-    return table

@@ -50,6 +50,17 @@ def test_to_json_rejects_non_finite():
         cli.to_json(float("nan"))
     with pytest.raises(ValueError):
         cli.to_json({"x": float("inf")})
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.to_json(np.array([[0.0, 1.0], [2.0, np.nan]]))
+
+
+def test_to_json_table_matches_the_walk():
+    # a 2-D array is written block by block, 4096 rows at a time, with the
+    # bytes of the recursive walk over its rows
+    table = np.random.default_rng(5).standard_normal((4097, 4))
+    table[:, :3] = np.round(8.0 * table[:, :3])
+    assert cli.to_json(table) == cli.to_json(table.tolist())
+    assert cli.to_json(np.zeros((0, 4))) == "[]"
 
 
 def test_to_csv_korn_layout():
@@ -273,7 +284,7 @@ def test_korn_report_bytes_match_the_generic_walk(capsys):
     assert code == 0
     cfg = cli.resolve_config(cli.build_parser().parse_args(["korn", "--kmax", "4"]))
     results, checks = cli.run_korn(cfg)
-    assert isinstance(results["entries"], cli.KornEntries)
+    assert isinstance(results["entries"], np.ndarray)
     results["entries"] = [[int(k1), int(k2), int(k3), lam]
                           for k1, k2, k3, lam in results["entries"]]
     assert len(results["entries"]) == 729
@@ -548,6 +559,14 @@ def test_counterexample_command(capsys):
     halfspace = dict((int(k), r) for k, r in res["halfspace"])
     assert sorted(halfspace) == [2, 4]
     assert res["monotone_from"] == 1
+
+
+def test_box_with_a_negative_first_coordinate(capsys):
+    # the "=" form: as a separate value, "-2,..." would be read as a flag
+    code, out, _ = run_cli(capsys, ["counterexample", "--kmax", "2", "--box=-2,-1,-1,1,1,1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["box"] == report["results"]["box"] == [-2, -1, -1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("failing, first, other, kept", [

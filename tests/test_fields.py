@@ -14,8 +14,7 @@ from kornlab.fields import (
     GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
     apply_operator,
     bump_profile, dump_field, field_from_coef, field_from_samples, growth_ratio,
-    halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited,
-    random_scalar_bandlimited, random_vector_bandlimited, values,
+    halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited, values,
 )
 from kornlab.symbol import KernelWitness
 
@@ -69,7 +68,7 @@ def test_real_tag_is_validated():
     # one non-finite coefficient fails the real tag closed; a complex tag
     # takes it as it is
     for bad in (np.nan, np.inf):
-        coef = random_scalar_bandlimited(spec, 1, 1).coef.copy()
+        coef = random_bandlimited(spec, 1, 1, "scalar").coef.copy()
         coef[1, 0, 0] = bad
         with pytest.raises(ValueError, match="not finite"):
             field_from_coef(spec, 0, coef, reality="real")
@@ -95,7 +94,7 @@ def test_field_arithmetic():
     assert_allclose(values(2.5 * f), 2.5 * values(f), atol=1e-12)
     assert (f + g).reality == "real"
     assert (1j * f).reality == "complex"
-    h = random_vector_bandlimited(spec, 1, 2)
+    h = random_bandlimited(spec, 1, 2, "vector")
     with pytest.raises(RankMismatchError):
         f + h
 
@@ -108,7 +107,7 @@ def test_coefficients_are_frozen():
     # derived fields keep their coefficients without a copy, frozen too,
     # including the transpose, which is a view of its input's coefficients
     P = random_bandlimited(spec, 1, 1)
-    u = random_vector_bandlimited(spec, 1, 1)
+    u = random_bandlimited(spec, 1, 1, "vector")
     derived = [apply_operator(P, "inc"), apply_operator(u, "grad"),
                apply_operator(f, "grad"), P + P, P - P, 2.0 * P, 1j * P]
     by_rank = (f, u, P)
@@ -226,8 +225,8 @@ def test_inc_is_curl_transpose_curl():
 
 def test_operator_rank_checks():
     spec = GridSpec(8)
-    scal = random_scalar_bandlimited(spec, 1, 2)
-    vec = random_vector_bandlimited(spec, 1, 2)
+    scal = random_bandlimited(spec, 1, 2, "scalar")
+    vec = random_bandlimited(spec, 1, 2, "vector")
     mat = random_bandlimited(spec, 1, 2)
     with pytest.raises(RankMismatchError):
         apply_operator(scal, "div")
@@ -286,13 +285,13 @@ def test_pointwise_parts():
     with pytest.raises(ValueError):
         pointwise_part(f, "hermitian")
     with pytest.raises(RankMismatchError):
-        pointwise_part(random_scalar_bandlimited(spec, 1, 2), "sym")
+        pointwise_part(random_bandlimited(spec, 1, 2, "scalar"), "sym")
 
 
 def test_trace_axl_anti_spherical():
     spec = GridSpec(8)
-    u = random_vector_bandlimited(spec, 4, 2)
-    z = random_scalar_bandlimited(spec, 4, 2)
+    u = random_bandlimited(spec, 4, 2, "vector")
+    z = random_bandlimited(spec, 4, 2, "scalar")
     assert_allclose(values(pointwise_part(pointwise_part(u, "anti"), "axl")), values(u),
                     atol=1e-12)
     sph = pointwise_part(z, "spherical")
@@ -328,10 +327,14 @@ def test_bandlimited_band_and_tag():
 
 def test_bandlimited_structures():
     spec = GridSpec(8)
-    V = values(random_bandlimited(spec, 2, 2, "skew"))
-    assert_allclose(V, -V.swapaxes(-1, -2), atol=1e-12)
-    V = values(random_bandlimited(spec, 2, 2, "sym"))
-    assert_allclose(V, V.swapaxes(-1, -2), atol=1e-12)
+    for structure, (rank, part) in fields._STRUCTURES.items():
+        f = random_bandlimited(spec, 2, 2, structure)
+        assert f.rank == rank and f.reality == "real"
+        V = values(f)
+        assert V.shape == (8, 8, 8) + (3,) * rank
+        if part is not None:
+            sign = {"sym": 1.0, "skew": -1.0}[part]
+            assert_allclose(V, sign * V.swapaxes(-1, -2), atol=1e-12)
     for structure in ("diagonal", "skew_plus_spherical"):
         with pytest.raises(ValueError):
             random_bandlimited(spec, 2, 2, structure)
@@ -351,7 +354,7 @@ def test_band_too_wide():
     with pytest.raises(BandTooWideError):
         random_bandlimited(spec, 1, 4)      # needs kmax <= n/2 - 1 = 3
     with pytest.raises(BandTooWideError):
-        random_scalar_bandlimited(spec, 1, -1)
+        random_bandlimited(spec, 1, -1, "scalar")
     random_bandlimited(spec, 1, 3)          # boundary value is fine
 
 
@@ -365,6 +368,17 @@ def test_lp_norm_constant_field():
     for p in (1.0, 2.0, 3.0, 64.0):
         assert lp_norm(f, p) == pytest.approx(2.5 * (2.0 * np.pi) ** (3.0 / p),
                                               rel=1e-12)
+
+
+def test_lp_norm_extreme_constants():
+    # the power of a tiny or huge magnitude neither underflows to 0 nor
+    # overflows to inf: the norm is exact up to rounding at every scale
+    spec = GridSpec(8)
+    for c in (1e-200, 1e-10, 2.5, 1e10, 1e200):
+        f = field_from_samples(spec, 0, np.full((8, 8, 8), c))
+        for p in (1.0, 2.0, 64.0):
+            assert lp_norm(f, p) == pytest.approx(c * (2.0 * np.pi) ** (3.0 / p), rel=1e-12)
+    assert lp_norm(field_from_samples(spec, 0, np.zeros((8, 8, 8))), 2.0) == 0.0
 
 
 def test_lp_norm_sine():
@@ -684,10 +698,8 @@ def test_halfspace_ratio_reference_values():
 
 def test_dump_load_roundtrip(tmp_path):
     spec = GridSpec(8)
-    for rank, maker in ((0, random_scalar_bandlimited),
-                        (1, random_vector_bandlimited),
-                        (2, random_bandlimited)):
-        f = maker(spec, 7, 3)
+    for rank, structure in enumerate(("scalar", "vector", "general")):
+        f = random_bandlimited(spec, 7, 3, structure)
         path = tmp_path / ("field_rank%d.bin" % rank)
         dump_field(f, path)
         g = load_field(path)
@@ -764,6 +776,22 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_field(path)
     path.write_bytes(good)
     assert load_field(path).rank == 2
+
+
+def test_load_takes_a_signalling_nan_without_a_warning(tmp_path):
+    # a float32 signalling NaN raises numpy's "invalid value" warning when it
+    # is widened; the real tag names it as non-finite, the complex tag keeps it
+    path = tmp_path / "f.bin"
+    payload = np.zeros(2 * 64, dtype="<u4")
+    payload[2] = 0x7FA00000
+    for reality, ok in (("real", False), ("complex", True)):
+        path.write_bytes(b"kornlab-field v1; rank=0; n=4; reality=%s\n" % reality.encode()
+                         + payload.tobytes())
+        if ok:
+            assert np.isnan(load_field(path).coef[0, 0, 1])
+        else:
+            with pytest.raises(CorruptFieldError, match="not finite"):
+                load_field(path)
 
 
 def _edit_payload(payload, index, add):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kornlab import identities
+from kornlab import cli, identities
 from kornlab.identities import (
     ALGEBRA_TOL, SPECTRAL_TOL, IdentityResult, rel, run_algebra, run_all,
-    run_spectral, tolerance_table, window,
+    run_spectral, window,
 )
 
 
@@ -65,8 +65,8 @@ def test_run_all_names_unique():
     assert len(names) == len(identities.ALGEBRA) + len(identities.SPECTRAL)
 
 
-def test_tolerance_table_covers_everything():
-    table = tolerance_table()
+def test_report_tolerances_cover_everything():
+    table = cli.run_identities({"samples": 100, "seed": 1, "grid_n": 8})[0]["tolerances"]
     for name, _ in identities.ALGEBRA:
         assert table[name] == ALGEBRA_TOL
     for name, _ in identities.SPECTRAL:
