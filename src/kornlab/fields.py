@@ -36,11 +36,12 @@ less than 0.1% (capped at 1024 points per axis, then UnderResolvedError).
 An integrand that vanishes off a ball about the origin (the boundary layer
 of halfspace_ratio) is summed on each x3 plane only over the nodes of the
 disc's bounding square: the nodes left out contribute exact zeros, so the
-sum is the full tensor sum in another order.  Its integrands are also even
-in x2 and x3 (the witness forms are closed-form diagonal constants, checked
-against the witness in the tests), so it sums only the quarter x2 > 0,
-x3 > 0 of the box with doubled weights: the mirrored nodes hold equal
-values, and again only the summation order changes.
+sum is the full tensor sum in another order.  An axis symmetric about 0 in
+which the integrand is even keeps its positive nodes at doubled weights
+(_rules): mirrored nodes hold equal values, so again only the order of the
+sum changes.  halfspace_ratio folds x2 and x3 (its witness forms are
+closed-form diagonal constants, checked against the witness in the tests);
+growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3.
 """
 
 import math
@@ -55,7 +56,7 @@ from .algebra3 import EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp,
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
     "NonFiniteError", "CorruptFieldError",
-    "GridSpec", "GridField", "BoxDomain", "BoxField",
+    "GridSpec", "GridField", "BoxDomain",
     "field_from_samples", "field_from_coef", "values",
     "apply_operator", "pointwise_part",
     "magnitude", "lp_norm", "random_bandlimited",
@@ -323,17 +324,13 @@ def _bandlimited_coef(spec, seed, kmax, rank):
 
 
 def lp_norm(f, p):
-    """L^p norm of the pointwise Hermitian magnitude.
+    """L^p norm of the pointwise Hermitian magnitude of a periodic field.
 
-    Periodic fields use the uniform grid weight (2*pi/n)^3, and the
-    magnitude is divided by its maximum before the power, so that neither
-    underflows to 0 nor overflows to inf at large p; box fields use the
-    resolved Gauss-Legendre rule of their domain.
+    The grid weight is (2*pi/n)^3, and the magnitude is divided by its
+    maximum before the power, so that neither underflows to 0 nor
+    overflows to inf at large p.
     """
     p = _check_exponent(p)
-    if isinstance(f, BoxField):
-        power = lambda X1, X2, x3: np.asarray(f.magnitude(X1, X2, x3), dtype=float) ** p
-        return _resolve(lambda m: _box_sum(f.box, m, power) ** (1.0 / p))
     mag = magnitude(f)
     top = float(mag.max())
     if top == 0.0:
@@ -376,6 +373,26 @@ def _legendre(m):
     return rule
 
 
+def _rules(box, m, axes, even):
+    """box.axis_rule(axis, m) for each of axes; those in even keep their m/2 positive nodes.
+
+    An axis in even must span an interval symmetric about 0, with m even, and
+    the integrand must be even in it.  Its nodes and weights are exact mirror
+    images, so the positive nodes at twice their weights change only the
+    summation order.
+    """
+    rules = []
+    for axis in axes:
+        x, w = box.axis_rule(axis, m)
+        if axis in even:
+            if m % 2 or box.lo[axis] != -box.hi[axis]:
+                raise ValueError("axis %d of %r cannot be folded at %d points"
+                                 % (axis, (box.lo[axis], box.hi[axis]), m))
+            x, w = x[m // 2:], 2.0 * w[m // 2:]
+        rules.append((x, w))
+    return rules
+
+
 def _box_sum(box, m, integrand, radius=None, even=()):
     """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
 
@@ -387,21 +404,9 @@ def _box_sum(box, m, integrand, radius=None, even=()):
     radius^2 - x3^2, the bounding square of the plane's disc: the nodes
     left out contribute exact zeros, so only the summation order changes.
     The kept nodes are contiguous because Gauss-Legendre nodes are sorted.
-
-    Each axis in even must span an interval symmetric about 0, with m even,
-    and the integrand must take equal values at x and -x on it.  Such an
-    axis keeps only its m/2 positive nodes, at twice their weights: the
-    rule's nodes and weights are exact mirror images, so this too changes
-    only the summation order.
+    The axes in even are folded onto their positive half (_rules).
     """
-    rules = [box.axis_rule(axis, m) for axis in range(3)]
-    for axis in even:
-        if m % 2 or box.lo[axis] != -box.hi[axis]:
-            raise ValueError("axis %d of %r cannot be folded at %d points"
-                             % (axis, (box.lo[axis], box.hi[axis]), m))
-        x, w = rules[axis]
-        rules[axis] = x[m // 2:], 2.0 * w[m // 2:]
-    (x1, w1), (x2, w2), (x3, w3) = rules
+    (x1, w1), (x2, w2), (x3, w3) = _rules(box, m, range(3), even)
     total = 0.0
     for x3v, w3v in zip(x3, w3):
         if radius is None:
@@ -419,17 +424,6 @@ def _inside(x, reach):
     """The slice of the sorted nodes x with x * x < reach."""
     idx = np.flatnonzero(x * x < reach)
     return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-
-
-@dataclass(frozen=True)
-class BoxField:
-    """Field on a box given by its pointwise magnitude |f|(x1, x2, x3).
-
-    magnitude must broadcast over open-grid arguments (m, 1), (1, m) and scalar.
-    """
-
-    box: BoxDomain
-    magnitude: object
 
 
 def _resolve(compute):
@@ -470,16 +464,18 @@ def growth_ratio(k, p, box):
     the quotient then carries a factor 1/s, and both scalings are exact in
     binary.  |z|^2 is scaled by its maximum on the rule before it is raised
     to the power j*p/2, so the powers stay in [0, 1] and cannot overflow at
-    large k*p.
+    large k*p.  |z|^2 is even in x1 and in x2, so each of them whose
+    interval is symmetric about 0 is folded onto its positive half (_rules).
     """
     p = _check_exponent(p)
     if operator.index(k) < 1:
         raise ValueError("k must be a positive integer")
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
     s = math.ldexp(0.5, math.frexp(max(map(abs, box.lo[:2] + box.hi[:2])))[1])
+    even = [axis for axis in (0, 1) if box.lo[axis] == -box.hi[axis]]
 
     def compute(m):
-        (x1, w1), (x2, w2) = (box.axis_rule(axis, m) for axis in (0, 1))
+        (x1, w1), (x2, w2) = _rules(box, m, (0, 1), even)
         r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
         top = r2.max()
         below, above = (r2 / top) ** powers @ (w2 / s) @ (w1 / s)

@@ -101,7 +101,9 @@ def frequency_form(k):
     At k = 0 the derivatives see nothing and the skew matrices are null
     directions of S*S; the estimate holds modulo them, so the form there is
     completed by _SKEW_FORM to exactly the identity.  A stack of frequencies
-    of shape (..., 3) gives a stack of forms.
+    of shape (..., 3) gives a stack of forms.  With t = |k|^2, S*S + C_k*C_k
+    has the exact spectrum lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4, 1 and
+    1 + t, each double, and t / 3 (proved in the tests in rational arithmetic).
     """
     k = np.asarray(k, dtype=float)
     c = curl_symbol(k, "devsym")
@@ -116,7 +118,8 @@ def lambda_min(k):
     k is one frequency or a stack of shape (..., 3); the values have shape
     (...) and the minimizers (..., 3, 3), from one stacked eigensolve of
     the completed forms.  At k = 0 the form is the identity: the value is
-    exactly 1 and the minimizer is the symmetric E11.
+    exactly 1 and the minimizer is the symmetric E11.  Elsewhere it is lambda_-
+    of frequency_form, least at |k| = 1: (3 - sqrt 5)/4, double, so c = sqrt(3 + sqrt 5).
     """
     k = np.asarray(k, dtype=float)
     w, v = np.linalg.eigh(frequency_form(k))
@@ -285,8 +288,8 @@ def grid_crosscheck(n):
     vec = _hartley(v[:, int(np.argmin(w))], n)
     resid = float(np.linalg.norm(_apply_fields(spec, vec) - lam_grid * vec)
                   / np.linalg.norm(vec))
-    # lam_grid is a Rayleigh quotient, so its error is bounded by resid^2
-    # over the spectral gap (about 0.1 here); 1e-4 keeps it below 1e-7.
+    # lam_grid is a Rayleigh quotient: its error is at most resid^2 over the spectral
+    # gap, exactly lambda_-(2) - lambda_-(1) = 0.1019...; 1e-4 keeps it below 1e-7.
     if not np.isfinite(lam_grid) or resid > 1e-4:
         # lobpcg returns its best iterate and cuts the history just after it,
         # so len(hist) - 2 is the iteration that made it; at the cap scipy

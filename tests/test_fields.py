@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from kornlab import fields
 from kornlab.algebra3 import EYE3, cross, dev, sym, tr
 from kornlab.fields import (
-    BadExponentError, BandTooWideError, BoxDomain, BoxField, CorruptFieldError,
+    BadExponentError, BandTooWideError, BoxDomain, CorruptFieldError,
     GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
     apply_operator,
     bump_profile, dump_field, field_from_coef, field_from_samples, growth_ratio,
@@ -453,41 +453,28 @@ def test_axis_rule_integrates_polynomials(monkeypatch):
     assert sizes and set(sizes.values()) == {1}, sizes
 
 
-def test_box_field_constant_norm():
-    box = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
-    bf = BoxField(box, lambda x1, x2, x3: 3.0 + 0.0 * x1 * x2)
-    for p in (1.0, 2.0, 5.0):
-        assert lp_norm(bf, p) == pytest.approx(3.0 * 8.0 ** (1.0 / p), rel=1e-10)
+def _drifting(m):
+    # the L^2 norm on the unit box of a field equal to m, the rule size:
+    # it depends on the rule size, so refinement never settles
+    return float(m)
 
 
 def test_under_resolved_error():
-    box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
-
-    def drifting(x1, x2, x3):
-        # depends on the rule size, so refinement never settles
-        return np.full((x1.shape[0], x2.shape[1]), float(x1.shape[0]))
-
     with pytest.raises(UnderResolvedError):
-        lp_norm(BoxField(box, drifting), 2.0)
+        fields._resolve(_drifting)
 
 
 def test_patched_quadrature_cap_takes_effect(monkeypatch):
     # the refinement loop reads QUAD_CAP when it runs, not when it is defined
     monkeypatch.setattr(fields, "QUAD_CAP", 128)
-    box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
-
-    def drifting(x1, x2, x3):
-        return np.full((x1.shape[0], x2.shape[1]), float(x1.shape[0]))
-
     with pytest.raises(UnderResolvedError, match="by 128 points/axis"):
-        lp_norm(BoxField(box, drifting), 2.0)
+        fields._resolve(_drifting)
 
 
 def test_non_finite_quadrature_is_an_error():
-    box = BoxDomain(lo=(0, 0, 0), hi=(1, 1, 1))
     for bad in (np.inf, np.nan):
         with pytest.raises(NonFiniteError):
-            lp_norm(BoxField(box, lambda x1, x2, x3, bad=bad: bad + 0.0 * x1 * x2), 2.0)
+            fields._resolve(lambda m, bad=bad: bad)
     assert issubclass(NonFiniteError, ArithmeticError)
 
 
@@ -531,6 +518,39 @@ def test_growth_ratio_scales_exactly_on_tiny_and_huge_boxes(e):
     for k in (1, 7, 40):
         for p in (1, 2, 64):
             assert growth_ratio(k, p, box) == growth_ratio(k, p, unit) * 2.0 ** -e, (k, p)
+
+
+def _growth_full_rule(k, p, box):
+    """growth_ratio summing every (x1, x2) node, the reference for the mirror fold."""
+    powers = np.array([k - 1, k])[:, None, None] * p / 2.0
+    s = math.ldexp(0.5, math.frexp(max(map(abs, box.lo[:2] + box.hi[:2])))[1])
+
+    def compute(m):
+        (x1, w1), (x2, w2) = (box.axis_rule(axis, m) for axis in (0, 1))
+        r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
+        top = r2.max()
+        below, above = (r2 / top) ** powers @ (w2 / s) @ (w1 / s)
+        return k / np.sqrt(top) * (below / above) ** (1.0 / p) / s
+
+    return fields._resolve(compute)
+
+
+def test_growth_ratio_matches_the_full_rule_reference(monkeypatch):
+    # each side returns its quotient at every level instead of the settled
+    # one; an axis symmetric about 0 is folded, which moves only the order
+    # of the sum, and a box symmetric in neither axis sums the same terms
+    monkeypatch.setattr(fields, "_resolve", lambda compute: [compute(m) for m in (16, 64, 256)])
+    boxes = {2: BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1)),
+             1: BoxDomain(lo=(-1.5, -0.5, 0.0), hi=(1.5, 2.0, 1.0)),
+             0: BoxDomain(lo=(-0.7, -0.3, -1.0), hi=(0.9, 1.3, 1.0))}
+    for folded, box in boxes.items():
+        for k in (1, 7, 40):
+            for p in (1, 2, 64):
+                got, want = growth_ratio(k, p, box), _growth_full_rule(k, p, box)
+                if folded:
+                    assert_allclose(got, want, rtol=4e-15, atol=0.0, err_msg=str((box, k, p)))
+                else:
+                    assert got == want, (k, p)
 
 
 def test_growth_ratio_large_exponent():

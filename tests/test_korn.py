@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,79 @@ def test_lambda_min_closed_form():
     assert lam.shape == K.shape[:-1] and m.shape == K.shape[:-1] + (3, 3)
     assert_allclose(lam, closed_form(K), rtol=0, atol=1e-12)
     assert lam[8, 8, 8] == 1.0                     # k = 0, exactly
+
+
+def _exact_form(k):
+    """Uncompleted form S*S + C_k*C_k of frequency_form at integer k, as 9x9 Fraction rows.
+
+    Columns j of S and C_k are sym E_j and dev sym(E_j x k) for the j-th
+    row-major unit matrix E_j, with the row-wise cross product; the curl
+    symbol's factor -i cancels in C_k*C_k, so the form is real.  No numpy.
+    """
+    k = [Fraction(c) for c in k]
+
+    def cross(u):
+        return [u[1] * k[2] - u[2] * k[1], u[2] * k[0] - u[0] * k[2], u[0] * k[1] - u[1] * k[0]]
+
+    def sym(X):
+        return [[(X[a][b] + X[b][a]) / 2 for b in range(3)] for a in range(3)]
+
+    def dev(X):
+        third = (X[0][0] + X[1][1] + X[2][2]) / 3
+        return [[X[a][b] - (third if a == b else 0) for b in range(3)] for a in range(3)]
+
+    s_cols, c_cols = [], []
+    for j in range(9):
+        e = [[Fraction(int(3 * a + b == j)) for b in range(3)] for a in range(3)]
+        s_cols.append(sum(sym(e), []))
+        c_cols.append(sum(dev(sym([cross(row) for row in e])), []))
+    return [[sum(x * y for x, y in zip(s_cols[i], s_cols[j]))
+             + sum(x * y for x, y in zip(c_cols[i], c_cols[j])) for j in range(9)]
+            for i in range(9)]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_frequency_form_spectrum_is_exact():
+    # With t = |k|^2 the uncompleted form has the eigenvalues lambda_-+ =
+    # (2 + t -+ sqrt(t^2 + 4)) / 4, the roots of 4 l^2 - 2 (2 + t) l + t, and
+    # 1 and 1 + t, each double, and t / 3.  Exact: m(Q_k) = 0 for the product
+    # m of those factors, and tr Q_k^j equals the multiset's power sums.  On
+    # the axis k = (s, 0, 0) the entries of m(Q_k) are polynomials of degree
+    # at most 10 in s, and the traces for j <= 4, which fix the
+    # multiplicities, of degree at most 8, so s = 0..10 proves both for
+    # every s; Q_Rk = (R x R) Q_k (R x R)^T carries them to every k.  So
+    # lambda_min = lambda_- at every k != 0, since lambda_- < min(1, t / 3).
+    eye = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
+
+    def poly(q, *coefs):           # coefs[0] * q + coefs[1] * id + ...
+        return [[coefs[0] * x + coefs[1] * (i == j) for j, x in enumerate(row)]
+                for i, row in enumerate(q)]
+
+    for k in [(s, 0, 0) for s in range(11)] + [(1, 2, 3), (2, -1, 5), (3, 3, 1)]:
+        t = Fraction(sum(c * c for c in k))
+        q = _exact_form(k)
+        quadratic = poly(_matmul(poly(q, 4, -2 * (2 + t)), q), 1, t)
+        m = quadratic
+        for factor in (poly(q, 1, -1), poly(q, 3, -t), poly(q, 1, -1 - t)):
+            m = _matmul(m, factor)
+        assert all(x == 0 for row in m for x in row), k
+        # power sums of the quadratic's roots by Newton's rule, then the rest
+        e1, e2 = (2 + t) / 2, t / 4
+        roots = [Fraction(2), e1]
+        power = q
+        for j in range(1, 10):
+            if j > 1:
+                roots.append(e1 * roots[-1] - e2 * roots[-2])
+                power = _matmul(power, q)
+            want = 2 * roots[j] + 2 + (t / 3) ** j + 2 * (1 + t) ** j
+            assert sum(power[i][i] for i in range(9)) == want, (k, j)
+        # kornlab's float form is this form, completed at k = 0 to the identity
+        exact = q if any(k) else eye
+        assert_allclose(frequency_form(k), [[float(x) for x in row] for row in exact],
+                        rtol=0, atol=1e-13 * (1 + float(t)), err_msg=str(k))
 
 
 def test_lambda_min_stack_matches_points():
