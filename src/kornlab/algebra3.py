@@ -10,7 +10,9 @@ Conventions used throughout the package:
   (non-conjugated) one, ``dot``/``frob``; magnitudes are measured separately
   with the Hermitian norms ``vec_norm``/``mat_norm``,
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
-  ``anti(a) @ b == np.cross(a, b)``.
+  ``anti(a) @ b == np.cross(a, b)``,
+* ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
+  matrices; a standard normal draw gives uniform random rotations.
 """
 
 from dataclasses import dataclass
@@ -213,13 +215,14 @@ def tangential_projector(nu):
     return EYE3 - nu[..., :, None] * nu[..., None, :]
 
 
-def random_rotation(rng):
-    """Uniform random rotation matrix drawn via a normalized quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+def random_rotation(q):
+    """Rotation matrices (..., 3, 3) of a (..., 4) stack of quaternions (w, x, y, z)."""
+    q = np.asarray(q, dtype=float)
+    # the length as a matmul inner product: on a stack it rounds as the 1-D
+    # np.linalg.norm of one quaternion does, where a sum over the axis need not
+    w, x, y, z = np.moveaxis(q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0]), -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))

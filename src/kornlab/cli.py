@@ -61,12 +61,14 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
-def _rows(table):
-    """The rows of a 2-D array as lists of Python floats."""
-    # a block at a time: the whole table as lists would hold about 180 bytes
-    # a row, more than the rendered text
-    for i in range(0, len(table), 4096):
-        yield from table[i:i + 4096].tolist()
+def _table(table, row, sep):
+    """The rows of a 2-D float table, each filled into the printf format row, joined by sep."""
+    # one format per block of 4096 rows: a walk over the rows would cost more
+    # than the scan, and the whole table as lists would outweigh its text
+    if not np.isfinite(table).all():
+        raise ValueError("refusing to serialize a non-finite float")
+    blocks = (table[i:i + 4096] for i in range(0, len(table), 4096))
+    return sep.join([sep.join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])
 
 
 def _nulled(value, found):
@@ -102,16 +104,8 @@ def to_json(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        # a 2-D float table (the korn entries): one "%.17g" row format, filled
-        # a block of rows at a time, instead of the recursive walk, which would
-        # cost more than the scan itself (row by row, the scan's peak RSS rose);
-        # integral floats print as integers, so the bytes are the walk's
-        if not np.isfinite(obj).all():
-            raise ValueError("refusing to serialize a non-finite float")
-        row = "[" + ",".join(["%.17g"] * obj.shape[1]) + "]"
-        blocks = (obj[i:i + 4096] for i in range(0, len(obj), 4096))
-        return "[" + ",".join([",".join([row] * len(b)) % tuple(b.ravel().tolist())
-                               for b in blocks]) + "]"
+        # the bytes of the recursive walk, which would cost more than the scan
+        return "[" + _table(obj, "[" + ",".join(["%.17g"] * obj.shape[1]) + "]", ",") + "]"
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -121,8 +115,11 @@ def to_csv(command, results):
     if command == "korn":
         lines.append("k1,k2,k3,lambda_min")
         entries = results["entries"]
-        for k1, k2, k3, lam in _rows(entries) if isinstance(entries, np.ndarray) else entries:
-            lines.append("%d,%d,%d,%s" % (int(k1), int(k2), int(k3), _fmt_float(lam)))
+        if isinstance(entries, np.ndarray):
+            lines.append(_table(entries, "%d,%d,%d,%.17g", "\n"))
+        else:           # a non-finite table, as lists with null
+            for k1, k2, k3, lam in entries:
+                lines.append("%d,%d,%d,%s" % (int(k1), int(k2), int(k3), _fmt_float(lam)))
     elif command == "identities":
         lines.append("name,samples,max_residual,tolerance,passed")
         for row in results["suite"]:

@@ -82,7 +82,7 @@ def _samples(count, seed):
     d.Sc = sym(rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3)))
     d.bu = d.br / vec_norm(d.br)[:, None]
     d.b_safe = d.bu * (0.5 + np.abs(rng.standard_normal((count, 1))))
-    d.R = np.stack([random_rotation(rng) for _ in range(count)])
+    d.R = random_rotation(rng.standard_normal((count, 4)))
     return d
 
 
@@ -505,11 +505,15 @@ SPECTRAL = [
 
 
 def run_algebra(samples=1000, seed=1):
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
     d = _samples(samples, seed)
     return [IdentityResult(name, samples, fn(d), ALGEBRA_TOL) for name, fn in ALGEBRA]
 
 
 def run_spectral(n=16, seed=1, draws=3):
+    if draws < 1:
+        raise ValueError("draws must be >= 1, got %r" % (draws,))
     data = [_spectral_data(n, seed + 101 * j) for j in range(draws)]
     return [IdentityResult(name, draws, max(fn(d) for d in data), SPECTRAL_TOL)
             for name, fn in SPECTRAL]

@@ -20,7 +20,7 @@ from .algebra3 import anti, dot
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
-    "KernelElement", "PointCloud",
+    "KernelElement",
     "eval_kernel", "axial_polynomial", "curl_kernel_closed_form",
     "ProjectionResult", "project_kernel",
     "boundary_system", "boundary_rank",
@@ -66,21 +66,12 @@ class KernelElement:
         object.__setattr__(self, "beta", float(self.beta))
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must have shape (m, 3)")
-        object.__setattr__(self, "points", pts)
-
-
-def _points_of(obj):
-    if isinstance(obj, PointCloud):
-        return obj.points
-    return PointCloud(np.atleast_2d(np.asarray(obj, dtype=float))).points
+def _points(x):
+    """A point set as an (m, 3) float array; a single point is one row."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must have shape (m, 3)")
+    return pts
 
 
 def axial_polynomial(e, x):
@@ -137,7 +128,7 @@ def project_kernel(points, matrices, space="devsym"):
     """
     if space not in MIN_SAMPLES:
         raise ValueError("space must be 'sym' or 'devsym'")
-    pts = _points_of(points)
+    pts = _points(points)
     mats = np.asarray(matrices, dtype=float)
     m = pts.shape[0]
     if mats.shape != (m, 3, 3):
@@ -167,7 +158,7 @@ def boundary_system(points):
     Unknown order: (a_tilde, beta, b, d), the parameters of KernelElement,
     so the three rows of a point x evaluate axial_polynomial at x.
     """
-    pts = _points_of(points)
+    pts = _points(points)
     return _axial_design(pts).reshape(3 * pts.shape[0], 10)
 
 
@@ -179,6 +170,4 @@ def boundary_rank(points):
     of them, so the rank drops below 10.
     """
     sv = np.linalg.svd(boundary_system(points), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.sum(sv > RANK_TOL * sv[0]))

@@ -313,6 +313,8 @@ def grid_crosscheck(n):
 
 def sphere_directions(samples, seed=1):
     """Deterministic batch of unit vectors."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((samples, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

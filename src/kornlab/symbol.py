@@ -82,8 +82,7 @@ def kernel_basis(op):
     """
     op = np.asarray(op, dtype=complex)
     _, s, vh = np.linalg.svd(op)
-    cut = TOL_KERNEL * (s[0] if s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cut))
+    rank = int(np.sum(s > TOL_KERNEL * s[0]))
     vecs = vh[rank:].conj().reshape(-1, 3, 3)
     return KernelBasis(vectors=vecs, dimension=9 - rank, singular_values=s)
 

@@ -170,12 +170,28 @@ def test_tangential_projector():
 def test_random_rotation_is_rotation():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        R = random_rotation(rng)
+        R = random_rotation(rng.standard_normal(4))
         assert_allclose(R @ R.T, np.eye(3), atol=1e-13)
         assert np.linalg.det(R) == pytest.approx(1.0)
 
 
 def test_random_rotation_seeded():
-    a = random_rotation(np.random.default_rng(11))
-    b = random_rotation(np.random.default_rng(11))
+    a = random_rotation(np.random.default_rng(11).standard_normal(4))
+    b = random_rotation(np.random.default_rng(11).standard_normal(4))
     assert_allclose(a, b)
+
+
+def test_random_rotation_maps_quaternion_stacks():
+    q = np.random.default_rng(5).standard_normal((4, 50, 4))
+    R = random_rotation(q)
+    assert R.shape == (4, 50, 3, 3)
+    assert_allclose(R @ tp(R), np.broadcast_to(np.eye(3), R.shape), atol=1e-13)
+    assert_allclose(np.linalg.det(R), 1.0, atol=1e-13)
+    # the stack is the single-quaternion calls, bit for bit
+    assert_array_equal(R, [[random_rotation(qq) for qq in row] for row in q])
+    # each quaternion is normalized as the 1-D np.linalg.norm normalizes it,
+    # bit for bit, which a sum over the last axis does not always do
+    w, x, y, z = np.array([qq / np.linalg.norm(qq) for qq in q.reshape(-1, 4)]).T
+    assert_array_equal(R[..., 0, 0].ravel(), 1 - 2 * (y * y + z * z))
+    # so a quaternion's length does not matter
+    assert_allclose(random_rotation(3.0 * q[0, 0]), R[0, 0], rtol=0, atol=1e-14)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kornlab import cli, identities
+from kornlab import cli, identities, korn_estimator
 from kornlab.identities import (
     ALGEBRA_TOL, SPECTRAL_TOL, IdentityResult, rel, run_algebra, run_all,
     run_spectral, window,
@@ -71,3 +71,15 @@ def test_report_tolerances_cover_everything():
         assert table[name] == ALGEBRA_TOL
     for name, _ in identities.SPECTRAL:
         assert table[name] == SPECTRAL_TOL
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("call, name", [
+    (korn_estimator.sphere_directions, "samples"),
+    (korn_estimator.equivalence_constant, "samples"),
+    (run_algebra, "samples"),
+    (run_spectral, "draws"),
+])
+def test_counts_below_one_are_typed_errors(call, name, count):
+    with pytest.raises(ValueError, match=r"^%s must be >= 1, got %d$" % (name, count)):
+        call(**{name: count})

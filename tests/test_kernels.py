@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from kornlab.algebra3 import anti, dev, sym
 from kornlab.kernels import (
-    DegenerateGeometryError, KernelElement, PointCloud, TooFewSamplesError,
+    DegenerateGeometryError, KernelElement, TooFewSamplesError,
     axial_polynomial, boundary_rank, boundary_system, curl_kernel_closed_form,
     eval_kernel, project_kernel,
 )
@@ -126,7 +126,7 @@ def test_project_kernel_noisy_fit():
     e = random_element(RNG)
     pts = RNG.standard_normal((40, 3))
     mats = eval_kernel(e, pts) + 1e-4 * RNG.standard_normal((40, 3, 3))
-    fit = project_kernel(PointCloud(pts), mats, "devsym")
+    fit = project_kernel(pts, mats, "devsym")
     assert 1e-6 < fit.residual < 1e-2
     assert_allclose(fit.element.b, e.b, atol=1e-3)
     assert_allclose(fit.element.d, e.d, atol=1e-3)
@@ -202,7 +202,7 @@ def test_boundary_rank_circle_through_origin():
 
 
 def test_point_cloud_validation():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"points must have shape \(m, 3\)"):
+        boundary_rank(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         KernelElement(a_tilde=np.zeros(4))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_lambda_min_rotation_symmetric():
     for _ in range(20):
         k = 3.0 * rng.standard_normal(3)
         lam_k, _ = lambda_min(k)
-        lam_rk, _ = lambda_min(random_rotation(rng) @ k)
+        lam_rk, _ = lambda_min(random_rotation(rng.standard_normal(4)) @ k)
         assert lam_rk == pytest.approx(lam_k, abs=1e-12)
 
 
@@ -122,6 +123,16 @@ def test_lambda_min_closed_form():
     assert lam.shape == K.shape[:-1] and m.shape == K.shape[:-1] + (3, 3)
     assert_allclose(lam, closed_form(K), rtol=0, atol=1e-12)
     assert lam[8, 8, 8] == 1.0                     # k = 0, exactly
+    # all nine eigenvalues: lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4 and
+    # 1 + t, each double, 1 double and t / 3, the identity's at k = 0
+    t = np.sum(K * K, axis=-1, dtype=float)[..., None]
+    root = np.sqrt(t * t + 4.0)
+    low, high = t / (2.0 + t + root), (2.0 + t + root) / 4.0
+    want = np.sort(np.concatenate([low, low, high, high, t / 3.0, 1.0 + t, 1.0 + t,
+                                   np.ones_like(t), np.ones_like(t)], axis=-1), axis=-1)
+    want[8, 8, 8] = 1.0
+    err = np.abs(np.linalg.eigvalsh(frequency_form(K)) - want)
+    assert np.all(err <= 16.0 * np.finfo(float).eps * (1.0 + t)), float(err.max())
 
 
 def _exact_form(k):
@@ -148,9 +159,8 @@ def _exact_form(k):
         e = [[Fraction(int(3 * a + b == j)) for b in range(3)] for a in range(3)]
         s_cols.append(sum(sym(e), []))
         c_cols.append(sum(dev(sym([cross(row) for row in e])), []))
-    return [[sum(x * y for x, y in zip(s_cols[i], s_cols[j]))
-             + sum(x * y for x, y in zip(c_cols[i], c_cols[j])) for j in range(9)]
-            for i in range(9)]
+    cols = [s + c for s, c in zip(s_cols, c_cols)]     # the columns of S over C_k
+    return [[sum(x * y for x, y in zip(u, v) if x and y) for v in cols] for u in cols]
 
 
 def _matmul(a, b):
@@ -195,6 +205,29 @@ def test_frequency_form_spectrum_is_exact():
         exact = q if any(k) else eye
         assert_allclose(frequency_form(k), [[float(x) for x in row] for row in exact],
                         rtol=0, atol=1e-13 * (1 + float(t)), err_msg=str(k))
+
+
+def test_frequency_form_is_signed_permutation_covariant():
+    # Q_Rk = (R x R) Q_k (R x R)^T, R x R the action P -> R P R^T on the
+    # row-major flattening, exactly for all 48 signed permutations R: the
+    # step that carries the spectrum from the axis to every k (a reflection
+    # flips the sign of the curl symbol, which C_k*C_k squares away)
+    ks = [(1, 2, 3), (2, -1, 5), (0, 0, 1)]
+    forms = [_exact_form(k) for k in ks]
+    K, want = [], []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            R = [[signs[a] * int(perm[a] == i) for i in range(3)] for a in range(3)]
+            # R x R is a signed permutation too: (column, sign) of each row's entry
+            RR = [(3 * perm[a] + perm[b], signs[a] * signs[b]) for a in range(3) for b in range(3)]
+            for k, q in zip(ks, forms):
+                Rk = [sum(r * c for r, c in zip(row, k)) for row in R]
+                moved = [[si * sj * q[i][j] for j, sj in RR] for i, si in RR]
+                assert _exact_form(Rk) == moved, (R, k)
+                K.append(Rk)
+                want.append(np.kron(R, R) @ frequency_form(k) @ np.kron(R, R).T)
+    # and kornlab's float form is covariant too
+    assert_allclose(frequency_form(K), want, rtol=0, atol=1e-13)
 
 
 def test_lambda_min_stack_matches_points():

@@ -1,11 +1,16 @@
-"""Property tests for the two file boundaries: config files and field files.
+"""Property tests for the file boundaries and the command line.
 
 Every example is drawn from a fixed derandomized stream with no example
 database, so a run is as deterministic as the rest of the suite.  Each
-property states that a malformed file raises the boundary's typed error and
-nothing else, and that a file the reader accepts is written back as the same field.
+file property states that a malformed file raises the boundary's typed
+error and nothing else, and that a file the reader accepts is written back
+as the same field; a written field reads back as itself, complex64-rounded.
+The command line, on bounded arguments, exits 0, 1 or 2 and never raises,
+and it exits 1 exactly when its report names errors.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -14,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kornlab import cli
-from kornlab.fields import CorruptFieldError, GridField, GridSpec, dump_field, load_field, \
-    random_bandlimited
+from kornlab.fields import CorruptFieldError, GridField, GridSpec, dump_field, \
+    field_from_samples, load_field, random_bandlimited
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -123,3 +128,48 @@ def test_field_file_raises_only_corrupt_field_errors(scratch, data):
     # what load_field accepts, dump_field writes back under the same header
     dump_field(f, scratch / "again.bin")
     assert load_field(scratch / "again.bin").coef.tobytes() == f.coef.tobytes()
+
+
+@PROPERTY
+@given(rank=st.integers(0, 2), n=st.sampled_from([4, 8]),
+       reality=st.sampled_from(["real", "complex"]), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.integers(-60, 60))
+def test_field_file_round_trip(scratch, rank, n, reality, seed, scale):
+    rng = np.random.default_rng(seed)
+    shape = (n, n, n) + (3,) * rank
+    samples = rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                            if reality == "complex" else 0.0)
+    f = field_from_samples(GridSpec(n), rank, 2.0 ** scale * samples)
+    dump_field(f, scratch / "round.bin")
+    g = load_field(scratch / "round.bin")
+    assert (g.rank, g.spec.n, g.reality) == (rank, n, reality)
+    assert np.array_equal(g.coef, f.coef.astype(np.complex64))
+
+
+# ----------------------------------------------------------------------------
+# the command line on bounded arguments
+
+_LO_AND_SIDES = st.tuples(*[st.floats(-2.0, 1.0)] * 3, *[st.floats(0.125, 2.0)] * 3)
+_OPTIONS = st.tuples(st.integers(0, 2 ** 16), st.integers(1, 50), st.integers(1, 4),
+                     st.sampled_from([4, 8]), st.floats(1.0, 64.0), _LO_AND_SIDES)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(PROPERTY, max_examples=3)
+@given(options=_OPTIONS)
+def test_cli_exits_1_exactly_when_it_names_errors(command, fmt, options):
+    seed, samples, kmax, grid_n, p, box = options
+    box = box[:3] + tuple(lo + width for lo, width in zip(box[:3], box[3:]))
+    argv = [command, "--format", fmt, "--seed", str(seed), "--samples", str(samples),
+            "--kmax", str(kmax), "--grid-n", str(grid_n), "--p", repr(p),
+            "--box=" + ",".join(map(repr, box))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    assert status in (0, 1, 2)
+    named = [line.partition("kornlab: error: ")[2] for line in err.getvalue().splitlines()
+             if line.startswith("kornlab: error: ")]
+    if status != 2 and fmt == "json":
+        assert json.loads(out.getvalue())["errors"] == named
+    assert bool(named) == (status == 1)

@@ -89,6 +89,8 @@ def test_kernel_basis_properties():
         assert float(mat_norm(apply_symbol(op, v))) < 1e-12
     gram = np.einsum("aij,bij->ab", basis.vectors, basis.vectors.conj())
     assert_allclose(gram, np.eye(4), atol=1e-12)
+    # the relative cut counts no direction of the zero operator as range
+    assert kernel_basis(np.zeros((9, 9))).dimension == 9
 
 
 def test_sym_and_devsym_kernels_agree():

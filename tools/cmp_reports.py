@@ -39,9 +39,11 @@ COMMANDS = ("identities", "symbol", "korn", "counterexample", "kernel")
 CONFIGS = ([[c] for c in COMMANDS] + [[c, "--format", "csv"] for c in COMMANDS] + [
     ["korn", "--kmax", "16"],
     ["korn", "--kmax", "8", "--format", "csv"],
+    ["korn", "--kmax", "16", "--format", "csv"],
     ["korn", "--kmax", "1"],
     ["identities", "--grid-n", "8", "--seed", "3"],
     ["identities", "--grid-n", "32", "--samples", "50"],
+    ["identities", "--samples", "20000"],
     ["counterexample", "--p", "3", "--kmax", "8"],
     ["counterexample", "--p", "64", "--kmax", "40"],
     ["counterexample", "--box=-0.7,-0.3,-1,0.9,1.3,1"],
