@@ -21,8 +21,8 @@ import numpy as np
 
 __all__ = [
     "NotSkewError", "NotTracelessSymError", "ZeroDirectionError", "NotUnitError",
-    "TOL_SKEW", "TOL_ZERO", "TOL_UNIT",
-    "anti", "axl", "cross", "sym", "skew", "dev", "tr", "tp",
+    "TOL_SKEW", "TOL_ZERO", "TOL_UNIT", "RANK_TOL",
+    "numerical_rank", "anti", "axl", "cross", "sym", "skew", "dev", "tr", "tp",
     "dot", "frob", "vec_norm", "mat_norm",
     "OrthSplit", "orth_decompose", "recover_axial", "tangential_projector",
     "random_rotation",
@@ -31,6 +31,7 @@ __all__ = [
 TOL_SKEW = 1e-9
 TOL_ZERO = 1e-9
 TOL_UNIT = 1e-9
+RANK_TOL = 1e-8
 
 EYE3 = np.eye(3)
 
@@ -49,6 +50,16 @@ class ZeroDirectionError(ValueError):
 
 class NotUnitError(ValueError):
     """A direction that must be normalized is not."""
+
+
+def numerical_rank(s):
+    """Number of singular values on the last axis of s above RANK_TOL times the largest.
+
+    s holds singular values in descending order, as np.linalg.svd returns
+    them; an empty s has rank 0.
+    """
+    s = np.asarray(s)
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def anti(a):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
 from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
-                     _check_exponent, growth_ratio, halfspace_ratio)
+                     _check_count, _check_exponent, growth_ratio, halfspace_ratio)
 
 SCHEMA_VERSION = "kornlab/1"
 
@@ -153,15 +153,16 @@ def to_csv(command, results):
 # configuration
 
 
-def _parse_box(text):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 6:
-        raise UsageError("--box wants x0,y0,z0,x1,y1,z1 (six numbers)")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError("--box: %s" % exc) from None
-    return vals
+def _parse_box(box):
+    """The six numbers of a box: "x0,y0,z0,x1,y1,z1" text, or a list of numbers."""
+    if isinstance(box, str):
+        try:
+            box = [float(part) for part in box.split(",")]
+        except ValueError as exc:
+            raise UsageError("box: %s" % exc) from None
+    if not isinstance(box, (list, tuple)) or len(box) != 6:
+        raise UsageError("box wants x0,y0,z0,x1,y1,z1 (six numbers)")
+    return tuple(_float_value("box", v) for v in box)
 
 
 def _int_value(key, val):
@@ -190,14 +191,6 @@ def load_config_file(path):
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise UsageError("config file %s: unknown keys %s" % (path, ", ".join(unknown)))
-    if "box" in data:
-        box = data["box"]
-        if isinstance(box, str):
-            data["box"] = _parse_box(box)
-        elif isinstance(box, (list, tuple)) and len(box) == 6:
-            data["box"] = tuple(_float_value("box", v) for v in box)
-        else:
-            raise UsageError("config file %s: box wants six numbers" % path)
     return data
 
 
@@ -206,26 +199,24 @@ def resolve_config(args):
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(load_config_file(args.config))
-    for key in ("seed", "samples", "kmax", "grid_n", "p", "format", "out"):
+    for key in DEFAULTS:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if args.box is not None:
-        cfg["box"] = _parse_box(args.box)
+    cfg["box"] = _parse_box(cfg["box"])
     for key in ("seed", "samples", "kmax", "grid_n"):
         cfg[key] = _int_value(key, cfg[key])
     cfg["p"] = _float_value("p", cfg["p"])
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise UsageError("out must be a file name, got %r" % (cfg["out"],))
-    if cfg["samples"] < 1 or cfg["kmax"] < 1:
-        raise UsageError("samples and kmax must be >= 1")
-    if cfg["seed"] < 0:
-        raise UsageError("seed must be >= 0, got %d" % cfg["seed"])
     if cfg["format"] not in ("json", "csv"):
         raise UsageError("format must be json or csv")
     # the library's own validators, so that a bad value is a usage error
     # here rather than a traceback inside the command
     try:
+        _check_count("samples", cfg["samples"])
+        _check_count("kmax", cfg["kmax"])
+        _check_count("seed", cfg["seed"], 0)
         GridSpec(cfg["grid_n"])
         _check_exponent(cfg["p"])
         BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])

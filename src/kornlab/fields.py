@@ -109,6 +109,14 @@ def _check_exponent(p):
     return p
 
 
+def _check_count(name, value, least=1):
+    """value as an int (TypeError unless it is integral), ValueError below least."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
+    return value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid: n samples per axis on [0, 2*pi)^3, n a power of two."""
@@ -374,46 +382,41 @@ def _legendre(m):
 
 
 def _rules(box, m, axes, even):
-    """box.axis_rule(axis, m) for each of axes; those in even keep their m/2 positive nodes.
+    """box.axis_rule(axis, m) for each of axes, an axis in even folded where it can be.
 
-    An axis in even must span an interval symmetric about 0, with m even, and
-    the integrand must be even in it.  Its nodes and weights are exact mirror
-    images, so the positive nodes at twice their weights change only the
-    summation order.
+    The caller declares the integrand even in each axis of even.  Such an
+    axis keeps its m/2 positive nodes at twice their weights exactly when
+    its interval is symmetric about 0 and m is even: the nodes and weights
+    are then exact mirror images, so only the summation order changes.
     """
     rules = []
     for axis in axes:
         x, w = box.axis_rule(axis, m)
-        if axis in even:
-            if m % 2 or box.lo[axis] != -box.hi[axis]:
-                raise ValueError("axis %d of %r cannot be folded at %d points"
-                                 % (axis, (box.lo[axis], box.hi[axis]), m))
+        if axis in even and m % 2 == 0 and box.lo[axis] == -box.hi[axis]:
             x, w = x[m // 2:], 2.0 * w[m // 2:]
         rules.append((x, w))
     return rules
 
 
-def _box_sum(box, m, integrand, radius=None, even=()):
+def _box_sum(box, m, integrand, radius=np.inf, even=()):
     """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
 
     integrand(X1 (m1, 1), X2 (1, m2), x3) returns values broadcasting to
     (..., m1, m2) at one x3 node; the leading axes are kept in the sum.
-    Without a radius every plane takes all m x m nodes.  With one, the
-    integrand must be exactly zero at every node with x1^2 + x2^2 + x3^2 >=
-    radius^2, and each plane passes only the nodes with x1^2 and x2^2 below
-    radius^2 - x3^2, the bounding square of the plane's disc: the nodes
-    left out contribute exact zeros, so only the summation order changes.
+    The integrand must be exactly zero at every node with x1^2 + x2^2 +
+    x3^2 >= radius^2, and each plane passes only the nodes with x1^2 and
+    x2^2 below radius^2 - x3^2, the bounding square of the plane's disc:
+    the nodes left out contribute exact zeros, so only the summation order
+    changes.  The default radius, inf, keeps all m x m nodes of each plane.
     The kept nodes are contiguous because Gauss-Legendre nodes are sorted.
-    The axes in even are folded onto their positive half (_rules).
+    The axes in even are folded onto their positive half where they can be
+    (_rules).
     """
     (x1, w1), (x2, w2), (x3, w3) = _rules(box, m, range(3), even)
     total = 0.0
     for x3v, w3v in zip(x3, w3):
-        if radius is None:
-            s1 = s2 = slice(None)
-        else:
-            reach = radius ** 2 - x3v ** 2
-            s1, s2 = _inside(x1, reach), _inside(x2, reach)
+        reach = radius ** 2 - x3v ** 2
+        s1, s2 = _inside(x1, reach), _inside(x2, reach)
         X1, X2 = x1[s1, None], x2[None, s2]
         F = np.asarray(integrand(X1, X2, x3v), dtype=float)
         total += w3v * (np.broadcast_to(F, F.shape[:-2] + (X1.size, X2.size)) @ w2[s2] @ w1[s1])
@@ -468,14 +471,12 @@ def growth_ratio(k, p, box):
     interval is symmetric about 0 is folded onto its positive half (_rules).
     """
     p = _check_exponent(p)
-    if operator.index(k) < 1:
-        raise ValueError("k must be a positive integer")
+    k = _check_count("k", k)
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
     s = math.ldexp(0.5, math.frexp(max(map(abs, box.lo[:2] + box.hi[:2])))[1])
-    even = [axis for axis in (0, 1) if box.lo[axis] == -box.hi[axis]]
 
     def compute(m):
-        (x1, w1), (x2, w2) = _rules(box, m, (0, 1), even)
+        (x1, w1), (x2, w2) = _rules(box, m, (0, 1), (0, 1))
         r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
         top = r2.max()
         below, above = (r2 / top) ** powers @ (w2 / s) @ (w1 / s)
@@ -531,8 +532,7 @@ def halfspace_ratio(k, p):
     the box.
     """
     p = _check_exponent(p)
-    if operator.index(k) < 1:
-        raise ValueError("k must be a positive integer")
+    k = _check_count("k", k)
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
     def integrands(X1, X2, x3):

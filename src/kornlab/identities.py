@@ -505,15 +505,13 @@ SPECTRAL = [
 
 
 def run_algebra(samples=1000, seed=1):
-    if samples < 1:
-        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    fields._check_count("samples", samples)
     d = _samples(samples, seed)
     return [IdentityResult(name, samples, fn(d), ALGEBRA_TOL) for name, fn in ALGEBRA]
 
 
 def run_spectral(n=16, seed=1, draws=3):
-    if draws < 1:
-        raise ValueError("draws must be >= 1, got %r" % (draws,))
+    fields._check_count("draws", draws)
     data = [_spectral_data(n, seed + 101 * j) for j in range(draws)]
     return [IdentityResult(name, draws, max(fn(d) for d in data), SPECTRAL_TOL)
             for name, fn in SPECTRAL]

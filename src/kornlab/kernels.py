@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import anti, dot
+from .algebra3 import anti, dot, numerical_rank
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -25,9 +25,6 @@ __all__ = [
     "ProjectionResult", "project_kernel",
     "boundary_system", "boundary_rank",
 ]
-
-COND_LIMIT = 1e12
-RANK_TOL = 1e-8
 
 # design columns of each family, in the parameter order (a_tilde, beta, b, d);
 # a fit needs at least as many samples as it has parameters
@@ -67,10 +64,12 @@ class KernelElement:
 
 
 def _points(x):
-    """A point set as an (m, 3) float array; a single point is one row."""
+    """A finite point set as an (m, 3) float array; a single point is one row."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (m, 3)")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
 
 
@@ -122,9 +121,11 @@ def project_kernel(points, matrices, space="devsym"):
     space selects which seminorm kernel to project onto: "sym" fits the
     six-parameter family (a_tilde, b), "devsym" the full ten-parameter one.
     The residual is the Hermitian norm of the stacked misfit over all
-    samples.  Raises TooFewSamplesError below the minimum sample count and
-    DegenerateGeometryError when the design matrix condition number
-    exceeds 1e12.
+    samples.  Points and matrices must be finite (ValueError).  Raises
+    TooFewSamplesError below the minimum sample count and
+    DegenerateGeometryError when the numerical rank of the design matrix
+    (algebra3.numerical_rank) is below its column count, which is where
+    boundary_rank stops reporting the ten-parameter family as rigid.
     """
     if space not in MIN_SAMPLES:
         raise ValueError("space must be 'sym' or 'devsym'")
@@ -133,6 +134,8 @@ def project_kernel(points, matrices, space="devsym"):
     m = pts.shape[0]
     if mats.shape != (m, 3, 3):
         raise ValueError("matrices must have shape (m, 3, 3) matching the points")
+    if not np.isfinite(mats).all():
+        raise ValueError("matrices must be finite")
     if m < MIN_SAMPLES[space]:
         raise TooFewSamplesError("space %r needs at least %d samples, got %d"
                                  % (space, MIN_SAMPLES[space], m))
@@ -140,10 +143,11 @@ def project_kernel(points, matrices, space="devsym"):
     design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
     rhs = mats.reshape(9 * m)
     sv = np.linalg.svd(design, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond > COND_LIMIT:
-        raise DegenerateGeometryError("design matrix condition %.3e exceeds %.1e"
-                                      % (cond, COND_LIMIT))
+    rank = int(numerical_rank(sv))
+    if rank < cols.size:
+        raise DegenerateGeometryError("design matrix has numerical rank %d of %d columns"
+                                      % (rank, cols.size))
+    cond = float(sv[0] / sv[-1])
     theta, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.linalg.norm(design @ theta - rhs))
     params = np.zeros(10)
@@ -167,7 +171,6 @@ def boundary_rank(points):
 
     Twelve points in general position on a sphere give 10; point sets on a
     line or a circle leave at least one quadratic field vanishing on all
-    of them, so the rank drops below 10.
+    of them, so the rank drops below 10.  An empty set pins nothing: 0.
     """
-    sv = np.linalg.svd(boundary_system(points), compute_uv=False)
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    return int(numerical_rank(np.linalg.svd(boundary_system(points), compute_uv=False)))

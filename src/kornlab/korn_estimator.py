@@ -34,7 +34,6 @@ scipy is loaded on the first call of `lobpcg`, so importing kornlab
 loads no scipy module.
 """
 
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -151,9 +150,7 @@ def korn_constant(kmax):
     minimum, which would mean the scan radius truncated the search too
     early.
     """
-    kmax = operator.index(kmax)
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+    kmax = fields._check_count("kmax", kmax)
     a, b, c = np.indices((kmax + 1,) * 3)
     reps = np.argwhere((a >= b) & (b >= c))
     table = np.zeros(a.shape)
@@ -255,8 +252,7 @@ def grid_crosscheck(n):
     1e-10 relative, or if the probe has an imaginary part.  The first call
     loads scipy.sparse.linalg.
     """
-    if n < 8:
-        raise ValueError("grid size must be at least 8")
+    n = fields._check_count("n", n, 8)
     spec = fields.GridSpec(n)
     q = _probed_blocks(spec)
     scale = float(np.abs(q).max())
@@ -313,8 +309,7 @@ def grid_crosscheck(n):
 
 def sphere_directions(samples, seed=1):
     """Deterministic batch of unit vectors."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    samples = fields._check_count("samples", samples)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((samples, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -19,16 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import EYE3, anti, cross, dev, dot, mat_norm, sym, vec_norm
+from .algebra3 import (EYE3, RANK_TOL, anti, cross, dev, dot, mat_norm, numerical_rank,
+                       sym, vec_norm)
 
 __all__ = [
-    "ZeroFrequencyError", "TOL_KERNEL",
+    "ZeroFrequencyError",
     "basis_matrices", "curl_symbol", "apply_symbol",
     "KernelBasis", "kernel_basis", "build_multiplier",
     "sharp_ratio", "KernelWitness",
 ]
-
-TOL_KERNEL = 1e-8
 
 _PARTS = {"full": lambda X: X, "sym": sym, "devsym": lambda X: dev(sym(X))}
 
@@ -77,12 +76,12 @@ class KernelBasis:
 def kernel_basis(op):
     """Numerical kernel of a SymbolOperator via SVD.
 
-    Directions whose singular value is below TOL_KERNEL * sigma_max count as
+    Directions beyond the numerical rank (algebra3.numerical_rank) count as
     kernel.  The returned vectors are orthonormal 3x3 matrices.
     """
     op = np.asarray(op, dtype=complex)
     _, s, vh = np.linalg.svd(op)
-    rank = int(np.sum(s > TOL_KERNEL * s[0]))
+    rank = int(numerical_rank(s))
     vecs = vh[rank:].conj().reshape(-1, 3, 3)
     return KernelBasis(vectors=vecs, dimension=9 - rank, singular_values=s)
 
@@ -91,18 +90,18 @@ def build_multiplier(xi):
     """Bounded degree-0 multiplier M with M(xi) A(xi) = A_sym(xi).
 
     A is the trace-free symmetric curl symbol and A_sym the symmetric one.
-    M = A_sym @ Q where Q is the SVD pseudo-inverse of A (cut at
-    TOL_KERNEL * sigma_max), so Q A = id - (kernel projector) and Q vanishes on
-    the orthogonal complement of the range of A.  Because the kernels of
-    A and A_sym agree at real frequencies, M A = A_sym holds exactly and
-    M is homogeneous of degree zero in xi.  A stack of frequencies of
-    shape (..., 3) gives a stack of shape (..., 9, 9); any zero frequency
-    in it raises ZeroFrequencyError.
+    M = A_sym @ Q where Q is the SVD pseudo-inverse of A, cut at the
+    numerical rank (RANK_TOL * sigma_max), so Q A = id - (kernel projector)
+    and Q vanishes on the orthogonal complement of the range of A.  Because
+    the kernels of A and A_sym agree at real frequencies, M A = A_sym holds
+    exactly and M is homogeneous of degree zero in xi.  A stack of
+    frequencies of shape (..., 3) gives a stack of shape (..., 9, 9); any
+    zero frequency in it raises ZeroFrequencyError.
     """
     xi = np.asarray(xi)
     if np.any(vec_norm(xi) <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=TOL_KERNEL)
+    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=RANK_TOL)
     return curl_symbol(xi, "sym") @ q
 
 

@@ -154,6 +154,10 @@ def test_recover_axial_input_checks():
         recover_axial(M, np.zeros(3))
     with pytest.raises(ZeroDirectionError):
         recover_axial(M, np.array([0, 0, 1 + 1j]))
+    # a complex direction with a zero imaginary part is its real part
+    a = recover_axial(M, b.astype(complex))
+    assert a.dtype == float
+    assert_array_equal(a, recover_axial(M, b))
 
 
 def test_tangential_projector():

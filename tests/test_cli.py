@@ -561,6 +561,17 @@ def test_counterexample_command(capsys):
     assert res["monotone_from"] == 1
 
 
+def test_monotone_from_follows_the_last_dip(monkeypatch, capsys):
+    # growth ratios k + 1 with a dip at k = 3: monotone from k = 4 on
+    _patch_cli_view(monkeypatch, "growth_ratio",
+                    lambda _: lambda k, p, box: 1.0 if k == 3 else k + 1.0)
+    code, out, _ = run_cli(capsys, ["counterexample", "--kmax", "6"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert [r for _, r in res["growth"]] == [2.0, 3.0, 1.0, 5.0, 6.0, 7.0]
+    assert res["monotone_from"] == 4
+
+
 def test_box_with_a_negative_first_coordinate(capsys):
     # the "=" form: as a separate value, "-2,..." would be read as a flag
     code, out, _ = run_cli(capsys, ["counterexample", "--kmax", "2", "--box=-2,-1,-1,1,1,1"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kornlab import fields
 from kornlab.algebra3 import EYE3, cross, dev, sym, tr
@@ -83,6 +83,8 @@ def test_field_shape_and_rank_checks():
         GridField(spec, 1, np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
         GridField(spec, 0, np.zeros((4, 4, 4)), reality="maybe")
+    with pytest.raises(ValueError, match="sample shape"):
+        field_from_samples(spec, 1, np.zeros((4, 4, 4)))
 
 
 def test_field_arithmetic():
@@ -97,6 +99,8 @@ def test_field_arithmetic():
     h = random_bandlimited(spec, 1, 2, "vector")
     with pytest.raises(RankMismatchError):
         f + h
+    with pytest.raises(TypeError):
+        f + 1
 
 
 def test_coefficients_are_frozen():
@@ -628,15 +632,16 @@ def test_box_sum_folds_even_axes():
         return np.stack([f, f * np.exp(X1 - X2 ** 2) * np.cos(x3)])
 
     for m in (16, 64):
-        for cut in (None, radius):
+        for cut in (np.inf, radius):
             assert_allclose(fields._box_sum(box, m, even, radius=cut, even=(1, 2)),
                             fields._box_sum(box, m, even, radius=cut),
                             rtol=1e-15, atol=0.0, err_msg="m=%d radius=%r" % (m, cut))
+    # an axis that is not symmetric about 0, or an odd m, is summed unfolded
     lopsided = BoxDomain(lo=(-1.0, -2.0, -1.0), hi=(1.0, 1.5, 1.0))
-    with pytest.raises(ValueError):
-        fields._box_sum(lopsided, 16, even, even=(1,))
-    with pytest.raises(ValueError):
-        fields._box_sum(box, 15, even, even=(2,))
+    assert_array_equal(fields._box_sum(lopsided, 16, even, even=(1,)),
+                       fields._box_sum(lopsided, 16, even))
+    assert_array_equal(fields._box_sum(box, 15, even, even=(2,)),
+                       fields._box_sum(box, 15, even))
 
 
 def _witness_forms():

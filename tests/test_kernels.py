@@ -180,6 +180,8 @@ def test_boundary_rank_minimal_counts():
     rng = np.random.default_rng(5)
     assert boundary_rank(rng.standard_normal((3, 3))) <= 9
     assert boundary_rank(rng.standard_normal((4, 3))) == 10
+    # an empty set pins nothing
+    assert boundary_rank(np.zeros((0, 3))) == 0
 
 
 def test_boundary_rank_collinear_points():
@@ -201,8 +203,41 @@ def test_boundary_rank_circle_through_origin():
     assert_allclose(boundary_system(circle) @ theta, 0.0, atol=1e-13)
 
 
+def test_projection_is_degenerate_exactly_where_the_boundary_rank_drops():
+    # the circle above, moved off itself: one rank cut (algebra3.numerical_rank)
+    # decides both whether the points are rigid and whether a fit is refused
+    th = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+    circle = np.stack([np.cos(th), 1.0 + np.sin(th), np.zeros_like(th)], axis=1)
+    e = random_element(np.random.default_rng(7))
+    noise = np.random.default_rng(8).standard_normal(circle.shape)
+    ranks = []
+    for eps in (1e-6, 1e-9, 1e-10, 1e-13):
+        pts = circle + eps * noise
+        ranks.append(boundary_rank(pts))
+        if ranks[-1] < 10:
+            with pytest.raises(DegenerateGeometryError, match="rank 9 of 10"):
+                project_kernel(pts, eval_kernel(e, pts), "devsym")
+        else:
+            fit = project_kernel(pts, eval_kernel(e, pts), "devsym")
+            assert fit.residual < 1e-8
+    assert ranks == [10, 9, 9, 9]
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError, match=r"points must have shape \(m, 3\)"):
         boundary_rank(np.zeros((4, 2)))
+    # non-finite points and matrices are named, not left to the SVD
+    pts = RNG.standard_normal((12, 3))
+    mats = eval_kernel(random_element(RNG), pts)
+    bad = pts.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        boundary_rank(bad)
+    with pytest.raises(ValueError, match="points must be finite"):
+        project_kernel(bad, mats)
+    bad = mats.copy()
+    bad[5, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="matrices must be finite"):
+        project_kernel(pts, bad)
     with pytest.raises(ValueError):
         KernelElement(a_tilde=np.zeros(4))

@@ -190,6 +190,11 @@ def test_witness_rejects_wrong_pair():
         KernelWitness(p_hat=np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         KernelWitness(xi=np.array([1.0, 0.0, 0.0], dtype=complex))
+    # xi scaled by 2^10 and p_hat by 2^-10 keep p_hat x xi, so one ulp on the
+    # imaginary part of xi passes both residual gates and fails only <xi, xi> = 0
+    w = KernelWitness()
+    with pytest.raises(ValueError, match="<xi, xi>"):
+        KernelWitness(p_hat=w.p_hat / 1024.0, xi=1024.0 * np.array([1, 1j * (1 + 2.0 ** -52), 0]))
 
 
 def test_witness_lies_in_devsym_kernel_only():

@@ -47,6 +47,8 @@ CONFIGS = ([[c] for c in COMMANDS] + [[c, "--format", "csv"] for c in COMMANDS] 
     ["counterexample", "--p", "3", "--kmax", "8"],
     ["counterexample", "--p", "64", "--kmax", "40"],
     ["counterexample", "--box=-0.7,-0.3,-1,0.9,1.3,1"],
+    ["kernel", "--seed", "7"],
+    ["symbol", "--seed", "7", "--samples", "5000"],
 ])
 # imports kornlab from the tree named by argv[1], whatever else is installed
 RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); import kornlab.cli as cli; "
