@@ -62,9 +62,18 @@ def numerical_rank(s):
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
+def _shaped(x, tail, name):
+    """x as an array whose trailing axes are tail; a ValueError naming its shape otherwise."""
+    x = np.asarray(x)
+    if x.shape[-len(tail):] != tail:
+        raise ValueError("%s must have shape (..., %s), got %s"
+                         % (name, ", ".join(map(str, tail)), x.shape))
+    return x
+
+
 def anti(a):
     """Skew matrix of a, so that anti(a) @ b is the cross product a x b."""
-    a = np.asarray(a)
+    a = _shaped(a, (3,), "vector")
     out = np.zeros(a.shape[:-1] + (3, 3), dtype=a.dtype if a.dtype.kind == "c" else float)
     a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
     out[..., 0, 1] = -a3
@@ -82,7 +91,7 @@ def axl(A):
     Raises NotSkewError when the symmetric part of A exceeds TOL_SKEW relative
     to the size of A.
     """
-    A = np.asarray(A)
+    A = _shaped(A, (3, 3), "matrix")
     defect = mat_norm(A + tp(A)) / (2.0 * np.maximum(mat_norm(A), 1e-300))
     if np.any(defect > TOL_SKEW):
         raise NotSkewError("matrix is not skew-symmetric (relative defect %.3e)"
@@ -99,8 +108,8 @@ def cross(P, b):
     takes less than half the time of the batched 3x3 matmul, and it leaves
     the matmul an independent route for the identity checks.
     """
-    P = np.asarray(P)
-    b = np.asarray(b)[..., None, :]
+    P = _shaped(P, (3, 3), "matrix")
+    b = _shaped(b, (3,), "vector")[..., None, :]
     P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
     b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
     first = P2 * b3 - P3 * b2
@@ -128,7 +137,7 @@ def dev(X):
     einsum's writable diagonal view); on a coefficient grid no (..., 3, 3)
     multiple of the identity is built.
     """
-    X = np.asarray(X)
+    X = _shaped(X, (3, 3), "matrix")
     out = X.astype(np.result_type(X.dtype, float))
     np.einsum("...ii->...i", out)[...] -= tr(X)[..., None] / 3.0
     return out

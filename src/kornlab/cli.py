@@ -266,12 +266,17 @@ def run_symbol(cfg):
     except RuntimeError as exc:
         checks.append(("equivalence_constant: %s" % exc, False))
         equiv = None                # reported as null, named in the errors
+    ratio_e3 = symbol.sharp_ratio([0.0, 0.0, 1.0])
+    # a failed equivalence constant is named above; only values are compared
+    sharp = [v for v in (ratio_e3, equiv) if v is not None]
+    checks.append(("sharp ratio or equivalence constant differs from sqrt(3) by more than 1e-12 "
+                   "relative", all(abs(v / identities.SQRT3 - 1.0) <= 1e-12 for v in sharp)))
     results = {
         "kernel_dimension_min": min(dims), "kernel_dimension_max": max(dims),
         "kernel_gap_min": min(gaps),
         "multiplier_residual_max": mult_resid,
         "multiplier_homogeneity_max": homo_resid,
-        "sharp_ratio_e3": symbol.sharp_ratio([0.0, 0.0, 1.0]),
+        "sharp_ratio_e3": ratio_e3,
         "equivalence_constant": equiv,
         "witness_devsym_residual": witness.devsym_residual,
         "witness_sym_residual": witness.sym_residual,

@@ -45,6 +45,7 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,6 +104,9 @@ class CorruptFieldError(ValueError):
 
 
 def _check_exponent(p):
+    """p as a float in [1, 64] (BadExponentError), TypeError for a bool or a non-number."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError("exponent must be a real number, got %r" % (p,))
     p = float(p)
     if not (1.0 <= p <= 64.0):
         raise BadExponentError("exponent %r outside [1, 64]" % p)
@@ -110,7 +114,9 @@ def _check_exponent(p):
 
 
 def _check_count(name, value, least=1):
-    """value as an int (TypeError unless it is integral), ValueError below least."""
+    """value as an int (TypeError unless it is integral and not a bool), ValueError below least."""
+    if isinstance(value, bool):
+        raise TypeError("%s must be an integer, got %r" % (name, value))
     value = operator.index(value)
     if value < least:
         raise ValueError("%s must be >= %d, got %d" % (name, least, value))
@@ -124,8 +130,9 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        n = self.n
-        if n < 4 or (n & (n - 1)) != 0:
+        n = _check_count("n", self.n, 4)
+        object.__setattr__(self, "n", n)
+        if n & (n - 1):
             raise ValueError("grid size must be a power of two, at least 4; got %r" % n)
 
     @property

@@ -9,9 +9,9 @@ a single 1 at (j // 3, j % 3).
 The curl of a matrix field acts row-wise, and on the Fourier side a
 coefficient P_hat at frequency xi is mapped to -i * (P_hat x xi); the
 optional symmetric / trace-free symmetric projections are applied after
-the cross product.  The degree-zero multiplier M(xi) maps the trace-free
-symmetric symbol onto the symmetric one, and the sharp ratio
-sup |sym(P x xi)| / |devsym(P x xi)| is its operator norm.  Every
+the cross product.  The degree-zero multiplier M(xi), in closed form, maps
+the trace-free symmetric symbol onto the symmetric one, and the sharp ratio
+sup |sym(P x xi)| / |devsym(P x xi)| = sqrt(3) is its operator norm.  Every
 function of a frequency also takes a (..., 3) stack of frequencies.
 """
 
@@ -19,17 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (EYE3, RANK_TOL, anti, cross, dev, dot, mat_norm, numerical_rank,
-                       sym, vec_norm)
+from .algebra3 import (EYE3, _shaped, anti, cross, dev, dot, mat_norm, numerical_rank, sym,
+                       vec_norm)
 
-__all__ = [
-    "ZeroFrequencyError",
-    "basis_matrices", "curl_symbol", "apply_symbol",
-    "KernelBasis", "kernel_basis", "build_multiplier",
-    "sharp_ratio", "KernelWitness",
-]
+__all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol", "KernelBasis",
+           "kernel_basis", "build_multiplier", "sharp_ratio", "KernelWitness"]
 
 _PARTS = {"full": lambda X: X, "sym": sym, "devsym": lambda X: dev(sym(X))}
+# matrix of P -> dev sym P in the row-major flattening, an orthogonal projector
+_DEVSYM = dev(sym(np.eye(9).reshape(9, 3, 3))).reshape(9, 9)
 
 
 class ZeroFrequencyError(ValueError):
@@ -49,7 +47,7 @@ def curl_symbol(xi, part="full"):
     """
     if part not in _PARTS:
         raise ValueError("part must be one of %s" % (tuple(_PARTS),))
-    xi = np.asarray(xi)
+    xi = _shaped(xi, (3,), "frequency")
     images = _PARTS[part](-1j * cross(basis_matrices(), xi[..., None, :]))
     return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
 
@@ -74,12 +72,14 @@ class KernelBasis:
 
 
 def kernel_basis(op):
-    """Numerical kernel of a SymbolOperator via SVD.
+    """Numerical kernel of a 9x9 SymbolOperator via SVD (ValueError for another shape).
 
     Directions beyond the numerical rank (algebra3.numerical_rank) count as
     kernel.  The returned vectors are orthonormal 3x3 matrices.
     """
     op = np.asarray(op, dtype=complex)
+    if op.shape != (9, 9):
+        raise ValueError("operator must have shape (9, 9), got %s" % (op.shape,))
     _, s, vh = np.linalg.svd(op)
     rank = int(numerical_rank(s))
     vecs = vh[rank:].conj().reshape(-1, 3, 3)
@@ -87,31 +87,31 @@ def kernel_basis(op):
 
 
 def build_multiplier(xi):
-    """Bounded degree-0 multiplier M with M(xi) A(xi) = A_sym(xi).
+    """Bounded degree-0 multiplier M with M(xi) A(xi) = A_sym(xi), in closed form.
 
-    A is the trace-free symmetric curl symbol and A_sym the symmetric one.
-    M = A_sym @ Q where Q is the SVD pseudo-inverse of A, cut at the
-    numerical rank (RANK_TOL * sigma_max), so Q A = id - (kernel projector)
-    and Q vanishes on the orthogonal complement of the range of A.  Because
-    the kernels of A and A_sym agree at real frequencies, M A = A_sym holds
-    exactly and M is homogeneous of degree zero in xi.  A stack of
-    frequencies of shape (..., 3) gives a stack of shape (..., 9, 9); any
-    zero frequency in it raises ZeroFrequencyError.
+    A and A_sym are the trace-free symmetric and the symmetric curl symbol.  With
+    u = xi/|xi|, M X = X - (u^T X u) id on trace-free symmetric X (u^T S u = 0 for
+    S = sym(P x xi)) and M = 0 on their complement.  A real finite (..., 3) stack gives a
+    real (..., 9, 9) stack; a zero frequency raises ZeroFrequencyError, others ValueError.
     """
-    xi = np.asarray(xi)
-    if np.any(vec_norm(xi) <= 1e-12):
+    xi = _shaped(xi, (3,), "frequency")
+    if np.iscomplexobj(xi) or not np.all(np.isfinite(xi)):
+        raise ValueError("multiplier needs a real, finite frequency")
+    top = np.max(np.abs(xi), axis=-1, keepdims=True)
+    if np.any(top <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    q = np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=RANK_TOL)
-    return curl_symbol(xi, "sym") @ q
+    u = np.ldexp(xi, -np.frexp(top)[1])     # exact: u/|u| = xi/|xi|, and |u| cannot overflow
+    u /= vec_norm(u)[..., None]
+    d = dev(u[..., :, None] * u[..., None, :])
+    return _DEVSYM - EYE3.reshape(9, 1) * d.reshape(d.shape[:-2] + (1, 9))
 
 
 def sharp_ratio(xi):
     """Largest ratio |sym(P x xi)| / |devsym(P x xi)| over admissible P.
 
-    This is the operator norm of the multiplier: M maps devsym(P x xi) to
-    sym(P x xi), and P outside the common kernel reaches every direction
-    of the range of A.  One frequency gives a float, a (..., 3) stack an
-    array of shape (...).
+    This is the operator norm of the multiplier: M maps devsym(P x xi) to sym(P x xi),
+    and P outside the common kernel reaches every direction of the range of A.  One
+    frequency gives a float, a (..., 3) stack an array of shape (...).
     """
     ratio = np.linalg.svd(build_multiplier(xi), compute_uv=False)[..., 0]
     return float(ratio) if np.ndim(ratio) == 0 else ratio

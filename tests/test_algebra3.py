@@ -8,6 +8,8 @@ from kornlab.algebra3 import (
     random_rotation, recover_axial, skew, sym, tangential_projector, tp, tr,
     vec_norm,
 )
+from kornlab.korn_estimator import lambda_min
+from kornlab.symbol import KernelWitness, build_multiplier, curl_symbol, sharp_ratio
 
 RNG = np.random.default_rng(20240817)
 
@@ -199,3 +201,27 @@ def test_random_rotation_maps_quaternion_stacks():
     assert_array_equal(R[..., 0, 0].ravel(), 1 - 2 * (y * y + z * z))
     # so a quaternion's length does not matter
     assert_allclose(random_rotation(3.0 * q[0, 0]), R[0, 0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: anti([1.0, 2.0, 3.0, 4.0]), r"got \(4,\)"),
+    (lambda: anti(1.0), r"got \(\)"),
+    (lambda: axl(np.zeros((4, 4))), r"got \(4, 4\)"),
+    (lambda: cross(np.zeros((3, 4)), [1.0, 2.0, 3.0]), r"got \(3, 4\)"),
+    (lambda: cross(np.eye(3), [1.0, 2.0, 3.0, 4.0]), r"got \(4,\)"),
+    (lambda: dev(np.eye(4)), r"got \(4, 4\)"),
+    (lambda: dev(np.ones(3)), r"got \(3,\)"),
+    (lambda: build_multiplier([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
+    (lambda: build_multiplier(KernelWitness().xi), "real, finite"),
+    (lambda: build_multiplier(np.array([0.0, 0.0, 1.0], dtype=complex)), "real, finite"),
+    (lambda: build_multiplier([np.nan, 0.0, 1.0]), "real, finite"),
+    # the same contract read through the callers
+    (lambda: curl_symbol([1, 2, 3, 4, 5, 6], "devsym"), r"got \(6,\)"),
+    (lambda: sharp_ratio([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
+    (lambda: lambda_min([1.0, 0.0, 0.0, 9.0]), r"got \(4,\)"),
+], ids=["anti", "anti-scalar", "axl", "cross-matrix", "cross-vector", "dev", "dev-vector",
+        "multiplier", "multiplier-witness", "multiplier-complex", "multiplier-nan", "curl-symbol",
+        "sharp-ratio", "lambda-min"])
+def test_components_are_read_only_from_their_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

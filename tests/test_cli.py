@@ -439,6 +439,7 @@ _DIMENSION = "kernel dimension of the devsym curl symbol left 4"
 _MULTIPLIER = "multiplier identity M(xi) A(xi) = A_sym(xi) violated"
 _HOMOGENEITY = "multiplier homogeneity violated"
 _EQUIVALENCE = "equivalence_constant: %s"
+_SQRT3 = "sharp ratio or equivalence constant differs from sqrt(3) by more than 1e-12 relative"
 _INTERVAL = "per-frequency minimum left the interval (0, 1]"
 _CLOSED_FORM = ("%d per-frequency minima differ from the closed form "
                 "(2 + t - sqrt(t^2 + 4))/4, t = |k|^2, by more than 1e-12 + 16 eps t; "
@@ -477,6 +478,11 @@ CHECK_CASES = [
                  id="homogeneity-nan"),
     pytest.param(_SYMBOL, _EQUIVALENCE, "korn_estimator.equivalence_constant",
                  _raising(RuntimeError("direction-dependent ratio")), id="equivalence"),
+    # the norm of M with sym(u u^T) in place of dev(u u^T): M A = A_sym still holds
+    pytest.param(_SYMBOL, _SQRT3, "symbol.sharp_ratio", _returning(1.9318516525781362),
+                 id="sqrt3"),
+    pytest.param(_SYMBOL, _SQRT3, "korn_estimator.equivalence_constant", _returning(_NAN),
+                 id="sqrt3-nan"),
     pytest.param(["korn"], _INTERVAL, "korn_estimator.korn_constant",
                  _last_korn_entry(lambda lam: 1.5), id="interval"),
     pytest.param(["korn"], _INTERVAL, "korn_estimator.korn_constant",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kornlab import fields
+from kornlab import fields, korn_estimator
 from kornlab.algebra3 import EYE3, cross, dev, sym, tr
 from kornlab.fields import (
     BadExponentError, BandTooWideError, BoxDomain, CorruptFieldError,
@@ -37,6 +37,33 @@ def test_gridspec_validation():
     spec = GridSpec(8)
     assert_allclose(spec.x, 2.0 * np.pi * np.arange(8) / 8)
     assert list(spec.frequencies) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+def test_gridspec_reads_n_as_an_integer():
+    spec = GridSpec(np.int64(8))
+    assert spec.n == 8 and type(spec.n) is int
+
+
+_CUBE = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridSpec(8.0), "integer"),
+    (lambda: GridSpec(np.float64(8)), "integer"),
+    (lambda: GridSpec(True), "integer"),
+    (lambda: growth_ratio(True, 2.0, _CUBE), "integer"),
+    (lambda: halfspace_ratio(True, 2.0), "integer"),
+    (lambda: korn_estimator.korn_constant(True), "integer"),
+    (lambda: growth_ratio(1, "2", _CUBE), "real number"),
+    (lambda: growth_ratio(1, True, _CUBE), "real number"),
+    (lambda: halfspace_ratio(2, np.bool_(True)), "real number"),
+    (lambda: lp_norm(GridField(GridSpec(4), 0, np.zeros((4, 4, 4), complex)), "2"),
+     "real number"),
+], ids=["grid-float", "grid-float64", "grid-bool", "growth-k-bool", "halfspace-k-bool",
+        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str"])
+def test_counts_and_exponents_refuse_bools_and_non_numbers(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_samples_values_roundtrip():

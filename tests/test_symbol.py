@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kornlab.algebra3 import anti, dev, dot, mat_norm, sym
+from kornlab.algebra3 import RANK_TOL, anti, dev, dot, mat_norm, sym
 from kornlab.symbol import (
     KernelWitness, ZeroFrequencyError, apply_symbol, basis_matrices,
     build_multiplier, curl_symbol, kernel_basis,
@@ -93,10 +93,32 @@ def test_kernel_basis_properties():
     assert kernel_basis(np.zeros((9, 9))).dimension == 9
 
 
+@pytest.mark.parametrize("op", [np.eye(3), np.eye(4), np.eye(10), np.zeros(81),
+                                np.zeros((1, 9, 9))])
+def test_kernel_basis_refuses_a_non_9x9_operator(op):
+    with pytest.raises(ValueError, match=r"shape \(9, 9\), got"):
+        kernel_basis(op)
+
+
 def test_sym_and_devsym_kernels_agree():
     xi = RNG.standard_normal(3)
     for v in kernel_basis(curl_symbol(xi, "devsym")).vectors:
         assert float(mat_norm(apply_symbol(curl_symbol(xi, "sym"), v))) < 1e-12
+
+
+def _pinv_multiplier(xi):
+    """The numerical route: A_sym times the pseudo-inverse of A, cut at the shared RANK_TOL."""
+    return curl_symbol(xi, "sym") @ np.linalg.pinv(curl_symbol(xi, "devsym"), rcond=RANK_TOL)
+
+
+def test_closed_form_multiplier_matches_the_pseudo_inverse():
+    # directions over ten decades of |xi|; the closed form is real, the reference complex
+    xi = RNG.standard_normal((1000, 3)) * 10.0 ** RNG.uniform(-5.0, 5.0, (1000, 1))
+    m = build_multiplier(xi)
+    assert m.dtype == np.float64 and m.shape == (1000, 9, 9)
+    assert np.abs(m - _pinv_multiplier(xi)).max() < 1e-13
+    for one in xi:
+        assert np.abs(build_multiplier(one) - _pinv_multiplier(one)).max() < 1e-13
 
 
 def test_multiplier_identity_and_homogeneity():
@@ -107,7 +129,8 @@ def test_multiplier_identity_and_homogeneity():
         a = curl_symbol(xi, "devsym")
         a_sym = curl_symbol(xi, "sym")
         assert float(np.linalg.norm(m @ a - a_sym)) < 1e-12
-        for t in (2.0, 0.25, 17.0):
+        # 1e300 * xi has no finite Euclidean length
+        for t in (2.0, 0.25, 17.0, 1e-11, 1e300):
             assert float(np.linalg.norm(build_multiplier(t * xi) - m)) < 1e-12
 
 
