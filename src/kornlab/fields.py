@@ -6,7 +6,8 @@ Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
 stored by their discrete Fourier coefficients (numpy fftn layout over the
 three grid axes, integer frequencies GridSpec.frequencies).  Differential
 operators act frequency by frequency; the derivative multipliers drop the
-unpaired Nyquist mode so that real-tagged fields stay real.  Coefficients
+unpaired Nyquist mode so that real-tagged fields stay real, and values
+reads such a field off its half spectrum, one real inverse FFT.  Coefficients
 and grid samples are stored tensor-last: scalar fields have shape
 (n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).  Every
 pointwise operation is therefore a broadcast call into algebra3.
@@ -246,11 +247,12 @@ def field_from_samples(spec, rank, samples):
 
 
 def values(f):
-    """Grid samples of the field (real array for real-tagged fields)."""
-    v = np.fft.ifftn(f.coef, axes=(0, 1, 2))
+    """Grid samples: float64 from the half spectrum k1 = 0..n/2 for a real-tagged
+    (exactly conjugate-symmetric) field, complex from the full spectrum otherwise."""
     if f.reality == "real":
-        return v.real
-    return v
+        n = f.spec.n
+        return np.fft.irfftn(f.coef[:n // 2 + 1], s=(n, n, n), axes=(1, 2, 0))
+    return np.fft.ifftn(f.coef, axes=(0, 1, 2))
 
 
 def _curl(coef, K):

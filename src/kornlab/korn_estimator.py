@@ -191,6 +191,7 @@ def _apply_fields(spec, v):
     """The operator on one real field, flattened to (9 n^3,), through the fields chain."""
     n = spec.n
     coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
+    # ifftn(...).real, not a half spectrum: the gate must see a wrong chain's asymmetric part
     return np.fft.ifftn(_apply_hat(spec, coef), axes=(0, 1, 2)).real.reshape(v.shape)
 
 

@@ -85,6 +85,23 @@ def test_complex_samples_get_complex_tag():
     assert_allclose(values(f), samples, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_real_values_match_the_full_inverse_transform(n, rank):
+    # random samples put content on every Nyquist plane, which the half
+    # spectrum k1 = 0..n/2 of values must keep
+    rng = np.random.default_rng(100 * n + rank)
+    f = field_from_samples(GridSpec(n), rank, rng.standard_normal((n, n, n) + (3,) * rank))
+    got = values(f)
+    want = np.fft.ifftn(f.coef, axes=(0, 1, 2)).real
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # the same coefficients tagged complex keep the full complex transform
+    g = field_from_coef(f.spec, rank, f.coef, "complex")
+    assert np.iscomplexobj(values(g))
+    assert_array_equal(values(g), np.fft.ifftn(f.coef, axes=(0, 1, 2)))
+
+
 def test_real_tag_is_validated():
     spec = GridSpec(4)
     coef = RNG.standard_normal((4, 4, 4)) + 1j * RNG.standard_normal((4, 4, 4))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kornlab import cli, identities, korn_estimator
+from kornlab import cli, fields, identities, korn_estimator
 from kornlab.identities import (
-    ALGEBRA_TOL, SPECTRAL_TOL, IdentityResult, rel, run_algebra, run_all,
+    ALGEBRA_TOL, SPECTRAL_TOL, IdentityResult, frel, rel, run_algebra, run_all,
     run_spectral, window,
 )
 
@@ -56,6 +56,42 @@ def test_spectral_suite_passes():
 def test_spectral_suite_small_grid():
     for res in run_spectral(n=8, seed=5, draws=1):
         assert res.passed, "%s at %.3e" % (res.name, res.max_residual)
+
+
+@pytest.mark.parametrize("seed", [1, 40])
+def test_spectral_suite_keeps_the_worst_of_its_draws(seed):
+    three = run_spectral(8, seed, draws=3)
+    ones = [run_spectral(8, seed + 101 * j, draws=1) for j in range(3)]
+    for res, *single in zip(three, *ones):
+        assert res.samples == 3
+        assert res.max_residual == max(r.max_residual for r in single), res.name
+
+
+def _frel_three_transforms(fa, fb):
+    a, b, d = (float(np.max(fields.magnitude(f))) for f in (fa, fb, fa - fb))
+    return d / max(1.0, a, b)
+
+
+@pytest.mark.parametrize("structure", ["scalar", "vector", "general"])
+def test_frel_matches_the_three_transform_definition(structure):
+    spec = fields.GridSpec(8)
+    f = fields.random_bandlimited(spec, 3, 2, structure)
+    g = fields.random_bandlimited(spec, 4, 2, structure)
+    cases = [(f, f + 1e-9 * g), (f, 5.0 * g), (1e-3 * f, 1e-3 * g), (f, g),
+             (f, fields.field_from_coef(spec, g.rank, g.coef * (1 + 1e-9j)))]
+    for fa, fb in cases:
+        want = _frel_three_transforms(fa, fb)
+        assert abs(frel(fa, fb) - want) <= 1e-15 * want
+    assert frel(f, f) == 0.0
+
+
+def test_frel_refuses_fields_of_other_ranks_or_grids():
+    small = fields.GridSpec(8)
+    f = fields.random_bandlimited(small, 3, 2, "general")
+    with pytest.raises(fields.RankMismatchError):
+        frel(f, fields.random_bandlimited(small, 3, 2, "vector"))
+    with pytest.raises(fields.RankMismatchError):
+        frel(f, fields.random_bandlimited(fields.GridSpec(16), 3, 2, "general"))
 
 
 def test_run_all_names_unique():
