@@ -7,8 +7,8 @@ Conventions used throughout the package:
   and the tensor-last coefficient grids of kornlab.fields all go through
   the same code,
 * entries may be real or complex.  The only pairing is the bilinear
-  (non-conjugated) one, ``dot``/``frob``; magnitudes are measured separately
-  with the Hermitian norms ``vec_norm``/``mat_norm``,
+  (non-conjugated) one, ``dot``/``frob``; magnitudes are measured by the Hermitian
+  norms ``vec_norm``/``mat_norm``, exact across the double range (no silent 0 or inf),
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``,
 * ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
@@ -161,16 +161,44 @@ def frob(P, Q):
     return np.sum(np.asarray(P) * np.asarray(Q), axis=(-2, -1))
 
 
+def _pow2(x, axis=None):
+    """The power of two 2^(e-1) <= max|x| < 2^e over axis (kept, for broadcasting); 0.5
+    where max|x| is 0, inf or NaN.  Dividing by it is exact wherever the quotient is normal."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1] - 1)
+
+
+def _norm(x, rank):
+    """Hermitian norm of x over its last rank axes; rank 0 gives |x|.
+
+    sqrt(sum |x|^2), unless a square or the sum underflows or overflows: then the results
+    outside [2^-480, 2^480] are recomputed from x over its _pow2.  NaN and inf propagate.
+    """
+    x = np.asarray(x)
+    if rank == 0:
+        return np.abs(x)
+    axes = tuple(range(-rank, 0))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.sqrt(np.sum(np.abs(x) ** 2, axis=axes))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.asarray(np.sqrt(np.sum(np.abs(x) ** 2, axis=axes)))
+        bad = ~((out >= 2.0 ** -480) & (out <= 2.0 ** 480))
+        a = np.abs(x[bad])
+        top = _pow2(a, axes)
+        out[bad] = np.sqrt(np.sum((a / top) ** 2, axis=axes)) * top.reshape(-1)
+    return out[()]
+
+
 def vec_norm(a):
     """Hermitian length of a vector."""
-    a = np.asarray(a)
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    return _norm(a, 1)
 
 
 def mat_norm(X):
     """Hermitian Frobenius norm of a matrix."""
-    X = np.asarray(X)
-    return np.sqrt(np.sum(np.abs(X) ** 2, axis=(-2, -1)))
+    return _norm(X, 2)
 
 
 @dataclass(frozen=True)

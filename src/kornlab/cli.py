@@ -24,6 +24,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
+from .algebra3 import _norm
 from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
                      _check_count, _check_exponent, growth_ratio, halfspace_ratio)
 
@@ -255,8 +256,8 @@ def run_symbol(cfg):
     m = symbol.build_multiplier(xi)
     a = symbol.curl_symbol(xi, "devsym")
     a_sym = symbol.curl_symbol(xi, "sym")
-    mult_resid = float(np.linalg.norm(m @ a - a_sym, axis=(-2, -1)).max())
-    homo_resid = float(np.linalg.norm(symbol.build_multiplier(2.0 * xi) - m, axis=(-2, -1)).max())
+    mult_resid = float(_norm(m @ a - a_sym, 2).max())
+    homo_resid = float(_norm(symbol.build_multiplier(2.0 * xi) - m, 2).max())
     checks = [("kernel dimension of the devsym curl symbol left 4", all(d == 4 for d in dims)),
               ("multiplier identity M(xi) A(xi) = A_sym(xi) violated", mult_resid <= 1e-10),
               ("multiplier homogeneity violated", homo_resid <= 1e-10)]
@@ -355,7 +356,7 @@ def run_kernel(cfg):
     pts = rng.standard_normal((14, 3))
     mats = kernels.eval_kernel(element, pts)
     fit = kernels.project_kernel(pts, mats, "devsym")
-    recovery = float(max(
+    recovery = float(identities._worst(
         np.max(np.abs(fit.element.a_tilde - element.a_tilde)),
         abs(fit.element.beta - element.beta),
         np.max(np.abs(fit.element.b - element.b)),

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import EYE3, anti, axl, cross, dev, dot, mat_norm, skew, sym, tp, tr, vec_norm
+from .algebra3 import EYE3, _norm, _pow2, anti, axl, cross, dev, dot, skew, sym, tp, tr
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -71,7 +71,6 @@ QUAD_CAP = 1024
 QUAD_RTOL = 1e-3
 REALITY_TOL = 1e-12
 
-_NORMS = (np.abs, vec_norm, mat_norm)       # pointwise Hermitian magnitude, by rank
 _STRUCTURES = {"scalar": (0, None), "vector": (1, None),     # name: (rank, part or None)
                "general": (2, None), "sym": (2, "sym"), "skew": (2, "skew")}
 
@@ -306,7 +305,7 @@ def pointwise_part(f, part):
 
 def magnitude(f):
     """Pointwise Hermitian magnitude of the field's grid samples, shape (n, n, n)."""
-    return _NORMS[f.rank](values(f))
+    return _norm(values(f), f.rank)
 
 
 def random_bandlimited(spec, seed, kmax, structure="general"):
@@ -343,15 +342,13 @@ def _bandlimited_coef(spec, seed, kmax, rank):
 def lp_norm(f, p):
     """L^p norm of the pointwise Hermitian magnitude of a periodic field.
 
-    The grid weight is (2*pi/n)^3, and the magnitude is divided by its
-    maximum before the power, so that neither underflows to 0 nor
-    overflows to inf at large p.
+    The grid weight is (2*pi/n)^3, and the magnitude is divided by an
+    exact power of two within a factor 2 below its maximum before the
+    power, so that neither underflows to 0 nor overflows to inf at large p.
     """
     p = _check_exponent(p)
     mag = magnitude(f)
-    top = float(mag.max())
-    if top == 0.0:
-        return 0.0
+    top = _pow2(mag).item()
     w = (2.0 * np.pi / f.spec.n) ** 3
     return top * float((np.sum((mag / top) ** p) * w) ** (1.0 / p))
 
@@ -482,7 +479,7 @@ def growth_ratio(k, p, box):
     p = _check_exponent(p)
     k = _check_count("k", k)
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
-    s = math.ldexp(0.5, math.frexp(max(map(abs, box.lo[:2] + box.hi[:2])))[1])
+    s = _pow2(box.lo[:2] + box.hi[:2]).item()
 
     def compute(m):
         (x1, w1), (x2, w2) = _rules(box, m, (0, 1), (0, 1))

@@ -8,7 +8,8 @@ between differential operators run on random band-limited fields
 (n = 16, band n/4, three draws, one held at a time) at tolerance 1e-10,
 two inverse transforms per comparison of two fields.  Window entries
 measure how far a quantity escapes a closed interval, so their residual
-is exactly zero when the bounds hold.
+is exactly zero when the bounds hold.  A worst-of over parts and draws is
+NaN when any of them is, so a NaN residual fails its entry.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fields
-from .algebra3 import (EYE3, anti, axl, cross, dev, dot, frob, mat_norm,
+from .algebra3 import (EYE3, _norm, anti, axl, cross, dev, dot, frob, mat_norm,
                        orth_decompose, random_rotation, recover_axial, skew,
                        sym, tangential_projector, tp, tr, vec_norm)
 from .symbol import apply_symbol, curl_symbol
@@ -43,19 +44,16 @@ class IdentityResult:
         return self.max_residual < self.tolerance
 
 
-def _flat_mag(x):
-    x = np.asarray(x)
-    if x.ndim <= 1:
-        return np.abs(x)
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
+def _worst(*values):
+    """Builtin max of the values (the first of tied maxima), or NaN if any value is NaN."""
+    return float("nan") if np.isnan(values).any() else max(values)
 
 
 def rel(lhs, rhs):
     """Worst relative deviation between two per-sample arrays."""
     lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-    diff = _flat_mag(lhs - rhs)
-    scale = np.maximum(1.0, np.maximum(_flat_mag(lhs), _flat_mag(rhs)))
-    return float(np.max(diff / scale))
+    diff, lhs, rhs = (_norm(x, max(x.ndim - 1, 0)) for x in (lhs - rhs, lhs, rhs))
+    return float(np.max(diff / np.maximum(1.0, np.maximum(lhs, rhs))))
 
 
 def window(value, lo, hi, scale=None):
@@ -93,7 +91,7 @@ def _i_anti_cross(d):
 
 def _i_axl_roundtrip(d):
     A = anti(d.ac)
-    return max(rel(axl(A), d.ac), rel(anti(axl(A)), A))
+    return _worst(rel(axl(A), d.ac), rel(anti(axl(A)), A))
 
 
 def _i_anti_product(d):
@@ -128,7 +126,7 @@ def _i_skew_cross_trace(d):
 
 def _i_cross_kills_direction(d):
     out = (cross(d.Pc, d.bc) @ d.bc[..., None])[..., 0]
-    return float(np.max(_flat_mag(out) / np.maximum(1.0, mat_norm(d.Pc) * vec_norm(d.bc) ** 2)))
+    return float(np.max(vec_norm(out) / np.maximum(1.0, mat_norm(d.Pc) * vec_norm(d.bc) ** 2)))
 
 
 def _i_double_cross_transpose(d):
@@ -229,7 +227,7 @@ def _i_orth_split(d):
                       / np.maximum(1.0, mat_norm(d.Pc) ** 2)))
     n2 = mat_norm(parts.devsym) ** 2 + mat_norm(parts.skew) ** 2 + 3.0 * np.abs(parts.sphere) ** 2
     r4 = rel(mat_norm(d.Pc) ** 2, n2)
-    return max(r1, r2, r3, r4)
+    return _worst(r1, r2, r3, r4)
 
 
 def _i_tangential_projector(d):
@@ -238,20 +236,20 @@ def _i_tangential_projector(d):
     r2 = rel(mat_norm(d.Pc @ P_nu), mat_norm(cross(d.Pc, d.bu)))
     pn = (d.Pc @ d.bu[..., None])[..., 0]
     r3 = rel(mat_norm(cross(d.Pc, d.bu)) ** 2, mat_norm(d.Pc) ** 2 - vec_norm(pn) ** 2)
-    return max(r1, r2, r3)
+    return _worst(r1, r2, r3)
 
 
 def _i_dyadic_cross_kill(d):
     X = cross(np.einsum("si,sj->sij", d.ac, d.bc), d.bc)
     scale = np.maximum(1.0, vec_norm(d.ac) * vec_norm(d.bc) ** 2)
-    return float(np.max(_flat_mag(X) / scale))
+    return float(np.max(mat_norm(X) / scale))
 
 
 def _i_sym_dyadic_cross_balance(d):
     D = np.einsum("si,sj->sij", d.ac, d.bc)
     r1 = rel(cross(sym(D), d.bc), -cross(skew(D), d.bc))
     r2 = rel(cross(sym(D), d.bc), 0.5 * cross(np.einsum("si,sj->sij", d.bc, d.ac), d.bc))
-    return max(r1, r2)
+    return _worst(r1, r2)
 
 
 def _i_anti_double_cross(d):
@@ -280,7 +278,7 @@ def _i_double_cross_respects_split(d):
     X = cross(tp(cross(d.Pc, d.bc)), d.bc)
     r1 = rel(sym(X), cross(tp(cross(sym(d.Pc), d.bc)), d.bc))
     r2 = rel(skew(X), cross(tp(cross(skew(d.Pc), d.bc)), d.bc))
-    return max(r1, r2)
+    return _worst(r1, r2)
 
 
 def _i_left_right_transpose(d):
@@ -348,15 +346,14 @@ def _fmax(f):
 def frel(fa, fb):
     """Worst pointwise relative deviation between two fields, from two inverse transforms:
     the samples of fa and of fa - fb, whose difference stands for the samples of fb."""
-    vd = fields.values(fa - fb)
-    norm, va = fields._NORMS[fa.rank], fields.values(fa)
-    scale = max(1.0, float(np.max(norm(va))), float(np.max(norm(va - vd))))
-    return float(np.max(norm(vd))) / scale
+    vd, va = fields.values(fa - fb), fields.values(fa)
+    scale = _worst(1.0, float(np.max(_norm(va, fa.rank))), float(np.max(_norm(va - vd, fa.rank))))
+    return float(np.max(_norm(vd, fa.rank))) / scale
 
 
 def fzero(f, scale_field):
     """Worst pointwise magnitude of f relative to the size of scale_field."""
-    return _fmax(f) / max(1.0, _fmax(scale_field))
+    return _fmax(f) / _worst(1.0, _fmax(scale_field))
 
 
 def _spectral_data(n, seed):
@@ -438,7 +435,7 @@ def _s_inc_commutes_with_split(d):
               fields.apply_operator(fields.pointwise_part(d.P, "sym"), "inc"))
     r2 = frel(fields.pointwise_part(inc, "skew"),
               fields.apply_operator(fields.pointwise_part(d.P, "skew"), "inc"))
-    return max(r1, r2)
+    return _worst(r1, r2)
 
 
 def _s_inc_transpose(d):
@@ -516,10 +513,10 @@ def run_algebra(samples=1000, seed=1):
 
 def run_spectral(n=16, seed=1, draws=3):
     fields._check_count("draws", draws)
-    for j in range(draws):      # one draw held at a time; max keeps NaN as max over draws does
+    for j in range(draws):      # one draw held at a time; a NaN on any draw is kept
         d = _spectral_data(n, seed + 101 * j)
         got = [fn(d) for _, fn in SPECTRAL]
-        worst = got if j == 0 else list(map(max, worst, got))
+        worst = got if j == 0 else list(map(_worst, worst, got))
     return [IdentityResult(name, draws, w, SPECTRAL_TOL) for (name, _), w in zip(SPECTRAL, worst)]
 
 

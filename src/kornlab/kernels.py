@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import anti, dot, numerical_rank
+from .algebra3 import _norm, anti, dot, numerical_rank
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -149,7 +149,7 @@ def project_kernel(points, matrices, space="devsym"):
                                       % (rank, cols.size))
     cond = float(sv[0] / sv[-1])
     theta, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    residual = float(np.linalg.norm(design @ theta - rhs))
+    residual = float(_norm(design @ theta - rhs, 1))
     params = np.zeros(10)
     params[cols] = theta
     e = _element(params)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import sym, tp
+from .algebra3 import _norm, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -283,8 +283,7 @@ def grid_crosscheck(n):
                             maxiter=_LOBPCG_MAXITER, retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
     vec = _hartley(v[:, int(np.argmin(w))], n)
-    resid = float(np.linalg.norm(_apply_fields(spec, vec) - lam_grid * vec)
-                  / np.linalg.norm(vec))
+    resid = float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
     # lam_grid is a Rayleigh quotient: its error is at most resid^2 over the spectral
     # gap, exactly lambda_-(2) - lambda_-(1) = 0.1019...; 1e-4 keeps it below 1e-7.
     if not np.isfinite(lam_grid) or resid > 1e-4:
@@ -299,8 +298,7 @@ def grid_crosscheck(n):
     # so this sees every block
     field = rng.standard_normal(9 * n ** 3)
     want = _hartley(_apply_fields(spec, field), n)
-    miss = float(np.linalg.norm(_apply_blocks(q, _hartley(field, n)) - want)
-                 / np.linalg.norm(want))
+    miss = float(_norm(_apply_blocks(q, _hartley(field, n)) - want, 1) / _norm(want, 1))
     if not miss <= 1e-10:
         raise ProbeError("probed blocks miss the fields chain by %.3e relative" % miss)
 

@@ -97,11 +97,9 @@ def build_multiplier(xi):
     xi = _shaped(xi, (3,), "frequency")
     if np.iscomplexobj(xi) or not np.all(np.isfinite(xi)):
         raise ValueError("multiplier needs a real, finite frequency")
-    top = np.max(np.abs(xi), axis=-1, keepdims=True)
-    if np.any(top <= 1e-12):
+    if np.any(np.max(np.abs(xi), axis=-1) <= 1e-12):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    u = np.ldexp(xi, -np.frexp(top)[1])     # exact: u/|u| = xi/|xi|, and |u| cannot overflow
-    u /= vec_norm(u)[..., None]
+    u = xi / vec_norm(xi)[..., None]
     d = dev(u[..., :, None] * u[..., None, :])
     return _DEVSYM - EYE3.reshape(9, 1) * d.reshape(d.shape[:-2] + (1, 9))
 

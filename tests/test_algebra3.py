@@ -225,3 +225,51 @@ def test_random_rotation_maps_quaternion_stacks():
 def test_components_are_read_only_from_their_shape(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _plain_norm(x, axes):
+    """The textbook Hermitian norm, the reference on inputs of moderate size."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=axes))
+
+
+def _axial_roundtrip(scale):
+    """recover_axial on a scaled a, divided back: [1, -2, 3] to rounding."""
+    b = np.array([0.3, -0.4, 1.2])
+    return recover_axial(dev(sym(cross(anti(scale * np.array([1.0, -2.0, 3.0])), b))), b) / scale
+
+
+_STACK = np.random.default_rng(3).standard_normal((2, 40, 3, 3))
+_CSTACK = _STACK[0] + 1j * _STACK[1]
+
+
+# each norm is exact (rtol 0) or checked to rtol; an error type is raised instead.
+# The suite runs with filterwarnings = error, so an overflow warning fails a case.
+@pytest.mark.parametrize("call, want, rtol", [
+    (lambda: axl(1e-200 * np.eye(3)), NotSkewError, None),
+    (lambda: recover_axial(1e-200 * anti([1.0, 2.0, 3.0]), [0.0, 0.0, 1.0]),
+     NotTracelessSymError, None),
+    (lambda: tangential_projector([1e200, 0.0, 0.0]), NotUnitError, None),
+    (lambda: _axial_roundtrip(1e300), [1.0, -2.0, 3.0], 1e-14),
+    (lambda: _axial_roundtrip(1e-300), [1.0, -2.0, 3.0], 1e-14),
+    (lambda: vec_norm([1e200, 0.0, 0.0]), 1e200, 0.0),
+    (lambda: vec_norm([1e-170, 0.0, 0.0]), 1e-170, 0.0),
+    (lambda: mat_norm(1e-200 * np.eye(3)), np.sqrt(3.0) * 1e-200, 0.0),
+    (lambda: mat_norm(1e300 * np.ones((3, 3))), 3e300, 1e-15),
+    # an underflowing square in a row of moderate norm leaves that row's plain value
+    (lambda: vec_norm([[1.0, 1e-200, 0.0], [1e-200, 0.0, 0.0]]), [1.0, 1e-200], 0.0),
+    (lambda: vec_norm([[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [np.inf, np.nan, 0.0],
+                       [1e300, np.nan, 0.0], [0.0, 0.0, 0.0]]),
+     [np.nan, np.inf, np.nan, np.nan, 0.0], 0.0),
+    (lambda: mat_norm(_STACK), _plain_norm(_STACK, (-2, -1)), 0.0),
+    (lambda: vec_norm(_STACK), _plain_norm(_STACK, -1), 0.0),
+    (lambda: mat_norm(_CSTACK), _plain_norm(_CSTACK, (-2, -1)), 0.0),
+    (lambda: vec_norm(_CSTACK), _plain_norm(_CSTACK, -1), 0.0),
+], ids=["axl-tiny", "recover-axial-tiny", "projector-huge", "roundtrip-huge", "roundtrip-tiny",
+        "vec-huge", "vec-tiny", "mat-tiny", "mat-huge", "mixed-rows", "nan-inf-zero", "real-mat", "real-vec",
+        "complex-mat", "complex-vec"])
+def test_norms_hold_across_the_double_range(call, want, rtol):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            call()
+    else:
+        assert_allclose(call(), want, rtol=rtol, atol=0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -417,6 +418,31 @@ def _one_identity(residual):
                                                  identities.ALGEBRA_TOL)])
 
 
+def _nan_on_draw(draw):
+    """The real suite, with its first spectral identity NaN on one draw only."""
+    def wrap(real):
+        def fake(*args, **kwargs):
+            name, check = identities.SPECTRAL[0]
+            calls = itertools.count(1)
+            identities.SPECTRAL[0] = (name, lambda d: _NAN if next(calls) == draw else check(d))
+            try:
+                return real(*args, **kwargs)
+            finally:
+                identities.SPECTRAL[0] = (name, check)
+        return fake
+    return wrap
+
+
+def _fitted(**changes):
+    """The real projection with fields of its fitted kernel element replaced."""
+    def wrap(real):
+        def fake(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            return dataclasses.replace(fit, element=dataclasses.replace(fit.element, **changes))
+        return fake
+    return wrap
+
+
 def _scaled_multiplier(factor):
     """M(xi) times factor(|xi|): the identity sees |xi| = 1, the homogeneity |xi| = 2 too."""
     return lambda real: lambda xi: real(xi) * factor(np.linalg.norm(xi, axis=-1))[..., None, None]
@@ -464,6 +490,8 @@ CHECK_CASES = [
                  _one_identity(identities.ALGEBRA_TOL), id="identity"),
     pytest.param(["identities"], _IDENTITY, "identities.run_all", _one_identity(_NAN),
                  id="identity-nan"),
+    pytest.param(["identities", "--grid-n", "8"], _IDENTITY, "identities.run_all",
+                 _nan_on_draw(2), id="identity-nan-on-draw-2"),
     pytest.param(_SYMBOL, _DIMENSION, "symbol.kernel_basis", _replacing(dimension=5),
                  id="dimension"),
     pytest.param(_SYMBOL, _MULTIPLIER, "symbol.build_multiplier",
@@ -504,6 +532,9 @@ CHECK_CASES = [
                  id="recovery"),
     pytest.param(["kernel"], _RECOVERY, "kernels.project_kernel", _replacing(residual=_NAN),
                  id="recovery-nan"),
+    # NaN in the last part of the recovery error only
+    pytest.param(["kernel"], _RECOVERY, "kernels.project_kernel",
+                 _fitted(d=np.array([0.0, _NAN, 0.0])), id="recovery-element-nan"),
     pytest.param(["kernel"], _NON_FINITE, "kernels.project_kernel", _replacing(cond=_NAN),
                  id="non-finite"),
 ]

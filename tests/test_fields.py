@@ -422,10 +422,14 @@ def test_lp_norm_extreme_constants():
     # the power of a tiny or huge magnitude neither underflows to 0 nor
     # overflows to inf: the norm is exact up to rounding at every scale
     spec = GridSpec(8)
-    for c in (1e-200, 1e-10, 2.5, 1e10, 1e200):
+    for c in (1e-300, 1e-200, 1e-10, 2.5, 1e10, 1e200, 1e300):
         f = field_from_samples(spec, 0, np.full((8, 8, 8), c))
         for p in (1.0, 2.0, 64.0):
             assert lp_norm(f, p) == pytest.approx(c * (2.0 * np.pi) ** (3.0 / p), rel=1e-12)
+        # a vector field's pointwise magnitude neither: sqrt(3) c at every point
+        u = field_from_samples(spec, 1, np.full((8, 8, 8, 3), c))
+        assert lp_norm(u, 2.0) == pytest.approx(np.sqrt(3.0) * c * (2.0 * np.pi) ** 1.5,
+                                                rel=1e-12)
     assert lp_norm(field_from_samples(spec, 0, np.zeros((8, 8, 8))), 2.0) == 0.0
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,61 @@ def test_spectral_suite_keeps_the_worst_of_its_draws(seed):
     for res, *single in zip(three, *ones):
         assert res.samples == 3
         assert res.max_residual == max(r.max_residual for r in single), res.name
+
+
+@pytest.mark.parametrize("draw", [1, 2, 3])
+def test_a_nan_on_any_draw_fails_its_identity(monkeypatch, draw):
+    name, real = identities.SPECTRAL[0]
+    calls = itertools.count(1)
+    monkeypatch.setattr(identities, "SPECTRAL", [
+        (name, lambda d: math.nan if next(calls) == draw else real(d)), *identities.SPECTRAL[1:]])
+    first = run_spectral(8, 1, draws=3)[0]
+    assert first.name == "curl_of_gradient_vanishes"
+    assert math.isnan(first.max_residual) and not first.passed
+
+
+@pytest.fixture(scope="module")
+def check_data():
+    return {"algebra": identities._samples(20, 1), "spectral": identities._spectral_data(8, 1)}
+
+
+def _frel_of(d):
+    return frel(d.P, 0.5 * d.P)
+
+
+def _fzero_of(d):
+    return identities.fzero(d.P, d.S)
+
+
+# (check, its data, the helper that makes one part, which call of it turns NaN):
+# every part of each multi-part check, and the scales of frel and fzero
+@pytest.mark.parametrize("check, data, owner, helper, call", [
+    *[(identities._i_axl_roundtrip, "algebra", identities, "rel", k) for k in (1, 2)],
+    (identities._i_orth_split, "algebra", identities, "rel", 1),
+    (identities._i_orth_split, "algebra", identities, "frob", 1),
+    (identities._i_orth_split, "algebra", identities, "frob", 2),
+    (identities._i_orth_split, "algebra", identities, "rel", 2),
+    *[(identities._i_tangential_projector, "algebra", identities, "rel", k) for k in (1, 2, 3)],
+    *[(identities._i_sym_dyadic_cross_balance, "algebra", identities, "rel", k) for k in (1, 2)],
+    *[(identities._i_double_cross_respects_split, "algebra", identities, "rel", k)
+      for k in (1, 2)],
+    *[(identities._s_inc_commutes_with_split, "spectral", identities, "frel", k) for k in (1, 2)],
+    # the second transform of frel gives only its scale; the second _fmax of fzero too
+    (_frel_of, "spectral", fields, "values", 2),
+    (_fzero_of, "spectral", identities, "_fmax", 2),
+])
+def test_a_nan_in_any_part_fails_its_check(monkeypatch, check_data, check, data, owner,
+                                            helper, call):
+    real = getattr(owner, helper)
+    calls = itertools.count(1)
+
+    def planted(*args):
+        out = real(*args)
+        return out * math.nan if next(calls) == call else out
+
+    monkeypatch.setattr(owner, helper, planted)
+    assert math.isnan(check(check_data[data]))
+    assert next(calls) > call      # the planted call was made
 
 
 def _frel_three_transforms(fa, fb):
