@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * entries may be real or complex.  The only pairing is the bilinear
   (non-conjugated) one, ``dot``/``frob``; magnitudes are measured by the Hermitian
   norms ``vec_norm``/``mat_norm``, exact across the double range (no silent 0 or inf),
+* every direction goes through the private ``_unit``, whatever its scale; one is refused
+  (ZeroDirectionError) only when it is zero or not finite,
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``,
 * ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
@@ -21,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "NotSkewError", "NotTracelessSymError", "ZeroDirectionError", "NotUnitError",
-    "TOL_SKEW", "TOL_ZERO", "TOL_UNIT", "RANK_TOL",
+    "TOL_SKEW", "TOL_UNIT", "RANK_TOL",
     "numerical_rank", "anti", "axl", "cross", "sym", "skew", "dev", "tr", "tp",
     "dot", "frob", "vec_norm", "mat_norm",
     "OrthSplit", "orth_decompose", "recover_axial", "tangential_projector",
@@ -29,7 +31,6 @@ __all__ = [
 ]
 
 TOL_SKEW = 1e-9
-TOL_ZERO = 1e-9
 TOL_UNIT = 1e-9
 RANK_TOL = 1e-8
 
@@ -45,7 +46,7 @@ class NotTracelessSymError(ValueError):
 
 
 class ZeroDirectionError(ValueError):
-    """A direction vector is (numerically) zero."""
+    """A direction vector is zero or not finite."""
 
 
 class NotUnitError(ValueError):
@@ -201,6 +202,14 @@ def mat_norm(X):
     return _norm(X, 2)
 
 
+def _unit(v):
+    """v over its Hermitian length, row by row; ZeroDirectionError if a length is 0 or non-finite."""
+    length = _norm(v, 1)
+    if not np.all((length > 0.0) & np.isfinite(length)):
+        raise ZeroDirectionError("direction vector is zero or not finite")
+    return v / length[..., None]
+
+
 @dataclass(frozen=True)
 class OrthSplit:
     """Orthogonal split X = devsym + skew + sphere * id.
@@ -230,13 +239,13 @@ def orth_decompose(X):
 def recover_axial(M, b):
     """Recover a from M = devsym(anti(a) x b) for a known real direction b.
 
-    The map a -> devsym(anti(a) x b) is injective for b != 0; its left
-    inverse is
+    The map a -> devsym(anti(a) x b) is injective for b != 0 and linear in b; with
+    u = b/|b| its left inverse is
 
-        a = (2/|b|^2) * (M b - (1/4) <M b, b>/|b|^2 * b).
+        a = (2/|b|) * (M u - (1/4) <M u, u> u).
 
-    M must be traceless symmetric (NotTracelessSymError) and b a nonzero
-    real vector (ZeroDirectionError).
+    M must be traceless symmetric (NotTracelessSymError) and b a real vector that
+    is neither zero nor non-finite (ZeroDirectionError); its scale does not matter.
     """
     M = np.asarray(M)
     b = np.asarray(b)
@@ -247,12 +256,9 @@ def recover_axial(M, b):
     cut = TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
     if np.any(mat_norm(M - tp(M)) > 2.0 * cut) or np.any(np.abs(tr(M)) > cut):
         raise NotTracelessSymError("matrix is not traceless symmetric within tolerance")
-    b2 = np.sum(b * b, axis=-1)
-    if np.any(b2 <= TOL_ZERO ** 2):
-        raise ZeroDirectionError("direction vector is numerically zero")
-    Mb = (M @ b[..., None])[..., 0]
-    coef = dot(Mb, b) / b2
-    return 2.0 / b2[..., None] * (Mb - 0.25 * coef[..., None] * b)
+    u = _unit(b)
+    Mu = (M @ u[..., None])[..., 0]
+    return 2.0 * ((Mu - 0.25 * dot(Mu, u)[..., None] * u) / vec_norm(b)[..., None])
 
 
 def tangential_projector(nu):

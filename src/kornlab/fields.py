@@ -328,6 +328,7 @@ def _bandlimited_coef(spec, seed, kmax, rank):
     if not (0 <= kmax <= n // 2 - 1):
         raise BandTooWideError("kmax=%r does not fit on an n=%d grid "
                                "(need 0 <= kmax <= n/2 - 1)" % (kmax, n))
+    kmax = _check_count("kmax", kmax, 0)    # after the band, so that -1 stays BandTooWideError
     rng = np.random.default_rng(seed)
     # the noise is drawn slot-major, so that a seed names the same field it
     # always has, and then moved to the tensor-last layout

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fields
-from .algebra3 import (EYE3, _norm, anti, axl, cross, dev, dot, frob, mat_norm,
+from .algebra3 import (EYE3, _norm, _unit, anti, axl, cross, dev, dot, frob, mat_norm,
                        orth_decompose, random_rotation, recover_axial, skew,
                        sym, tangential_projector, tp, tr, vec_norm)
 from .symbol import apply_symbol, curl_symbol
@@ -79,8 +79,7 @@ def _samples(count, seed):
     d.bc = d.br + 1j * rng.standard_normal((count, 3))
     d.Pc = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
     d.Sc = sym(rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3)))
-    d.bu = d.br / vec_norm(d.br)[:, None]
-    d.b_safe = d.bu * (0.5 + np.abs(rng.standard_normal((count, 1))))
+    d.bu = _unit(d.br)
     d.R = random_rotation(rng.standard_normal((count, 4)))
     return d
 
@@ -198,8 +197,8 @@ def _i_equivalence_trace_identity(d):
 
 
 def _i_recover_axial_inverse(d):
-    M = dev(sym(cross(anti(d.ar), d.b_safe)))
-    return rel(recover_axial(M, d.b_safe), d.ar)
+    M = dev(sym(cross(anti(d.ar), d.br)))
+    return rel(recover_axial(M, d.br), d.ar)
 
 
 def _i_axl_antisym_dyadic(d):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _norm, sym, tp
+from .algebra3 import _norm, _unit, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -309,9 +309,7 @@ def grid_crosscheck(n):
 def sphere_directions(samples, seed=1):
     """Deterministic batch of unit vectors."""
     samples = fields._check_count("samples", samples)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((samples, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return _unit(np.random.default_rng(seed).standard_normal((samples, 3)))
 
 
 def equivalence_constant(samples=1000, seed=1):

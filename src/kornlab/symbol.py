@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (EYE3, _shaped, anti, cross, dev, dot, mat_norm, numerical_rank, sym,
-                       vec_norm)
+from .algebra3 import (EYE3, _shaped, _unit, anti, cross, dev, dot, mat_norm, numerical_rank,
+                       sym)
 
 __all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol", "KernelBasis",
            "kernel_basis", "build_multiplier", "sharp_ratio", "KernelWitness"]
@@ -91,15 +91,15 @@ def build_multiplier(xi):
 
     A and A_sym are the trace-free symmetric and the symmetric curl symbol.  With
     u = xi/|xi|, M X = X - (u^T X u) id on trace-free symmetric X (u^T S u = 0 for
-    S = sym(P x xi)) and M = 0 on their complement.  A real finite (..., 3) stack gives a
-    real (..., 9, 9) stack; a zero frequency raises ZeroFrequencyError, others ValueError.
+    S = sym(P x xi)) and M = 0 on their complement.  A real finite (..., 3) stack of any
+    scale gives a real (..., 9, 9) stack; only xi = 0 raises ZeroFrequencyError, others ValueError.
     """
     xi = _shaped(xi, (3,), "frequency")
     if np.iscomplexobj(xi) or not np.all(np.isfinite(xi)):
         raise ValueError("multiplier needs a real, finite frequency")
-    if np.any(np.max(np.abs(xi), axis=-1) <= 1e-12):
+    if np.any(~xi.any(-1)):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
-    u = xi / vec_norm(xi)[..., None]
+    u = _unit(xi)
     d = dev(u[..., :, None] * u[..., None, :])
     return _DEVSYM - EYE3.reshape(9, 1) * d.reshape(d.shape[:-2] + (1, 9))
 

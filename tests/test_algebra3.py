@@ -162,6 +162,24 @@ def test_recover_axial_input_checks():
     assert_array_equal(a, recover_axial(M, b))
 
 
+@pytest.mark.parametrize("scale, rtol", [(1e-200, 1e-14), (1e-10, 1e-14), (1e200, 1e-14),
+                                         (1e-310, 1e-12)])
+def test_recover_axial_at_any_scale_of_the_direction(scale, rtol):
+    # the map is linear in b, so no length of b is too small or too large;
+    # a subnormal b (1e-310) carries fewer bits, and M with it
+    a = np.array([1.0, -2.0, 3.0])
+    b = scale * np.array([0.3, -0.4, 1.2])
+    assert_allclose(recover_axial(dev(sym(cross(anti(a), b))), b), a, rtol=rtol)
+
+
+@pytest.mark.parametrize("b", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0],
+                               [[0.0, 0.0, 1.0], [1.0, -np.inf, 0.0]]])
+def test_recover_axial_refuses_a_non_finite_direction(b):
+    M = dev(sym(cross(anti([1.0, 2.0, 0.5]), [0.0, 0.0, 1.0])))
+    with pytest.raises(ZeroDirectionError):
+        recover_axial(M, b)
+
+
 def test_tangential_projector():
     nu = RNG.standard_normal(3)
     nu /= np.linalg.norm(nu)

@@ -413,6 +413,17 @@ def _replacing(**changes):
                                                                     **changes)
 
 
+def _replacing_on_call(call, **changes):
+    """The real calls, with fields of the dataclass result of one of them replaced."""
+    def wrap(real):
+        calls = itertools.count(1)
+        def fake(*args, **kwargs):
+            got = real(*args, **kwargs)
+            return dataclasses.replace(got, **changes) if next(calls) == call else got
+        return fake
+    return wrap
+
+
 def _one_identity(residual):
     return _returning([identities.IdentityResult("planted", 10, residual,
                                                  identities.ALGEBRA_TOL)])
@@ -494,6 +505,9 @@ CHECK_CASES = [
                  _nan_on_draw(2), id="identity-nan-on-draw-2"),
     pytest.param(_SYMBOL, _DIMENSION, "symbol.kernel_basis", _replacing(dimension=5),
                  id="dimension"),
+    # NaN singular values on the second of the 100 directions: the gap minimum keeps the NaN
+    pytest.param(_SYMBOL, _NON_FINITE, "symbol.kernel_basis",
+                 _replacing_on_call(2, singular_values=np.full(9, _NAN)), id="gap-nan-on-call-2"),
     pytest.param(_SYMBOL, _MULTIPLIER, "symbol.build_multiplier",
                  _scaled_multiplier(lambda r: np.full_like(r, 1.0 + 1e-9)), id="multiplier"),
     pytest.param(_SYMBOL, _MULTIPLIER, "symbol.build_multiplier",

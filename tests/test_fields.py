@@ -406,6 +406,13 @@ def test_band_too_wide():
     random_bandlimited(spec, 1, 3)          # boundary value is fine
 
 
+@pytest.mark.parametrize("kmax", [2.5, True, 3.0])
+def test_band_must_be_an_integer(kmax):
+    # read as every other count is: a bool or a non-integral number is a TypeError
+    with pytest.raises(TypeError, match="integer"):
+        random_bandlimited(GridSpec(8), 1, kmax)
+
+
 # ----------------------------------------------------------------------------
 # norms
 

@@ -188,6 +188,27 @@ def test_sharp_ratio_scale_invariant():
     assert sharp_ratio(3.7 * xi) == pytest.approx(sharp_ratio(xi), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-300, 5e-324, 1e300])
+def test_sharp_ratio_at_any_nonzero_scale(scale):
+    # only an exactly zero frequency is refused; 5e-324 is the smallest subnormal
+    assert sharp_ratio([0.0, 0.0, scale]) == pytest.approx(SQRT3, rel=1e-12)
+
+
+_XI = np.random.default_rng(29).standard_normal((50, 3))
+
+
+@pytest.mark.parametrize("scale", [3.7, 1e-13, 1e-200, 1e250])
+def test_multiplier_is_degree_zero_at_any_scale(scale):
+    assert np.abs(build_multiplier(scale * _XI) - build_multiplier(_XI)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** -60, 8.0, 2.0 ** 900],
+                         ids=["2^-900", "2^-60", "2^3", "2^900"])
+def test_multiplier_is_bit_equal_under_a_power_of_two(scale):
+    # s * xi is exact while it stays normal, and so is its length
+    assert_array_equal(build_multiplier(scale * _XI), build_multiplier(_XI))
+
+
 def test_witness_identities():
     w = KernelWitness()
     c = w.p_hat @ anti(w.xi)

@@ -49,6 +49,8 @@ CONFIGS = ([[c] for c in COMMANDS] + [[c, "--format", "csv"] for c in COMMANDS] 
     ["counterexample", "--box=-0.7,-0.3,-1,0.9,1.3,1"],
     ["kernel", "--seed", "7"],
     ["symbol", "--seed", "7", "--samples", "5000"],
+    ["kernel", "--seed", "0"],
+    ["symbol", "--seed", "0"],
 ])
 # imports kornlab from the tree named by argv[1], whatever else is installed
 RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); import kornlab.cli as cli; "
