@@ -264,7 +264,7 @@ def recover_axial(M, b):
 def tangential_projector(nu):
     """Projector id - nu (x) nu onto the plane orthogonal to a unit vector."""
     nu = np.asarray(nu, dtype=float)
-    if np.any(np.abs(vec_norm(nu) - 1.0) > TOL_UNIT):
+    if not np.all(np.abs(vec_norm(nu) - 1.0) <= TOL_UNIT):     # a NaN fails it
         raise NotUnitError("direction must have unit length")
     return EYE3 - nu[..., :, None] * nu[..., None, :]
 

@@ -41,8 +41,6 @@ DEFAULTS = {
     "out": None,
 }
 
-_CONFIG_KEYS = set(DEFAULTS)
-
 
 class UsageError(Exception):
     pass
@@ -155,30 +153,36 @@ def to_csv(command, results):
 
 
 def _parse_box(box):
-    """The six numbers of a box: "x0,y0,z0,x1,y1,z1" text, or a list of numbers."""
+    """The six coordinates of a box: "x0,y0,z0,x1,y1,z1" text split into floats, or a list."""
     if isinstance(box, str):
         try:
             box = [float(part) for part in box.split(",")]
         except ValueError as exc:
             raise UsageError("box: %s" % exc) from None
     if not isinstance(box, (list, tuple)) or len(box) != 6:
-        raise UsageError("box wants x0,y0,z0,x1,y1,z1 (six numbers)")
-    return tuple(_float_value("box", v) for v in box)
+        raise UsageError("box: wants x0,y0,z0,x1,y1,z1 (six numbers)")
+    return tuple(box)
 
 
-def _int_value(key, val):
-    """An integral number as an int; any other value is a usage error."""
-    if isinstance(val, float) and val.is_integer():
-        val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise UsageError("%s must be an integer, got %r" % (key, val))
-    return val
+def _integral(v):
+    """A JSON integral float such as 2.0 as the int it names; any other value as it is."""
+    return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
-def _float_value(key, val):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise UsageError("%s must be a number, got %r" % (key, val))
-    return float(val)
+def _box(v):
+    """The six coordinates of the box, as BoxDomain reads them."""
+    v = _parse_box(v)
+    box = BoxDomain(lo=v[:3], hi=v[3:])
+    return box.lo + box.hi
+
+
+# each value's one reader, the library's own: a value it refuses is a usage
+# error that names its key, here rather than a traceback inside the command
+_READERS = {"seed": lambda v: _check_count("seed", _integral(v), 0),
+            "samples": lambda v: _check_count("samples", _integral(v)),
+            "kmax": lambda v: _check_count("kmax", _integral(v)),
+            "grid_n": lambda v: GridSpec(_integral(v)).n,
+            "p": _check_exponent, "box": _box}
 
 
 def load_config_file(path):
@@ -189,7 +193,7 @@ def load_config_file(path):
         raise UsageError("config file %s: %s" % (path, exc)) from None
     if not isinstance(data, dict):
         raise UsageError("config file %s: expected a JSON object" % path)
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(DEFAULTS))
     if unknown:
         raise UsageError("config file %s: unknown keys %s" % (path, ", ".join(unknown)))
     return data
@@ -204,25 +208,15 @@ def resolve_config(args):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    cfg["box"] = _parse_box(cfg["box"])
-    for key in ("seed", "samples", "kmax", "grid_n"):
-        cfg[key] = _int_value(key, cfg[key])
-    cfg["p"] = _float_value("p", cfg["p"])
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise UsageError("out must be a file name, got %r" % (cfg["out"],))
+        raise UsageError("out: must be a file name, got %r" % (cfg["out"],))
     if cfg["format"] not in ("json", "csv"):
-        raise UsageError("format must be json or csv")
-    # the library's own validators, so that a bad value is a usage error
-    # here rather than a traceback inside the command
-    try:
-        _check_count("samples", cfg["samples"])
-        _check_count("kmax", cfg["kmax"])
-        _check_count("seed", cfg["seed"], 0)
-        GridSpec(cfg["grid_n"])
-        _check_exponent(cfg["p"])
-        BoxDomain(lo=cfg["box"][:3], hi=cfg["box"][3:])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError("format: must be json or csv, got %r" % (cfg["format"],))
+    for key, read in _READERS.items():
+        try:
+            cfg[key] = read(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError("%s: %s" % (key, exc)) from None
     return cfg
 
 

@@ -48,6 +48,7 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,11 +104,16 @@ class CorruptFieldError(ValueError):
     """
 
 
+def _check_real(name, value):
+    """value as a float; TypeError for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("%s must be a real number, got %r" % (name, value))
+    return float(value)
+
+
 def _check_exponent(p):
     """p as a float in [1, 64] (BadExponentError), TypeError for a bool or a non-number."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise TypeError("exponent must be a real number, got %r" % (p,))
-    p = float(p)
+    p = _check_real("exponent", p)
     if not (1.0 <= p <= 64.0):
         raise BadExponentError("exponent %r outside [1, 64]" % p)
     return p
@@ -115,7 +121,7 @@ def _check_exponent(p):
 
 def _check_count(name, value, least=1):
     """value as an int (TypeError unless it is integral and not a bool), ValueError below least."""
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError("%s must be an integer, got %r" % (name, value))
     value = operator.index(value)
     if value < least:
@@ -325,10 +331,10 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
 
 def _bandlimited_coef(spec, seed, kmax, rank):
     n = spec.n
+    kmax = _check_count("kmax", kmax, -math.inf)    # no floor: -1 is a BandTooWideError
     if not (0 <= kmax <= n // 2 - 1):
         raise BandTooWideError("kmax=%r does not fit on an n=%d grid "
                                "(need 0 <= kmax <= n/2 - 1)" % (kmax, n))
-    kmax = _check_count("kmax", kmax, 0)    # after the band, so that -1 stays BandTooWideError
     rng = np.random.default_rng(seed)
     # the noise is drawn slot-major, so that a seed names the same field it
     # always has, and then moved to the tensor-last layout
@@ -366,8 +372,8 @@ class BoxDomain:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+        lo = tuple(_check_real("box coordinate", v) for v in self.lo)
+        hi = tuple(_check_real("box coordinate", v) for v in self.hi)
         if (len(lo) != 3 or len(hi) != 3 or not np.isfinite(lo + hi).all()
                 or any(h <= l for l, h in zip(lo, hi))):
             raise ValueError("box needs finite lo < hi componentwise, three axes")
@@ -569,6 +575,12 @@ def _diagonal_form(d, X1, X2, x3):
 # on-disk format
 
 
+# the one header line of a field file: dump_field fills it, load_field matches it whole
+_HEADER = "kornlab-field v1; rank=%s; n=%s; reality=%s\n"
+_HEADER_RE = re.compile(re.escape(_HEADER).encode("ascii")
+                        % (rb"([012])", rb"([1-9][0-9]*)", rb"(real|complex)"))
+
+
 def dump_field(f, path):
     """Write a field: one ASCII header line, then little-endian complex64.
 
@@ -580,7 +592,7 @@ def dump_field(f, path):
     # snap at entry writes +0.0; entering it again writes every real field
     # as its snapped form, whatever route built it
     coef = GridField(f.spec, f.rank, f.coef, f.reality).coef
-    header = "kornlab-field v1; rank=%d; n=%d; reality=%s\n" % (f.rank, f.spec.n, f.reality)
+    header = _HEADER % (int(f.rank), f.spec.n, f.reality)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())
@@ -589,34 +601,26 @@ def dump_field(f, path):
 def load_field(path):
     """Read a field written by dump_field (coefficients come back complex64-rounded).
 
-    Raises CorruptFieldError when the header lacks an integer rank, an n
-    that is a power of two of at least 4, or a real/complex tag, when the
-    payload does not hold exactly n^3 * 3^rank complex64 values, or when a
-    reality=real payload is not finite and conjugate-symmetric.
+    Raises CorruptFieldError unless the first line is exactly a header that
+    dump_field writes (rank 0, 1 or 2, n a power of two of at least 4 with
+    no leading zero, reality real or complex), when the payload does not
+    hold exactly n^3 * 3^rank complex64 values, or when a reality=real
+    payload is not finite and conjugate-symmetric.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
+        header = fh.readline()
         raw = fh.read()
-    if not header.startswith("kornlab-field v1"):
-        raise CorruptFieldError("not a kornlab-field v1 file")
-    meta = {}
-    for item in header.split(";")[1:]:
-        key, _, value = item.strip().partition("=")
-        meta[key] = value
+    match = _HEADER_RE.fullmatch(header)
     try:
-        rank, spec = int(meta["rank"]), GridSpec(int(meta["n"]))
-    except (KeyError, ValueError):
-        raise CorruptFieldError("header needs an integer rank and an n that is a power "
-                                "of two, at least 4: %r" % header) from None
-    reality, n = meta.get("reality"), spec.n
-    if rank not in (0, 1, 2) or reality not in ("real", "complex"):
-        raise CorruptFieldError("header needs rank 0, 1 or 2 and reality=real or "
-                                "reality=complex: %r" % header)
-    shape = _coef_shape(rank, n)
+        rank, spec, reality = int(match[1]), GridSpec(int(match[2])), match[3].decode()
+    except (TypeError, ValueError):     # no match (None[1]), or n is no grid size
+        raise CorruptFieldError("header is not %r: %r" % (
+            _HEADER % ("<0|1|2>", "<n, a power of two >= 4>", "<real|complex>"), header)) from None
+    shape = _coef_shape(rank, spec.n)
     need = 8 * math.prod(shape)        # exact: n^3 overflows int64 from n = 2^21
     if len(raw) != need:
         raise CorruptFieldError("payload holds %d bytes, rank=%d on n=%d needs %d"
-                                % (len(raw), rank, n, need))
+                                % (len(raw), rank, spec.n, need))
     with np.errstate(invalid="ignore"):     # a signalling NaN warns as it widens
         coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
     try:

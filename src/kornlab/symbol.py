@@ -2,9 +2,9 @@
 
 Flattening convention (fixed here, used everywhere): a 3x3 matrix P is
 identified with the length-9 vector P.reshape(9) in row-major order, so
-component 3*r + c is P[r, c].  A SymbolOperator is a complex (9, 9) array
-acting on such vectors; its column j is the image of the basis matrix with
-a single 1 at (j // 3, j % 3).
+component 3*r + c is P[r, c].  A SymbolOperator is a (9, 9) array acting
+on such vectors, complex for a curl symbol and real for the multiplier; its
+column j is the image of the basis matrix with a single 1 at (j // 3, j % 3).
 
 The curl of a matrix field acts row-wise, and on the Fourier side a
 coefficient P_hat at frequency xi is mapped to -i * (P_hat x xi); the
@@ -122,7 +122,8 @@ class KernelWitness:
     The pair satisfies devsym(p_hat x xi) = 0 while sym(p_hat x xi) = i*id,
     and the bilinear pairing <xi, xi> vanishes, which is why a complex
     frequency can do what no real one can.  The constructor checks all three
-    identities and keeps those of the first two as devsym_residual and sym_residual.
+    identities, each as a pass condition that a NaN fails, and keeps those of
+    the first two as devsym_residual and sym_residual.
     """
 
     p_hat: np.ndarray = field(default_factory=lambda: np.array(
@@ -135,9 +136,9 @@ class KernelWitness:
         c = self.p_hat @ anti(self.xi)
         object.__setattr__(self, "devsym_residual", float(mat_norm(dev(sym(c)))))
         object.__setattr__(self, "sym_residual", float(mat_norm(sym(c) - 1j * EYE3)))
-        if self.devsym_residual > 1e-15:
+        if not self.devsym_residual <= 1e-15:
             raise ValueError("witness failed: devsym(p_hat x xi) != 0")
-        if self.sym_residual > 1e-15:
+        if not self.sym_residual <= 1e-15:
             raise ValueError("witness failed: sym(p_hat x xi) != i*id")
-        if abs(complex(dot(self.xi, self.xi))) > 1e-15:
+        if not abs(complex(dot(self.xi, self.xi))) <= 1e-15:
             raise ValueError("witness failed: <xi, xi> != 0")

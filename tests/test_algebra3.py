@@ -191,6 +191,13 @@ def test_tangential_projector():
         tangential_projector(2.0 * nu)
 
 
+@pytest.mark.parametrize("nu", [[np.nan, 0.0, 0.0], [[0.0, 0.0, 1.0], [np.nan, np.nan, np.nan]]],
+                         ids=["nan", "nan-row"])
+def test_tangential_projector_refuses_a_nan_direction(nu):
+    with pytest.raises(NotUnitError):
+        tangential_projector(nu)
+
+
 def test_random_rotation_is_rotation():
     rng = np.random.default_rng(3)
     for _ in range(20):

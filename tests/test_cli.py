@@ -137,6 +137,40 @@ def test_config_file_integral_float(tmp_path, capsys):
     assert json.loads(out)["config"]["kmax"] == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"p": "two"},
+    {"p": 10 ** 400},
+    {"box": [True, 0, 0, 2, 1, 1]},
+    {"box": "1,2,3"},
+    {"box": [0, 0, 0, 1, 1, "1"]},
+    {"seed": "x"},
+    {"samples": None},
+    {"kmax": 2.5},
+    {"grid_n": 12},
+    {"grid_n": 8.5},
+    {"out": 5},
+    {"format": "xml"},
+], ids=["p-str", "p-huge-int", "box-bool", "box-short", "box-str", "seed-str", "samples-null",
+        "kmax-float", "grid-not-power", "grid-float", "out-int", "format-xml"])
+def test_config_usage_error_starts_with_its_key(tmp_path, capsys, data):
+    # each value is read once, by the library's reader, and its error is
+    # prefixed with the config key it came from
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["counterexample", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("kornlab: %s: " % next(iter(data)))
+
+
+def test_config_values_are_the_library_readers_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": 3.0, "grid_n": 8.0, "p": 2, "box": [-1, -1, -1, 1, 1, 1]}))
+    got = cli.resolve_config(cli.build_parser().parse_args(["counterexample", "--config", str(cfg)]))
+    assert type(got["kmax"]) is int and type(got["grid_n"]) is int and type(got["p"]) is float
+    assert got["box"] == (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
+    assert all(type(v) is float for v in got["box"])
+
+
 def test_bad_flag_values(capsys):
     code, out, err = run_cli(capsys, ["korn", "--kmax", "0"])
     assert code == 2 and out == ""

@@ -59,8 +59,12 @@ _CUBE = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
     (lambda: halfspace_ratio(2, np.bool_(True)), "real number"),
     (lambda: lp_norm(GridField(GridSpec(4), 0, np.zeros((4, 4, 4), complex)), "2"),
      "real number"),
+    (lambda: fields._check_count("kmax", "x"), "^kmax must be an integer, got 'x'$"),
+    (lambda: fields._check_count("kmax", None), "^kmax must be an integer, got None$"),
+    (lambda: fields._check_count("kmax", 2.5), "^kmax must be an integer, got 2.5$"),
 ], ids=["grid-float", "grid-float64", "grid-bool", "growth-k-bool", "halfspace-k-bool",
-        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str"])
+        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str",
+        "count-str", "count-none", "count-float"])
 def test_counts_and_exponents_refuse_bools_and_non_numbers(call, message):
     with pytest.raises(TypeError, match=message):
         call()
@@ -406,10 +410,11 @@ def test_band_too_wide():
     random_bandlimited(spec, 1, 3)          # boundary value is fine
 
 
-@pytest.mark.parametrize("kmax", [2.5, True, 3.0])
+@pytest.mark.parametrize("kmax", [2.5, True, 3.0, "3", None, 3 + 0j])
 def test_band_must_be_an_integer(kmax):
-    # read as every other count is: a bool or a non-integral number is a TypeError
-    with pytest.raises(TypeError, match="integer"):
+    # read as every other count is, before the band test: a bool or a
+    # non-integral value is a TypeError that names kmax
+    with pytest.raises(TypeError, match="^kmax must be an integer"):
         random_bandlimited(GridSpec(8), 1, kmax)
 
 
@@ -480,6 +485,17 @@ def test_box_validation():
             BoxDomain(lo=(bad, 0, 0), hi=(1, 1, 1))
         with pytest.raises(ValueError, match="finite"):
             BoxDomain(lo=(0, 0, 0), hi=(1, 1, bad))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((True, 0, 0), (2, 1, 1)),
+    (("-1",) * 3, ("1",) * 3),
+    ((0, 0, 0), (1, 1, None)),
+    ((0, 0, 0), (1, 1, np.bool_(True))),
+], ids=["bool", "str", "none", "npbool"])
+def test_box_refuses_bools_and_non_numbers(lo, hi):
+    with pytest.raises(TypeError, match="box coordinate must be a real number"):
+        BoxDomain(lo=lo, hi=hi)
 
 
 def test_axis_rule_integrates_polynomials(monkeypatch):
@@ -856,6 +872,29 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_field(path)
     path.write_bytes(good)
     assert load_field(path).rank == 2
+
+
+@pytest.mark.parametrize("header", [
+    b"kornlab-field v12; rank=0; n=4; reality=real",
+    b"kornlab-field v1; reality=real; n=4; rank=0; junk=1",
+    b"kornlab-field v1; rank=0; n=004; reality=real; rank=0",
+    b"kornlab-field v1; rank=0; n=004; reality=real",
+    b"kornlab-field v1; rank=+0; n=4; reality=real",
+    b"kornlab-field v1; rank=0; n=4; reality=real; junk=1",
+    b"kornlab-field v1;  rank=0; n=4; reality=real",
+    b" kornlab-field v1; rank=0; n=4; reality=real",
+    b"kornlab-field v1; rank=0; n=4; reality=real ",
+    b"kornlab-field v1; rank=0; n=4; reality=real\r",
+], ids=["v12", "permuted-junk", "repeated", "leading-zero", "signed-rank", "trailing-junk",
+        "double-space", "leading-space", "trailing-space", "crlf"])
+def test_load_refuses_any_header_dump_field_does_not_write(tmp_path, header):
+    # each of these names a rank-0, n = 4, real field that fits the payload
+    path = tmp_path / "f.bin"
+    dump_field(random_bandlimited(GridSpec(4), 3, 1, "scalar"), path)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(CorruptFieldError, match="^header is not"):
+        load_field(path)
 
 
 def test_load_takes_a_signalling_nan_without_a_warning(tmp_path):

@@ -125,8 +125,11 @@ def test_field_file_raises_only_corrupt_field_errors(scratch, data):
     except CorruptFieldError:
         return
     assert isinstance(f, GridField)
-    # what load_field accepts, dump_field writes back under the same header
+    # what load_field accepts, dump_field writes back under the same header,
+    # byte for byte
     dump_field(f, scratch / "again.bin")
+    with open(scratch / "again.bin", "rb") as fh:
+        assert fh.readline() == header.encode("utf-8") + b"\n"
     assert load_field(scratch / "again.bin").coef.tobytes() == f.coef.tobytes()
 
 

@@ -241,6 +241,15 @@ def test_witness_rejects_wrong_pair():
         KernelWitness(p_hat=w.p_hat / 1024.0, xi=1024.0 * np.array([1, 1j * (1 + 2.0 ** -52), 0]))
 
 
+@pytest.mark.parametrize("pair", [
+    {"p_hat": np.full((3, 3), np.nan)},
+    {"xi": np.array([np.nan, 1j, 0.0])},
+], ids=["p-hat-nan", "xi-nan"])
+def test_witness_refuses_a_nan_pair(pair):
+    with pytest.raises(ValueError, match="witness failed"):
+        KernelWitness(**pair)
+
+
 def test_witness_lies_in_devsym_kernel_only():
     # at the isotropic frequency the witness is killed by the devsym symbol
     # but emphatically not by the sym one
