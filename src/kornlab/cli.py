@@ -8,10 +8,12 @@ wall-clock timings are printed to stderr only, and the BLAS thread count
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
 report.  Exit status: 0 clean, 1 when a named invariant failed (see the
 "errors" array; each error is also printed to stderr, so a CSV report
-names it too), 2 for usage problems.  Each command returns its checks as
-(message, holds) rows, every row written as a pass condition so that a NaN
-fails it, and main names each failing row in the errors.  A non-finite
-result is written as null and named in the errors.
+names it too), 2 for usage problems: a flag value meets the reader of its
+config value, so a bad one prints "kornlab: <key>: ...", and argparse
+refuses only an unknown command or flag name.  Each command returns its
+checks as (message, holds) rows, every row written as a pass condition so
+that a NaN fails it, and main names each failing row in the errors.  A
+non-finite result is written as null and named in the errors.
 """
 
 import argparse
@@ -382,18 +384,23 @@ def build_parser():
         prog="kornlab",
         description="numerical laboratory for matrix curl seminorms and Korn constants")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--box", type=str, default=None,
-                        help="--box=x0,y0,z0,x1,y1,z1 (keep the '=' when x0 is negative)")
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file with default overrides")
+    for flag in ("--seed", "--samples", "--kmax", "--grid-n", "--p"):
+        parser.add_argument(flag, type=_number)
+    parser.add_argument("--box", help="--box=x0,y0,z0,x1,y1,z1 (keep the '=' when x0 is negative)")
+    parser.add_argument("--out")
+    parser.add_argument("--format", help="json or csv")
+    parser.add_argument("--config", help="JSON file with default overrides")
     return parser
+
+
+def _number(text):
+    """Flag text as the int it spells, else the float, else the text: never refused here."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _config_echo(cfg):

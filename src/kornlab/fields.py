@@ -179,8 +179,11 @@ class GridField:
     reality: str = "complex"
 
     def __post_init__(self):
-        if self.rank not in (0, 1, 2):
-            raise ValueError("rank must be 0, 1 or 2")
+        if not isinstance(self.spec, GridSpec):
+            raise TypeError("spec must be a GridSpec, got %r" % (self.spec,))
+        object.__setattr__(self, "rank", _check_count("rank", self.rank, 0))
+        if self.rank > 2:
+            raise ValueError("rank must be 0, 1 or 2, got %d" % self.rank)
         if self.reality not in ("real", "complex"):
             raise ValueError("reality must be 'real' or 'complex'")
         coef = np.array(self.coef, dtype=complex, order="C", copy=True)
@@ -592,7 +595,7 @@ def dump_field(f, path):
     # snap at entry writes +0.0; entering it again writes every real field
     # as its snapped form, whatever route built it
     coef = GridField(f.spec, f.rank, f.coef, f.reality).coef
-    header = _HEADER % (int(f.rank), f.spec.n, f.reality)
+    header = _HEADER % (f.rank, f.spec.n, f.reality)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra3 import _norm, anti, dot, numerical_rank
+from .fields import _check_real
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -60,7 +61,7 @@ class KernelElement:
         object.__setattr__(self, "a_tilde", _vec(self.a_tilde))
         object.__setattr__(self, "b", _vec(self.b))
         object.__setattr__(self, "d", _vec(self.d))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _check_real("beta", self.beta))
 
 
 def _points(x):

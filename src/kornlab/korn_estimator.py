@@ -286,7 +286,7 @@ def grid_crosscheck(n):
     resid = float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
     # lam_grid is a Rayleigh quotient: its error is at most resid^2 over the spectral
     # gap, exactly lambda_-(2) - lambda_-(1) = 0.1019...; 1e-4 keeps it below 1e-7.
-    if not np.isfinite(lam_grid) or resid > 1e-4:
+    if not (np.isfinite(lam_grid) and resid <= 1e-4):
         # lobpcg returns its best iterate and cuts the history just after it,
         # so len(hist) - 2 is the iteration that made it; at the cap scipy
         # runs one update past maxiter, so this can exceed _LOBPCG_MAXITER

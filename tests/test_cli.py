@@ -190,6 +190,29 @@ def test_bad_flag_values(capsys):
         assert err.startswith("kornlab: ")
 
 
+@pytest.mark.parametrize("key, text", [
+    ("kmax", "2.0"), ("seed", "1e3"), ("kmax", "x"), ("p", "two"), ("p", "3"),
+    ("samples", "0"), ("grid_n", "12"), ("format", "xml")])
+def test_flag_and_config_value_meet_one_reader(tmp_path, capsys, key, text):
+    # a flag's text and the JSON value it denotes in a config file (the text
+    # itself when it is no JSON number) give the same run or the same refusal
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = run_cli(capsys, ["korn", "--" + key.replace("_", "-"), text])
+    config = run_cli(capsys, ["korn", "--config", str(cfg)])
+    assert flag[0] == config[0]
+    if flag[0] == 2:
+        first = flag[2].splitlines()[0]
+        assert first.startswith("kornlab: %s: " % key) and flag[1] == ""
+        assert first == config[2].splitlines()[0]
+    else:
+        assert json.loads(flag[1])["config"] == json.loads(config[1])["config"]
+
+
 def test_config_file_non_finite_box(tmp_path, capsys):
     # JSON reads 1e999 as an infinite float
     path = tmp_path / "cfg.json"

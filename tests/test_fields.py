@@ -135,6 +135,22 @@ def test_field_shape_and_rank_checks():
         field_from_samples(spec, 1, np.zeros((4, 4, 4)))
 
 
+@pytest.mark.parametrize("rank", [True, 1.0])
+def test_field_rank_is_a_count(rank):
+    # the rank is read by the library's count reader, as a config count is
+    with pytest.raises(TypeError, match="rank must be an integer"):
+        GridField(GridSpec(4), rank, np.zeros((4, 4, 4, 3)))
+
+
+def test_field_rank_and_spec_types():
+    f = GridField(GridSpec(4), np.int64(1), np.zeros((4, 4, 4, 3)))
+    assert type(f.rank) is int and f.rank == 1
+    with pytest.raises(ValueError, match=r"rank must be >= 0"):
+        GridField(GridSpec(4), -1, np.zeros((4, 4, 4)))
+    with pytest.raises(TypeError, match="spec must be a GridSpec"):
+        GridField(4, 0, np.zeros((4, 4, 4)))
+
+
 def test_field_arithmetic():
     spec = GridSpec(8)
     f = random_bandlimited(spec, 1, 2)

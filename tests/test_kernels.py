@@ -241,3 +241,11 @@ def test_point_cloud_validation():
         project_kernel(pts, bad)
     with pytest.raises(ValueError):
         KernelElement(a_tilde=np.zeros(4))
+
+
+@pytest.mark.parametrize("beta", [True, "1"])
+def test_kernel_element_beta_is_a_real_number(beta):
+    # beta is read by the library's one real reader: no bool, no text
+    with pytest.raises(TypeError, match="beta must be a real number"):
+        KernelElement(beta=beta)
+    assert type(KernelElement(beta=np.float32(0.5)).beta) is float

@@ -353,6 +353,23 @@ def test_grid_crosscheck_stall_names_iterations_used(monkeypatch, cap):
     assert "after %d LOBPCG iterations (maxiter %d)" % (used[0], cap) in str(err.value)
 
 
+def test_grid_crosscheck_refuses_a_nan_eigenvector(monkeypatch):
+    # the first Hartley transform carries the eigenvector back to the grid;
+    # a NaN in it gives a NaN residual, which the gate must name, not pass
+    hartley = korn_estimator._hartley
+    calls = []
+
+    def planted(x, n):
+        out = hartley(x, n)
+        if not calls:
+            out[0] = np.nan
+        calls.append(n)
+        return out
+    monkeypatch.setattr(korn_estimator, "_hartley", planted)
+    with pytest.raises(NoConvergenceError, match="residual nan"):
+        grid_crosscheck(8)
+
+
 def test_probed_blocks_are_the_frequency_forms():
     # the third check of the operator: every grid frequency, not only the
     # band a random field occupies, and the eight zero modes, where both
