@@ -11,6 +11,8 @@ Conventions used throughout the package:
   norms ``vec_norm``/``mat_norm``, exact across the double range (no silent 0 or inf),
 * every direction goes through the private ``_unit``, whatever its scale; one is refused
   (ZeroDirectionError) only when it is zero or not finite,
+* every real array input goes through the private ``_real``: integers and floats are
+  read as float64, complex, bool, text and object entries refused (TypeError), not cast,
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``,
 * ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
@@ -66,10 +68,19 @@ def numerical_rank(s):
 def _shaped(x, tail, name):
     """x as an array whose trailing axes are tail; a ValueError naming its shape otherwise."""
     x = np.asarray(x)
-    if x.shape[-len(tail):] != tail:
+    if x.shape[x.ndim - len(tail):] != tail:
         raise ValueError("%s must have shape (..., %s), got %s"
                          % (name, ", ".join(map(str, tail)), x.shape))
     return x
+
+
+def _real(x, tail, name):
+    """x as a float64 array shaped as _shaped reads it (an empty tail: any shape); a
+    TypeError naming it unless its dtype is integer or float, so nothing is cast away."""
+    x = _shaped(x, tail, name)
+    if x.dtype.kind not in "iuf":
+        raise TypeError("%s must be a real array, got dtype %s" % (name, x.dtype))
+    return x.astype(float, copy=False)
 
 
 def anti(a):
@@ -244,15 +255,11 @@ def recover_axial(M, b):
 
         a = (2/|b|) * (M u - (1/4) <M u, u> u).
 
-    M must be traceless symmetric (NotTracelessSymError) and b a real vector that
-    is neither zero nor non-finite (ZeroDirectionError); its scale does not matter.
+    M must be traceless symmetric (NotTracelessSymError) and b a real vector (_real)
+    that is neither zero nor non-finite (ZeroDirectionError); its scale does not matter.
     """
     M = np.asarray(M)
-    b = np.asarray(b)
-    if np.iscomplexobj(b):
-        if np.any(np.abs(b.imag) > 0):
-            raise ZeroDirectionError("direction must be real")
-        b = b.real
+    b = _real(b, (3,), "direction")
     cut = TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
     if np.any(mat_norm(M - tp(M)) > 2.0 * cut) or np.any(np.abs(tr(M)) > cut):
         raise NotTracelessSymError("matrix is not traceless symmetric within tolerance")
@@ -263,7 +270,7 @@ def recover_axial(M, b):
 
 def tangential_projector(nu):
     """Projector id - nu (x) nu onto the plane orthogonal to a unit vector."""
-    nu = np.asarray(nu, dtype=float)
+    nu = _real(nu, (3,), "direction")
     if not np.all(np.abs(vec_norm(nu) - 1.0) <= TOL_UNIT):     # a NaN fails it
         raise NotUnitError("direction must have unit length")
     return EYE3 - nu[..., :, None] * nu[..., None, :]
@@ -271,7 +278,7 @@ def tangential_projector(nu):
 
 def random_rotation(q):
     """Rotation matrices (..., 3, 3) of a (..., 4) stack of quaternions (w, x, y, z)."""
-    q = np.asarray(q, dtype=float)
+    q = _real(q, (4,), "quaternion")
     # the length as a matmul inner product: on a stack it rounds as the 1-D
     # np.linalg.norm of one quaternion does, where a sum over the axis need not
     w, x, y, z = np.moveaxis(q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0]), -1, 0)

@@ -8,9 +8,10 @@ wall-clock timings are printed to stderr only, and the BLAS thread count
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
 report.  Exit status: 0 clean, 1 when a named invariant failed (see the
 "errors" array; each error is also printed to stderr, so a CSV report
-names it too), 2 for usage problems: a flag value meets the reader of its
-config value, so a bad one prints "kornlab: <key>: ...", and argparse
-refuses only an unknown command or flag name.  Each command returns its
+names it too), 2 for usage problems: a flag value, also one that starts
+with "-", meets the reader of its config value, so a bad one prints
+"kornlab: <key>: ...", and argparse refuses only an unknown command or
+flag name, or a flag without its value.  Each command returns its
 checks as (message, holds) rows, every row written as a pass condition so
 that a NaN fails it, and main names each failing row in the errors.  A
 non-finite result is written as null and named in the errors.
@@ -379,18 +380,39 @@ COMMANDS = {
 # driver
 
 
+# the flags that take one value: the numbers, then the texts with their help
+_NUMBER_FLAGS = ("--seed", "--samples", "--kmax", "--grid-n", "--p")
+_TEXT_FLAGS = {"--box": "x0,y0,z0,x1,y1,z1", "--out": None, "--format": "json or csv",
+               "--config": "JSON file with default overrides"}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kornlab",
         description="numerical laboratory for matrix curl seminorms and Korn constants")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    for flag in ("--seed", "--samples", "--kmax", "--grid-n", "--p"):
+    for flag in _NUMBER_FLAGS:
         parser.add_argument(flag, type=_number)
-    parser.add_argument("--box", help="--box=x0,y0,z0,x1,y1,z1 (keep the '=' when x0 is negative)")
-    parser.add_argument("--out")
-    parser.add_argument("--format", help="json or csv")
-    parser.add_argument("--config", help="JSON file with default overrides")
+    for flag, text in _TEXT_FLAGS.items():
+        parser.add_argument(flag, help=text)
     return parser
+
+
+def _joined(argv):
+    """argv with each value flag joined to the word after it, "--p -1e3" as "--p=-1e3".
+
+    argparse reads a separate word that starts with "-" as a flag; joined, such
+    a value meets its reader.  A word that names a flag ("--kmax", "--kmax=2",
+    "--help") is not taken as a value.
+    """
+    flags = set(_NUMBER_FLAGS) | set(_TEXT_FLAGS)
+    out = []
+    for word in argv:
+        if out and out[-1] in flags and word.split("=")[0] not in flags | {"-h", "--help"}:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
 
 
 def _number(text):
@@ -412,7 +434,7 @@ def _config_echo(cfg):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
     except UsageError as exc:

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import EYE3, _norm, _pow2, anti, axl, cross, dev, dot, skew, sym, tp, tr
+from .algebra3 import EYE3, _norm, _pow2, _real, anti, axl, cross, dev, dot, skew, sym, tp, tr
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -486,6 +486,8 @@ def growth_ratio(k, p, box):
     large k*p.  |z|^2 is even in x1 and in x2, so each of them whose
     interval is symmetric about 0 is folded onto its positive half (_rules).
     """
+    if not isinstance(box, BoxDomain):
+        raise TypeError("box must be a BoxDomain, got %r" % (box,))
     p = _check_exponent(p)
     k = _check_count("k", k)
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
@@ -503,7 +505,7 @@ def growth_ratio(k, p, box):
 
 def bump_profile(r):
     """Smooth radial cutoff: 1 on r <= 1, 0 on r >= 2, and its derivative."""
-    r = np.asarray(r, dtype=float)
+    r = _real(r, (), "radius")
     # h(t) = exp(-1/t) for t > 0 and 0 otherwise: exp(-1e300) is exactly 0
     u = np.exp(-1.0 / np.maximum(2.0 - r, 1e-300))
     v = np.exp(-1.0 / np.maximum(r - 1.0, 1e-300))

@@ -506,12 +506,13 @@ SPECTRAL = [
 
 def run_algebra(samples=1000, seed=1):
     fields._check_count("samples", samples)
-    d = _samples(samples, seed)
+    d = _samples(samples, fields._check_count("seed", seed, 0))
     return [IdentityResult(name, samples, fn(d), ALGEBRA_TOL) for name, fn in ALGEBRA]
 
 
 def run_spectral(n=16, seed=1, draws=3):
     fields._check_count("draws", draws)
+    seed = fields._check_count("seed", seed, 0)
     for j in range(draws):      # one draw held at a time; a NaN on any draw is kept
         d = _spectral_data(n, seed + 101 * j)
         got = [fn(d) for _, fn in SPECTRAL]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import _norm, anti, dot, numerical_rank
+from .algebra3 import _norm, _real, anti, dot, numerical_rank
 from .fields import _check_real
 
 __all__ = [
@@ -41,13 +41,6 @@ class DegenerateGeometryError(ValueError):
     """Sample points sit on a configuration that cannot pin the parameters."""
 
 
-def _vec(v):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("expected a 3-vector, got shape %s" % (v.shape,))
-    return v
-
-
 @dataclass(frozen=True)
 class KernelElement:
     """Parameters of one kernel field; beta = d = 0 gives the sym-curl kernel."""
@@ -58,15 +51,17 @@ class KernelElement:
     d: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "a_tilde", _vec(self.a_tilde))
-        object.__setattr__(self, "b", _vec(self.b))
-        object.__setattr__(self, "d", _vec(self.d))
+        for name in ("a_tilde", "b", "d"):
+            v = _real(getattr(self, name), (3,), name)
+            if v.ndim != 1:
+                raise ValueError("%s must be a 3-vector, got shape %s" % (name, v.shape))
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "beta", _check_real("beta", self.beta))
 
 
 def _points(x):
     """A finite point set as an (m, 3) float array; a single point is one row."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = np.atleast_2d(_real(x, (), "points"))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (m, 3)")
     if not np.isfinite(pts).all():
@@ -76,7 +71,7 @@ def _points(x):
 
 def axial_polynomial(e, x):
     """Axial vector of the kernel field at x (broadcasts over leading axes of x)."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, (3,), "point")
     x2 = np.sum(x * x, axis=-1)[..., None]
     return (np.cross(e.a_tilde, x) + e.beta * x + e.b
             + dot(e.d, x)[..., None] * x - 0.5 * e.d * x2)
@@ -89,7 +84,7 @@ def eval_kernel(e, x):
 
 def curl_kernel_closed_form(e, x):
     """Row-wise curl of the kernel field: 2(beta + <d,x>) id + anti(a_tilde) + anti(d x x)."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, (3,), "point")
     scale = 2.0 * (e.beta + dot(e.d, x))
     return (scale[..., None, None] * np.eye(3)
             + anti(e.a_tilde) + anti(np.cross(e.d, x)))
@@ -131,7 +126,7 @@ def project_kernel(points, matrices, space="devsym"):
     if space not in MIN_SAMPLES:
         raise ValueError("space must be 'sym' or 'devsym'")
     pts = _points(points)
-    mats = np.asarray(matrices, dtype=float)
+    mats = _real(matrices, (3, 3), "matrices")
     m = pts.shape[0]
     if mats.shape != (m, 3, 3):
         raise ValueError("matrices must have shape (m, 3, 3) matching the points")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _norm, _unit, sym, tp
+from .algebra3 import _norm, _real, _unit, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -103,8 +103,11 @@ def frequency_form(k):
     of shape (..., 3) gives a stack of forms.  With t = |k|^2, S*S + C_k*C_k
     has the exact spectrum lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4, 1 and
     1 + t, each double, and t / 3 (proved in the tests in rational arithmetic).
+    A frequency that is not finite is a ValueError.
     """
-    k = np.asarray(k, dtype=float)
+    k = _real(k, (3,), "frequency")
+    if not np.isfinite(k).all():
+        raise ValueError("frequency must be finite")
     c = curl_symbol(k, "devsym")
     q = _SYM_FORM + tp(c.conj()) @ c
     q[~k.any(axis=-1)] += _SKEW_FORM
@@ -120,7 +123,7 @@ def lambda_min(k):
     exactly 1 and the minimizer is the symmetric E11.  Elsewhere it is lambda_-
     of frequency_form, least at |k| = 1: (3 - sqrt 5)/4, double, so c = sqrt(3 + sqrt 5).
     """
-    k = np.asarray(k, dtype=float)
+    k = _real(k, (3,), "frequency")
     w, v = np.linalg.eigh(frequency_form(k))
     return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
 
@@ -309,6 +312,7 @@ def grid_crosscheck(n):
 def sphere_directions(samples, seed=1):
     """Deterministic batch of unit vectors."""
     samples = fields._check_count("samples", samples)
+    seed = fields._check_count("seed", seed, 0)
     return _unit(np.random.default_rng(seed).standard_normal((samples, 3)))
 
 

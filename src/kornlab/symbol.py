@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (EYE3, _shaped, _unit, anti, cross, dev, dot, mat_norm, numerical_rank,
+from .algebra3 import (EYE3, _real, _shaped, _unit, anti, cross, dev, dot, mat_norm, numerical_rank,
                        sym)
 
 __all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol", "KernelBasis",
@@ -91,11 +91,11 @@ def build_multiplier(xi):
 
     A and A_sym are the trace-free symmetric and the symmetric curl symbol.  With
     u = xi/|xi|, M X = X - (u^T X u) id on trace-free symmetric X (u^T S u = 0 for
-    S = sym(P x xi)) and M = 0 on their complement.  A real finite (..., 3) stack of any
-    scale gives a real (..., 9, 9) stack; only xi = 0 raises ZeroFrequencyError, others ValueError.
+    S = sym(P x xi)) and M = 0 on their complement.  A real (_real) finite (..., 3) stack of
+    any scale gives a real (..., 9, 9) stack; xi = 0 is a ZeroFrequencyError, NaN or inf ValueError.
     """
-    xi = _shaped(xi, (3,), "frequency")
-    if np.iscomplexobj(xi) or not np.all(np.isfinite(xi)):
+    xi = _real(xi, (3,), "frequency")
+    if not np.all(np.isfinite(xi)):
         raise ValueError("multiplier needs a real, finite frequency")
     if np.any(~xi.any(-1)):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")

@@ -8,7 +8,11 @@ from kornlab.algebra3 import (
     random_rotation, recover_axial, skew, sym, tangential_projector, tp, tr,
     vec_norm,
 )
-from kornlab.korn_estimator import lambda_min
+from kornlab.fields import bump_profile
+from kornlab.kernels import (
+    KernelElement, axial_polynomial, boundary_rank, curl_kernel_closed_form, project_kernel,
+)
+from kornlab.korn_estimator import frequency_form, lambda_min
 from kornlab.symbol import KernelWitness, build_multiplier, curl_symbol, sharp_ratio
 
 RNG = np.random.default_rng(20240817)
@@ -154,12 +158,10 @@ def test_recover_axial_input_checks():
     M = dev(sym(cross(anti([1.0, 2.0, 0.5]), b)))
     with pytest.raises(ZeroDirectionError):
         recover_axial(M, np.zeros(3))
-    with pytest.raises(ZeroDirectionError):
-        recover_axial(M, np.array([0, 0, 1 + 1j]))
-    # a complex direction with a zero imaginary part is its real part
-    a = recover_axial(M, b.astype(complex))
-    assert a.dtype == float
-    assert_array_equal(a, recover_axial(M, b))
+    # a complex direction is refused whatever its imaginary part, zero included
+    for bad in (np.array([0, 0, 1 + 1j]), b.astype(complex)):
+        with pytest.raises(TypeError, match="^direction must be a real array"):
+            recover_axial(M, bad)
 
 
 @pytest.mark.parametrize("scale, rtol", [(1e-200, 1e-14), (1e-10, 1e-14), (1e200, 1e-14),
@@ -237,17 +239,98 @@ def test_random_rotation_maps_quaternion_stacks():
     (lambda: dev(np.eye(4)), r"got \(4, 4\)"),
     (lambda: dev(np.ones(3)), r"got \(3,\)"),
     (lambda: build_multiplier([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
-    (lambda: build_multiplier(KernelWitness().xi), "real, finite"),
-    (lambda: build_multiplier(np.array([0.0, 0.0, 1.0], dtype=complex)), "real, finite"),
     (lambda: build_multiplier([np.nan, 0.0, 1.0]), "real, finite"),
     # the same contract read through the callers
     (lambda: curl_symbol([1, 2, 3, 4, 5, 6], "devsym"), r"got \(6,\)"),
     (lambda: sharp_ratio([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
     (lambda: lambda_min([1.0, 0.0, 0.0, 9.0]), r"got \(4,\)"),
 ], ids=["anti", "anti-scalar", "axl", "cross-matrix", "cross-vector", "dev", "dev-vector",
-        "multiplier", "multiplier-witness", "multiplier-complex", "multiplier-nan", "curl-symbol",
+        "multiplier", "multiplier-nan", "curl-symbol",
         "sharp-ratio", "lambda-min"])
 def test_components_are_read_only_from_their_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("xi", [KernelWitness().xi, np.array([0.0, 0.0, 1.0], dtype=complex)],
+                         ids=["multiplier-witness", "multiplier-complex"])
+def test_multiplier_refuses_a_complex_frequency(xi):
+    # the multiplier is real: a complex frequency is refused, not cast, even when
+    # its imaginary part is zero
+    with pytest.raises(TypeError, match="^frequency must be a real array"):
+        build_multiplier(xi)
+
+
+_M = dev(sym(cross(anti([1.0, 2.0, 0.5]), [0.0, 0.0, 1.0])))
+_PTS = np.random.default_rng(7).integers(-4, 5, (14, 3)).tolist()
+_MATS = (np.arange(14 * 9).reshape(14, 3, 3) % 5).tolist()
+_E = KernelElement(a_tilde=[1.0, -2.0, 0.5], beta=0.7, b=[0.3, 0.0, 4.0], d=[0.2, -0.1, 0.4])
+
+
+def _fit(r):
+    e = r.element
+    return r.residual, r.cond, e.a_tilde, e.beta, e.b, e.d
+
+
+# every real array input: the name its TypeError gives, a call reading it, and
+# an integer list the call accepts
+_REAL_INPUTS = {
+    "recover_axial": ("direction", lambda x: recover_axial(_M, x), [0, 0, 2]),
+    "tangential_projector": ("direction", tangential_projector, [0, 1, 0]),
+    "random_rotation": ("quaternion", random_rotation, [[1, 2, 3, 4], [0, -1, 0, 5]]),
+    "build_multiplier": ("frequency", build_multiplier, [1, 2, 3]),
+    "frequency_form": ("frequency", frequency_form, [[1, 2, 3], [0, 0, 0]]),
+    "lambda_min": ("frequency", lambda_min, [[1, 2, 3], [0, 0, 0]]),
+    "bump_profile": ("radius", bump_profile, [[0, 1], [2, 3]]),
+    "element-a_tilde": ("a_tilde", lambda x: KernelElement(a_tilde=x).a_tilde, [1, -2, 3]),
+    "element-b": ("b", lambda x: KernelElement(b=x).b, [1, -2, 3]),
+    "element-d": ("d", lambda x: KernelElement(d=x).d, [1, -2, 3]),
+    "points": ("points", boundary_rank, _PTS),
+    "axial_polynomial": ("point", lambda x: axial_polynomial(_E, x), _PTS),
+    "curl_kernel_closed_form": ("point", lambda x: curl_kernel_closed_form(_E, x), _PTS),
+    "project-points": ("points", lambda x: _fit(project_kernel(x, np.array(_MATS, float))), _PTS),
+    "project-matrices": ("matrices", lambda x: _fit(project_kernel(_PTS, x)), _MATS),
+}
+_NOT_REAL = {"complex": complex, "bool": bool, "text": str}
+
+
+@pytest.mark.parametrize("kind", _NOT_REAL)
+@pytest.mark.parametrize("site", _REAL_INPUTS)
+def test_real_inputs_refuse_other_dtypes(site, kind):
+    # complex (even with a zero imaginary part), bool and text entries are refused,
+    # in the shape the input expects, never cast to float
+    name, call, value = _REAL_INPUTS[site]
+    with pytest.raises(TypeError, match="^%s must be a real array, got dtype" % name):
+        call(np.array(value).astype(_NOT_REAL[kind]))
+
+
+@pytest.mark.parametrize("site", _REAL_INPUTS)
+def test_real_inputs_read_integers_as_floats(site):
+    _, call, value = _REAL_INPUTS[site]
+    got, want = call(value), call(np.array(value, dtype=float))
+    for g, w in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_no_imaginary_part_is_cast_away():
+    # each of these once read only the real part, with at most a ComplexWarning
+    pts = np.random.default_rng(1).standard_normal((14, 3))
+    with pytest.raises(TypeError, match="^matrices must be a real array"):
+        project_kernel(pts, 1j * np.ones((14, 3, 3)))
+    with pytest.raises(TypeError, match="^a_tilde must be a real array"):
+        KernelElement(a_tilde=np.array([1j, 0, 0]))
+    with pytest.raises(TypeError, match="^frequency must be a real array"):
+        lambda_min(np.array([1, 5j, 0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tangential_projector([1, 0]), r"^direction must have shape \(\.\.\., 3\), got \(2,\)"),
+    (lambda: random_rotation([1, 0, 0]), r"^quaternion must have shape \(\.\.\., 4\), got \(3,\)"),
+    (lambda: KernelElement(b=np.zeros((2, 3))), r"^b must be a 3-vector, got shape \(2, 3\)"),
+    (lambda: axial_polynomial(_E, [1, 0]), r"^point must have shape \(\.\.\., 3\), got \(2,\)"),
+], ids=["tangential-projector", "random-rotation", "element-stack", "axial-polynomial"])
+def test_real_inputs_name_a_wrong_shape(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 

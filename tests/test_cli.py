@@ -192,7 +192,9 @@ def test_bad_flag_values(capsys):
 
 @pytest.mark.parametrize("key, text", [
     ("kmax", "2.0"), ("seed", "1e3"), ("kmax", "x"), ("p", "two"), ("p", "3"),
-    ("samples", "0"), ("grid_n", "12"), ("format", "xml")])
+    ("samples", "0"), ("grid_n", "12"), ("format", "xml"),
+    # a value that starts with "-" is a value, not a flag
+    ("p", "-1e3"), ("seed", "-x"), ("box", "-2,-1,-1,1,1,1")])
 def test_flag_and_config_value_meet_one_reader(tmp_path, capsys, key, text):
     # a flag's text and the JSON value it denotes in a config file (the text
     # itself when it is no JSON number) give the same run or the same refusal
@@ -211,6 +213,15 @@ def test_flag_and_config_value_meet_one_reader(tmp_path, capsys, key, text):
         assert first == config[2].splitlines()[0]
     else:
         assert json.loads(flag[1])["config"] == json.loads(config[1])["config"]
+
+
+def test_a_flag_name_is_not_taken_as_a_value(capsys):
+    # "--p --kmax 2" leaves --p without a value: argparse's usage error, not p's reader
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["korn", "--p", "--kmax", "2"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["counterexample", "--kmax", "2", "--box", "-2,-1,-1,1,1,1"])
+    assert code == 0 and json.loads(out)["config"]["box"] == [-2, -1, -1, 1, 1, 1]
 
 
 def test_config_file_non_finite_box(tmp_path, capsys):

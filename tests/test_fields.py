@@ -599,6 +599,12 @@ def test_growth_ratio_other_exponent_and_box():
         growth_ratio(2, 0.5, wide)
 
 
+def test_growth_ratio_refuses_a_box_that_is_no_box_domain():
+    # the corners a BoxDomain would be built from are not one
+    with pytest.raises(TypeError, match="^box must be a BoxDomain"):
+        growth_ratio(1, 2.0, ((-1, -1, -1), (1, 1, 1)))
+
+
 @pytest.mark.parametrize("e", [-1000, -530, 530, 1000])
 def test_growth_ratio_scales_exactly_on_tiny_and_huge_boxes(e):
     # z -> 2^e z multiplies the quotient by 2^-e; squares and weight

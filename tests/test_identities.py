@@ -61,6 +61,17 @@ def test_spectral_suite_small_grid():
         assert res.passed, "%s at %.3e" % (res.name, res.max_residual)
 
 
+@pytest.mark.parametrize("seed, error", [("1", TypeError), (True, TypeError),
+                                         (1.5, TypeError), (-1, ValueError)])
+@pytest.mark.parametrize("run", [lambda seed: run_algebra(10, seed),
+                                 lambda seed: run_spectral(8, seed, draws=1)],
+                         ids=["algebra", "spectral"])
+def test_suites_read_the_seed_as_a_count(run, seed, error):
+    # the seed meets the count reader the command line uses: no text, no bool
+    with pytest.raises(error, match="^seed must be"):
+        run(seed)
+
+
 @pytest.mark.parametrize("seed", [1, 40])
 def test_spectral_suite_keeps_the_worst_of_its_draws(seed):
     three = run_spectral(8, seed, draws=3)

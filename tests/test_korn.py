@@ -310,6 +310,21 @@ def test_sphere_directions():
     assert_allclose(d, sphere_directions(64, seed=3))
 
 
+@pytest.mark.parametrize("seed, error", [("1", TypeError), (True, TypeError),
+                                         (2.0, TypeError), (-1, ValueError)])
+def test_sphere_directions_read_the_seed_as_a_count(seed, error):
+    with pytest.raises(error, match="^seed must be"):
+        sphere_directions(8, seed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_frequency_is_named(bad):
+    # named before the eigensolver sees it, which would fail to converge on it
+    for call in (frequency_form, lambda_min):
+        with pytest.raises(ValueError, match="^frequency must be finite"):
+            call([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
+
 def test_equivalence_constant_is_sqrt3():
     for samples in (100, 5000):      # 5000 spans two stacked blocks
         assert equivalence_constant(samples=samples) == pytest.approx(
