@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NotSkewError", "NotTracelessSymError", "ZeroDirectionError", "NotUnitError",
-    "TOL_SKEW", "TOL_UNIT", "RANK_TOL",
+    "NotSkewError", "NotTracelessSymError", "ZeroDirectionError",
+    "TOL_SKEW", "RANK_TOL",
     "numerical_rank", "anti", "axl", "cross", "sym", "skew", "dev", "tr", "tp",
     "dot", "frob", "vec_norm", "mat_norm",
     "OrthSplit", "orth_decompose", "recover_axial", "tangential_projector",
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 TOL_SKEW = 1e-9
-TOL_UNIT = 1e-9
 RANK_TOL = 1e-8
 
 EYE3 = np.eye(3)
@@ -51,17 +50,15 @@ class ZeroDirectionError(ValueError):
     """A direction vector is zero or not finite."""
 
 
-class NotUnitError(ValueError):
-    """A direction that must be normalized is not."""
-
-
 def numerical_rank(s):
     """Number of singular values on the last axis of s above RANK_TOL times the largest.
 
     s holds singular values in descending order, as np.linalg.svd returns
-    them; an empty s has rank 0.
+    them, as a real array (_real) with at least one axis; an empty s has rank 0.
     """
-    s = np.asarray(s)
+    s = _real(s, (), "singular values")
+    if s.ndim == 0:
+        raise ValueError("singular values must have at least one axis, got a scalar")
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
@@ -269,10 +266,9 @@ def recover_axial(M, b):
 
 
 def tangential_projector(nu):
-    """Projector id - nu (x) nu onto the plane orthogonal to a unit vector."""
-    nu = _real(nu, (3,), "direction")
-    if not np.all(np.abs(vec_norm(nu) - 1.0) <= TOL_UNIT):     # a NaN fails it
-        raise NotUnitError("direction must have unit length")
+    """Projector id - u (x) u onto the plane orthogonal to nu, u = nu/|nu| (_unit): the
+    plane's condition dev sym(P x nu) = 0 is linear in nu, so its scale does not matter."""
+    nu = _unit(_real(nu, (3,), "direction"))
     return EYE3 - nu[..., :, None] * nu[..., None, :]
 
 
@@ -280,8 +276,13 @@ def random_rotation(q):
     """Rotation matrices (..., 3, 3) of a (..., 4) stack of quaternions (w, x, y, z)."""
     q = _real(q, (4,), "quaternion")
     # the length as a matmul inner product: on a stack it rounds as the 1-D
-    # np.linalg.norm of one quaternion does, where a sum over the axis need not
-    w, x, y, z = np.moveaxis(q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0]), -1, 0)
+    # np.linalg.norm of one quaternion does, where a sum over the axis need not;
+    # q over its _pow2 first, exact, so that no square over- or underflows
+    q = q / _pow2(q, -1)
+    length = np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0])
+    if not np.all((length > 0.0) & np.isfinite(length)):
+        raise ZeroDirectionError("quaternion length is zero or not finite")
+    w, x, y, z = np.moveaxis(q / length, -1, 0)
     return np.stack([
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),

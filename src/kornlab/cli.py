@@ -8,13 +8,14 @@ wall-clock timings are printed to stderr only, and the BLAS thread count
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) changes scheduling but never the
 report.  Exit status: 0 clean, 1 when a named invariant failed (see the
 "errors" array; each error is also printed to stderr, so a CSV report
-names it too), 2 for usage problems: a flag value, also one that starts
-with "-", meets the reader of its config value, so a bad one prints
-"kornlab: <key>: ...", and argparse refuses only an unknown command or
-flag name, or a flag without its value.  Each command returns its
-checks as (message, holds) rows, every row written as a pass condition so
-that a NaN fails it, and main names each failing row in the errors.  A
-non-finite result is written as null and named in the errors.
+names it too), 2 for usage problems: each option is one row of _OPTIONS,
+whose reader meets the value from the config file or from the flag (spelled
+in full; a value may start with "-"), so a bad one prints "kornlab: <key>:
+...", and argparse refuses only an unknown command or flag name, or a flag
+without its value.  Each command returns its checks as (message, holds)
+rows, every row written as a pass condition so that a NaN fails it, and
+main names each failing row in the errors.  A non-finite result is written
+as null and named in the errors.
 """
 
 import argparse
@@ -32,18 +33,6 @@ from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
                      _check_count, _check_exponent, growth_ratio, halfspace_ratio)
 
 SCHEMA_VERSION = "kornlab/1"
-
-DEFAULTS = {
-    "seed": 1,
-    "samples": 1000,
-    "kmax": 4,
-    "grid_n": 16,
-    "p": 2.0,
-    "box": (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0),
-    "format": "json",
-    "out": None,
-}
-
 
 class UsageError(Exception):
     pass
@@ -179,13 +168,33 @@ def _box(v):
     return box.lo + box.hi
 
 
-# each value's one reader, the library's own: a value it refuses is a usage
-# error that names its key, here rather than a traceback inside the command
-_READERS = {"seed": lambda v: _check_count("seed", _integral(v), 0),
-            "samples": lambda v: _check_count("samples", _integral(v)),
-            "kmax": lambda v: _check_count("kmax", _integral(v)),
-            "grid_n": lambda v: GridSpec(_integral(v)).n,
-            "p": _check_exponent, "box": _box}
+def _out(v):
+    """The report's file name; None writes it to stdout."""
+    if v is not None and not isinstance(v, str):
+        raise TypeError("must be a file name, got %r" % (v,))
+    return v
+
+
+def _format(v):
+    if v not in ("json", "csv"):
+        raise ValueError("must be json or csv, got %r" % (v,))
+    return v
+
+
+# each option's one row: config key, default, reader (the library's own where
+# there is one) and help.  A value the reader refuses is a usage error naming
+# its key, not a traceback inside the command.  Rows are in --help order.
+_OPTIONS = (
+    ("seed", 1, lambda v: _check_count("seed", _integral(v), 0), None),
+    ("samples", 1000, lambda v: _check_count("samples", _integral(v)), None),
+    ("kmax", 4, lambda v: _check_count("kmax", _integral(v)), None),
+    ("grid_n", 16, lambda v: GridSpec(_integral(v)).n, None),
+    ("p", 2.0, _check_exponent, None),
+    ("box", (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0), _box, "x0,y0,z0,x1,y1,z1"),
+    ("out", None, _out, None),
+    ("format", "json", _format, "json or csv"),
+)
+DEFAULTS = {key: default for key, default, _, _ in _OPTIONS}
 
 
 def load_config_file(path):
@@ -203,21 +212,14 @@ def load_config_file(path):
 
 
 def resolve_config(args):
-    """defaults < config file < explicit flags, unknown keys rejected."""
+    """defaults < config file < explicit flags, unknown keys rejected, read in row order."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(load_config_file(args.config))
-    for key in DEFAULTS:
+    for key, _, read, _ in _OPTIONS:
         val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise UsageError("out: must be a file name, got %r" % (cfg["out"],))
-    if cfg["format"] not in ("json", "csv"):
-        raise UsageError("format: must be json or csv, got %r" % (cfg["format"],))
-    for key, read in _READERS.items():
         try:
-            cfg[key] = read(cfg[key])
+            cfg[key] = read(cfg[key] if val is None else val)
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError("%s: %s" % (key, exc)) from None
     return cfg
@@ -380,21 +382,16 @@ COMMANDS = {
 # driver
 
 
-# the flags that take one value: the numbers, then the texts with their help
-_NUMBER_FLAGS = ("--seed", "--samples", "--kmax", "--grid-n", "--p")
-_TEXT_FLAGS = {"--box": "x0,y0,z0,x1,y1,z1", "--out": None, "--format": "json or csv",
-               "--config": "JSON file with default overrides"}
-
-
 def build_parser():
+    """One flag per row, read by _number where the default is a number, then --config."""
     parser = argparse.ArgumentParser(
-        prog="kornlab",
+        prog="kornlab", allow_abbrev=False,
         description="numerical laboratory for matrix curl seminorms and Korn constants")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    for flag in _NUMBER_FLAGS:
-        parser.add_argument(flag, type=_number)
-    for flag, text in _TEXT_FLAGS.items():
-        parser.add_argument(flag, help=text)
+    for key, default, _, text in _OPTIONS:
+        parser.add_argument("--" + key.replace("_", "-"), help=text,
+                            type=_number if isinstance(default, (int, float)) else None)
+    parser.add_argument("--config", help="JSON file with default overrides")
     return parser
 
 
@@ -405,7 +402,7 @@ def _joined(argv):
     a value meets its reader.  A word that names a flag ("--kmax", "--kmax=2",
     "--help") is not taken as a value.
     """
-    flags = set(_NUMBER_FLAGS) | set(_TEXT_FLAGS)
+    flags = {"--" + key.replace("_", "-") for key in DEFAULTS} | {"--config"}
     out = []
     for word in argv:
         if out and out[-1] in flags and word.split("=")[0] not in flags | {"-h", "--help"}:
@@ -423,13 +420,6 @@ def _number(text):
         except ValueError:
             pass
     return text
-
-
-def _config_echo(cfg):
-    """The resolved config in DEFAULTS order, without the output file name."""
-    echo = {key: val for key, val in cfg.items() if key != "out"}
-    echo["box"] = list(cfg["box"])
-    return echo
 
 
 def main(argv=None):
@@ -472,7 +462,7 @@ def _render(command, cfg, results, errors):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": _config_echo(cfg),
+        "config": {key: val for key, val in cfg.items() if key != "out"},
         "results": results,
         "errors": errors,
         # wall-clock times change run to run; they go to stderr so that the

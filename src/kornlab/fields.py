@@ -48,6 +48,7 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 import math
 import numbers
 import operator
+import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -338,7 +339,7 @@ def _bandlimited_coef(spec, seed, kmax, rank):
     if not (0 <= kmax <= n // 2 - 1):
         raise BandTooWideError("kmax=%r does not fit on an n=%d grid "
                                "(need 0 <= kmax <= n/2 - 1)" % (kmax, n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     # the noise is drawn slot-major, so that a seed names the same field it
     # always has, and then moved to the tensor-last layout
     noise = np.moveaxis(rng.standard_normal((3,) * rank + (n, n, n)),
@@ -586,6 +587,13 @@ _HEADER_RE = re.compile(re.escape(_HEADER).encode("ascii")
                         % (rb"([012])", rb"([1-9][0-9]*)", rb"(real|complex)"))
 
 
+def _check_path(path):
+    """path if it is a str or os.PathLike; a TypeError otherwise, so no descriptor is used."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError("path must be a str or os.PathLike, got %r" % (path,))
+    return path
+
+
 def dump_field(f, path):
     """Write a field: one ASCII header line, then little-endian complex64.
 
@@ -598,7 +606,7 @@ def dump_field(f, path):
     # as its snapped form, whatever route built it
     coef = GridField(f.spec, f.rank, f.coef, f.reality).coef
     header = _HEADER % (f.rank, f.spec.n, f.reality)
-    with open(path, "wb") as fh:
+    with open(_check_path(path), "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())
 
@@ -612,7 +620,7 @@ def load_field(path):
     hold exactly n^3 * 3^rank complex64 values, or when a reality=real
     payload is not finite and conjugate-symmetric.
     """
-    with open(path, "rb") as fh:
+    with open(_check_path(path), "rb") as fh:
         header = fh.readline()
         raw = fh.read()
     match = _HEADER_RE.fullmatch(header)

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kornlab.algebra3 import (
-    NotSkewError, NotTracelessSymError, NotUnitError, ZeroDirectionError,
-    anti, axl, cross, dev, dot, frob, mat_norm, orth_decompose,
+    NotSkewError, NotTracelessSymError, ZeroDirectionError,
+    anti, axl, cross, dev, dot, frob, mat_norm, numerical_rank, orth_decompose,
     random_rotation, recover_axial, skew, sym, tangential_projector, tp, tr,
     vec_norm,
 )
@@ -189,15 +189,33 @@ def test_tangential_projector():
     assert_allclose(P_nu @ nu, 0.0, atol=1e-14)
     assert_allclose(P_nu @ P_nu, P_nu, atol=1e-14)
     assert_allclose(np.trace(P_nu), 2.0)
-    with pytest.raises(NotUnitError):
-        tangential_projector(2.0 * nu)
+    # the plane's condition is linear in nu: a direction of any length names it
+    assert_array_equal(tangential_projector(2.0 * nu), P_nu)
 
 
 @pytest.mark.parametrize("nu", [[np.nan, 0.0, 0.0], [[0.0, 0.0, 1.0], [np.nan, np.nan, np.nan]]],
                          ids=["nan", "nan-row"])
 def test_tangential_projector_refuses_a_nan_direction(nu):
-    with pytest.raises(NotUnitError):
+    with pytest.raises(ZeroDirectionError):
         tangential_projector(nu)
+
+
+@pytest.mark.parametrize("q", [[0, 0, 0, 0], [np.nan, 1, 0, 0], [np.inf, 0, 0, 0],
+                               [[1, 0, 0, 0], [0, 0, 0, 0]]],
+                         ids=["zero", "nan", "inf", "zero-row"])
+def test_random_rotation_refuses_a_degenerate_quaternion(q):
+    # a length that is zero or not finite names the quaternion, with no numpy
+    # warning and no NaN rotation
+    with pytest.raises(ZeroDirectionError, match="^quaternion length"):
+        random_rotation(q)
+
+
+def test_random_rotation_takes_a_quaternion_of_any_finite_length():
+    # a square that would over- or underflow is taken after the exact _pow2 scaling
+    q = np.array([1.0, -2.0, 0.5, 3.0])
+    for scale in (1e300, 1e-300, 5e-324):
+        assert_array_equal(random_rotation(scale * np.eye(4)[0]), np.eye(3))
+    assert_allclose(random_rotation(1e200 * q), random_rotation(q), rtol=0, atol=1e-15)
 
 
 def test_random_rotation_is_rotation():
@@ -278,6 +296,7 @@ _REAL_INPUTS = {
     "recover_axial": ("direction", lambda x: recover_axial(_M, x), [0, 0, 2]),
     "tangential_projector": ("direction", tangential_projector, [0, 1, 0]),
     "random_rotation": ("quaternion", random_rotation, [[1, 2, 3, 4], [0, -1, 0, 5]]),
+    "numerical_rank": ("singular values", numerical_rank, [[3, 1, 0], [2, 2, 1]]),
     "build_multiplier": ("frequency", build_multiplier, [1, 2, 3]),
     "frequency_form": ("frequency", frequency_form, [[1, 2, 3], [0, 0, 0]]),
     "lambda_min": ("frequency", lambda_min, [[1, 2, 3], [0, 0, 0]]),
@@ -327,9 +346,11 @@ def test_no_imaginary_part_is_cast_away():
 @pytest.mark.parametrize("call, message", [
     (lambda: tangential_projector([1, 0]), r"^direction must have shape \(\.\.\., 3\), got \(2,\)"),
     (lambda: random_rotation([1, 0, 0]), r"^quaternion must have shape \(\.\.\., 4\), got \(3,\)"),
+    (lambda: numerical_rank(1.0), r"^singular values must have at least one axis, got a scalar"),
     (lambda: KernelElement(b=np.zeros((2, 3))), r"^b must be a 3-vector, got shape \(2, 3\)"),
     (lambda: axial_polynomial(_E, [1, 0]), r"^point must have shape \(\.\.\., 3\), got \(2,\)"),
-], ids=["tangential-projector", "random-rotation", "element-stack", "axial-polynomial"])
+], ids=["tangential-projector", "random-rotation", "numerical-rank", "element-stack",
+        "axial-polynomial"])
 def test_real_inputs_name_a_wrong_shape(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -356,7 +377,7 @@ _CSTACK = _STACK[0] + 1j * _STACK[1]
     (lambda: axl(1e-200 * np.eye(3)), NotSkewError, None),
     (lambda: recover_axial(1e-200 * anti([1.0, 2.0, 3.0]), [0.0, 0.0, 1.0]),
      NotTracelessSymError, None),
-    (lambda: tangential_projector([1e200, 0.0, 0.0]), NotUnitError, None),
+    (lambda: tangential_projector([1e200, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), 0.0),
     (lambda: _axial_roundtrip(1e300), [1.0, -2.0, 3.0], 1e-14),
     (lambda: _axial_roundtrip(1e-300), [1.0, -2.0, 3.0], 1e-14),
     (lambda: vec_norm([1e200, 0.0, 0.0]), 1e200, 0.0),

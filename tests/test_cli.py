@@ -224,6 +224,20 @@ def test_a_flag_name_is_not_taken_as_a_value(capsys):
     assert code == 0 and json.loads(out)["config"]["box"] == [-2, -1, -1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("value", ["2", "-1e3"])
+def test_an_abbreviated_flag_is_refused(capsys, value):
+    # each flag is spelled in full: "--kma" is no "--kmax", whatever its value
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["korn", "--kma", value])
+    assert exc.value.code == 2 and "unrecognized arguments: --kma" in capsys.readouterr().err
+
+
+def test_values_are_read_in_row_order(capsys):
+    # kmax's row comes before format's, so kmax's refusal is the one printed
+    code, out, err = run_cli(capsys, ["korn", "--format", "xml", "--kmax", "0"])
+    assert code == 2 and out == "" and err.startswith("kornlab: kmax: ")
+
+
 def test_config_file_non_finite_box(tmp_path, capsys):
     # JSON reads 1e999 as an infinite float
     path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -434,6 +435,13 @@ def test_band_must_be_an_integer(kmax):
         random_bandlimited(GridSpec(8), 1, kmax)
 
 
+@pytest.mark.parametrize("seed, error", [(True, TypeError), ("1", TypeError), (1.0, TypeError),
+                                         (-1, ValueError)])
+def test_bandlimited_reads_the_seed_as_a_count(seed, error):
+    with pytest.raises(error, match="^seed must be"):
+        random_bandlimited(GridSpec(8), seed, 1)
+
+
 # ----------------------------------------------------------------------------
 # norms
 
@@ -825,6 +833,21 @@ def test_dump_load_roundtrip(tmp_path):
         scale = float(np.abs(f.coef).max())
         assert_allclose(g.coef, f.coef, atol=2e-6 * scale)
         assert_allclose(values(g), values(f), atol=2e-6 * scale)
+
+
+def test_field_files_take_a_path_only():
+    # an int names a descriptor to open(): neither call may write to it or close it
+    f = random_bandlimited(GridSpec(4), 1, 1, "scalar")
+    r, w = os.pipe()
+    try:
+        with pytest.raises(TypeError, match="^path must be a str or os.PathLike"):
+            dump_field(f, w)
+        with pytest.raises(TypeError, match="^path must be a str or os.PathLike"):
+            load_field(r)
+        os.fstat(r), os.fstat(w)
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_dump_header_is_ascii(tmp_path):

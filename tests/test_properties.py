@@ -102,9 +102,10 @@ def _payloads(draw, header):
     except (KeyError, ValueError):
         fits = False
     how = draw(st.sampled_from(["field", "noise", "sized"])) if fits else "sized"
-    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    seed = draw(st.integers(0, 99))
+    rng = np.random.default_rng(seed)
     if how == "field":
-        coef = random_bandlimited(spec, rng, 1, ("scalar", "vector", "general")[rank]).coef
+        coef = random_bandlimited(spec, seed, 1, ("scalar", "vector", "general")[rank]).coef
         raw = np.ascontiguousarray(coef, dtype="<c8").tobytes()
     elif how == "noise":
         raw = rng.bytes(8 * 3 ** rank * spec.n ** 3)
