@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * every direction goes through the private ``_unit``, whatever its scale; one is refused
   (ZeroDirectionError) only when it is zero or not finite,
 * every real array input goes through the private ``_real``: integers and floats are
-  read as float64, complex, bool, text and object entries refused (TypeError), not cast,
+  read as float64, complex, bool, text and object entries refused (TypeError), not cast;
+  an input that may be complex goes through ``_numeric``, which ``_real`` is built on:
+  integer, float and complex entries are kept as they are, bool, text and object refused,
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``,
 * ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
@@ -71,18 +73,25 @@ def _shaped(x, tail, name):
     return x
 
 
+def _numeric(x, tail, name, kinds="iufc"):
+    """x as _shaped reads it, its dtype kept; a TypeError naming it unless its dtype
+    kind is one of kinds: integer, float or complex, so bool, text and object are refused."""
+    x = _shaped(x, tail, name)
+    if x.dtype.kind not in kinds:
+        raise TypeError("%s must be a %s array, got dtype %s"
+                        % (name, "real" if "c" not in kinds else "real or complex", x.dtype))
+    return x
+
+
 def _real(x, tail, name):
     """x as a float64 array shaped as _shaped reads it (an empty tail: any shape); a
     TypeError naming it unless its dtype is integer or float, so nothing is cast away."""
-    x = _shaped(x, tail, name)
-    if x.dtype.kind not in "iuf":
-        raise TypeError("%s must be a real array, got dtype %s" % (name, x.dtype))
-    return x.astype(float, copy=False)
+    return _numeric(x, tail, name, "iuf").astype(float, copy=False)
 
 
 def anti(a):
     """Skew matrix of a, so that anti(a) @ b is the cross product a x b."""
-    a = _shaped(a, (3,), "vector")
+    a = _numeric(a, (3,), "vector")
     out = np.zeros(a.shape[:-1] + (3, 3), dtype=a.dtype if a.dtype.kind == "c" else float)
     a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
     out[..., 0, 1] = -a3
@@ -100,7 +109,7 @@ def axl(A):
     Raises NotSkewError when the symmetric part of A exceeds TOL_SKEW relative
     to the size of A.
     """
-    A = _shaped(A, (3, 3), "matrix")
+    A = _numeric(A, (3, 3), "matrix")
     defect = mat_norm(A + tp(A)) / (2.0 * np.maximum(mat_norm(A), 1e-300))
     if np.any(defect > TOL_SKEW):
         raise NotSkewError("matrix is not skew-symmetric (relative defect %.3e)"
@@ -117,8 +126,8 @@ def cross(P, b):
     takes less than half the time of the batched 3x3 matmul, and it leaves
     the matmul an independent route for the identity checks.
     """
-    P = _shaped(P, (3, 3), "matrix")
-    b = _shaped(b, (3,), "vector")[..., None, :]
+    P = _numeric(P, (3, 3), "matrix")
+    b = _numeric(b, (3,), "vector")[..., None, :]
     P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
     b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
     first = P2 * b3 - P3 * b2
@@ -146,7 +155,7 @@ def dev(X):
     einsum's writable diagonal view); on a coefficient grid no (..., 3, 3)
     multiple of the identity is built.
     """
-    X = _shaped(X, (3, 3), "matrix")
+    X = _numeric(X, (3, 3), "matrix")
     out = X.astype(np.result_type(X.dtype, float))
     np.einsum("...ii->...i", out)[...] -= tr(X)[..., None] / 3.0
     return out

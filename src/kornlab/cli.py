@@ -21,6 +21,7 @@ as null and named in the errors.
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -52,14 +53,32 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
+# a printf conversion of a row format, such as %.17g or %d
+_CONVERSION = re.compile(r"%[^a-zA-Z%]*[a-zA-Z]")
+
+
 def _table(table, row, sep):
     """The rows of a 2-D float table, each filled into the printf format row, joined by sep."""
     # one format per block of 4096 rows: a walk over the rows would cost more
-    # than the scan, and the whole table as lists would outweigh its text
+    # than the scan, and the whole table as lists would outweigh its text.
+    # Within a block each distinct value of a column is formatted once (the
+    # korn table repeats each lambda over its cube orbit), told apart by bit
+    # pattern so that -0.0 keeps its sign, and the row is filled with strings
+    table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
         raise ValueError("refusing to serialize a non-finite float")
-    blocks = (table[i:i + 4096] for i in range(0, len(table), 4096))
-    return sep.join([sep.join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks])
+    conversions = _CONVERSION.findall(row)
+    fill = _CONVERSION.sub("%s", row)
+    blocks = []
+    for i in range(0, len(table), 4096):
+        b = table[i:i + 4096]
+        cells = np.empty(b.shape, dtype=object)
+        for j, conversion in enumerate(conversions):
+            bits, where = np.unique(b[:, j].view(np.int64), return_inverse=True)
+            text = [conversion % v for v in bits.view(float).tolist()]
+            cells[:, j] = np.array(text, dtype=object)[where]
+        blocks.append(sep.join([fill] * len(b)) % tuple(cells.ravel().tolist()))
+    return sep.join(blocks)
 
 
 def _nulled(value, found):
@@ -147,12 +166,9 @@ def to_csv(command, results):
 def _parse_box(box):
     """The six coordinates of a box: "x0,y0,z0,x1,y1,z1" text split into floats, or a list."""
     if isinstance(box, str):
-        try:
-            box = [float(part) for part in box.split(",")]
-        except ValueError as exc:
-            raise UsageError("box: %s" % exc) from None
+        box = [float(part) for part in box.split(",")]
     if not isinstance(box, (list, tuple)) or len(box) != 6:
-        raise UsageError("box: wants x0,y0,z0,x1,y1,z1 (six numbers)")
+        raise ValueError("wants x0,y0,z0,x1,y1,z1 (six numbers)")
     return tuple(box)
 
 

@@ -3,14 +3,18 @@
 Periodic side
 -------------
 Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
-stored by their discrete Fourier coefficients (numpy fftn layout over the
-three grid axes, integer frequencies GridSpec.frequencies).  Differential
-operators act frequency by frequency; the derivative multipliers drop the
-unpaired Nyquist mode so that real-tagged fields stay real, and values
-reads such a field off its half spectrum, one real inverse FFT.  Coefficients
-and grid samples are stored tensor-last: scalar fields have shape
-(n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).  Every
-pointwise operation is therefore a broadcast call into algebra3.
+given by their discrete Fourier coefficients GridField.coef (numpy fftn
+layout over the three grid axes, integer frequencies GridSpec.frequencies).
+A complex-tagged field stores all n planes of coef.  A real-tagged field is
+exactly conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and
+coef mirrors the rest on read.  The maps below run on the stored planes (a
+step from a real to a complex field starts from the full coef), and values
+reads a real field off them with one real inverse FFT.  The derivative
+multipliers drop the unpaired Nyquist mode so that real-tagged fields stay
+real.  Coefficients and grid samples are stored tensor-last: scalar fields
+have shape (n, n, n), vector fields (n, n, n, 3), matrix fields
+(n, n, n, 3, 3).  Every pointwise operation is therefore a broadcast call
+into algebra3.
 
 Each field map is one table row that states its ranks: _OPS (the
 operators of apply_operator) and _PARTS (the slot-wise maps of
@@ -21,7 +25,8 @@ constructor, field_from_coef, field_from_samples, load_field and
 random_bandlimited refuse coefficients that are not finite or not
 conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
 from fields (the table maps, + - and scalar *) keep that symmetry exactly,
-so they are built without a copy or a re-check.
+so they are built without a copy or a re-check.  A field or grid argument
+of the wrong class is a TypeError that names it.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
@@ -120,6 +125,13 @@ def _check_exponent(p):
     return p
 
 
+def _check_instance(name, value, cls):
+    """value, or a TypeError naming it unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError("%s must be a %s, got %r" % (name, cls.__name__, value))
+    return value
+
+
 def _check_count(name, value, least=1):
     """value as an int (TypeError unless it is integral and not a bool), ValueError below least."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
@@ -166,32 +178,45 @@ def _reflect(coef):
     return np.roll(coef[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
 
 
+def _full(planes, n):
+    """The full spectrum of a real field from its planes k1 = 0..n/2: the plane
+    k1 > n/2 is the conjugate of the plane n - k1 at -k2, -k3 (mod n)."""
+    rest = np.roll(planes[n // 2 - 1:0:-1, ::-1, ::-1], 1, axis=(1, 2))
+    return np.concatenate([planes, np.conj(rest)])
+
+
 def _coef_shape(rank, n):
     return (n, n, n) + (3,) * rank
 
 
-@dataclass(frozen=True)
+def _check_rank(rank):
+    """rank as an int, 0, 1 or 2: read by _check_count, a ValueError above 2."""
+    rank = _check_count("rank", rank, 0)
+    if rank > 2:
+        raise ValueError("rank must be 0, 1 or 2, got %d" % rank)
+    return rank
+
+
+@dataclass(frozen=True, init=False)
 class GridField:
-    """Immutable periodic tensor field, stored by Fourier coefficients."""
+    """Immutable periodic tensor field, given by its full fftn spectrum coef; _planes
+    stores planes k1 = 0..n/2 of a real field, all n planes of a complex one."""
 
     spec: GridSpec
     rank: int
-    coef: np.ndarray
-    reality: str = "complex"
+    _planes: np.ndarray
+    reality: str
 
-    def __post_init__(self):
-        if not isinstance(self.spec, GridSpec):
-            raise TypeError("spec must be a GridSpec, got %r" % (self.spec,))
-        object.__setattr__(self, "rank", _check_count("rank", self.rank, 0))
-        if self.rank > 2:
-            raise ValueError("rank must be 0, 1 or 2, got %d" % self.rank)
-        if self.reality not in ("real", "complex"):
+    def __init__(self, spec, rank, coef, reality="complex"):
+        spec = _check_instance("spec", spec, GridSpec)
+        rank = _check_rank(rank)
+        if reality not in ("real", "complex"):
             raise ValueError("reality must be 'real' or 'complex'")
-        coef = np.array(self.coef, dtype=complex, order="C", copy=True)
-        if coef.shape != _coef_shape(self.rank, self.spec.n):
+        coef = np.array(coef, dtype=complex, order="C", copy=True)
+        if coef.shape != _coef_shape(rank, spec.n):
             raise ValueError("coefficient shape %s does not match rank %d on n=%d"
-                             % (coef.shape, self.rank, self.spec.n))
-        if self.reality == "real":
+                             % (coef.shape, rank, spec.n))
+        if reality == "real":
             if not np.isfinite(coef).all():
                 raise ValueError("coefficients are not finite; refusing the 'real' tag")
             mirror = np.conj(_reflect(coef))
@@ -199,20 +224,31 @@ class GridField:
             if float(np.abs(coef - mirror).max()) > REALITY_TOL * scale:
                 raise ValueError("coefficients lack conjugate symmetry; "
                                  "refusing the 'real' tag")
-            # snap to exact symmetry: the operators, parts and arithmetic
-            # below then keep it exactly, which is why derived fields skip
-            # this check (tests/test_fields.py pins it for each of them)
-            coef = 0.5 * (coef + mirror)
+            # snap to exact symmetry and keep planes k1 = 0..n/2: the operators,
+            # parts and arithmetic below then keep it exactly, which is why
+            # derived fields skip this check (tests/test_fields.py pins it for
+            # each of them)
+            half = spec.n // 2 + 1
+            coef = 0.5 * (coef[:half] + mirror[:half])
+        _fill(self, spec, rank, coef, reality)
+
+    @property
+    def coef(self):
+        """The full fftn spectrum, read-only; a real field's is built on each read."""
+        if self.reality == "complex":
+            return self._planes
+        coef = _full(self._planes, self.spec.n)
         coef.setflags(write=False)
-        object.__setattr__(self, "coef", coef)
+        return coef
 
     def _binary(self, other, op):
         if not isinstance(other, GridField):
             return NotImplemented
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
-        reality = "real" if (self.reality == "real" and other.reality == "real") else "complex"
-        return _derived(self.spec, self.rank, op(self.coef, other.coef), reality)
+        if self.reality == other.reality:
+            return _derived(self.spec, self.rank, op(self._planes, other._planes), self.reality)
+        return _derived(self.spec, self.rank, op(self.coef, other.coef), "complex")
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -222,22 +258,28 @@ class GridField:
 
     def __mul__(self, c):
         c = complex(c)
-        reality = "real" if (self.reality == "real" and c.imag == 0.0) else "complex"
-        return _derived(self.spec, self.rank, c * self.coef, reality)
+        if self.reality == "real" and c.imag != 0.0:
+            return _derived(self.spec, self.rank, c * self.coef, "complex")
+        return _derived(self.spec, self.rank, c * self._planes, self.reality)
 
     __rmul__ = __mul__
 
 
-def _derived(spec, rank, coef, reality):
-    """A field computed from fields: coef is kept as it is, not copied or re-checked.
+def _fill(f, spec, rank, planes, reality):
+    """f holding the stored planes, frozen."""
+    planes.setflags(write=False)
+    vars(f).update(spec=spec, rank=rank, _planes=planes, reality=reality)
+    return f
+
+
+def _derived(spec, rank, planes, reality):
+    """A field computed from fields: its stored planes are kept as they are, not
+    copied or re-checked.
 
     The inputs were checked where their coefficients entered, and every map
-    that calls this keeps exact conjugate symmetry; coef is only frozen.
+    that calls this keeps exact conjugate symmetry; the planes are only frozen.
     """
-    coef.setflags(write=False)
-    f = object.__new__(GridField)
-    vars(f).update(spec=spec, rank=rank, coef=coef, reality=reality)
-    return f
+    return _fill(object.__new__(GridField), spec, rank, planes, reality)
 
 
 def field_from_coef(spec, rank, coef, reality="complex"):
@@ -246,6 +288,8 @@ def field_from_coef(spec, rank, coef, reality="complex"):
 
 def field_from_samples(spec, rank, samples):
     """Build a field from grid samples of shape (n, n, n) + (3,) * rank."""
+    spec = _check_instance("spec", spec, GridSpec)
+    rank = _check_rank(rank)
     samples = np.asarray(samples)
     if samples.shape != _coef_shape(rank, spec.n):
         raise ValueError("sample shape %s does not match rank %d on n=%d"
@@ -256,12 +300,12 @@ def field_from_samples(spec, rank, samples):
 
 
 def values(f):
-    """Grid samples: float64 from the half spectrum k1 = 0..n/2 for a real-tagged
+    """Grid samples: float64 from the stored half spectrum k1 = 0..n/2 of a real-tagged
     (exactly conjugate-symmetric) field, complex from the full spectrum otherwise."""
+    n = _check_instance("field", f, GridField).spec.n
     if f.reality == "real":
-        n = f.spec.n
-        return np.fft.irfftn(f.coef[:n // 2 + 1], s=(n, n, n), axes=(1, 2, 0))
-    return np.fft.ifftn(f.coef, axes=(0, 1, 2))
+        return np.fft.irfftn(f._planes, s=(n, n, n), axes=(1, 2, 0))
+    return np.fft.ifftn(f._planes, axes=(0, 1, 2))
 
 
 def _curl(coef, K):
@@ -291,13 +335,15 @@ def apply_operator(f, op):
     and "inc" (2 -> 2, curl of the transposed curl).  A projected curl such
     as dev sym Curl P is pointwise_part(apply_operator(P, "curl_mat"), part).
     """
+    _check_instance("field", f, GridField)
     if op not in _OPS:
         raise ValueError("unknown operator %r" % (op,))
     rows = _OPS[op]
     if f.rank not in rows:
         raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
     rank, fn = rows[f.rank]
-    return _derived(f.spec, rank, fn(f.coef, _freq_grids(f.spec.n)), f.reality)
+    K = _freq_grids(f.spec.n)[:len(f._planes)]     # the frequencies of the stored planes
+    return _derived(f.spec, rank, fn(f._planes, K), f.reality)
 
 
 def pointwise_part(f, part):
@@ -305,12 +351,13 @@ def pointwise_part(f, part):
     (2 -> 0), "axl" (2 -> 1, axial vector of the skew part), "anti" (1 -> 2, a -> anti(a))
     or "spherical" (0 -> 2, z -> z * id) of a field.
     """
+    _check_instance("field", f, GridField)
     if part not in _PARTS:
         raise ValueError("unknown pointwise part %r" % (part,))
     rank, out_rank, fn = _PARTS[part]
     if f.rank != rank:
         raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
-    return _derived(f.spec, out_rank, fn(f.coef), f.reality)
+    return _derived(f.spec, out_rank, fn(f._planes), f.reality)
 
 
 def magnitude(f):
@@ -324,6 +371,7 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
     structure: "scalar", "vector", or a matrix field that is "general",
     "sym" or "skew", imposed slot-wise.
     """
+    _check_instance("spec", spec, GridSpec)
     if structure not in _STRUCTURES:
         raise ValueError("unknown structure %r" % (structure,))
     rank, part = _STRUCTURES[structure]
@@ -487,8 +535,7 @@ def growth_ratio(k, p, box):
     large k*p.  |z|^2 is even in x1 and in x2, so each of them whose
     interval is symmetric about 0 is folded onto its positive half (_rules).
     """
-    if not isinstance(box, BoxDomain):
-        raise TypeError("box must be a BoxDomain, got %r" % (box,))
+    _check_instance("box", box, BoxDomain)
     p = _check_exponent(p)
     k = _check_count("k", k)
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0

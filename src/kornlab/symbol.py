@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (EYE3, _real, _shaped, _unit, anti, cross, dev, dot, mat_norm, numerical_rank,
-                       sym)
+from .algebra3 import (EYE3, _numeric, _real, _unit, anti, cross, dev, dot, mat_norm,
+                       numerical_rank, sym)
 
 __all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol", "KernelBasis",
            "kernel_basis", "build_multiplier", "sharp_ratio", "KernelWitness"]
@@ -44,10 +44,11 @@ def curl_symbol(xi, part="full"):
 
     Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).  A
     stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
+    xi is read by _numeric: bool and text entries are a TypeError.
     """
     if part not in _PARTS:
         raise ValueError("part must be one of %s" % (tuple(_PARTS),))
-    xi = _shaped(xi, (3,), "frequency")
+    xi = _numeric(xi, (3,), "frequency")
     images = _PARTS[part](-1j * cross(basis_matrices(), xi[..., None, :]))
     return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
 
@@ -58,7 +59,8 @@ def apply_symbol(op, P):
     Leading axes of op and P broadcast, so a stack of symbols applies to a
     stack of coefficients in one call.
     """
-    P = np.asarray(P)
+    op = _numeric(op, (9, 9), "symbol")
+    P = _numeric(P, (3, 3), "matrix")
     return (op @ P.reshape(P.shape[:-2] + (9,))[..., None])[..., 0].reshape(P.shape[:-2] + (3, 3))
 
 
@@ -72,12 +74,13 @@ class KernelBasis:
 
 
 def kernel_basis(op):
-    """Numerical kernel of a 9x9 SymbolOperator via SVD (ValueError for another shape).
+    """Numerical kernel of a 9x9 SymbolOperator via SVD (ValueError for another shape,
+    TypeError for entries that are not integer, float or complex: _numeric).
 
     Directions beyond the numerical rank (algebra3.numerical_rank) count as
     kernel.  The returned vectors are orthonormal 3x3 matrices.
     """
-    op = np.asarray(op, dtype=complex)
+    op = _numeric(op, (), "operator").astype(complex, copy=False)
     if op.shape != (9, 9):
         raise ValueError("operator must have shape (9, 9), got %s" % (op.shape,))
     _, s, vh = np.linalg.svd(op)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kornlab.algebra3 import (
-    NotSkewError, NotTracelessSymError, ZeroDirectionError,
+    EYE3, NotSkewError, NotTracelessSymError, ZeroDirectionError,
     anti, axl, cross, dev, dot, frob, mat_norm, numerical_rank, orth_decompose,
     random_rotation, recover_axial, skew, sym, tangential_projector, tp, tr,
     vec_norm,
@@ -13,7 +13,9 @@ from kornlab.kernels import (
     KernelElement, axial_polynomial, boundary_rank, curl_kernel_closed_form, project_kernel,
 )
 from kornlab.korn_estimator import frequency_form, lambda_min
-from kornlab.symbol import KernelWitness, build_multiplier, curl_symbol, sharp_ratio
+from kornlab.symbol import (
+    KernelWitness, apply_symbol, build_multiplier, curl_symbol, kernel_basis, sharp_ratio,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -330,6 +332,34 @@ def test_real_inputs_read_integers_as_floats(site):
     for g, w in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
         g, w = np.asarray(g), np.asarray(w)
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# every input that may be complex (read by _numeric): the name its TypeError
+# gives, a call reading it, and an integer list the call accepts
+_INT3 = [[0, -3, 2], [3, 0, -1], [-2, 1, 0]]
+_NUMERIC_INPUTS = {
+    "anti": ("vector", anti, [1, 2, 3]),
+    "axl": ("matrix", axl, _INT3),
+    "cross-matrix": ("matrix", lambda x: cross(x, [1, 2, 3]), _INT3),
+    "cross-vector": ("vector", lambda x: cross(EYE3, x), [1, 2, 3]),
+    "dev": ("matrix", dev, _INT3),
+    "curl_symbol": ("frequency", curl_symbol, [1, 2, 3]),
+    "apply_symbol-op": ("symbol", lambda x: apply_symbol(x, EYE3), np.eye(9, dtype=int).tolist()),
+    "apply_symbol-matrix": ("matrix", lambda x: apply_symbol(np.eye(9), x), _INT3),
+    "kernel_basis": ("operator", lambda x: kernel_basis(x).dimension, np.eye(9, dtype=int).tolist()),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "text"])
+@pytest.mark.parametrize("site", _NUMERIC_INPUTS)
+def test_numeric_inputs_refuse_bools_and_text(site, kind):
+    # integer, float and complex entries are read; bool and text entries are
+    # refused by name, not cast to numbers
+    name, call, value = _NUMERIC_INPUTS[site]
+    call(value)
+    call(np.array(value, dtype=complex))
+    with pytest.raises(TypeError, match="^%s must be a real or complex array, got dtype" % name):
+        call(np.array(value).astype(_NOT_REAL[kind]))
 
 
 def test_no_imaginary_part_is_cast_away():

@@ -62,6 +62,17 @@ def test_to_json_table_matches_the_walk():
     table[:, :3] = np.round(8.0 * table[:, :3])
     assert cli.to_json(table) == cli.to_json(table.tolist())
     assert cli.to_json(np.zeros((0, 4))) == "[]"
+    # each distinct value of a column is formatted once per block: repeated
+    # values, and -0.0 beside 0.0 in one column, which must keep their signs
+    # (a renderer that told values apart by ==, not by bits, would print one
+    # of them with the other's sign); either sign may come first in a block
+    rng = np.random.default_rng(6)
+    table = rng.choice([-0.0, 0.0, 0.25, -1.5, 3.0], size=(4100, 4))
+    table[:2, 3], table[4096:4098, 3] = (-0.0, 0.0), (0.0, -0.0)
+    assert cli.to_json(table) == cli.to_json(table.tolist())
+    assert "-0]" in cli.to_json(table) and ",0]" in cli.to_json(table)
+    lists = [[int(k1), int(k2), int(k3), lam] for k1, k2, k3, lam in table.tolist()]
+    assert cli.to_csv("korn", {"entries": table}) == cli.to_csv("korn", {"entries": lists})
 
 
 def test_to_csv_korn_layout():
@@ -78,9 +89,10 @@ def test_to_csv_korn_layout():
 
 def test_parse_box():
     assert cli._parse_box("0,0,0,1,2,3") == (0.0, 0.0, 0.0, 1.0, 2.0, 3.0)
-    with pytest.raises(cli.UsageError):
+    # a plain ValueError: resolve_config's loop adds the "box: " prefix
+    with pytest.raises(ValueError, match="^wants x0,y0,z0,x1,y1,z1"):
         cli._parse_box("1,2,3")
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ValueError, match="^could not convert"):
         cli._parse_box("a,b,c,d,e,f")
 
 
@@ -175,7 +187,7 @@ def test_bad_flag_values(capsys):
     code, out, err = run_cli(capsys, ["korn", "--kmax", "0"])
     assert code == 2 and out == ""
     code, out, err = run_cli(capsys, ["counterexample", "--box", "1,2,3"])
-    assert code == 2
+    assert code == 2 and err.startswith("kornlab: box: wants x0,y0,z0,x1,y1,z1")
     # values the library validators reject are usage errors, not tracebacks
     for argv in (["identities", "--grid-n", "12"],
                  ["symbol", "--seed", "-1"],

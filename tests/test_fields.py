@@ -150,6 +150,24 @@ def test_field_rank_and_spec_types():
         GridField(GridSpec(4), -1, np.zeros((4, 4, 4)))
     with pytest.raises(TypeError, match="spec must be a GridSpec"):
         GridField(4, 0, np.zeros((4, 4, 4)))
+    # field_from_samples reads its rank as the constructor does, capped at 2
+    with pytest.raises(ValueError, match="^rank must be 0, 1 or 2, got 1000"):
+        field_from_samples(GridSpec(4), 10 ** 30, np.zeros((4, 4, 4)))
+    with pytest.raises(TypeError, match="^rank must be an integer"):
+        field_from_samples(GridSpec(4), 1.0, np.zeros((4, 4, 4, 3)))
+    # every field function refuses an argument of the wrong class by name
+    f = GridField(GridSpec(4), 0, np.zeros((4, 4, 4)), "real")
+    for call, message in [
+            (lambda: values(np.zeros((4, 4, 4))), "^field must be a GridField, got array"),
+            (lambda: fields.magnitude("f"), "^field must be a GridField, got 'f'$"),
+            (lambda: lp_norm(None, 2.0), "^field must be a GridField, got None$"),
+            (lambda: apply_operator(3, "grad"), "^field must be a GridField, got 3$"),
+            (lambda: pointwise_part([f], "spherical"), r"^field must be a GridField, got \[Grid"),
+            (lambda: random_bandlimited(8, 1, 1), "^spec must be a GridSpec, got 8$"),
+            (lambda: field_from_samples(4, 0, np.zeros((4, 4, 4))),
+             "^spec must be a GridSpec, got 4$")]:
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def test_field_arithmetic():
@@ -185,11 +203,18 @@ def test_coefficients_are_frozen():
     for g in derived:
         with pytest.raises(ValueError):
             g.coef[(0,) * g.coef.ndim] = 1.0
-    assert np.shares_memory(pointwise_part(P, "transpose").coef, P.coef)
+        with pytest.raises(ValueError):
+            g._planes[(0,) * g._planes.ndim] = 1.0
+    # a real field's coef is built on read; what it stores is its planes
+    assert np.shares_memory(pointwise_part(P, "transpose")._planes, P._planes)
 
 
 def _asymmetry(f):
     return float(np.abs(f.coef - np.conj(fields._reflect(f.coef))).max())
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -202,22 +227,44 @@ def test_derived_fields_stay_exactly_conjugate_symmetric(n):
     f, g = ({rank: field_from_samples(spec, rank, rng.standard_normal(fields._coef_shape(rank, n)))
              for rank in (0, 1, 2)} for _ in range(2))
     assert all(_asymmetry(h) == 0.0 for h in (*f.values(), *g.values()))
-    derived = {}
+    # each map runs on the stored planes k1 = 0..n/2 of a real field; the same
+    # map on the full spectrum, computed here, gives those planes bit for bit
+    K = fields._freq_grids(n)
+    derived, full = {}, {}
     for op, rows in fields._OPS.items():
-        for rank in rows:
-            derived["%s of rank %d" % (op, rank)] = apply_operator(f[rank], op)
-    for part, (rank, _, _) in fields._PARTS.items():
+        for rank, (_, fn) in rows.items():
+            name = "%s of rank %d" % (op, rank)
+            derived[name] = apply_operator(f[rank], op)
+            full[name] = fn(f[rank].coef, K)
+    for part, (rank, _, fn) in fields._PARTS.items():
         derived[part] = pointwise_part(f[rank], part)
+        full[part] = fn(f[rank].coef)
     for rank in (0, 1, 2):
         derived["sum of rank %d" % rank] = f[rank] + g[rank]
+        full["sum of rank %d" % rank] = f[rank].coef + g[rank].coef
         derived["difference of rank %d" % rank] = f[rank] - g[rank]
+        full["difference of rank %d" % rank] = f[rank].coef - g[rank].coef
         derived["scalar multiple of rank %d" % rank] = -2.75 * f[rank]
+        full["scalar multiple of rank %d" % rank] = complex(-2.75) * f[rank].coef
     for name, h in derived.items():
         # derived fields skip the constructor's shape check: each map's
         # declared output rank must match the coefficients it builds
         assert h.coef.shape == fields._coef_shape(h.rank, n), name
         assert h.reality == "real", name
         assert _asymmetry(h) == 0.0, name
+        assert _same_bits(h._planes, full[name][:n // 2 + 1]), name
+    # a step to a complex field starts from the full spectrum: a non-real
+    # multiple, and real +- complex, equal the full-spectrum arithmetic
+    c = field_from_samples(spec, 2, rng.standard_normal(fields._coef_shape(2, n))
+                           + 1j * rng.standard_normal(fields._coef_shape(2, n)))
+    for rank in (0, 1, 2):
+        h = 1j * f[rank]
+        assert h.reality == "complex" and _same_bits(h.coef, 1j * f[rank].coef)
+        assert_allclose(values(h), 1j * values(f[rank]), rtol=0, atol=1e-13 * np.abs(values(h)).max())
+    for h, want in ((f[2] + c, f[2].coef + c.coef), (f[2] - c, f[2].coef - c.coef),
+                    (c + f[2], c.coef + f[2].coef), (c - f[2], c.coef - f[2].coef)):
+        assert h.reality == "complex" and _same_bits(h.coef, want)
+        assert_array_equal(values(h), np.fft.ifftn(want, axes=(0, 1, 2)))
 
 
 def test_reality_is_checked_once_per_entry_field(monkeypatch):

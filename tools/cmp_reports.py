@@ -42,6 +42,8 @@ CONFIGS = ([[c] for c in COMMANDS] + [[c, "--format", "csv"] for c in COMMANDS] 
     ["korn", "--kmax", "16", "--format", "csv"],
     ["korn", "--kmax", "1"],
     ["identities", "--grid-n", "8", "--seed", "3"],
+    ["identities", "--grid-n", "4"],
+    ["identities", "--grid-n", "4", "--format", "csv"],
     ["identities", "--grid-n", "32", "--samples", "50"],
     ["identities", "--samples", "20000"],
     ["counterexample", "--p", "3", "--kmax", "8"],
