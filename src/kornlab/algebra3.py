@@ -11,16 +11,19 @@ Conventions used throughout the package:
   norms ``vec_norm``/``mat_norm``, exact across the double range (no silent 0 or inf),
 * every direction goes through the private ``_unit``, whatever its scale; one is refused
   (ZeroDirectionError) only when it is zero or not finite,
-* every real array input goes through the private ``_real``: integers and floats are
-  read as float64, complex, bool, text and object entries refused (TypeError), not cast;
-  an input that may be complex goes through ``_numeric``, which ``_real`` is built on:
-  integer, float and complex entries are kept as they are, bool, text and object refused,
+* every input of the package meets one private reader here, whose refusal names it:
+  ``_real`` (integer and float entries as float64; complex, bool, text and object a
+  TypeError, never cast), ``_numeric`` (integer, float or complex entries, kept),
+  ``_finite`` (NaN or inf a ValueError), ``_choice`` (one of a set of names; anything
+  else a ValueError), ``_check_count``, ``_check_real`` and ``_check_instance``,
 * ``cross(P, b)`` is the row-wise matrix cross product P @ anti(b), and
   ``anti(a) @ b == np.cross(a, b)``,
 * ``random_rotation`` maps a (..., 4) stack of quaternions to rotation
   matrices; a standard normal draw gives uniform random rotations.
 """
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +90,44 @@ def _real(x, tail, name):
     """x as a float64 array shaped as _shaped reads it (an empty tail: any shape); a
     TypeError naming it unless its dtype is integer or float, so nothing is cast away."""
     return _numeric(x, tail, name, "iuf").astype(float, copy=False)
+
+
+def _finite(x, name):
+    """x, or a ValueError naming it unless every entry is finite: no NaN and no inf."""
+    if not np.isfinite(x).all():
+        raise ValueError("%s must be finite" % name)
+    return x
+
+
+def _choice(name, value, choices):
+    """value, or a ValueError naming it unless it is one of the strings choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError("%s must be one of %s, got %r" % (name, ", ".join(choices), value))
+    return value
+
+
+def _check_real(name, value):
+    """value as a float; TypeError for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("%s must be a real number, got %r" % (name, value))
+    return float(value)
+
+
+def _check_instance(name, value, cls):
+    """value, or a TypeError naming it unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError("%s must be a %s, got %r" % (name, cls.__name__, value))
+    return value
+
+
+def _check_count(name, value, least=1):
+    """value as an int (TypeError unless it is integral and not a bool), ValueError below least."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError("%s must be an integer, got %r" % (name, value))
+    value = operator.index(value)
+    if value < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
+    return value
 
 
 def anti(a):
@@ -227,7 +268,7 @@ def _unit(v):
     return v / length[..., None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthSplit:
     """Orthogonal split X = devsym + skew + sphere * id.
 

@@ -29,9 +29,9 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import identities, kernels, korn_estimator, symbol
-from .algebra3 import _norm, _unit
-from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError,
-                     _check_count, _check_exponent, growth_ratio, halfspace_ratio)
+from .algebra3 import _check_count, _check_instance, _choice, _norm, _unit
+from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError, _check_exponent,
+                     growth_ratio, halfspace_ratio)
 
 SCHEMA_VERSION = "kornlab/1"
 
@@ -184,19 +184,6 @@ def _box(v):
     return box.lo + box.hi
 
 
-def _out(v):
-    """The report's file name; None writes it to stdout."""
-    if v is not None and not isinstance(v, str):
-        raise TypeError("must be a file name, got %r" % (v,))
-    return v
-
-
-def _format(v):
-    if v not in ("json", "csv"):
-        raise ValueError("must be json or csv, got %r" % (v,))
-    return v
-
-
 # each option's one row: config key, default, reader (the library's own where
 # there is one) and help.  A value the reader refuses is a usage error naming
 # its key, not a traceback inside the command.  Rows are in --help order.
@@ -207,8 +194,8 @@ _OPTIONS = (
     ("grid_n", 16, lambda v: GridSpec(_integral(v)).n, None),
     ("p", 2.0, _check_exponent, None),
     ("box", (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0), _box, "x0,y0,z0,x1,y1,z1"),
-    ("out", None, _out, None),
-    ("format", "json", _format, "json or csv"),
+    ("out", None, lambda v: v if v is None else _check_instance("out", v, str), None),
+    ("format", "json", lambda v: _choice("format", v, ("json", "csv")), "json or csv"),
 )
 DEFAULTS = {key: default for key, default, _, _ in _OPTIONS}
 

@@ -25,8 +25,9 @@ constructor, field_from_coef, field_from_samples, load_field and
 random_bandlimited refuse coefficients that are not finite or not
 conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
 from fields (the table maps, + - and scalar *) keep that symmetry exactly,
-so they are built without a copy or a re-check.  A field or grid argument
-of the wrong class is a TypeError that names it.
+so they are built without a copy or a re-check.  Every argument meets one
+reader that names it: algebra3's shared ones (fields, grids, coefficients,
+samples, counts, names) or this module's _check_exponent, _check_rank, _check_path.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
@@ -51,8 +52,6 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 """
 
 import math
-import numbers
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -60,7 +59,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import EYE3, _norm, _pow2, _real, anti, axl, cross, dev, dot, skew, sym, tp, tr
+from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _norm,
+                       _numeric, _pow2, _real, anti, axl, cross, dev, dot, skew, sym, tp, tr)
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -110,36 +110,12 @@ class CorruptFieldError(ValueError):
     """
 
 
-def _check_real(name, value):
-    """value as a float; TypeError for a bool or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError("%s must be a real number, got %r" % (name, value))
-    return float(value)
-
-
 def _check_exponent(p):
     """p as a float in [1, 64] (BadExponentError), TypeError for a bool or a non-number."""
     p = _check_real("exponent", p)
     if not (1.0 <= p <= 64.0):
         raise BadExponentError("exponent %r outside [1, 64]" % p)
     return p
-
-
-def _check_instance(name, value, cls):
-    """value, or a TypeError naming it unless it is an instance of cls."""
-    if not isinstance(value, cls):
-        raise TypeError("%s must be a %s, got %r" % (name, cls.__name__, value))
-    return value
-
-
-def _check_count(name, value, least=1):
-    """value as an int (TypeError unless it is integral and not a bool), ValueError below least."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise TypeError("%s must be an integer, got %r" % (name, value))
-    value = operator.index(value)
-    if value < least:
-        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
-    return value
 
 
 @dataclass(frozen=True)
@@ -197,7 +173,7 @@ def _check_rank(rank):
     return rank
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GridField:
     """Immutable periodic tensor field, given by its full fftn spectrum coef; _planes
     stores planes k1 = 0..n/2 of a real field, all n planes of a complex one."""
@@ -210,9 +186,8 @@ class GridField:
     def __init__(self, spec, rank, coef, reality="complex"):
         spec = _check_instance("spec", spec, GridSpec)
         rank = _check_rank(rank)
-        if reality not in ("real", "complex"):
-            raise ValueError("reality must be 'real' or 'complex'")
-        coef = np.array(coef, dtype=complex, order="C", copy=True)
+        _choice("reality", reality, ("real", "complex"))
+        coef = np.array(_numeric(coef, (), "coefficients"), dtype=complex, order="C", copy=True)
         if coef.shape != _coef_shape(rank, spec.n):
             raise ValueError("coefficient shape %s does not match rank %d on n=%d"
                              % (coef.shape, rank, spec.n))
@@ -290,7 +265,7 @@ def field_from_samples(spec, rank, samples):
     """Build a field from grid samples of shape (n, n, n) + (3,) * rank."""
     spec = _check_instance("spec", spec, GridSpec)
     rank = _check_rank(rank)
-    samples = np.asarray(samples)
+    samples = _numeric(samples, (), "samples")
     if samples.shape != _coef_shape(rank, spec.n):
         raise ValueError("sample shape %s does not match rank %d on n=%d"
                          % (samples.shape, rank, spec.n))
@@ -336,9 +311,7 @@ def apply_operator(f, op):
     as dev sym Curl P is pointwise_part(apply_operator(P, "curl_mat"), part).
     """
     _check_instance("field", f, GridField)
-    if op not in _OPS:
-        raise ValueError("unknown operator %r" % (op,))
-    rows = _OPS[op]
+    rows = _OPS[_choice("operator", op, _OPS)]
     if f.rank not in rows:
         raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
     rank, fn = rows[f.rank]
@@ -352,9 +325,7 @@ def pointwise_part(f, part):
     or "spherical" (0 -> 2, z -> z * id) of a field.
     """
     _check_instance("field", f, GridField)
-    if part not in _PARTS:
-        raise ValueError("unknown pointwise part %r" % (part,))
-    rank, out_rank, fn = _PARTS[part]
+    rank, out_rank, fn = _PARTS[_choice("part", part, _PARTS)]
     if f.rank != rank:
         raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
     return _derived(f.spec, out_rank, fn(f._planes), f.reality)
@@ -372,9 +343,7 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
     "sym" or "skew", imposed slot-wise.
     """
     _check_instance("spec", spec, GridSpec)
-    if structure not in _STRUCTURES:
-        raise ValueError("unknown structure %r" % (structure,))
-    rank, part = _STRUCTURES[structure]
+    rank, part = _STRUCTURES[_choice("structure", structure, _STRUCTURES)]
     coef = _bandlimited_coef(spec, seed, kmax, rank)
     if part is not None:
         coef = _PARTS[part][2](coef)

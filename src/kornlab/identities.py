@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fields
-from .algebra3 import (EYE3, _norm, _unit, anti, axl, cross, dev, dot, frob, mat_norm,
-                       orth_decompose, random_rotation, recover_axial, skew,
+from .algebra3 import (EYE3, _check_count, _norm, _unit, anti, axl, cross, dev, dot, frob,
+                       mat_norm, orth_decompose, random_rotation, recover_axial, skew,
                        sym, tangential_projector, tp, tr, vec_norm)
 from .symbol import apply_symbol, curl_symbol
 
@@ -505,14 +505,14 @@ SPECTRAL = [
 
 
 def run_algebra(samples=1000, seed=1):
-    fields._check_count("samples", samples)
-    d = _samples(samples, fields._check_count("seed", seed, 0))
+    _check_count("samples", samples)
+    d = _samples(samples, _check_count("seed", seed, 0))
     return [IdentityResult(name, samples, fn(d), ALGEBRA_TOL) for name, fn in ALGEBRA]
 
 
 def run_spectral(n=16, seed=1, draws=3):
-    fields._check_count("draws", draws)
-    seed = fields._check_count("seed", seed, 0)
+    _check_count("draws", draws)
+    seed = _check_count("seed", seed, 0)
     for j in range(draws):      # one draw held at a time; a NaN on any draw is kept
         d = _spectral_data(n, seed + 101 * j)
         got = [fn(d) for _, fn in SPECTRAL]

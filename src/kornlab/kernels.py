@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import _norm, _real, anti, dot, numerical_rank
-from .fields import _check_real
+from .algebra3 import (_check_instance, _check_real, _choice, _finite, _norm, _real, anti, dot,
+                       numerical_rank)
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -41,7 +41,7 @@ class DegenerateGeometryError(ValueError):
     """Sample points sit on a configuration that cannot pin the parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelElement:
     """Parameters of one kernel field; beta = d = 0 gives the sym-curl kernel."""
 
@@ -64,13 +64,12 @@ def _points(x):
     pts = np.atleast_2d(_real(x, (), "points"))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (m, 3)")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    return pts
+    return _finite(pts, "points")
 
 
 def axial_polynomial(e, x):
     """Axial vector of the kernel field at x (broadcasts over leading axes of x)."""
+    _check_instance("element", e, KernelElement)
     x = _real(x, (3,), "point")
     x2 = np.sum(x * x, axis=-1)[..., None]
     return (np.cross(e.a_tilde, x) + e.beta * x + e.b
@@ -84,6 +83,7 @@ def eval_kernel(e, x):
 
 def curl_kernel_closed_form(e, x):
     """Row-wise curl of the kernel field: 2(beta + <d,x>) id + anti(a_tilde) + anti(d x x)."""
+    _check_instance("element", e, KernelElement)
     x = _real(x, (3,), "point")
     scale = 2.0 * (e.beta + dot(e.d, x))
     return (scale[..., None, None] * np.eye(3)
@@ -123,15 +123,13 @@ def project_kernel(points, matrices, space="devsym"):
     (algebra3.numerical_rank) is below its column count, which is where
     boundary_rank stops reporting the ten-parameter family as rigid.
     """
-    if space not in MIN_SAMPLES:
-        raise ValueError("space must be 'sym' or 'devsym'")
+    _choice("space", space, MIN_SAMPLES)
     pts = _points(points)
     mats = _real(matrices, (3, 3), "matrices")
     m = pts.shape[0]
     if mats.shape != (m, 3, 3):
         raise ValueError("matrices must have shape (m, 3, 3) matching the points")
-    if not np.isfinite(mats).all():
-        raise ValueError("matrices must be finite")
+    _finite(mats, "matrices")
     if m < MIN_SAMPLES[space]:
         raise TooFewSamplesError("space %r needs at least %d samples, got %d"
                                  % (space, MIN_SAMPLES[space], m))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _norm, _real, _unit, sym, tp
+from .algebra3 import _check_count, _norm, _real, _unit, sym, tp
 from .symbol import basis_matrices, curl_symbol, sharp_ratio
 
 __all__ = [
@@ -103,11 +103,9 @@ def frequency_form(k):
     of shape (..., 3) gives a stack of forms.  With t = |k|^2, S*S + C_k*C_k
     has the exact spectrum lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4, 1 and
     1 + t, each double, and t / 3 (proved in the tests in rational arithmetic).
-    A frequency that is not finite is a ValueError.
+    A frequency that is not finite is a ValueError (curl_symbol's _finite).
     """
     k = _real(k, (3,), "frequency")
-    if not np.isfinite(k).all():
-        raise ValueError("frequency must be finite")
     c = curl_symbol(k, "devsym")
     q = _SYM_FORM + tp(c.conj()) @ c
     q[~k.any(axis=-1)] += _SKEW_FORM
@@ -128,7 +126,7 @@ def lambda_min(k):
     return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KornReport:
     kmax: int
     entries: np.ndarray          # rows (k1, k2, k3, lambda_min), lexicographic
@@ -153,7 +151,7 @@ def korn_constant(kmax):
     minimum, which would mean the scan radius truncated the search too
     early.
     """
-    kmax = fields._check_count("kmax", kmax)
+    kmax = _check_count("kmax", kmax)
     a, b, c = np.indices((kmax + 1,) * 3)
     reps = np.argwhere((a >= b) & (b >= c))
     table = np.zeros(a.shape)
@@ -256,7 +254,7 @@ def grid_crosscheck(n):
     1e-10 relative, or if the probe has an imaginary part.  The first call
     loads scipy.sparse.linalg.
     """
-    n = fields._check_count("n", n, 8)
+    n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
     q = _probed_blocks(spec)
     scale = float(np.abs(q).max())
@@ -311,8 +309,8 @@ def grid_crosscheck(n):
 
 def sphere_directions(samples, seed=1):
     """Deterministic batch of unit vectors."""
-    samples = fields._check_count("samples", samples)
-    seed = fields._check_count("seed", seed, 0)
+    samples = _check_count("samples", samples)
+    seed = _check_count("seed", seed, 0)
     return _unit(np.random.default_rng(seed).standard_normal((samples, 3)))
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (EYE3, _numeric, _real, _unit, anti, cross, dev, dot, mat_norm,
-                       numerical_rank, sym)
+from .algebra3 import (EYE3, _choice, _finite, _numeric, _real, _unit, anti, cross, dev, dot,
+                       mat_norm, numerical_rank, sym)
 
 __all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol", "KernelBasis",
            "kernel_basis", "build_multiplier", "sharp_ratio", "KernelWitness"]
@@ -44,12 +44,11 @@ def curl_symbol(xi, part="full"):
 
     Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).  A
     stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
-    xi is read by _numeric: bool and text entries are a TypeError.
+    xi is read by _numeric and _finite: bool or text a TypeError, NaN or inf a ValueError.
     """
-    if part not in _PARTS:
-        raise ValueError("part must be one of %s" % (tuple(_PARTS),))
-    xi = _numeric(xi, (3,), "frequency")
-    images = _PARTS[part](-1j * cross(basis_matrices(), xi[..., None, :]))
+    proj = _PARTS[_choice("part", part, _PARTS)]
+    xi = _finite(_numeric(xi, (3,), "frequency"), "frequency")
+    images = proj(-1j * cross(basis_matrices(), xi[..., None, :]))
     return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
 
 
@@ -64,7 +63,7 @@ def apply_symbol(op, P):
     return (op @ P.reshape(P.shape[:-2] + (9,))[..., None])[..., 0].reshape(P.shape[:-2] + (3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBasis:
     """Orthonormal basis (Hermitian inner product) of a numerical kernel."""
 
@@ -74,8 +73,9 @@ class KernelBasis:
 
 
 def kernel_basis(op):
-    """Numerical kernel of a 9x9 SymbolOperator via SVD (ValueError for another shape,
-    TypeError for entries that are not integer, float or complex: _numeric).
+    """Numerical kernel of a 9x9 SymbolOperator via SVD (ValueError for another shape or,
+    through _finite, a NaN or inf entry; TypeError, through _numeric, for entries that
+    are not integer, float or complex).
 
     Directions beyond the numerical rank (algebra3.numerical_rank) count as
     kernel.  The returned vectors are orthonormal 3x3 matrices.
@@ -83,7 +83,7 @@ def kernel_basis(op):
     op = _numeric(op, (), "operator").astype(complex, copy=False)
     if op.shape != (9, 9):
         raise ValueError("operator must have shape (9, 9), got %s" % (op.shape,))
-    _, s, vh = np.linalg.svd(op)
+    _, s, vh = np.linalg.svd(_finite(op, "operator"))
     rank = int(numerical_rank(s))
     vecs = vh[rank:].conj().reshape(-1, 3, 3)
     return KernelBasis(vectors=vecs, dimension=9 - rank, singular_values=s)
@@ -94,12 +94,10 @@ def build_multiplier(xi):
 
     A and A_sym are the trace-free symmetric and the symmetric curl symbol.  With
     u = xi/|xi|, M X = X - (u^T X u) id on trace-free symmetric X (u^T S u = 0 for
-    S = sym(P x xi)) and M = 0 on their complement.  A real (_real) finite (..., 3) stack of
-    any scale gives a real (..., 9, 9) stack; xi = 0 is a ZeroFrequencyError, NaN or inf ValueError.
+    S = sym(P x xi)) and M = 0 on their complement.  A real (_real) finite (_finite) (..., 3)
+    stack of any scale gives a real (..., 9, 9) stack; xi = 0 is a ZeroFrequencyError.
     """
-    xi = _real(xi, (3,), "frequency")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("multiplier needs a real, finite frequency")
+    xi = _finite(_real(xi, (3,), "frequency"), "frequency")
     if np.any(~xi.any(-1)):
         raise ZeroFrequencyError("multiplier needs a nonzero frequency")
     u = _unit(xi)
@@ -118,7 +116,7 @@ def sharp_ratio(xi):
     return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelWitness:
     """A complex frequency and coefficient killed by devsym-curl but not sym-curl.
 

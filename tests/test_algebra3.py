@@ -1,18 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from kornlab import cli
 from kornlab.algebra3 import (
-    EYE3, NotSkewError, NotTracelessSymError, ZeroDirectionError,
+    EYE3, NotSkewError, NotTracelessSymError, ZeroDirectionError, _check_count,
     anti, axl, cross, dev, dot, frob, mat_norm, numerical_rank, orth_decompose,
     random_rotation, recover_axial, skew, sym, tangential_projector, tp, tr,
     vec_norm,
 )
-from kornlab.fields import bump_profile
+from kornlab.fields import (
+    GridField, GridSpec, apply_operator, bump_profile, pointwise_part, random_bandlimited,
+)
 from kornlab.kernels import (
     KernelElement, axial_polynomial, boundary_rank, curl_kernel_closed_form, project_kernel,
 )
-from kornlab.korn_estimator import frequency_form, lambda_min
+from kornlab.korn_estimator import frequency_form, korn_constant, lambda_min
 from kornlab.symbol import (
     KernelWitness, apply_symbol, build_multiplier, curl_symbol, kernel_basis, sharp_ratio,
 )
@@ -259,7 +264,7 @@ def test_random_rotation_maps_quaternion_stacks():
     (lambda: dev(np.eye(4)), r"got \(4, 4\)"),
     (lambda: dev(np.ones(3)), r"got \(3,\)"),
     (lambda: build_multiplier([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
-    (lambda: build_multiplier([np.nan, 0.0, 1.0]), "real, finite"),
+    (lambda: build_multiplier([np.nan, 0.0, 1.0]), "^frequency must be finite$"),
     # the same contract read through the callers
     (lambda: curl_symbol([1, 2, 3, 4, 5, 6], "devsym"), r"got \(6,\)"),
     (lambda: sharp_ratio([0.0, 0.0, 1.0, 7.0]), r"got \(4,\)"),
@@ -384,6 +389,87 @@ def test_no_imaginary_part_is_cast_away():
 def test_real_inputs_name_a_wrong_shape(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "^kmax must be an integer, got 'x'$"),
+    (None, "^kmax must be an integer, got None$"),
+    (2.5, "^kmax must be an integer, got 2.5$"),
+], ids=["count-str", "count-none", "count-float"])
+def test_check_count_refuses_non_integers(value, message):
+    with pytest.raises(TypeError, match=message):
+        _check_count("kmax", value)
+
+
+_FIELD = GridField(GridSpec(4), 2, np.zeros((4, 4, 4, 3, 3)))
+_FORMAT = {key: read for key, _, read, _ in cli._OPTIONS}["format"]
+# every input that names one of a fixed set (read by _choice): the name its
+# ValueError gives and a call reading it
+_CHOICES = {
+    "reality": ("reality", lambda v: GridField(GridSpec(4), 0, np.zeros((4, 4, 4)), v)),
+    "apply_operator": ("operator", lambda v: apply_operator(_FIELD, v)),
+    "pointwise_part": ("part", lambda v: pointwise_part(_FIELD, v)),
+    "random_bandlimited": ("structure", lambda v: random_bandlimited(GridSpec(4), 0, 1, v)),
+    "curl_symbol": ("part", lambda v: curl_symbol([1.0, 0.0, 0.0], v)),
+    "project_kernel": ("space", lambda v: project_kernel(_PTS, _MATS, v)),
+    "format": ("format", _FORMAT),
+}
+
+
+@pytest.mark.parametrize("value", ["grad ", ["grad"]], ids=["string", "list"])
+@pytest.mark.parametrize("site", _CHOICES)
+def test_choices_name_a_value_outside_their_set(site, value):
+    # a list is refused as a wrong string is, not by a failed hash
+    name, call = _CHOICES[site]
+    with pytest.raises(ValueError, match="^%s must be one of .*, got %s$"
+                       % (name, re.escape(repr(value)))):
+        call(value)
+
+
+def _put(a, x):
+    """a as a float array with its entry 4 (in row-major order) replaced by x."""
+    a = np.array(a, dtype=float)
+    a.flat[4] = x
+    return a
+
+
+# every array input that must be finite (read by _finite): the name its
+# ValueError gives, and a call reading an accepted value with one entry replaced
+_FINITE_INPUTS = {
+    "curl_symbol": ("frequency", lambda x: curl_symbol(_put([[1, 0, 0], [0, 1, 0]], x))),
+    "kernel_basis": ("operator", lambda x: kernel_basis(_put(np.eye(9), x))),
+    "build_multiplier": ("frequency", lambda x: build_multiplier(_put([[1, 0, 0], [0, 1, 0]], x))),
+    "frequency_form": ("frequency", lambda x: frequency_form(_put([[1, 0, 0], [0, 1, 0]], x))),
+    "points": ("points", lambda x: boundary_rank(_put(_PTS, x))),
+    "matrices": ("matrices", lambda x: project_kernel(_PTS, _put(_MATS, x))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", _FINITE_INPUTS)
+def test_finite_inputs_name_nan_and_inf(site, bad):
+    # refused by name before numpy sees the value; with filterwarnings = error an
+    # invalid-value warning or a LinAlgError on the way would fail this instead
+    name, call = _FINITE_INPUTS[site]
+    with pytest.raises(ValueError, match="^%s must be finite$" % name):
+        call(bad)
+
+
+def test_array_holders_compare_by_identity():
+    # each holds arrays, whose == has no single truth value: two instances with
+    # equal content are distinct, and each one hashes
+    makers = [
+        lambda: GridField(GridSpec(4), 0, np.zeros((4, 4, 4))),
+        lambda: korn_constant(1),
+        lambda: KernelElement(a_tilde=[1.0, 2.0, 3.0]),
+        lambda: KernelWitness(),
+        lambda: orth_decompose(np.eye(3)),
+        lambda: kernel_basis(curl_symbol([1.0, 0.0, 0.0], "devsym")),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert len({a, b}) == 2 and hash(a) == hash(a)
 
 
 def _plain_norm(x, axes):

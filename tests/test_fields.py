@@ -60,12 +60,8 @@ _CUBE = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
     (lambda: halfspace_ratio(2, np.bool_(True)), "real number"),
     (lambda: lp_norm(GridField(GridSpec(4), 0, np.zeros((4, 4, 4), complex)), "2"),
      "real number"),
-    (lambda: fields._check_count("kmax", "x"), "^kmax must be an integer, got 'x'$"),
-    (lambda: fields._check_count("kmax", None), "^kmax must be an integer, got None$"),
-    (lambda: fields._check_count("kmax", 2.5), "^kmax must be an integer, got 2.5$"),
 ], ids=["grid-float", "grid-float64", "grid-bool", "growth-k-bool", "halfspace-k-bool",
-        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str",
-        "count-str", "count-none", "count-float"])
+        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str"])
 def test_counts_and_exponents_refuse_bools_and_non_numbers(call, message):
     with pytest.raises(TypeError, match=message):
         call()
@@ -168,6 +164,19 @@ def test_field_rank_and_spec_types():
              "^spec must be a GridSpec, got 4$")]:
         with pytest.raises(TypeError, match=message):
             call()
+
+
+@pytest.mark.parametrize("dtype", [bool, str, object])
+def test_field_entry_points_refuse_bools_text_and_objects(dtype):
+    # coefficients and samples are read as integer, float or complex arrays: a
+    # bool array no longer gives a real field, nor text one parsed as numbers
+    grid = np.ones((4, 4, 4), dtype=int)
+    assert field_from_samples(GridSpec(4), 0, grid).reality == "real"
+    assert_array_equal(GridField(GridSpec(4), 0, grid).coef, grid)
+    with pytest.raises(TypeError, match="^coefficients must be a real or complex array"):
+        GridField(GridSpec(4), 0, grid.astype(dtype))
+    with pytest.raises(TypeError, match="^samples must be a real or complex array"):
+        field_from_samples(GridSpec(4), 0, grid.astype(dtype))
 
 
 def test_field_arithmetic():

@@ -243,6 +243,12 @@ def test_point_cloud_validation():
         KernelElement(a_tilde=np.zeros(4))
 
 
+@pytest.mark.parametrize("call", [axial_polynomial, eval_kernel, curl_kernel_closed_form])
+def test_kernel_maps_name_an_element_of_the_wrong_class(call):
+    with pytest.raises(TypeError, match=r"^element must be a KernelElement, got \(0\.0, 0\.0\)$"):
+        call((0.0, 0.0), E3)
+
+
 @pytest.mark.parametrize("beta", [True, "1"])
 def test_kernel_element_beta_is_a_real_number(beta):
     # beta is read by the library's one real reader: no bool, no text
