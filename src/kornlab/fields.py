@@ -25,9 +25,12 @@ constructor, field_from_coef, field_from_samples, load_field and
 random_bandlimited refuse coefficients that are not finite or not
 conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
 from fields (the table maps, + - and scalar *) keep that symmetry exactly,
-so they are built without a copy or a re-check.  Every argument meets one
-reader that names it: algebra3's shared ones (fields, grids, coefficients,
-samples, counts, names) or this module's _check_exponent, _check_rank, _check_path.
+so they are built without a copy or a re-check.  A "complex" tag carries NaN
+and inf through every map as values (lp_norm of a NaN field is NaN, with no
+warning, and the identity suite names a NaN residual); a scalar factor is
+finite whatever the tag.  Every argument meets one reader that names it:
+algebra3's shared ones (fields, grids, coefficients, samples, counts, names)
+or this module's _check_exponent, _check_rank, _check_path.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
@@ -52,6 +55,7 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 """
 
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -59,8 +63,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _norm,
-                       _numeric, _pow2, _real, anti, axl, cross, dev, dot, skew, sym, tp, tr)
+from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _finite,
+                       _norm, _numeric, _pow2, _real, anti, axl, cross, dev, dot, skew, sym,
+                       tp, tr)
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -176,7 +181,10 @@ def _check_rank(rank):
 @dataclass(frozen=True, init=False, eq=False)
 class GridField:
     """Immutable periodic tensor field, given by its full fftn spectrum coef; _planes
-    stores planes k1 = 0..n/2 of a real field, all n planes of a complex one."""
+    stores planes k1 = 0..n/2 of a real field, all n planes of a complex one.
+
+    A real tag is finite and conjugate-symmetric; a complex tag carries NaN and inf
+    through as values.  f * c takes a finite number c that is not a bool."""
 
     spec: GridSpec
     rank: int
@@ -232,7 +240,9 @@ class GridField:
         return self._binary(other, np.subtract)
 
     def __mul__(self, c):
-        c = complex(c)
+        if isinstance(c, bool) or not isinstance(c, numbers.Number):
+            return NotImplemented
+        c = complex(_finite(c, "scalar"))
         if self.reality == "real" and c.imag != 0.0:
             return _derived(self.spec, self.rank, c * self.coef, "complex")
         return _derived(self.spec, self.rank, c * self._planes, self.reality)

@@ -6,7 +6,8 @@ the maximum over the batch is kept.  Pointwise matrix algebra runs on
 vectorized sample batches (default 1000) at tolerance 1e-12; identities
 between differential operators run on random band-limited fields
 (n = 16, band n/4, three draws, one held at a time) at tolerance 1e-10,
-two inverse transforms per comparison of two fields.  Window entries
+two inverse transforms per comparison of two fields; a field that two or
+more checks derive is derived once per draw.  Window entries
 measure how far a quantity escapes a closed interval, so their residual
 is exactly zero when the bounds hold.  A worst-of over parts and draws is
 NaN when any of them is, so a NaN residual fails its entry.
@@ -356,6 +357,8 @@ def fzero(f, scale_field):
 
 
 def _spectral_data(n, seed):
+    """One draw: five random fields, and the nine fields that two or more checks
+    derive from them, each derived once."""
     spec = fields.GridSpec(n)
     kmax = n // 4
     d = SimpleNamespace(spec=spec, kmax=kmax, seed=seed)
@@ -364,104 +367,99 @@ def _spectral_data(n, seed):
     d.P = fields.random_bandlimited(spec, seed + 13, kmax, "general")
     d.S = fields.random_bandlimited(spec, seed + 14, kmax, "sym")
     d.A = fields.random_bandlimited(spec, seed + 15, kmax, "skew")
+    d.grad_u = fields.apply_operator(d.u, "grad")
+    d.div_u = fields.apply_operator(d.u, "div")
+    d.anti_u = fields.pointwise_part(d.u, "anti")
+    d.grad_zeta = fields.apply_operator(d.zeta, "grad")
+    d.sph_zeta = fields.pointwise_part(d.zeta, "spherical")
+    d.curl_A = fields.apply_operator(d.A, "curl_mat")
+    d.grad_axl_A = fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad")
+    d.curl_S = fields.apply_operator(d.S, "curl_mat")
+    d.inc_P = fields.apply_operator(d.P, "inc")
     return d
 
 
 def _s_curl_of_gradient(d):
-    g = fields.apply_operator(d.u, "grad")
-    return fzero(fields.apply_operator(g, "curl_mat"), g)
+    return fzero(fields.apply_operator(d.grad_u, "curl_mat"), d.grad_u)
 
 
 def _s_sym_of_curl_kernel(d):
-    f = fields.pointwise_part(d.zeta, "spherical") + fields.apply_operator(d.u, "grad")
+    f = d.sph_zeta + d.grad_u
     return fzero(fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "sym"), f)
 
 
 def _s_inc_sym_gradient(d):
-    g = fields.pointwise_part(fields.apply_operator(d.u, "grad"), "sym")
+    g = fields.pointwise_part(d.grad_u, "sym")
     return fzero(fields.apply_operator(g, "inc"), g)
 
 
 def _s_inc_skew_gradient(d):
-    g = fields.pointwise_part(fields.apply_operator(d.u, "grad"), "skew")
+    g = fields.pointwise_part(d.grad_u, "skew")
     return fzero(fields.apply_operator(g, "inc"), g)
 
 
 def _s_curl_spherical(d):
-    lhs = fields.apply_operator(fields.pointwise_part(d.zeta, "spherical"), "curl_mat")
-    rhs = (-1.0) * fields.pointwise_part(fields.apply_operator(d.zeta, "grad"), "anti")
-    return frel(lhs, rhs)
+    lhs = fields.apply_operator(d.sph_zeta, "curl_mat")
+    return frel(lhs, (-1.0) * fields.pointwise_part(d.grad_zeta, "anti"))
 
 
 def _s_curl_anti_field(d):
-    lhs = fields.apply_operator(fields.pointwise_part(d.u, "anti"), "curl_mat")
-    rhs = fields.pointwise_part(fields.apply_operator(d.u, "div"), "spherical") \
-        - fields.pointwise_part(fields.apply_operator(d.u, "grad"), "transpose")
+    lhs = fields.apply_operator(d.anti_u, "curl_mat")
+    rhs = fields.pointwise_part(d.div_u, "spherical") - fields.pointwise_part(d.grad_u, "transpose")
     return frel(lhs, rhs)
 
 
 def _s_grad_axl_inversion(d):
-    curl = fields.apply_operator(d.A, "curl_mat")
-    lhs = fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad")
-    rhs = 0.5 * fields.pointwise_part(fields.pointwise_part(curl, "trace"), "spherical") \
-        - fields.pointwise_part(curl, "transpose")
-    return frel(lhs, rhs)
+    rhs = 0.5 * fields.pointwise_part(fields.pointwise_part(d.curl_A, "trace"), "spherical") \
+        - fields.pointwise_part(d.curl_A, "transpose")
+    return frel(d.grad_axl_A, rhs)
 
 
 def _s_trace_curl_sym(d):
-    c = fields.apply_operator(d.S, "curl_mat")
-    return fzero(fields.pointwise_part(c, "trace"), c)
+    return fzero(fields.pointwise_part(d.curl_S, "trace"), d.curl_S)
 
 
 def _s_inc_spherical(d):
-    lhs = fields.apply_operator(fields.pointwise_part(d.zeta, "spherical"), "inc")
-    grad = fields.apply_operator(d.zeta, "grad")
-    hess = fields.apply_operator(grad, "grad")
+    lhs = fields.apply_operator(d.sph_zeta, "inc")
+    hess = fields.apply_operator(d.grad_zeta, "grad")
     lap = fields.pointwise_part(hess, "trace")
     return frel(lhs, fields.pointwise_part(lap, "spherical") - hess)
 
 
 def _s_inc_anti(d):
-    lhs = fields.apply_operator(fields.pointwise_part(d.u, "anti"), "inc")
-    rhs = (-1.0) * fields.pointwise_part(
-        fields.apply_operator(fields.apply_operator(d.u, "div"), "grad"), "anti")
+    lhs = fields.apply_operator(d.anti_u, "inc")
+    rhs = (-1.0) * fields.pointwise_part(fields.apply_operator(d.div_u, "grad"), "anti")
     return frel(lhs, rhs)
 
 
 def _s_inc_commutes_with_split(d):
-    inc = fields.apply_operator(d.P, "inc")
-    r1 = frel(fields.pointwise_part(inc, "sym"),
+    r1 = frel(fields.pointwise_part(d.inc_P, "sym"),
               fields.apply_operator(fields.pointwise_part(d.P, "sym"), "inc"))
-    r2 = frel(fields.pointwise_part(inc, "skew"),
+    r2 = frel(fields.pointwise_part(d.inc_P, "skew"),
               fields.apply_operator(fields.pointwise_part(d.P, "skew"), "inc"))
     return _worst(r1, r2)
 
 
 def _s_inc_transpose(d):
     lhs = fields.apply_operator(fields.pointwise_part(d.P, "transpose"), "inc")
-    rhs = fields.pointwise_part(fields.apply_operator(d.P, "inc"), "transpose")
-    return frel(lhs, rhs)
+    return frel(lhs, fields.pointwise_part(d.inc_P, "transpose"))
 
 
 def _s_trace_inc_curl_sym(d):
-    c = fields.apply_operator(fields.apply_operator(d.S, "curl_mat"), "inc")
+    c = fields.apply_operator(d.curl_S, "inc")
     return fzero(fields.pointwise_part(c, "trace"), c)
 
 
 def _s_sym_grad_axl_chain(d):
-    curl = fields.apply_operator(d.A, "curl_mat")
-    lhs = fields.pointwise_part(
-        fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad"), "sym")
-    tr_sym_curl = fields.pointwise_part(fields.pointwise_part(curl, "sym"), "trace")
-    rhs = 0.5 * fields.pointwise_part(tr_sym_curl, "spherical") - fields.pointwise_part(curl, "sym")
-    return frel(lhs, rhs)
+    sym_curl = fields.pointwise_part(d.curl_A, "sym")
+    tr_sym_curl = fields.pointwise_part(sym_curl, "trace")
+    rhs = 0.5 * fields.pointwise_part(tr_sym_curl, "spherical") - sym_curl
+    return frel(fields.pointwise_part(d.grad_axl_A, "sym"), rhs)
 
 
 def _s_hessian_trace_chain(d):
-    incdev = fields.apply_operator(
-        fields.pointwise_part(fields.apply_operator(d.A, "curl_mat"), "devsym"), "inc")
-    t = fields.pointwise_part(
-        fields.apply_operator(fields.pointwise_part(d.A, "axl"), "grad"), "trace")
+    incdev = fields.apply_operator(fields.pointwise_part(d.curl_A, "devsym"), "inc")
+    t = fields.pointwise_part(d.grad_axl_A, "trace")
     lhs = fields.apply_operator(fields.apply_operator(t, "grad"), "grad")
     tr_incdev = fields.pointwise_part(incdev, "trace")
     rhs = 1.5 * fields.pointwise_part(tr_incdev, "spherical") - 3.0 * incdev

@@ -55,8 +55,8 @@ class KernelElement:
             v = _real(getattr(self, name), (3,), name)
             if v.ndim != 1:
                 raise ValueError("%s must be a 3-vector, got shape %s" % (name, v.shape))
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "beta", _check_real("beta", self.beta))
+            object.__setattr__(self, name, _finite(v, name))
+        object.__setattr__(self, "beta", _finite(_check_real("beta", self.beta), "beta"))
 
 
 def _points(x):

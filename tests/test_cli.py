@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -539,11 +540,15 @@ def _nan_on_draw(draw):
 
 
 def _fitted(**changes):
-    """The real projection with fields of its fitted kernel element replaced."""
+    """The real projection with fields of its fitted kernel element replaced, past the
+    KernelElement constructor (which refuses a non-finite parameter)."""
     def wrap(real):
         def fake(*args, **kwargs):
             fit = real(*args, **kwargs)
-            return dataclasses.replace(fit, element=dataclasses.replace(fit.element, **changes))
+            element = copy.copy(fit.element)
+            for name, value in changes.items():
+                object.__setattr__(element, name, value)
+            return dataclasses.replace(fit, element=element)
         return fake
     return wrap
 

@@ -195,6 +195,26 @@ def test_field_arithmetic():
         f + 1
 
 
+def test_scalar_factor_is_a_finite_number():
+    # a bool or text is not a number to scale by; a non-finite factor is refused
+    # whatever the tag, so a real tag stays finite
+    f = random_bandlimited(GridSpec(4), 1, 1, "scalar")
+    for bad in ("2", True):
+        with pytest.raises(TypeError):
+            f * bad
+        with pytest.raises(TypeError):
+            bad * f
+    g = field_from_coef(f.spec, 0, f.coef, "complex")
+    for h in (f, g):
+        with pytest.raises(ValueError, match="^scalar must be finite$"):
+            h * math.nan
+        with pytest.raises(ValueError, match="^scalar must be finite$"):
+            math.inf * h
+    assert (f * 1j).reality == "complex"
+    assert_array_equal((f * 1j).coef, 1j * f.coef)
+    assert (f * np.float32(2.0)).reality == "real"
+
+
 def test_coefficients_are_frozen():
     spec = GridSpec(4)
     f = field_from_samples(spec, 0, RNG.standard_normal((4, 4, 4)))
@@ -523,6 +543,14 @@ def test_lp_norm_extreme_constants():
         assert lp_norm(u, 2.0) == pytest.approx(np.sqrt(3.0) * c * (2.0 * np.pi) ** 1.5,
                                                 rel=1e-12)
     assert lp_norm(field_from_samples(spec, 0, np.zeros((8, 8, 8))), 2.0) == 0.0
+
+
+def test_lp_norm_of_a_nan_complex_field_is_nan(recwarn):
+    # a complex tag carries NaN through as a value: no error and no warning
+    f = GridField(GridSpec(4), 0, np.full((4, 4, 4), np.nan))
+    for p in (1.0, 2.0, 64.0):
+        assert math.isnan(lp_norm(f, p))
+    assert not recwarn.list
 
 
 def test_lp_norm_sine():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ def test_spectral_suite_passes():
     for res in results:
         assert res.passed, "%s at %.3e" % (res.name, res.max_residual)
         assert res.tolerance == SPECTRAL_TOL
+
+
+def test_a_draw_derives_nothing_twice_from_the_same_field(monkeypatch):
+    # every (input, operator or part) pair is computed once per draw; the inputs
+    # are held alive so that no id is reused
+    seen, held = [], []
+    for name in ("apply_operator", "pointwise_part"):
+        def recording(f, op, real=getattr(fields, name)):
+            held.append(f)
+            seen.append((id(f), op))
+            return real(f, op)
+        monkeypatch.setattr(fields, name, recording)
+    d = identities._spectral_data(8, 1)
+    for _, check in identities.SPECTRAL:
+        check(d)
+    repeats = [key for key, count in Counter(seen).items() if count > 1]
+    assert not repeats, [op for _, op in repeats]
 
 
 def test_spectral_suite_small_grid():

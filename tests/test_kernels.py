@@ -255,3 +255,10 @@ def test_kernel_element_beta_is_a_real_number(beta):
     with pytest.raises(TypeError, match="beta must be a real number"):
         KernelElement(beta=beta)
     assert type(KernelElement(beta=np.float32(0.5)).beta) is float
+
+
+@pytest.mark.parametrize("name, value", [("beta", np.nan), ("a_tilde", [np.inf, 0.0, 0.0]),
+                                         ("d", [0.0, -np.inf, 0.0]), ("b", [0.0, 0.0, np.nan])])
+def test_kernel_element_parameters_are_finite(name, value):
+    with pytest.raises(ValueError, match="^%s must be finite$" % name):
+        KernelElement(**{name: value})

@@ -46,6 +46,8 @@ CONFIGS = ([[c] for c in COMMANDS] + [[c, "--format", "csv"] for c in COMMANDS] 
     ["identities", "--grid-n", "4", "--format", "csv"],
     ["identities", "--grid-n", "32", "--samples", "50"],
     ["identities", "--samples", "20000"],
+    ["identities", "--seed", "7"],
+    ["identities", "--seed", "7", "--format", "csv"],
     ["counterexample", "--p", "3", "--kmax", "8"],
     ["counterexample", "--p", "64", "--kmax", "40"],
     ["counterexample", "--box=-0.7,-0.3,-1,0.9,1.3,1"],
