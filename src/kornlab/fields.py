@@ -540,8 +540,9 @@ def bump_profile(r):
     den = u + v
     g = u / den
     mid = (r > 1.0) & (r < 2.0)
-    # h'(t) = h(t) / t^2; off the open shell the quotients are discarded
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # h'(t) = h(t) / t^2; off the open shell the quotients (and squares
+    # that overflow at huge r) are discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gp = np.where(mid, -(u / (2.0 - r) ** 2 * v + u * (v / (r - 1.0) ** 2)) / den ** 2, 0.0)
     return g, gp
 

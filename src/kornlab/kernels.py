@@ -117,7 +117,8 @@ def project_kernel(points, matrices, space="devsym"):
     space selects which seminorm kernel to project onto: "sym" fits the
     six-parameter family (a_tilde, b), "devsym" the full ten-parameter one.
     The residual is the Hermitian norm of the stacked misfit over all
-    samples.  Points and matrices must be finite (ValueError).  Raises
+    samples.  Points and matrices must be finite, and points small enough
+    that the design (quadratic in them) is finite (ValueError).  Raises
     TooFewSamplesError below the minimum sample count and
     DegenerateGeometryError when the numerical rank of the design matrix
     (algebra3.numerical_rank) is below its column count, which is where
@@ -134,7 +135,11 @@ def project_kernel(points, matrices, space="devsym"):
         raise TooFewSamplesError("space %r needs at least %d samples, got %d"
                                  % (space, MIN_SAMPLES[space], m))
     cols = _COLUMNS[space]
-    design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
+    # the quadratic columns overflow for points of size about 1e154 and above
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
+    if not np.isfinite(design).all():
+        raise ValueError("points are too large: the kernel design overflows")
     rhs = mats.reshape(9 * m)
     sv = np.linalg.svd(design, compute_uv=False)
     rank = int(numerical_rank(sv))

@@ -24,7 +24,7 @@ to the nine constant coefficient arrays), never built from the symbol,
 so the two routes stay independent.  The curl symbol enters twice, so
 its factors of i cancel: every block is real, and in orthonormal Hartley
 coordinates (_hartley) the operator on real fields is exactly one real
-9x9 matrix per frequency.  LOBPCG runs there from a 4-column start
+9x9 matrix per frequency.  LOBPCG runs there from a 2-column start
 block, each iteration one stacked matmul with no FFT, preconditioned by
 each block's exact (shifted) inverse.  Two gates on the fields chain
 itself follow, so a wrong probe cannot pass: the eigenvector it returns
@@ -66,10 +66,14 @@ _SKEW_FORM = np.eye(9) - _SYM_FORM
 # blocks.  A preconditioner cannot move the converged eigenvalue; at n = 16
 # shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
 _PRECOND_SHIFT = 0.05
-# LOBPCG start block width, drawn in Hartley coordinates: at n = 16, 16
-# columns took 16 iterations and 164 MB peak RSS, 4 columns 15 iterations
-# and 89 MB (scipy included)
-_START_COLUMNS = 4
+# LOBPCG start block width, drawn in Hartley coordinates.  Only lambda_min is
+# wanted, and the Rayleigh-Ritz blocks, LOBPCG's (9 n^3, 3 * width) work
+# arrays and each _apply_blocks matmul grow with the width: at n = 16, 1, 2,
+# 3 and 4 columns took 16, 15, 16 and 15 iterations and 75.8, 79.4, 83.8
+# and 88.0 MB peak RSS (scipy included; 16 columns took 164 MB).  Not 1:
+# scipy then squeezes each residual-history row to a 0-d array, which a
+# reader indexing the row by column cannot use
+_START_COLUMNS = 2
 # LOBPCG's own stopping rule; the start block is drawn from seed 1.  With the
 # block preconditioner it stops after about 15 iterations at n = 8 and 16
 _LOBPCG_MAXITER = 80
@@ -103,11 +107,16 @@ def frequency_form(k):
     of shape (..., 3) gives a stack of forms.  With t = |k|^2, S*S + C_k*C_k
     has the exact spectrum lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4, 1 and
     1 + t, each double, and t / 3 (proved in the tests in rational arithmetic).
-    A frequency that is not finite is a ValueError (curl_symbol's _finite).
+    A frequency that is not finite is a ValueError (curl_symbol's _finite),
+    and so is a finite one too large for its form to be finite (|k| of about
+    1e154 and above: the entries grow as |k|^2).
     """
     k = _real(k, (3,), "frequency")
-    c = curl_symbol(k, "devsym")
-    q = _SYM_FORM + tp(c.conj()) @ c
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = curl_symbol(k, "devsym")
+        q = _SYM_FORM + tp(c.conj()) @ c
+    if not np.isfinite(q).all():
+        raise ValueError("frequency is too large: its form overflows")
     q[~k.any(axis=-1)] += _SKEW_FORM
     return q
 
@@ -238,7 +247,7 @@ def grid_crosscheck(n):
     Finds the smallest eigenvalue of P -> sym P + curl(devsym(curl P)) on
     the real fields of an n^3 grid (n a power of two, at least 8), completed
     by skew P at the eight zero grid frequencies (_apply_hat), with LOBPCG
-    from a 4-column random start block (seed 1), and returns
+    from a 2-column random start block (seed 1), and returns
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is

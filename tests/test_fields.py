@@ -786,6 +786,15 @@ def test_bump_profile_is_flat_at_the_support_edges():
     assert g == 1.0 and gp == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_bump_profile_is_exact_and_quiet_at_huge_radii():
+    # the shell's quotients are discarded there, and their squares overflow silently
+    g, gp = bump_profile(1e308)
+    assert g == 0.0 and gp == 0.0
+    g, gp = bump_profile(-1e308)
+    assert g == 1.0 and gp == 0.0
+
+
 def test_box_sum_on_the_support_of_a_ball():
     box = BoxDomain(lo=(-1.5, -2.0, -1.0), hi=(1.0, 1.5, 2.0))
     radius = 1.7

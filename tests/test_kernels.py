@@ -243,6 +243,18 @@ def test_point_cloud_validation():
         KernelElement(a_tilde=np.zeros(4))
 
 
+@pytest.mark.filterwarnings("error")
+def test_project_kernel_names_points_whose_design_overflows():
+    # the design is quadratic in the points: at 1e160 its |x|^2 columns are inf,
+    # which is named before the SVD sees it, with no overflow warning on the way
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((14, 3))
+    mats = eval_kernel(random_element(rng), pts)
+    with pytest.raises(ValueError, match="^points are too large: the kernel design overflows$"):
+        project_kernel(1e160 * pts, 1e300 * mats)
+    assert project_kernel(pts, mats).residual < 1e-12
+
+
 @pytest.mark.parametrize("call", [axial_polynomial, eval_kernel, curl_kernel_closed_form])
 def test_kernel_maps_name_an_element_of_the_wrong_class(call):
     with pytest.raises(TypeError, match=r"^element must be a KernelElement, got \(0\.0, 0\.0\)$"):

@@ -69,6 +69,16 @@ def test_frequency_form_is_completed_at_zero():
     assert np.array_equal(frequency_form([0, 0, 0]), np.eye(9))
 
 
+@pytest.mark.parametrize("call", [frequency_form, lambda_min])
+@pytest.mark.filterwarnings("error")
+def test_a_frequency_whose_form_overflows_is_named(call):
+    # finite, but |k|^2 is not: refused by name, with no overflow warning, also
+    # when it is one row of a stack
+    for k in ([1e308, 1e308, 0.0], [[0.0, 0.0, 1.0], [1e160, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^frequency is too large: its form overflows$"):
+            call(k)
+
+
 def test_lambda_min_zero_frequency():
     lam, m = lambda_min([0, 0, 0])
     assert lam == pytest.approx(1.0, abs=1e-12)
