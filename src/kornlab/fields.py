@@ -3,34 +3,31 @@
 Periodic side
 -------------
 Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
-given by their discrete Fourier coefficients GridField.coef (numpy fftn
-layout over the three grid axes, integer frequencies GridSpec.frequencies).
-A complex-tagged field stores all n planes of coef.  A real-tagged field is
-exactly conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and
-coef mirrors the rest on read.  The maps below run on the stored planes (a
-step from a real to a complex field starts from the full coef), and values
-reads a real field off them with one real inverse FFT.  The derivative
-multipliers drop the unpaired Nyquist mode so that real-tagged fields stay
-real.  Coefficients and grid samples are stored tensor-last: scalar fields
-have shape (n, n, n), vector fields (n, n, n, 3), matrix fields
-(n, n, n, 3, 3).  Every pointwise operation is therefore a broadcast call
-into algebra3.
+real, as the paper's fields are.  A field is given by its discrete Fourier
+coefficients GridField.coef (numpy fftn layout over the three grid axes,
+integer frequencies GridSpec.frequencies), which are exactly
+conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and coef
+mirrors the rest on read.  The maps below run on the stored planes, and
+values reads the samples off them with one real inverse FFT.  The
+derivative multipliers drop the unpaired Nyquist mode so that derived
+fields stay real.  Coefficients and grid samples are stored tensor-last:
+scalar fields have shape (n, n, n), vector fields (n, n, n, 3), matrix
+fields (n, n, n, 3, 3).  Every pointwise operation is therefore a
+broadcast call into algebra3.
 
 Each field map is one table row that states its ranks: _OPS (the
 operators of apply_operator) and _PARTS (the slot-wise maps of
 pointwise_part) give, per name and input rank, the output rank and the map.
 
-A "real" tag is checked where coefficients enter: the GridField
-constructor, field_from_coef, field_from_samples, load_field and
-random_bandlimited refuse coefficients that are not finite or not
-conjugate-symmetric, and snap the rest to exact symmetry.  Fields computed
-from fields (the table maps, + - and scalar *) keep that symmetry exactly,
-so they are built without a copy or a re-check.  A "complex" tag carries NaN
-and inf through every map as values (lp_norm of a NaN field is NaN, with no
-warning, and the identity suite names a NaN residual); a scalar factor is
-finite whatever the tag.  Every argument meets one reader that names it:
-algebra3's shared ones (fields, grids, coefficients, samples, counts, names)
-or this module's _check_exponent, _check_rank, _check_path.
+Coefficients are checked where they enter: the GridField constructor,
+field_from_coef, field_from_samples, load_field and random_bandlimited
+refuse coefficients that are not finite or not conjugate-symmetric, and
+snap the rest to exact symmetry.  Fields computed from fields (the table
+maps, + - and scalar *) keep that symmetry exactly, so they are built
+without a copy or a re-check; a scalar factor is a finite real number.
+Every argument meets one reader that names it: algebra3's shared ones
+(fields, grids, coefficients, samples, counts, names) or this module's
+_check_exponent, _check_rank, _check_path.
 
 The matrix curl acts on rows: on the Fourier side a coefficient P at
 frequency k goes to -i * (P x k) = -i * cross(P, k), and "inc" is the curl
@@ -55,7 +52,6 @@ growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3
 """
 
 import math
-import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -110,8 +106,7 @@ class NonFiniteError(ArithmeticError):
 class CorruptFieldError(ValueError):
     """A field file has a malformed header or a payload that does not fit it.
 
-    The payload is of the wrong size, or it is tagged real and is not finite
-    and conjugate-symmetric.
+    The payload is of the wrong size, or not finite and conjugate-symmetric.
     """
 
 
@@ -180,46 +175,36 @@ def _check_rank(rank):
 
 @dataclass(frozen=True, init=False, eq=False)
 class GridField:
-    """Immutable periodic tensor field, given by its full fftn spectrum coef; _planes
-    stores planes k1 = 0..n/2 of a real field, all n planes of a complex one.
-
-    A real tag is finite and conjugate-symmetric; a complex tag carries NaN and inf
-    through as values.  f * c takes a finite number c that is not a bool."""
+    """Immutable real periodic tensor field: its full fftn spectrum coef is finite and
+    conjugate-symmetric, and _planes stores planes k1 = 0..n/2.  f * c takes a finite
+    real number c that is not a bool."""
 
     spec: GridSpec
     rank: int
     _planes: np.ndarray
-    reality: str
 
-    def __init__(self, spec, rank, coef, reality="complex"):
+    def __init__(self, spec, rank, coef):
         spec = _check_instance("spec", spec, GridSpec)
         rank = _check_rank(rank)
-        _choice("reality", reality, ("real", "complex"))
         coef = np.array(_numeric(coef, (), "coefficients"), dtype=complex, order="C", copy=True)
         if coef.shape != _coef_shape(rank, spec.n):
             raise ValueError("coefficient shape %s does not match rank %d on n=%d"
                              % (coef.shape, rank, spec.n))
-        if reality == "real":
-            if not np.isfinite(coef).all():
-                raise ValueError("coefficients are not finite; refusing the 'real' tag")
-            mirror = np.conj(_reflect(coef))
-            scale = max(float(np.abs(coef).max()), 1.0)
-            if float(np.abs(coef - mirror).max()) > REALITY_TOL * scale:
-                raise ValueError("coefficients lack conjugate symmetry; "
-                                 "refusing the 'real' tag")
-            # snap to exact symmetry and keep planes k1 = 0..n/2: the operators,
-            # parts and arithmetic below then keep it exactly, which is why
-            # derived fields skip this check (tests/test_fields.py pins it for
-            # each of them)
-            half = spec.n // 2 + 1
-            coef = 0.5 * (coef[:half] + mirror[:half])
-        _fill(self, spec, rank, coef, reality)
+        if not np.isfinite(coef).all():
+            raise ValueError("coefficients are not finite")
+        mirror = np.conj(_reflect(coef))
+        scale = max(float(np.abs(coef).max()), 1.0)
+        if float(np.abs(coef - mirror).max()) > REALITY_TOL * scale:
+            raise ValueError("coefficients lack conjugate symmetry")
+        # snap to exact symmetry and keep planes k1 = 0..n/2: the operators, parts
+        # and arithmetic below then keep it exactly, which is why derived fields
+        # skip this check (tests/test_fields.py pins it for each of them)
+        half = spec.n // 2 + 1
+        _fill(self, spec, rank, 0.5 * (coef[:half] + mirror[:half]))
 
     @property
     def coef(self):
-        """The full fftn spectrum, read-only; a real field's is built on each read."""
-        if self.reality == "complex":
-            return self._planes
+        """The full fftn spectrum, read-only, built on each read."""
         coef = _full(self._planes, self.spec.n)
         coef.setflags(write=False)
         return coef
@@ -229,9 +214,7 @@ class GridField:
             return NotImplemented
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
-        if self.reality == other.reality:
-            return _derived(self.spec, self.rank, op(self._planes, other._planes), self.reality)
-        return _derived(self.spec, self.rank, op(self.coef, other.coef), "complex")
+        return _derived(self.spec, self.rank, op(self._planes, other._planes))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -240,57 +223,48 @@ class GridField:
         return self._binary(other, np.subtract)
 
     def __mul__(self, c):
-        if isinstance(c, bool) or not isinstance(c, numbers.Number):
-            return NotImplemented
-        c = complex(_finite(c, "scalar"))
-        if self.reality == "real" and c.imag != 0.0:
-            return _derived(self.spec, self.rank, c * self.coef, "complex")
-        return _derived(self.spec, self.rank, c * self._planes, self.reality)
+        c = _finite(_check_real("scalar", c), "scalar")
+        return _derived(self.spec, self.rank, c * self._planes)
 
     __rmul__ = __mul__
 
 
-def _fill(f, spec, rank, planes, reality):
+def _fill(f, spec, rank, planes):
     """f holding the stored planes, frozen."""
     planes.setflags(write=False)
-    vars(f).update(spec=spec, rank=rank, _planes=planes, reality=reality)
+    vars(f).update(spec=spec, rank=rank, _planes=planes)
     return f
 
 
-def _derived(spec, rank, planes, reality):
+def _derived(spec, rank, planes):
     """A field computed from fields: its stored planes are kept as they are, not
     copied or re-checked.
 
     The inputs were checked where their coefficients entered, and every map
     that calls this keeps exact conjugate symmetry; the planes are only frozen.
     """
-    return _fill(object.__new__(GridField), spec, rank, planes, reality)
+    return _fill(object.__new__(GridField), spec, rank, planes)
 
 
-def field_from_coef(spec, rank, coef, reality="complex"):
-    return GridField(spec=spec, rank=rank, coef=coef, reality=reality)
+def field_from_coef(spec, rank, coef):
+    return GridField(spec=spec, rank=rank, coef=coef)
 
 
 def field_from_samples(spec, rank, samples):
-    """Build a field from grid samples of shape (n, n, n) + (3,) * rank."""
+    """Build a field from real grid samples of shape (n, n, n) + (3,) * rank."""
     spec = _check_instance("spec", spec, GridSpec)
     rank = _check_rank(rank)
-    samples = _numeric(samples, (), "samples")
+    samples = _real(samples, (), "samples")
     if samples.shape != _coef_shape(rank, spec.n):
         raise ValueError("sample shape %s does not match rank %d on n=%d"
                          % (samples.shape, rank, spec.n))
-    coef = np.fft.fftn(samples, axes=(0, 1, 2))
-    reality = "complex" if np.iscomplexobj(samples) else "real"
-    return GridField(spec=spec, rank=rank, coef=coef, reality=reality)
+    return GridField(spec=spec, rank=rank, coef=np.fft.fftn(samples, axes=(0, 1, 2)))
 
 
 def values(f):
-    """Grid samples: float64 from the stored half spectrum k1 = 0..n/2 of a real-tagged
-    (exactly conjugate-symmetric) field, complex from the full spectrum otherwise."""
+    """Grid samples, float64, from the stored half spectrum k1 = 0..n/2."""
     n = _check_instance("field", f, GridField).spec.n
-    if f.reality == "real":
-        return np.fft.irfftn(f._planes, s=(n, n, n), axes=(1, 2, 0))
-    return np.fft.ifftn(f._planes, axes=(0, 1, 2))
+    return np.fft.irfftn(f._planes, s=(n, n, n), axes=(1, 2, 0))
 
 
 def _curl(coef, K):
@@ -326,7 +300,7 @@ def apply_operator(f, op):
         raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
     rank, fn = rows[f.rank]
     K = _freq_grids(f.spec.n)[:len(f._planes)]     # the frequencies of the stored planes
-    return _derived(f.spec, rank, fn(f._planes, K), f.reality)
+    return _derived(f.spec, rank, fn(f._planes, K))
 
 
 def pointwise_part(f, part):
@@ -338,7 +312,7 @@ def pointwise_part(f, part):
     rank, out_rank, fn = _PARTS[_choice("part", part, _PARTS)]
     if f.rank != rank:
         raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
-    return _derived(f.spec, out_rank, fn(f._planes), f.reality)
+    return _derived(f.spec, out_rank, fn(f._planes))
 
 
 def magnitude(f):
@@ -357,7 +331,7 @@ def random_bandlimited(spec, seed, kmax, structure="general"):
     coef = _bandlimited_coef(spec, seed, kmax, rank)
     if part is not None:
         coef = _PARTS[part][2](coef)
-    return GridField(spec, rank, coef, "real")
+    return GridField(spec, rank, coef)
 
 
 def _bandlimited_coef(spec, seed, kmax, rank):
@@ -608,10 +582,10 @@ def _diagonal_form(d, X1, X2, x3):
 # on-disk format
 
 
-# the one header line of a field file: dump_field fills it, load_field matches it whole
-_HEADER = "kornlab-field v1; rank=%s; n=%s; reality=%s\n"
-_HEADER_RE = re.compile(re.escape(_HEADER).encode("ascii")
-                        % (rb"([012])", rb"([1-9][0-9]*)", rb"(real|complex)"))
+# a field file's one header line (every field is real): dump_field fills it, load_field
+# matches it whole
+_HEADER = "kornlab-field v1; rank=%s; n=%s; reality=real\n"
+_HEADER_RE = re.compile(re.escape(_HEADER).encode("ascii") % (rb"([012])", rb"([1-9][0-9]*)"))
 
 
 def _check_path(path):
@@ -624,17 +598,15 @@ def _check_path(path):
 def dump_field(f, path):
     """Write a field: one ASCII header line, then little-endian complex64.
 
-    The header is "kornlab-field v1; rank=<r>; n=<n>; reality=<tag>\\n".
-    Coefficients follow in the order they are stored: the three frequency
-    axes vary slowest (C order, k1 outermost), tensor slots fastest.
+    The header is "kornlab-field v1; rank=<r>; n=<n>; reality=real\\n".
+    Coefficients follow in the order of coef: the three frequency axes vary
+    slowest (C order, k1 outermost), tensor slots fastest.
     """
-    # a derived field is symmetric in value but may hold a -0.0 where the
-    # snap at entry writes +0.0; entering it again writes every real field
-    # as its snapped form, whatever route built it
-    coef = GridField(f.spec, f.rank, f.coef, f.reality).coef
-    header = _HEADER % (f.rank, f.spec.n, f.reality)
+    # a derived field may hold a -0.0 where the snap at entry writes +0.0: entering
+    # it again writes every field in its snapped form, whatever route built it
+    coef = GridField(f.spec, f.rank, f.coef).coef
     with open(_check_path(path), "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write((_HEADER % (f.rank, f.spec.n)).encode("ascii"))
         fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())
 
 
@@ -643,19 +615,19 @@ def load_field(path):
 
     Raises CorruptFieldError unless the first line is exactly a header that
     dump_field writes (rank 0, 1 or 2, n a power of two of at least 4 with
-    no leading zero, reality real or complex), when the payload does not
-    hold exactly n^3 * 3^rank complex64 values, or when a reality=real
-    payload is not finite and conjugate-symmetric.
+    no leading zero, reality=real: a reality=complex file is refused), when
+    the payload does not hold exactly n^3 * 3^rank complex64 values, or when
+    the payload is not finite and conjugate-symmetric.
     """
     with open(_check_path(path), "rb") as fh:
         header = fh.readline()
         raw = fh.read()
     match = _HEADER_RE.fullmatch(header)
     try:
-        rank, spec, reality = int(match[1]), GridSpec(int(match[2])), match[3].decode()
+        rank, spec = int(match[1]), GridSpec(int(match[2]))
     except (TypeError, ValueError):     # no match (None[1]), or n is no grid size
         raise CorruptFieldError("header is not %r: %r" % (
-            _HEADER % ("<0|1|2>", "<n, a power of two >= 4>", "<real|complex>"), header)) from None
+            _HEADER % ("<0|1|2>", "<n, a power of two >= 4>"), header)) from None
     shape = _coef_shape(rank, spec.n)
     need = 8 * math.prod(shape)        # exact: n^3 overflows int64 from n = 2^21
     if len(raw) != need:
@@ -664,6 +636,6 @@ def load_field(path):
     with np.errstate(invalid="ignore"):     # a signalling NaN warns as it widens
         coef = np.frombuffer(raw, dtype="<c8").astype(complex).reshape(shape)
     try:
-        return GridField(spec, rank, coef, reality)
+        return GridField(spec, rank, coef)
     except ValueError as exc:
-        raise CorruptFieldError("payload does not fit reality=%s: %s" % (reality, exc)) from None
+        raise CorruptFieldError("payload is not a real field: %s" % exc) from None

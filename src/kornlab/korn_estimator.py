@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fields
 from .algebra3 import _check_count, _norm, _real, _unit, sym, tp
-from .symbol import basis_matrices, curl_symbol, sharp_ratio
+from .symbol import _curl_symbol, basis_matrices, sharp_ratio
 
 __all__ = [
     "NoConvergenceError", "ProbeError",
@@ -78,6 +78,9 @@ _START_COLUMNS = 2
 # block preconditioner it stops after about 15 iterations at n = 8 and 16
 _LOBPCG_MAXITER = 80
 _LOBPCG_TOL = 1e-7
+# the largest share of lambda_- that lambda_min's error bound may reach: met up
+# to |k|^2 of about 1.4e11, far beyond korn --kmax 256 (|k|^2 <= 196608)
+_LAMBDA_SHARE = 1e-3
 
 
 def lobpcg(*args, **kwargs):
@@ -113,7 +116,7 @@ def frequency_form(k):
     """
     k = _real(k, (3,), "frequency")
     with np.errstate(over="ignore", invalid="ignore"):
-        c = curl_symbol(k, "devsym")
+        c = _curl_symbol(k, "devsym")
         q = _SYM_FORM + tp(c.conj()) @ c
     if not np.isfinite(q).all():
         raise ValueError("frequency is too large: its form overflows")
@@ -129,9 +132,19 @@ def lambda_min(k):
     the completed forms.  At k = 0 the form is the identity: the value is
     exactly 1 and the minimizer is the symmetric E11.  Elsewhere it is lambda_-
     of frequency_form, least at |k| = 1: (3 - sqrt 5)/4, double, so c = sqrt(3 + sqrt 5).
+    The eigensolve's error bound grows like t = |k|^2 (16 eps t, as the korn
+    report holds it), so a frequency where it exceeds _LAMBDA_SHARE of the exact
+    lambda_- = t / (2 + t + sqrt(t^2 + 4)) is a ValueError: |k| above about 3.7e5.
     """
     k = _real(k, (3,), "frequency")
-    w, v = np.linalg.eigh(frequency_form(k))
+    q = frequency_form(k)
+    # 16 eps t <= share * lambda_-, where t / lambda_- = 2 + t + sqrt(t^2 + 4)
+    with np.errstate(over="ignore"):
+        t = np.sum(k * k, axis=-1)
+        kept = 2.0 + t + np.hypot(t, 2.0) <= _LAMBDA_SHARE / (16.0 * np.finfo(float).eps)
+    if not np.all(kept):
+        raise ValueError("frequency is too large: its smallest eigenvalue is lost in rounding")
+    w, v = np.linalg.eigh(q)
     return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
 
 
@@ -182,18 +195,19 @@ def korn_constant(kmax):
 
 
 def _apply_hat(spec, coef):
-    """Fourier side of sym + curl(devsym(curl .)) on (n, n, n, 3, 3) coefficients.
+    """Fourier side of sym + curl(devsym(curl .)): a real field's (n, n, n, 3, 3)
+    spectrum to the stored planes k1 = 0..n/2 of its image.
 
     The mean and the seven checkerboard modes (every component 0 or n/2)
     have zero grid frequency: the derivatives drop them, and their skew
     part is added back, the same completion as frequency_form at k = 0.
     """
-    f = fields.field_from_coef(spec, 2, coef, "complex")
+    f = fields.field_from_coef(spec, 2, coef)
     c = fields.apply_operator(f, "curl_mat")
     c = fields.pointwise_part(c, "devsym")
-    out = fields.pointwise_part(f, "sym").coef + fields.apply_operator(c, "curl_mat").coef
-    zero = ~fields._freq_grids(spec.n).any(axis=-1)
-    out[zero] += fields.pointwise_part(f, "skew").coef[zero]
+    out = fields.pointwise_part(f, "sym")._planes + fields.apply_operator(c, "curl_mat")._planes
+    zero = ~fields._freq_grids(spec.n)[:len(out)].any(axis=-1)
+    out[zero] += fields.pointwise_part(f, "skew")._planes[zero]
     return out
 
 
@@ -201,20 +215,21 @@ def _apply_fields(spec, v):
     """The operator on one real field, flattened to (9 n^3,), through the fields chain."""
     n = spec.n
     coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
-    # ifftn(...).real, not a half spectrum: the gate must see a wrong chain's asymmetric part
-    return np.fft.ifftn(_apply_hat(spec, coef), axes=(0, 1, 2)).real.reshape(v.shape)
+    # the output's half spectrum, read as fields.values reads a field
+    return np.fft.irfftn(_apply_hat(spec, coef), s=(n, n, n), axes=(1, 2, 0)).reshape(v.shape)
 
 
 def _probed_blocks(spec):
     """The operator's 9x9 block at every grid frequency, shape (n, n, n, 9, 9).
 
     The operator commutes with translations, so applying its Fourier side to
-    the constant coefficient arrays E_j gives column j of every block at
-    once: nine calls through the fields module, no symbol or form.
+    the constant coefficient arrays E_j (real point masses) gives column j of
+    every block at once: nine calls through the fields module, no symbol or
+    form, on planes k1 = 0..n/2, mirrored as a real field's spectrum is.
     """
     n = spec.n
     cols = [_apply_hat(spec, np.broadcast_to(e, (n, n, n, 3, 3))) for e in basis_matrices()]
-    return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
+    return fields._full(np.stack(cols, axis=-1).reshape(n // 2 + 1, n, n, 9, 9), n)
 
 
 def _hartley(x, n):
@@ -258,10 +273,10 @@ def grid_crosscheck(n):
     _PRECOND_SHIFT, so it stops by its tolerance _LOBPCG_TOL long before
     the cap of _LOBPCG_MAXITER iterations.  Two gates use the fields chain
     (_apply_fields), independently of the probe: NoConvergenceError if the
-    returned eigenvector's explicit residual exceeds 1e-4, and ProbeError
-    if the blocks miss the chain on one seeded random field by more than
-    1e-10 relative, or if the probe has an imaginary part.  The first call
-    loads scipy.sparse.linalg.
+    returned eigenvector's explicit residual exceeds 1e-4 or is NaN (a
+    vector that is not finite), and ProbeError if the blocks miss the chain
+    on one seeded random field by more than 1e-10 relative, or if the probe
+    has an imaginary part.  The first call loads scipy.sparse.linalg.
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
@@ -293,7 +308,9 @@ def grid_crosscheck(n):
                             maxiter=_LOBPCG_MAXITER, retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
     vec = _hartley(v[:, int(np.argmin(w))], n)
-    resid = float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
+    # a vector that is not finite is no field for the chain: the gate names it as NaN
+    resid = (float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
+             if np.isfinite(vec).all() else np.nan)
     # lam_grid is a Rayleigh quotient: its error is at most resid^2 over the spectral
     # gap, exactly lambda_-(2) - lambda_-(1) = 0.1019...; 1e-4 keeps it below 1e-7.
     if not (np.isfinite(lam_grid) and resid <= 1e-4):

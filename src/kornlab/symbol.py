@@ -44,8 +44,18 @@ def curl_symbol(xi, part="full"):
 
     Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).  A
     stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
-    xi is read by _numeric and _finite: bool or text a TypeError, NaN or inf a ValueError.
+    xi is read by _numeric and _finite: bool or text a TypeError, NaN or inf a ValueError,
+    and so is xi whose "sym" or "devsym" symbol, adding its entries, overflows.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _curl_symbol(xi, part)
+    if not np.isfinite(op).all():
+        raise ValueError("frequency is too large: its symbol overflows")
+    return op
+
+
+def _curl_symbol(xi, part):
+    """curl_symbol with overflow unchecked: frequency_form checks its form instead."""
     proj = _PARTS[_choice("part", part, _PARTS)]
     xi = _finite(_numeric(xi, (3,), "frequency"), "frequency")
     images = proj(-1j * cross(basis_matrices(), xi[..., None, :]))

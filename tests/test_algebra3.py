@@ -12,7 +12,8 @@ from kornlab.algebra3 import (
     vec_norm,
 )
 from kornlab.fields import (
-    GridField, GridSpec, apply_operator, bump_profile, pointwise_part, random_bandlimited,
+    GridField, GridSpec, apply_operator, bump_profile, field_from_samples, pointwise_part,
+    random_bandlimited, values,
 )
 from kornlab.kernels import (
     KernelElement, axial_polynomial, boundary_rank, curl_kernel_closed_form, project_kernel,
@@ -316,6 +317,8 @@ _REAL_INPUTS = {
     "curl_kernel_closed_form": ("point", lambda x: curl_kernel_closed_form(_E, x), _PTS),
     "project-points": ("points", lambda x: _fit(project_kernel(x, np.array(_MATS, float))), _PTS),
     "project-matrices": ("matrices", lambda x: _fit(project_kernel(_PTS, x)), _MATS),
+    "field_from_samples": ("samples", lambda x: values(field_from_samples(GridSpec(4), 0, x)),
+                           (np.arange(64).reshape(4, 4, 4) % 7).tolist()),
 }
 _NOT_REAL = {"complex": complex, "bool": bool, "text": str}
 
@@ -406,7 +409,6 @@ _FORMAT = {key: read for key, _, read, _ in cli._OPTIONS}["format"]
 # every input that names one of a fixed set (read by _choice): the name its
 # ValueError gives and a call reading it
 _CHOICES = {
-    "reality": ("reality", lambda v: GridField(GridSpec(4), 0, np.zeros((4, 4, 4)), v)),
     "apply_operator": ("operator", lambda v: apply_operator(_FIELD, v)),
     "pointwise_part": ("part", lambda v: pointwise_part(_FIELD, v)),
     "random_bandlimited": ("structure", lambda v: random_bandlimited(GridSpec(4), 0, 1, v)),

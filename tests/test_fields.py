@@ -73,17 +73,8 @@ def test_samples_values_roundtrip():
         shape = (8, 8, 8) + (3,) * rank
         samples = RNG.standard_normal(shape)
         f = field_from_samples(spec, rank, samples)
-        assert f.reality == "real"
         assert_allclose(values(f), samples, atol=1e-12)
         assert values(f).dtype == np.float64
-
-
-def test_complex_samples_get_complex_tag():
-    spec = GridSpec(4)
-    samples = RNG.standard_normal((4, 4, 4)) + 1j * RNG.standard_normal((4, 4, 4))
-    f = field_from_samples(spec, 0, samples)
-    assert f.reality == "complex"
-    assert_allclose(values(f), samples, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -97,27 +88,19 @@ def test_real_values_match_the_full_inverse_transform(n, rank):
     want = np.fft.ifftn(f.coef, axes=(0, 1, 2)).real
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    # the same coefficients tagged complex keep the full complex transform
-    g = field_from_coef(f.spec, rank, f.coef, "complex")
-    assert np.iscomplexobj(values(g))
-    assert_array_equal(values(g), np.fft.ifftn(f.coef, axes=(0, 1, 2)))
 
 
 def test_real_tag_is_validated():
     spec = GridSpec(4)
     coef = RNG.standard_normal((4, 4, 4)) + 1j * RNG.standard_normal((4, 4, 4))
-    with pytest.raises(ValueError):
-        field_from_coef(spec, 0, coef, reality="real")
-    # the same coefficients are fine as a complex field
-    field_from_coef(spec, 0, coef, reality="complex")
-    # one non-finite coefficient fails the real tag closed; a complex tag
-    # takes it as it is
+    with pytest.raises(ValueError, match="^coefficients lack conjugate symmetry$"):
+        field_from_coef(spec, 0, coef)
+    # one non-finite coefficient fails closed
     for bad in (np.nan, np.inf):
         coef = random_bandlimited(spec, 1, 1, "scalar").coef.copy()
         coef[1, 0, 0] = bad
-        with pytest.raises(ValueError, match="not finite"):
-            field_from_coef(spec, 0, coef, reality="real")
-        field_from_coef(spec, 0, coef, reality="complex")
+        with pytest.raises(ValueError, match="^coefficients are not finite$"):
+            field_from_coef(spec, 0, coef)
 
 
 def test_field_shape_and_rank_checks():
@@ -126,8 +109,6 @@ def test_field_shape_and_rank_checks():
         GridField(spec, 3, np.zeros((4, 4, 4, 3, 3, 3)))
     with pytest.raises(ValueError):
         GridField(spec, 1, np.zeros((4, 4, 4)))
-    with pytest.raises(ValueError):
-        GridField(spec, 0, np.zeros((4, 4, 4)), reality="maybe")
     with pytest.raises(ValueError, match="sample shape"):
         field_from_samples(spec, 1, np.zeros((4, 4, 4)))
 
@@ -152,7 +133,7 @@ def test_field_rank_and_spec_types():
     with pytest.raises(TypeError, match="^rank must be an integer"):
         field_from_samples(GridSpec(4), 1.0, np.zeros((4, 4, 4, 3)))
     # every field function refuses an argument of the wrong class by name
-    f = GridField(GridSpec(4), 0, np.zeros((4, 4, 4)), "real")
+    f = GridField(GridSpec(4), 0, np.zeros((4, 4, 4)))
     for call, message in [
             (lambda: values(np.zeros((4, 4, 4))), "^field must be a GridField, got array"),
             (lambda: fields.magnitude("f"), "^field must be a GridField, got 'f'$"),
@@ -168,14 +149,15 @@ def test_field_rank_and_spec_types():
 
 @pytest.mark.parametrize("dtype", [bool, str, object])
 def test_field_entry_points_refuse_bools_text_and_objects(dtype):
-    # coefficients and samples are read as integer, float or complex arrays: a
-    # bool array no longer gives a real field, nor text one parsed as numbers
+    # coefficients are read as integer, float or complex arrays and samples as
+    # integer or float ones: a bool array no longer gives a field, nor text one
+    # parsed as numbers
     grid = np.ones((4, 4, 4), dtype=int)
-    assert field_from_samples(GridSpec(4), 0, grid).reality == "real"
+    assert_array_equal(values(field_from_samples(GridSpec(4), 0, grid)), grid)
     assert_array_equal(GridField(GridSpec(4), 0, grid).coef, grid)
     with pytest.raises(TypeError, match="^coefficients must be a real or complex array"):
         GridField(GridSpec(4), 0, grid.astype(dtype))
-    with pytest.raises(TypeError, match="^samples must be a real or complex array"):
+    with pytest.raises(TypeError, match="^samples must be a real array"):
         field_from_samples(GridSpec(4), 0, grid.astype(dtype))
 
 
@@ -186,8 +168,6 @@ def test_field_arithmetic():
     assert_allclose(values(f + g), values(f) + values(g), atol=1e-12)
     assert_allclose(values(f - g), values(f) - values(g), atol=1e-12)
     assert_allclose(values(2.5 * f), 2.5 * values(f), atol=1e-12)
-    assert (f + g).reality == "real"
-    assert (1j * f).reality == "complex"
     h = random_bandlimited(spec, 1, 2, "vector")
     with pytest.raises(RankMismatchError):
         f + h
@@ -196,23 +176,21 @@ def test_field_arithmetic():
 
 
 def test_scalar_factor_is_a_finite_number():
-    # a bool or text is not a number to scale by; a non-finite factor is refused
-    # whatever the tag, so a real tag stays finite
+    # a bool, text or complex number is not a number to scale a real field by;
+    # a non-finite factor is refused, so a field stays finite
     f = random_bandlimited(GridSpec(4), 1, 1, "scalar")
-    for bad in ("2", True):
+    for bad in ("2", True, 1j, 1 + 0j):
         with pytest.raises(TypeError):
             f * bad
         with pytest.raises(TypeError):
             bad * f
-    g = field_from_coef(f.spec, 0, f.coef, "complex")
-    for h in (f, g):
-        with pytest.raises(ValueError, match="^scalar must be finite$"):
-            h * math.nan
-        with pytest.raises(ValueError, match="^scalar must be finite$"):
-            math.inf * h
-    assert (f * 1j).reality == "complex"
-    assert_array_equal((f * 1j).coef, 1j * f.coef)
-    assert (f * np.float32(2.0)).reality == "real"
+    with pytest.raises(TypeError, match="^scalar must be a real number, got 1j$"):
+        f * 1j
+    with pytest.raises(ValueError, match="^scalar must be finite$"):
+        f * math.nan
+    with pytest.raises(ValueError, match="^scalar must be finite$"):
+        math.inf * f
+    assert_array_equal((f * np.float32(2.0)).coef, 2.0 * f.coef)
 
 
 def test_coefficients_are_frozen():
@@ -225,7 +203,7 @@ def test_coefficients_are_frozen():
     P = random_bandlimited(spec, 1, 1)
     u = random_bandlimited(spec, 1, 1, "vector")
     derived = [apply_operator(P, "inc"), apply_operator(u, "grad"),
-               apply_operator(f, "grad"), P + P, P - P, 2.0 * P, 1j * P]
+               apply_operator(f, "grad"), P + P, P - P, 2.0 * P]
     by_rank = (f, u, P)
     derived += [pointwise_part(by_rank[rank], part)
                 for part, (rank, _, _) in fields._PARTS.items()]
@@ -248,7 +226,7 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_derived_fields_stay_exactly_conjugate_symmetric(n):
-    # derived fields are built without a reality check, so every map that
+    # derived fields are built without a symmetry check, so every map that
     # builds them must keep the exact symmetry the entry fields were snapped
     # to; full-band samples include the unpaired Nyquist planes
     spec = GridSpec(n)
@@ -279,21 +257,8 @@ def test_derived_fields_stay_exactly_conjugate_symmetric(n):
         # derived fields skip the constructor's shape check: each map's
         # declared output rank must match the coefficients it builds
         assert h.coef.shape == fields._coef_shape(h.rank, n), name
-        assert h.reality == "real", name
         assert _asymmetry(h) == 0.0, name
         assert _same_bits(h._planes, full[name][:n // 2 + 1]), name
-    # a step to a complex field starts from the full spectrum: a non-real
-    # multiple, and real +- complex, equal the full-spectrum arithmetic
-    c = field_from_samples(spec, 2, rng.standard_normal(fields._coef_shape(2, n))
-                           + 1j * rng.standard_normal(fields._coef_shape(2, n)))
-    for rank in (0, 1, 2):
-        h = 1j * f[rank]
-        assert h.reality == "complex" and _same_bits(h.coef, 1j * f[rank].coef)
-        assert_allclose(values(h), 1j * values(f[rank]), rtol=0, atol=1e-13 * np.abs(values(h)).max())
-    for h, want in ((f[2] + c, f[2].coef + c.coef), (f[2] - c, f[2].coef - c.coef),
-                    (c + f[2], c.coef + f[2].coef), (c - f[2], c.coef - f[2].coef)):
-        assert h.reality == "complex" and _same_bits(h.coef, want)
-        assert_array_equal(values(h), np.fft.ifftn(want, axes=(0, 1, 2)))
 
 
 def test_reality_is_checked_once_per_entry_field(monkeypatch):
@@ -321,7 +286,7 @@ def test_grad_of_sine():
     X1, _, _ = grid_xyz(spec)
     f = field_from_samples(spec, 0, np.sin(X1))
     g = apply_operator(f, "grad")
-    assert g.rank == 1 and g.reality == "real"
+    assert g.rank == 1
     v = values(g)
     assert_allclose(v[..., 0], np.cos(X1), atol=1e-12)
     assert_allclose(v[..., 1], 0.0, atol=1e-12)
@@ -404,7 +369,7 @@ def test_derivatives_preserve_real_tag():
     f = random_bandlimited(spec, 9, 7)   # band right up to n/2 - 1
     for op in ("curl_mat", "inc"):
         g = apply_operator(f, op)
-        assert g.reality == "real"
+        assert _asymmetry(g) == 0.0
         assert np.isrealobj(values(g))
 
 
@@ -461,7 +426,7 @@ def test_trace_axl_anti_spherical():
 def test_bandlimited_band_and_tag():
     spec = GridSpec(16)
     f = random_bandlimited(spec, 7, 3)
-    assert f.reality == "real"
+    assert _asymmetry(f) == 0.0
     k = np.fft.fftfreq(16) * 16
     outside = np.abs(k) > 3
     assert_allclose(f.coef[outside], 0.0)
@@ -474,7 +439,7 @@ def test_bandlimited_structures():
     spec = GridSpec(8)
     for structure, (rank, part) in fields._STRUCTURES.items():
         f = random_bandlimited(spec, 2, 2, structure)
-        assert f.rank == rank and f.reality == "real"
+        assert f.rank == rank
         V = values(f)
         assert V.shape == (8, 8, 8) + (3,) * rank
         if part is not None:
@@ -543,14 +508,6 @@ def test_lp_norm_extreme_constants():
         assert lp_norm(u, 2.0) == pytest.approx(np.sqrt(3.0) * c * (2.0 * np.pi) ** 1.5,
                                                 rel=1e-12)
     assert lp_norm(field_from_samples(spec, 0, np.zeros((8, 8, 8))), 2.0) == 0.0
-
-
-def test_lp_norm_of_a_nan_complex_field_is_nan(recwarn):
-    # a complex tag carries NaN through as a value: no error and no warning
-    f = GridField(GridSpec(4), 0, np.full((4, 4, 4), np.nan))
-    for p in (1.0, 2.0, 64.0):
-        assert math.isnan(lp_norm(f, p))
-    assert not recwarn.list
 
 
 def test_lp_norm_sine():
@@ -922,7 +879,7 @@ def test_dump_load_roundtrip(tmp_path):
         path = tmp_path / ("field_rank%d.bin" % rank)
         dump_field(f, path)
         g = load_field(path)
-        assert g.rank == rank and g.spec.n == 8 and g.reality == "real"
+        assert g.rank == rank and g.spec.n == 8
         scale = float(np.abs(f.coef).max())
         assert_allclose(g.coef, f.coef, atol=2e-6 * scale)
         assert_allclose(values(g), values(f), atol=2e-6 * scale)
@@ -957,9 +914,10 @@ def test_dump_byte_order(tmp_path):
     # k1 outermost, then k2, k3, then the tensor slots, each value as
     # little-endian (real, imag) float32
     n = 4
-    coef = (np.arange(n ** 3 * 9) + 0.5j * np.arange(n ** 3 * 9)).reshape(n, n, n, 3, 3)
+    f = field_from_samples(GridSpec(n), 2, np.arange(n ** 3 * 9.0).reshape(n, n, n, 3, 3))
+    coef = f.coef
     path = tmp_path / "order.bin"
-    dump_field(field_from_coef(GridSpec(n), 2, coef), path)
+    dump_field(f, path)
     want = bytearray()
     for k1 in range(n):
         for k2 in range(n):
@@ -969,7 +927,7 @@ def test_dump_byte_order(tmp_path):
                         z = coef[k1, k2, k3, i, j]
                         want += struct.pack("<ff", z.real, z.imag)
     with open(path, "rb") as fh:
-        assert fh.readline() == b"kornlab-field v1; rank=2; n=4; reality=complex\n"
+        assert fh.readline() == b"kornlab-field v1; rank=2; n=4; reality=real\n"
         assert fh.read() == bytes(want)
 
 
@@ -995,6 +953,8 @@ def test_load_rejects_corrupt_files(tmp_path):
         "missing_rank": header.replace(b" rank=2;", b"") + b"\n" + payload,
         "bad_rank": header.replace(b"rank=2", b"rank=two") + b"\n" + payload,
         "bad_reality": header.replace(b"reality=real", b"reality=maybe") + b"\n" + payload,
+        # every field is real: the tag dump_field once wrote for a complex one is refused
+        "complex": header.replace(b"reality=real", b"reality=complex") + b"\n" + payload,
         "asymmetric": header + b"\n" + _edit_payload(payload, (1, 0, 0, 0, 1), 1.0),
         "infinite": header + b"\n" + _edit_payload(payload, (0, 0, 0, 0, 0), np.inf),
         # n^3 * 9 * 8 bytes overflows int64 from n = 2^21
@@ -1023,8 +983,9 @@ def test_load_rejects_corrupt_files(tmp_path):
     b" kornlab-field v1; rank=0; n=4; reality=real",
     b"kornlab-field v1; rank=0; n=4; reality=real ",
     b"kornlab-field v1; rank=0; n=4; reality=real\r",
+    b"kornlab-field v1; rank=0; n=4; reality=complex",
 ], ids=["v12", "permuted-junk", "repeated", "leading-zero", "signed-rank", "trailing-junk",
-        "double-space", "leading-space", "trailing-space", "crlf"])
+        "double-space", "leading-space", "trailing-space", "crlf", "complex"])
 def test_load_refuses_any_header_dump_field_does_not_write(tmp_path, header):
     # each of these names a rank-0, n = 4, real field that fits the payload
     path = tmp_path / "f.bin"
@@ -1037,18 +998,13 @@ def test_load_refuses_any_header_dump_field_does_not_write(tmp_path, header):
 
 def test_load_takes_a_signalling_nan_without_a_warning(tmp_path):
     # a float32 signalling NaN raises numpy's "invalid value" warning when it
-    # is widened; the real tag names it as non-finite, the complex tag keeps it
+    # is widened; the field is named as non-finite
     path = tmp_path / "f.bin"
     payload = np.zeros(2 * 64, dtype="<u4")
     payload[2] = 0x7FA00000
-    for reality, ok in (("real", False), ("complex", True)):
-        path.write_bytes(b"kornlab-field v1; rank=0; n=4; reality=%s\n" % reality.encode()
-                         + payload.tobytes())
-        if ok:
-            assert np.isnan(load_field(path).coef[0, 0, 1])
-        else:
-            with pytest.raises(CorruptFieldError, match="not finite"):
-                load_field(path)
+    path.write_bytes(b"kornlab-field v1; rank=0; n=4; reality=real\n" + payload.tobytes())
+    with pytest.raises(CorruptFieldError, match="not finite"):
+        load_field(path)
 
 
 def _edit_payload(payload, index, add):
@@ -1063,7 +1019,7 @@ def test_dump_bytes_do_not_depend_on_the_route(tmp_path):
     # its file is the same as that of the same values built by the constructor
     spec = GridSpec(8)
     derived = apply_operator(random_bandlimited(spec, 3, 2), "inc")
-    entered = GridField(spec, 2, derived.coef, "real")
+    entered = GridField(spec, 2, derived.coef)
     assert np.array_equal(derived.coef, entered.coef)
     dump_field(derived, tmp_path / "derived.bin")
     dump_field(entered, tmp_path / "entered.bin")

@@ -164,8 +164,7 @@ def test_frel_matches_the_three_transform_definition(structure):
     spec = fields.GridSpec(8)
     f = fields.random_bandlimited(spec, 3, 2, structure)
     g = fields.random_bandlimited(spec, 4, 2, structure)
-    cases = [(f, f + 1e-9 * g), (f, 5.0 * g), (1e-3 * f, 1e-3 * g), (f, g),
-             (f, fields.field_from_coef(spec, g.rank, g.coef * (1 + 1e-9j)))]
+    cases = [(f, f + 1e-9 * g), (f, 5.0 * g), (1e-3 * f, 1e-3 * g), (f, g)]
     for fa, fb in cases:
         want = _frel_three_transforms(fa, fb)
         assert abs(frel(fa, fb) - want) <= 1e-15 * want

@@ -79,6 +79,22 @@ def test_a_frequency_whose_form_overflows_is_named(call):
             call(k)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_frequency_whose_minimum_is_lost_in_rounding_is_named():
+    # at |k| = 1e7 along (1, 1, 1) the eigensolve's bound 16 eps |k|^2 is 0.36,
+    # of the exact 0.5; the value it gave there was off by 5e-3, and by 2.3 at 1e8
+    with pytest.raises(ValueError, match="^frequency is too large: its smallest eigenvalue "
+                                         "is lost in rounding$"):
+        lambda_min(1e7 / np.sqrt(3.0) * np.ones(3))
+    # also as one row of a stack, and up to where the form itself overflows
+    for k in ([[0.0, 0.0, 1.0], [1e8, 0.0, 0.0]], [1e10, 0.0, 0.0], [1.3e154, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="lost in rounding"):
+            lambda_min(k)
+    # the corner of the korn --kmax 256 scan, and a frequency near the bound, are kept
+    k = np.array([[256.0, 256.0, 256.0], [0.0, 0.0, 3e5]])
+    assert_allclose(lambda_min(k)[0], closed_form(k), rtol=1e-4, atol=0)
+
+
 def test_lambda_min_zero_frequency():
     lam, m = lambda_min([0, 0, 0])
     assert lam == pytest.approx(1.0, abs=1e-12)

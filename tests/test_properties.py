@@ -75,7 +75,7 @@ _ITEMS = {   # key: (the values dump_field writes, garbled values)
     "rank": ("012", st.one_of(st.integers(-2, 4).map(str), st.text(max_size=3))),
     "n": ("48", st.one_of(st.sampled_from([3, 0, -4, 6, 16, 2 ** 21]).map(str),
                           st.integers(-10, 10 ** 6).map(str), st.text(max_size=3))),
-    "reality": (("real", "complex"), st.one_of(st.sampled_from(["Real", ""]), st.text(max_size=4))),
+    "reality": (("real",), st.one_of(st.sampled_from(["Real", "", "complex"]), st.text(max_size=4))),
 }
 
 
@@ -135,18 +135,15 @@ def test_field_file_raises_only_corrupt_field_errors(scratch, data):
 
 
 @PROPERTY
-@given(rank=st.integers(0, 2), n=st.sampled_from([4, 8]),
-       reality=st.sampled_from(["real", "complex"]), seed=st.integers(0, 2 ** 32 - 1),
+@given(rank=st.integers(0, 2), n=st.sampled_from([4, 8]), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.integers(-60, 60))
-def test_field_file_round_trip(scratch, rank, n, reality, seed, scale):
+def test_field_file_round_trip(scratch, rank, n, seed, scale):
     rng = np.random.default_rng(seed)
-    shape = (n, n, n) + (3,) * rank
-    samples = rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
-                                            if reality == "complex" else 0.0)
+    samples = rng.standard_normal((n, n, n) + (3,) * rank)
     f = field_from_samples(GridSpec(n), rank, 2.0 ** scale * samples)
     dump_field(f, scratch / "round.bin")
     g = load_field(scratch / "round.bin")
-    assert (g.rank, g.spec.n, g.reality) == (rank, n, reality)
+    assert (g.rank, g.spec.n) == (rank, n)
     assert np.array_equal(g.coef, f.coef.astype(np.complex64))
 
 

@@ -64,6 +64,21 @@ def test_curl_symbol_accepts_frequency_stacks():
             assert_allclose(images[m], apply_symbol(one, P[m]), atol=1e-14)
 
 
+@pytest.mark.parametrize("part", ["full", "sym", "devsym"])
+@pytest.mark.filterwarnings("error")
+def test_a_frequency_whose_symbol_overflows_is_named(part):
+    # sym and devsym add entries of xi: at (1e308, 1e308, 0) that sum overflows,
+    # which is refused by name with no warning, also as one row of a stack; the
+    # full symbol only moves entries, so it stays quiet and finite
+    for xi in ([1e308, 1e308, 0.0], [[0.0, 0.0, 1.0], [1e308, 1e308, 0.0]]):
+        if part == "full":
+            op = curl_symbol(xi, part)
+            assert np.isfinite(op).all() and np.abs(op).max() == 1e308
+        else:
+            with pytest.raises(ValueError, match="^frequency is too large: its symbol overflows$"):
+                curl_symbol(xi, part)
+
+
 def test_curl_symbol_bad_part():
     with pytest.raises(ValueError):
         curl_symbol([0, 0, 1], part="trace")
