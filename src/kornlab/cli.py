@@ -32,6 +32,7 @@ from . import identities, kernels, korn_estimator, symbol
 from .algebra3 import _check_count, _check_instance, _choice, _norm, _unit
 from .fields import (BoxDomain, GridSpec, NonFiniteError, UnderResolvedError, _check_exponent,
                      growth_ratio, halfspace_ratio)
+from .korn_estimator import _closed_form
 
 SCHEMA_VERSION = "kornlab/1"
 
@@ -287,12 +288,8 @@ def run_symbol(cfg):
 def run_korn(cfg):
     report = korn_estimator.korn_constant(cfg["kmax"])
     K, lam = report.entries[:, :3], report.entries[:, 3]
-    # closed form (2 + t - sqrt(t^2 + 4)) / 4, t = |k|^2, written without the
-    # cancellation at large t, and 1 at k = 0; the eigensolve is accurate to
-    # a few ulps of the form's norm, which grows like t
-    t = np.sum(K * K, axis=1)
-    exact = np.where(t == 0.0, 1.0, t / (2.0 + t + np.sqrt(t * t + 4.0)))
-    excess = np.abs(lam - exact) - (1e-12 + 16.0 * np.finfo(float).eps * t)
+    exact, bound = _closed_form(np.sum(K * K, axis=1))
+    excess = np.abs(lam - exact) - (1e-12 + bound)
     met = excess <= 0.0
     i = int(np.argmax(excess))      # the first NaN, if there is one
     checks = [("per-frequency minimum left the interval (0, 1]",

@@ -7,8 +7,9 @@ real, as the paper's fields are.  A field is given by its discrete Fourier
 coefficients GridField.coef (numpy fftn layout over the three grid axes,
 integer frequencies GridSpec.frequencies), which are exactly
 conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and coef
-mirrors the rest on read.  The maps below run on the stored planes, and
-values reads the samples off them with one real inverse FFT.  The
+mirrors the rest on read.  Only this module reads the stored planes: the
+maps below run on them, values reads the samples off them with one real
+inverse FFT, and another module maps them through _map_planes.  The
 derivative multipliers drop the unpaired Nyquist mode so that derived
 fields stay real.  Coefficients and grid samples are stored tensor-last:
 scalar fields have shape (n, n, n), vector fields (n, n, n, 3), matrix
@@ -154,13 +155,6 @@ def _reflect(coef):
     return np.roll(coef[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
 
 
-def _full(planes, n):
-    """The full spectrum of a real field from its planes k1 = 0..n/2: the plane
-    k1 > n/2 is the conjugate of the plane n - k1 at -k2, -k3 (mod n)."""
-    rest = np.roll(planes[n // 2 - 1:0:-1, ::-1, ::-1], 1, axis=(1, 2))
-    return np.concatenate([planes, np.conj(rest)])
-
-
 def _coef_shape(rank, n):
     return (n, n, n) + (3,) * rank
 
@@ -204,8 +198,11 @@ class GridField:
 
     @property
     def coef(self):
-        """The full fftn spectrum, read-only, built on each read."""
-        coef = _full(self._planes, self.spec.n)
+        """The full fftn spectrum, read-only, built on each read: the plane k1 > n/2
+        is the conjugate of the stored plane n - k1 at -k2, -k3 (mod n)."""
+        n = self.spec.n
+        rest = np.roll(self._planes[n // 2 - 1:0:-1, ::-1, ::-1], 1, axis=(1, 2))
+        coef = np.concatenate([self._planes, np.conj(rest)])
         coef.setflags(write=False)
         return coef
 
@@ -298,9 +295,14 @@ def apply_operator(f, op):
     rows = _OPS[_choice("operator", op, _OPS)]
     if f.rank not in rows:
         raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
-    rank, fn = rows[f.rank]
-    K = _freq_grids(f.spec.n)[:len(f._planes)]     # the frequencies of the stored planes
-    return _derived(f.spec, rank, fn(f._planes, K))
+    return _map_planes(f, *rows[f.rank])
+
+
+def _map_planes(f, rank, fn):
+    """The field of the given rank whose stored planes are fn(c, K): c the planes
+    k1 = 0..n/2 that f stores, K their frequencies (_freq_grids).  Not re-checked,
+    so fn must keep exact conjugate symmetry, as the _OPS maps do."""
+    return _derived(f.spec, rank, fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)]))
 
 
 def pointwise_part(f, part):

@@ -472,13 +472,12 @@ def _s_div_of_curl(d):
 
 
 def _s_operator_matches_symbol(d):
-    # the 9x9 symbol on the stored planes k1 = 0..n/2 (zip stops there), one plane
-    # at a time (all at once add about 15 MB to the peak at n = 16), kept unchecked:
-    # a wrong symbol is this check's residual, not a refusal of its asymmetric field
+    # the 9x9 symbol applied one plane at a time (all at once adds about 15 MB to the
+    # peak at n = 16) through the unchecked _map_planes: a wrong symbol is this
+    # check's residual, not a refusal of its asymmetric field
     got = fields.pointwise_part(fields.apply_operator(d.P, "curl_mat"), "devsym")
-    want = np.stack([apply_symbol(curl_symbol(K, "devsym"), c)
-                     for K, c in zip(fields._freq_grids(d.spec.n), d.P._planes)])
-    return frel(got, fields._derived(d.spec, 2, want))
+    return frel(got, fields._map_planes(d.P, 2, lambda c, K: np.stack(
+        [apply_symbol(curl_symbol(k, "devsym"), p) for k, p in zip(K, c)])))
 
 
 SPECTRAL = [

@@ -68,12 +68,20 @@ def _points(x):
 
 
 def axial_polynomial(e, x):
-    """Axial vector of the kernel field at x (broadcasts over leading axes of x)."""
+    """Axial vector of the kernel field at x (broadcasts over leading axes of x).
+
+    x must be finite, and small enough that the value (quadratic in x) is
+    finite: |x| of about 1e154 and above is a ValueError.
+    """
     _check_instance("element", e, KernelElement)
-    x = _real(x, (3,), "point")
-    x2 = np.sum(x * x, axis=-1)[..., None]
-    return (np.cross(e.a_tilde, x) + e.beta * x + e.b
-            + dot(e.d, x)[..., None] * x - 0.5 * e.d * x2)
+    x = _finite(_real(x, (3,), "point"), "point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.sum(x * x, axis=-1)[..., None]
+        axial = (np.cross(e.a_tilde, x) + e.beta * x + e.b
+                 + dot(e.d, x)[..., None] * x - 0.5 * e.d * x2)
+    if not np.isfinite(axial).all():
+        raise ValueError("points are too large: the kernel polynomial overflows")
+    return axial
 
 
 def eval_kernel(e, x):
@@ -118,7 +126,7 @@ def project_kernel(points, matrices, space="devsym"):
     six-parameter family (a_tilde, b), "devsym" the full ten-parameter one.
     The residual is the Hermitian norm of the stacked misfit over all
     samples.  Points and matrices must be finite, and points small enough
-    that the design (quadratic in them) is finite (ValueError).  Raises
+    for axial_polynomial (ValueError).  Raises
     TooFewSamplesError below the minimum sample count and
     DegenerateGeometryError when the numerical rank of the design matrix
     (algebra3.numerical_rank) is below its column count, which is where
@@ -135,11 +143,7 @@ def project_kernel(points, matrices, space="devsym"):
         raise TooFewSamplesError("space %r needs at least %d samples, got %d"
                                  % (space, MIN_SAMPLES[space], m))
     cols = _COLUMNS[space]
-    # the quadratic columns overflow for points of size about 1e154 and above
-    with np.errstate(over="ignore", invalid="ignore"):
-        design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
-    if not np.isfinite(design).all():
-        raise ValueError("points are too large: the kernel design overflows")
+    design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
     rhs = mats.reshape(9 * m)
     sv = np.linalg.svd(design, compute_uv=False)
     rank = int(numerical_rank(sv))

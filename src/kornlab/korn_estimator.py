@@ -124,6 +124,13 @@ def frequency_form(k):
     return q
 
 
+def _closed_form(t):
+    """lambda_min's exact value at t = |k|^2, (2 + t - sqrt(t^2 + 4)) / 4 written without
+    the cancellation at large t, and 1 at k = 0; and the eigensolve's error bound 16 eps t,
+    a few ulps of the form's norm, which grows like t."""
+    return np.where(t == 0.0, 1.0, t / (2.0 + t + np.hypot(t, 2.0))), 16.0 * np.finfo(float).eps * t
+
+
 def lambda_min(k):
     """Smallest eigenvalue of Q_k and a unit minimizing 3x3 coefficient.
 
@@ -132,17 +139,14 @@ def lambda_min(k):
     the completed forms.  At k = 0 the form is the identity: the value is
     exactly 1 and the minimizer is the symmetric E11.  Elsewhere it is lambda_-
     of frequency_form, least at |k| = 1: (3 - sqrt 5)/4, double, so c = sqrt(3 + sqrt 5).
-    The eigensolve's error bound grows like t = |k|^2 (16 eps t, as the korn
-    report holds it), so a frequency where it exceeds _LAMBDA_SHARE of the exact
-    lambda_- = t / (2 + t + sqrt(t^2 + 4)) is a ValueError: |k| above about 3.7e5.
+    A frequency where the eigensolve's error bound exceeds _LAMBDA_SHARE of the
+    exact lambda_- (both _closed_form) is a ValueError: |k| above about 3.7e5.
     """
     k = _real(k, (3,), "frequency")
     q = frequency_form(k)
-    # 16 eps t <= share * lambda_-, where t / lambda_- = 2 + t + sqrt(t^2 + 4)
-    with np.errstate(over="ignore"):
-        t = np.sum(k * k, axis=-1)
-        kept = 2.0 + t + np.hypot(t, 2.0) <= _LAMBDA_SHARE / (16.0 * np.finfo(float).eps)
-    if not np.all(kept):
+    with np.errstate(over="ignore"):    # 2 + t + hypot(t, 2) is inf from t of about 9e307
+        exact, bound = _closed_form(np.sum(k * k, axis=-1))
+    if not np.all(bound <= _LAMBDA_SHARE * exact):
         raise ValueError("frequency is too large: its smallest eigenvalue is lost in rounding")
     w, v = np.linalg.eigh(q)
     return w[..., 0][()], v[..., 0].reshape(k.shape[:-1] + (3, 3))
@@ -194,42 +198,36 @@ def korn_constant(kmax):
     )
 
 
-def _apply_hat(spec, coef):
-    """Fourier side of sym + curl(devsym(curl .)): a real field's (n, n, n, 3, 3)
-    spectrum to the stored planes k1 = 0..n/2 of its image.
+def _apply_hat(f):
+    """The operator sym + curl(devsym(curl .)) on a real rank-2 field, spectrally.
 
     The mean and the seven checkerboard modes (every component 0 or n/2)
     have zero grid frequency: the derivatives drop them, and their skew
     part is added back, the same completion as frequency_form at k = 0.
     """
-    f = fields.field_from_coef(spec, 2, coef)
-    c = fields.apply_operator(f, "curl_mat")
-    c = fields.pointwise_part(c, "devsym")
-    out = fields.pointwise_part(f, "sym")._planes + fields.apply_operator(c, "curl_mat")._planes
-    zero = ~fields._freq_grids(spec.n)[:len(out)].any(axis=-1)
-    out[zero] += fields.pointwise_part(f, "skew")._planes[zero]
-    return out
+    inner = fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "devsym")
+    skew = fields._map_planes(fields.pointwise_part(f, "skew"), 2,
+                              lambda c, K: np.where(K.any(axis=-1)[..., None, None], 0.0, c))
+    return fields.pointwise_part(f, "sym") + fields.apply_operator(inner, "curl_mat") + skew
 
 
 def _apply_fields(spec, v):
     """The operator on one real field, flattened to (9 n^3,), through the fields chain."""
-    n = spec.n
-    coef = np.fft.fftn(v.reshape(n, n, n, 3, 3), axes=(0, 1, 2))
-    # the output's half spectrum, read as fields.values reads a field
-    return np.fft.irfftn(_apply_hat(spec, coef), s=(n, n, n), axes=(1, 2, 0)).reshape(v.shape)
+    f = fields.field_from_samples(spec, 2, v.reshape((spec.n,) * 3 + (3, 3)))
+    return fields.values(_apply_hat(f)).reshape(v.shape)
 
 
 def _probed_blocks(spec):
     """The operator's 9x9 block at every grid frequency, shape (n, n, n, 9, 9).
 
-    The operator commutes with translations, so applying its Fourier side to
-    the constant coefficient arrays E_j (real point masses) gives column j of
-    every block at once: nine calls through the fields module, no symbol or
-    form, on planes k1 = 0..n/2, mirrored as a real field's spectrum is.
+    The operator commutes with translations, so applying it to the constant
+    coefficient arrays E_j (real point masses) gives column j of every block
+    at once as its image's full spectrum coef: nine fields calls, no symbol.
     """
     n = spec.n
-    cols = [_apply_hat(spec, np.broadcast_to(e, (n, n, n, 3, 3))) for e in basis_matrices()]
-    return fields._full(np.stack(cols, axis=-1).reshape(n // 2 + 1, n, n, 9, 9), n)
+    cols = [_apply_hat(fields.field_from_coef(spec, 2, np.broadcast_to(e, (n, n, n, 3, 3)))).coef
+            for e in basis_matrices()]
+    return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
 
 
 def _hartley(x, n):

@@ -443,6 +443,7 @@ _FINITE_INPUTS = {
     "build_multiplier": ("frequency", lambda x: build_multiplier(_put([[1, 0, 0], [0, 1, 0]], x))),
     "frequency_form": ("frequency", lambda x: frequency_form(_put([[1, 0, 0], [0, 1, 0]], x))),
     "points": ("points", lambda x: boundary_rank(_put(_PTS, x))),
+    "axial_polynomial": ("point", lambda x: axial_polynomial(_E, _put(_PTS, x))),
     "matrices": ("matrices", lambda x: project_kernel(_PTS, _put(_MATS, x))),
 }
 

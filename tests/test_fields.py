@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import struct
@@ -259,6 +260,25 @@ def test_derived_fields_stay_exactly_conjugate_symmetric(n):
         assert h.coef.shape == fields._coef_shape(h.rank, n), name
         assert _asymmetry(h) == 0.0, name
         assert _same_bits(h._planes, full[name][:n // 2 + 1]), name
+
+
+def test_only_fields_knows_the_stored_layout():
+    # the half spectrum a field stores (planes k1 = 0..n/2, their frequencies, the
+    # mirror to the full spectrum, the unchecked build) is known to fields alone:
+    # every other module maps a field through fields._map_planes
+    layout = {"_planes", "_freq_grids", "_full", "_derived", "_reflect"}
+    here = os.path.dirname(fields.__file__)
+    uses = []
+    for name in sorted(os.listdir(here)):
+        if not name.endswith(".py") or name == "fields.py":
+            continue
+        with open(os.path.join(here, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            slot = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            if slot and getattr(node, slot) in layout:
+                uses.append("%s:%d %s" % (name, node.lineno, getattr(node, slot)))
+    assert not uses
 
 
 def test_reality_is_checked_once_per_entry_field(monkeypatch):

@@ -243,16 +243,29 @@ def test_point_cloud_validation():
         KernelElement(a_tilde=np.zeros(4))
 
 
+_E_RNG = np.random.default_rng(5)
+_E_PTS = _E_RNG.standard_normal((14, 3))
+_E = random_element(_E_RNG)
+_OVERFLOW_CALLS = {     # name: call on a point set
+    "project_kernel": lambda pts: project_kernel(pts, eval_kernel(_E, _E_PTS)).residual,
+    "boundary_system": boundary_system,
+    "boundary_rank": boundary_rank,
+    "eval_kernel": lambda pts: eval_kernel(_E, pts),
+    "axial_polynomial": lambda pts: axial_polynomial(_E, pts),
+}
+
+
 @pytest.mark.filterwarnings("error")
-def test_project_kernel_names_points_whose_design_overflows():
-    # the design is quadratic in the points: at 1e160 its |x|^2 columns are inf,
-    # which is named before the SVD sees it, with no overflow warning on the way
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((14, 3))
-    mats = eval_kernel(random_element(rng), pts)
-    with pytest.raises(ValueError, match="^points are too large: the kernel design overflows$"):
-        project_kernel(1e160 * pts, 1e300 * mats)
-    assert project_kernel(pts, mats).residual < 1e-12
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+@pytest.mark.parametrize("name", _OVERFLOW_CALLS)
+def test_kernel_maps_name_points_whose_polynomial_overflows(name, scale):
+    # the axial polynomial is quadratic in the points: from about 1e154 its |x|^2
+    # terms are inf, which is named before an SVD sees it, with no overflow warning
+    # on the way (boundary_rank's SVD used to fail to converge)
+    call = _OVERFLOW_CALLS[name]
+    with pytest.raises(ValueError, match="^points are too large: the kernel polynomial overflows$"):
+        call(scale * _E_PTS)
+    assert np.isfinite(call(_E_PTS)).all()
 
 
 @pytest.mark.parametrize("call", [axial_polynomial, eval_kernel, curl_kernel_closed_form])
