@@ -210,14 +210,29 @@ def tp(X):
     return np.asarray(X).swapaxes(-1, -2)
 
 
+def _pairing(a, b, axes, name):
+    """sum(a * b) over axes, with no numpy warning: a ValueError naming the pairing where
+    finite entries give a product or a sum that overflows; NaN and inf entries propagate."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.sum(a * b, axis=axes)
+    if not np.isfinite(out).all():
+        finite = np.all(np.isfinite(a) & np.isfinite(b), axis=axes)
+        if np.any(finite & ~np.isfinite(out)):
+            raise ValueError("entries are too large: the %s pairing overflows" % name)
+    return out
+
+
 def dot(a, b):
-    """Bilinear vector pairing sum_i a_i b_i (no conjugation)."""
-    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
+    """Bilinear vector pairing sum_i a_i b_i (no conjugation); finite entries whose
+    pairing overflows are a ValueError, and NaN and inf propagate (_pairing)."""
+    return _pairing(a, b, -1, "dot")
 
 
 def frob(P, Q):
-    """Bilinear matrix pairing tr(P^T Q) = sum_ij P_ij Q_ij (no conjugation)."""
-    return np.sum(np.asarray(P) * np.asarray(Q), axis=(-2, -1))
+    """Bilinear matrix pairing tr(P^T Q) = sum_ij P_ij Q_ij (no conjugation); finite
+    entries whose pairing overflows are a ValueError, and NaN and inf propagate (_pairing)."""
+    return _pairing(P, Q, (-2, -1), "frob")
 
 
 def _pow2(x, axis=None):

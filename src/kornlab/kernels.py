@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (_check_instance, _check_real, _choice, _finite, _norm, _real, anti, dot,
-                       numerical_rank)
+from .algebra3 import (_check_instance, _check_real, _choice, _finite, _norm, _pow2, _real, anti,
+                       dot, numerical_rank)
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -75,10 +75,11 @@ def axial_polynomial(e, x):
     """
     _check_instance("element", e, KernelElement)
     x = _finite(_real(x, (3,), "point"), "point")
+    # <d, x> summed here, not by dot, so that the one guard below names an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         x2 = np.sum(x * x, axis=-1)[..., None]
         axial = (np.cross(e.a_tilde, x) + e.beta * x + e.b
-                 + dot(e.d, x)[..., None] * x - 0.5 * e.d * x2)
+                 + np.sum(e.d * x, axis=-1)[..., None] * x - 0.5 * e.d * x2)
     if not np.isfinite(axial).all():
         raise ValueError("points are too large: the kernel polynomial overflows")
     return axial
@@ -175,5 +176,14 @@ def boundary_rank(points):
     Twelve points in general position on a sphere give 10; point sets on a
     line or a circle leave at least one quadratic field vanishing on all
     of them, so the rank drops below 10.  An empty set pins nothing: 0.
+    The kernel is invariant under dilation, which scales each design column
+    by a power of the factor, while numerical_rank cuts relative to the
+    largest singular value; so the rank is taken on the points over their
+    _pow2, an exact scaling, and reads the same at every scale.  Points
+    whose polynomial overflows are refused first, as boundary_system does.
     """
-    return int(numerical_rank(np.linalg.svd(boundary_system(points), compute_uv=False)))
+    pts = _points(points)
+    boundary_system(pts)        # the refusal of points whose polynomial overflows
+    if pts.size:
+        pts = pts / _pow2(pts)
+    return int(numerical_rank(np.linalg.svd(boundary_system(pts), compute_uv=False)))

@@ -22,14 +22,18 @@ commutes with translations, so it is one 9x9 block per grid frequency.
 Those blocks are probed through the fields module (the operator applied
 to the nine constant coefficient arrays), never built from the symbol,
 so the two routes stay independent.  The curl symbol enters twice, so
-its factors of i cancel: every block is real, and in orthonormal Hartley
-coordinates (_hartley) the operator on real fields is exactly one real
-9x9 matrix per frequency.  LOBPCG runs there from a 2-column start
-block, each iteration one stacked matmul with no FFT, preconditioned by
-each block's exact (shifted) inverse.  Two gates on the fields chain
-itself follow, so a wrong probe cannot pass: the eigenvector it returns
-must have a small residual, and the blocks must reproduce the chain on
-a random field at every frequency at once.
+its factors of i cancel: every block is real, so the block at -k is the
+block at k, and in orthonormal Hartley coordinates (_hartley) the
+operator on real fields is exactly one real 9x9 matrix per frequency.
+The planes k1 = 0..n/2 that fields stores hold every distinct block, and
+their Hartley coordinates span an invariant subspace holding every
+eigenvalue, so the probe, the preconditioner and LOBPCG live there alone.
+LOBPCG runs from a 2-column start block, each iteration one stacked
+matmul with no FFT, preconditioned by each block's exact (shifted)
+inverse.  Two gates on the fields chain itself follow, so a wrong probe
+cannot pass: the eigenvector it returns, zero on the other planes, must
+have a small residual, and the blocks must reproduce the chain on a
+random field at every stored frequency at once.
 scipy is loaded on the first call of `lobpcg`, so importing kornlab
 loads no scipy module.
 """
@@ -67,15 +71,15 @@ _SKEW_FORM = np.eye(9) - _SYM_FORM
 # shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
 _PRECOND_SHIFT = 0.05
 # LOBPCG start block width, drawn in Hartley coordinates.  Only lambda_min is
-# wanted, and the Rayleigh-Ritz blocks, LOBPCG's (9 n^3, 3 * width) work
-# arrays and each _apply_blocks matmul grow with the width: at n = 16, 1, 2,
-# 3 and 4 columns took 16, 15, 16 and 15 iterations and 75.8, 79.4, 83.8
-# and 88.0 MB peak RSS (scipy included; 16 columns took 164 MB).  Not 1:
+# wanted, and the Rayleigh-Ritz blocks, LOBPCG's (9 (n/2 + 1) n^2, 3 * width)
+# work arrays and each _apply_blocks matmul grow with the width: at n = 16, 1,
+# 2, 3 and 4 columns took 16, 15, 15 and 15 iterations and 72.0, 73.7, 76.2
+# and 78.4 MB peak RSS (scipy included, one BLAS thread).  Not 1:
 # scipy then squeezes each residual-history row to a 0-d array, which a
 # reader indexing the row by column cannot use
 _START_COLUMNS = 2
 # LOBPCG's own stopping rule; the start block is drawn from seed 1.  With the
-# block preconditioner it stops after about 15 iterations at n = 8 and 16
+# block preconditioner it stops after 14 iterations at n = 8 and 15 at n = 16
 _LOBPCG_MAXITER = 80
 _LOBPCG_TOL = 1e-7
 # the largest share of lambda_- that lambda_min's error bound may reach: met up
@@ -218,16 +222,22 @@ def _apply_fields(spec, v):
 
 
 def _probed_blocks(spec):
-    """The operator's 9x9 block at every grid frequency, shape (n, n, n, 9, 9).
+    """The operator's 9x9 block at every stored grid frequency, planes k1 = 0..n/2,
+    shape (n/2 + 1, n, n, 9, 9), complex as probed.
 
     The operator commutes with translations, so applying it to the constant
     coefficient arrays E_j (real point masses) gives column j of every block
-    at once as its image's full spectrum coef: nine fields calls, no symbol.
+    at once as its image's spectrum coef: nine fields calls, no symbol.  The
+    blocks are real, so the block at -k is the block at k, and the planes
+    k1 = 0..n/2 hold every distinct one.
     """
     n = spec.n
-    cols = [_apply_hat(fields.field_from_coef(spec, 2, np.broadcast_to(e, (n, n, n, 3, 3)))).coef
-            for e in basis_matrices()]
-    return np.stack(cols, axis=-1).reshape(n, n, n, 9, 9)
+    half = n // 2 + 1
+    q = np.empty((half, n, n, 9, 9), complex)
+    for j, e in enumerate(basis_matrices()):
+        column = fields.field_from_coef(spec, 2, np.broadcast_to(e, (n, n, n, 3, 3)))
+        q[..., j] = _apply_hat(column).coef[:half].reshape(half, n, n, 9)
+    return q
 
 
 def _hartley(x, n):
@@ -235,23 +245,30 @@ def _hartley(x, n):
 
     x has shape (9 n^3, m) or (9 n^3,), nine slots per grid point; each slot
     maps to (Re - Im)(fftn) / n^(3/2), the cas transform.  The map is
-    orthogonal and symmetric, so it is its own inverse.
+    orthogonal and symmetric, so it is its own inverse.  The planes
+    k1 = 0..n/2 of the result are the coordinates the crosscheck solves in.
     """
     f = np.fft.fftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
     return ((f.real - f.imag) / n ** 1.5).reshape(x.shape)
 
 
+def _stored(h, n):
+    """The planes k1 = 0..n/2 of Hartley coordinates h, flattened like h: (9 (n/2 + 1) n^2, m)
+    or (9 (n/2 + 1) n^2,)."""
+    return h.reshape((n, -1) + h.shape[1:])[:n // 2 + 1].reshape((-1,) + h.shape[1:])
+
+
 def _apply_blocks(blocks, x):
     """Per-frequency real 9x9 blocks applied in Hartley coordinates.
 
-    blocks has shape (n, n, n, 9, 9); x holds the Hartley coordinates of
-    real fields, shape (9 n^3, m) or (9 n^3,).  The operator multiplies the
-    Fourier coefficients at k by Q(k); a real Q(k) commutes with taking
-    real and imaginary parts, so it maps the cas coefficients at k the
-    same way: the operator is one matmul per frequency.
+    blocks has shape (m1, n, n, 9, 9), its frequencies those of x, which
+    holds Hartley coordinates flattened to (9 m1 n^2, m) or (9 m1 n^2,).
+    The operator multiplies the Fourier coefficients at k by Q(k); a real
+    Q(k) commutes with taking real and imaginary parts, so it maps the cas
+    coefficients at k the same way: the operator is one matmul per
+    frequency, and any set of frequencies spans an invariant subspace.
     """
-    n = blocks.shape[0]
-    return (blocks @ x.reshape(n, n, n, 9, -1)).reshape(x.shape)
+    return (blocks @ x.reshape(blocks.shape[:3] + (9, -1))).reshape(x.shape)
 
 
 def grid_crosscheck(n):
@@ -264,17 +281,18 @@ def grid_crosscheck(n):
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is
-    projected out.  LOBPCG works in orthonormal Hartley coordinates
-    (_hartley), where the operator is the real probed 9x9 block of each
-    frequency (_probed_blocks) applied to its whole block of fields at
-    once, and is preconditioned by the inverse of each block plus
-    _PRECOND_SHIFT, so it stops by its tolerance _LOBPCG_TOL long before
-    the cap of _LOBPCG_MAXITER iterations.  Two gates use the fields chain
-    (_apply_fields), independently of the probe: NoConvergenceError if the
-    returned eigenvector's explicit residual exceeds 1e-4 or is NaN (a
-    vector that is not finite), and ProbeError if the blocks miss the chain
-    on one seeded random field by more than 1e-10 relative, or if the probe
-    has an imaginary part.  The first call loads scipy.sparse.linalg.
+    projected out.  LOBPCG works in the orthonormal Hartley coordinates
+    (_hartley) of the stored planes k1 = 0..n/2, where the operator is the
+    real probed 9x9 block of each frequency (_probed_blocks) applied to its
+    whole block of fields at once, and is preconditioned by the inverse of
+    each block plus _PRECOND_SHIFT, so it stops by its tolerance _LOBPCG_TOL
+    long before the cap of _LOBPCG_MAXITER iterations.  Two gates use the
+    fields chain (_apply_fields), independently of the probe:
+    NoConvergenceError if the returned eigenvector's explicit residual
+    exceeds 1e-4 or is NaN (a vector that is not finite), and ProbeError if
+    the blocks miss the chain on one seeded random field by more than 1e-10
+    relative on the stored planes, or if the probe has an imaginary part.
+    The first call loads scipy.sparse.linalg.
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
@@ -297,7 +315,7 @@ def grid_crosscheck(n):
     # H is orthogonal, so a Gaussian block drawn in Hartley coordinates has
     # the same distribution as one drawn on the grid
     rng = np.random.default_rng(1)
-    x0 = rng.standard_normal((9 * n ** 3, _START_COLUMNS))
+    x0 = rng.standard_normal((q.size // 9, _START_COLUMNS))
     # convergence is gated on the explicit residual check below, not on
     # lobpcg hitting tol for the whole block, so its warnings are noise
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -305,7 +323,10 @@ def grid_crosscheck(n):
         w, v, hist = lobpcg(op, x0, M=precond, largest=False, tol=_LOBPCG_TOL,
                             maxiter=_LOBPCG_MAXITER, retResidualNormsHistory=True)
     lam_grid = float(np.min(w))
-    vec = _hartley(v[:, int(np.argmin(w))], n)
+    # zero on the planes k1 > n/2: still an eigenvector, of the operator on all of them
+    vec = np.zeros((n, n, n, 9))
+    vec[:n // 2 + 1] = v[:, int(np.argmin(w))].reshape(q.shape[:4])
+    vec = _hartley(vec.reshape(-1), n)
     # a vector that is not finite is no field for the chain: the gate names it as NaN
     resid = (float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
              if np.isfinite(vec).all() else np.nan)
@@ -320,10 +341,14 @@ def grid_crosscheck(n):
                                  % (resid, len(hist) - 2, _LOBPCG_MAXITER))
     # the residual gate sees only the minimizing block (and names a wrong
     # one as a stall); a random field has a component at every frequency,
-    # so this sees every block
+    # so this sees every block.  Its Re F(k) and Im F(k) are independent, so
+    # matching H(k) = Re F(k) - Im F(k) pins the chain's multiplier at k to
+    # the real block; the chain's image is real, so the planes k1 > n/2
+    # follow by conjugate symmetry
     field = rng.standard_normal(9 * n ** 3)
-    want = _hartley(_apply_fields(spec, field), n)
-    miss = float(_norm(_apply_blocks(q, _hartley(field, n)) - want, 1) / _norm(want, 1))
+    want = _stored(_hartley(_apply_fields(spec, field), n), n)
+    got = _apply_blocks(q, _stored(_hartley(field, n), n))
+    miss = float(_norm(got - want, 1) / _norm(want, 1))
     if not miss <= 1e-10:
         raise ProbeError("probed blocks miss the fields chain by %.3e relative" % miss)
 

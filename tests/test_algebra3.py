@@ -112,6 +112,33 @@ def test_bilinear_pairing_is_not_hermitian():
     assert float(mat_norm(P)) == pytest.approx(1.0)
 
 
+_BIG = np.array([1e308, 1e308, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, call", [
+    ("dot", lambda: dot(_BIG, [10.0, 0.0, 0.0])),                 # a product overflows
+    ("dot", lambda: dot(_BIG, [1.0, 1.0, 0.0])),                  # the sum overflows
+    ("dot", lambda: dot([[1.0, 2.0, 3.0], _BIG], [1.0, 1.0, 0.0])),   # one row of a stack
+    ("dot", lambda: dot(1j * _BIG, 1j * _BIG)),
+    ("frob", lambda: frob(1e308 * np.eye(3), 10.0 * np.eye(3))),
+    ("frob", lambda: frob(np.full((3, 3), 1e308), np.ones((3, 3)))),
+], ids=["dot-product", "dot-sum", "dot-stack", "dot-complex", "frob-product", "frob-sum"])
+def test_a_pairing_that_overflows_is_named(name, call):
+    with pytest.raises(ValueError, match="^entries are too large: the %s pairing overflows$" % name):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairings_propagate_nan_and_inf_quietly():
+    got = dot([[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, 1e308, 1e308], [1.0, 2.0, 3.0]],
+              [1.0, 1.0, 1.0])
+    assert_array_equal(got, [np.nan, np.inf, np.inf, 6.0])
+    assert np.isnan(dot([np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    assert np.isnan(frob(np.full((3, 3), np.inf), np.eye(3)))       # inf * 0
+    assert frob(np.diag([np.inf, 1.0, 1.0]), np.eye(3)) == np.inf
+
+
 def test_frob_is_trace_pairing():
     P = RNG.standard_normal((3, 3))
     Q = RNG.standard_normal((3, 3))

@@ -203,6 +203,19 @@ def test_boundary_rank_circle_through_origin():
     assert_allclose(boundary_system(circle) @ theta, 0.0, atol=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-16, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e16, 1e100])
+def test_boundary_rank_is_scale_invariant(scale):
+    # the kernel is invariant under dilation: a point set is rigid at every
+    # scale or at none (at the raw scale the design's columns grow as 1, |x|
+    # and |x|^2, and these points read 9 at 1e-4, 6 at 1e-8 and 3 at 1e16)
+    pts = np.random.default_rng(5).standard_normal((12, 3))
+    th = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+    circle = np.stack([np.cos(th), 1.0 + np.sin(th), np.zeros_like(th)], axis=1)
+    line = np.outer(np.linspace(-2.0, 2.0, 12), [1.0, 0.5, -0.25])
+    assert [boundary_rank(scale * x) for x in (pts, circle, line)] == [10, 9, 9]
+
+
 def test_projection_is_degenerate_exactly_where_the_boundary_rank_drops():
     # the circle above, moved off itself: one rank cut (algebra3.numerical_rank)
     # decides both whether the points are rigid and whether a fit is refused

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,19 @@ def test_grid_crosscheck_small():
         grid_crosscheck(4)
 
 
+def test_grid_crosscheck_traced_peak_stays_small():
+    # the probe, the preconditioner and LOBPCG's work arrays cover the stored
+    # planes k1 = 0..n/2 only; over all n planes the traced peak was 13.6 MB
+    grid_crosscheck(8)          # scipy is imported here, outside the trace
+    tracemalloc.start()
+    try:
+        grid_crosscheck(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+
+
 def test_sphere_directions():
     d = sphere_directions(64, seed=3)
     assert d.shape == (64, 3)
@@ -415,7 +429,8 @@ def test_probed_blocks_are_the_frequency_forms():
     # the third check of the operator: every grid frequency, not only the
     # band a random field occupies, and the eight zero modes, where both
     # routes complete the form by its skew part
-    K = fields._freq_grids(8)
+    # the probe covers the stored planes k1 = 0..n/2, which hold every distinct block
+    K = fields._freq_grids(8)[:8 // 2 + 1]
     q = korn_estimator._probed_blocks(fields.GridSpec(8))
     assert_allclose(q, frequency_form(K), rtol=0, atol=1e-12)
     assert_allclose(np.linalg.eigvalsh(q)[..., 0], lambda_min(K)[0], rtol=0, atol=1e-12)
@@ -441,11 +456,14 @@ def test_block_operator_matches_fields_chain(columns):
         x += pattern[..., None, None] * rng.standard_normal((9, columns))
     x = x.reshape(9 * n ** 3, columns)
     blocks = korn_estimator._probed_blocks(spec).real
-    got = korn_estimator._apply_blocks(blocks, korn_estimator._hartley(x, n))
+    h = korn_estimator._stored(korn_estimator._hartley(x, n), n)
+    got = korn_estimator._apply_blocks(blocks, h)
     want = np.stack([korn_estimator._apply_fields(spec, x[:, j]) for j in range(columns)],
                     axis=1)
-    assert got.shape == x.shape
-    assert_allclose(got, korn_estimator._hartley(want, n), rtol=0, atol=1e-12)
+    # compared on the stored planes k1 = 0..n/2, where the blocks live
+    assert got.shape == h.shape == (9 * (n // 2 + 1) * n ** 2, columns)
+    assert_allclose(got, korn_estimator._stored(korn_estimator._hartley(want, n), n),
+                    rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(9 * 8 ** 3,), (9 * 8 ** 3, 3)])
