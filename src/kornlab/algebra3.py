@@ -210,10 +210,12 @@ def tp(X):
     return np.asarray(X).swapaxes(-1, -2)
 
 
-def _pairing(a, b, axes, name):
-    """sum(a * b) over axes, with no numpy warning: a ValueError naming the pairing where
-    finite entries give a product or a sum that overflows; NaN and inf entries propagate."""
-    a, b = np.asarray(a), np.asarray(b)
+def _pairing(a, b, rank, name):
+    """sum(a * b) over the last rank axes of vectors (rank 1) or matrices (2) read by
+    _numeric, with no numpy warning: a ValueError naming the pairing where finite entries
+    give a product or a sum that overflows; NaN and inf entries propagate."""
+    a, b = (_numeric(x, (3,) * rank, ("vector", "matrix")[rank - 1]) for x in (a, b))
+    axes = tuple(range(-rank, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.sum(a * b, axis=axes)
     if not np.isfinite(out).all():
@@ -226,13 +228,13 @@ def _pairing(a, b, axes, name):
 def dot(a, b):
     """Bilinear vector pairing sum_i a_i b_i (no conjugation); finite entries whose
     pairing overflows are a ValueError, and NaN and inf propagate (_pairing)."""
-    return _pairing(a, b, -1, "dot")
+    return _pairing(a, b, 1, "dot")
 
 
 def frob(P, Q):
     """Bilinear matrix pairing tr(P^T Q) = sum_ij P_ij Q_ij (no conjugation); finite
     entries whose pairing overflows are a ValueError, and NaN and inf propagate (_pairing)."""
-    return _pairing(P, Q, (-2, -1), "frob")
+    return _pairing(P, Q, 2, "frob")
 
 
 def _pow2(x, axis=None):

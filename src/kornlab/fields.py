@@ -7,9 +7,10 @@ real, as the paper's fields are.  A field is given by its discrete Fourier
 coefficients GridField.coef (numpy fftn layout over the three grid axes,
 integer frequencies GridSpec.frequencies), which are exactly
 conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and coef
-mirrors the rest on read.  Only this module reads the stored planes: the
-maps below run on them, values reads the samples off them with one real
-inverse FFT, and another module maps them through _map_planes.  The
+mirrors the rest on read (_mirror, the one conjugate mirror).  Only this
+module reads the stored planes: the maps below run on them, values reads
+the samples off them with one real inverse FFT, and every field computed
+from fields, here or in another module, leaves through _map_planes.  The
 derivative multipliers drop the unpaired Nyquist mode so that derived
 fields stay real.  Coefficients and grid samples are stored tensor-last:
 scalar fields have shape (n, n, n), vector fields (n, n, n, 3), matrix
@@ -22,10 +23,11 @@ pointwise_part) give, per name and input rank, the output rank and the map.
 
 Coefficients are checked where they enter: the GridField constructor,
 field_from_coef, field_from_samples, load_field and random_bandlimited
-refuse coefficients that are not finite or not conjugate-symmetric, and
-snap the rest to exact symmetry.  Fields computed from fields (the table
-maps, + - and scalar *) keep that symmetry exactly, so they are built
-without a copy or a re-check; a scalar factor is a finite real number.
+refuse coefficients that are not finite or not conjugate-symmetric (the
+planes k1 = 0..n/2 against their _mirror), and snap the rest to exact
+symmetry.  Fields computed from fields (the table maps, + - and scalar *)
+keep that symmetry exactly, so _map_planes builds them without a copy or a
+re-check; a scalar factor is a finite real number.
 Every argument meets one reader that names it: algebra3's shared ones
 (fields, grids, coefficients, samples, counts, names) or this module's
 _check_exponent, _check_rank, _check_path.
@@ -150,9 +152,9 @@ def _freq_grids(n):
     return K
 
 
-def _reflect(coef):
-    """Coefficient array evaluated at -k (mod n) on the three grid axes."""
-    return np.roll(coef[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+def _mirror(coef, k1, n):
+    """conj(coef) at -k (mod n) on the three grid axes, for the planes k1 only."""
+    return np.conj(np.roll(coef[-k1 % n, ::-1, ::-1], 1, axis=(1, 2)))
 
 
 def _coef_shape(rank, n):
@@ -170,8 +172,9 @@ def _check_rank(rank):
 @dataclass(frozen=True, init=False, eq=False)
 class GridField:
     """Immutable real periodic tensor field: its full fftn spectrum coef is finite and
-    conjugate-symmetric, and _planes stores planes k1 = 0..n/2.  f * c takes a finite
-    real number c that is not a bool."""
+    conjugate-symmetric, and _planes stores planes k1 = 0..n/2, checked against their
+    _mirror on entry; f + g, f - g, f * c and the table maps leave through _map_planes.
+    f * c takes a finite real number c that is not a bool."""
 
     spec: GridSpec
     rank: int
@@ -186,23 +189,22 @@ class GridField:
                              % (coef.shape, rank, spec.n))
         if not np.isfinite(coef).all():
             raise ValueError("coefficients are not finite")
-        mirror = np.conj(_reflect(coef))
-        scale = max(float(np.abs(coef).max()), 1.0)
-        if float(np.abs(coef - mirror).max()) > REALITY_TOL * scale:
-            raise ValueError("coefficients lack conjugate symmetry")
-        # snap to exact symmetry and keep planes k1 = 0..n/2: the operators, parts
-        # and arithmetic below then keep it exactly, which is why derived fields
-        # skip this check (tests/test_fields.py pins it for each of them)
+        # planes k1 = 0..n/2 meet every pair k, -k, and |a - conj b| is |b - conj a| exactly
         half = spec.n // 2 + 1
-        _fill(self, spec, rank, 0.5 * (coef[:half] + mirror[:half]))
+        planes, mirror = coef[:half], _mirror(coef, np.arange(half), spec.n)
+        scale = max(float(np.abs(coef).max()), 1.0)
+        if float(np.abs(planes - mirror).max()) > REALITY_TOL * scale:
+            raise ValueError("coefficients lack conjugate symmetry")
+        # snap to exact symmetry: every map below keeps it exactly, which is why derived
+        # fields skip this check (tests/test_fields.py pins it for each of them)
+        _fill(self, spec, rank, 0.5 * (planes + mirror))
 
     @property
     def coef(self):
         """The full fftn spectrum, read-only, built on each read: the plane k1 > n/2
         is the conjugate of the stored plane n - k1 at -k2, -k3 (mod n)."""
         n = self.spec.n
-        rest = np.roll(self._planes[n // 2 - 1:0:-1, ::-1, ::-1], 1, axis=(1, 2))
-        coef = np.concatenate([self._planes, np.conj(rest)])
+        coef = np.concatenate([self._planes, _mirror(self._planes, np.arange(n // 2 + 1, n), n)])
         coef.setflags(write=False)
         return coef
 
@@ -211,7 +213,7 @@ class GridField:
             return NotImplemented
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
-        return _derived(self.spec, self.rank, op(self._planes, other._planes))
+        return _map_planes(self, self.rank, lambda planes, K: op(planes, other._planes))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -221,7 +223,7 @@ class GridField:
 
     def __mul__(self, c):
         c = _finite(_check_real("scalar", c), "scalar")
-        return _derived(self.spec, self.rank, c * self._planes)
+        return _map_planes(self, self.rank, lambda planes, K: c * planes)
 
     __rmul__ = __mul__
 
@@ -231,16 +233,6 @@ def _fill(f, spec, rank, planes):
     planes.setflags(write=False)
     vars(f).update(spec=spec, rank=rank, _planes=planes)
     return f
-
-
-def _derived(spec, rank, planes):
-    """A field computed from fields: its stored planes are kept as they are, not
-    copied or re-checked.
-
-    The inputs were checked where their coefficients entered, and every map
-    that calls this keeps exact conjugate symmetry; the planes are only frozen.
-    """
-    return _fill(object.__new__(GridField), spec, rank, planes)
 
 
 def field_from_coef(spec, rank, coef):
@@ -299,10 +291,11 @@ def apply_operator(f, op):
 
 
 def _map_planes(f, rank, fn):
-    """The field of the given rank whose stored planes are fn(c, K): c the planes
-    k1 = 0..n/2 that f stores, K their frequencies (_freq_grids).  Not re-checked,
-    so fn must keep exact conjugate symmetry, as the _OPS maps do."""
-    return _derived(f.spec, rank, fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)]))
+    """The field of the given rank whose stored planes are fn(c, K): c the planes k1 =
+    0..n/2 that f stores, K their frequencies.  The one way out for a field computed from
+    fields: the planes are frozen, not re-checked, so fn must keep exact conjugate symmetry."""
+    planes = fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)])
+    return _fill(object.__new__(GridField), f.spec, rank, planes)
 
 
 def pointwise_part(f, part):
@@ -314,7 +307,7 @@ def pointwise_part(f, part):
     rank, out_rank, fn = _PARTS[_choice("part", part, _PARTS)]
     if f.rank != rank:
         raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
-    return _derived(f.spec, out_rank, fn(f._planes))
+    return _map_planes(f, out_rank, lambda planes, K: fn(planes))
 
 
 def magnitude(f):
@@ -606,6 +599,7 @@ def dump_field(f, path):
     """
     # a derived field may hold a -0.0 where the snap at entry writes +0.0: entering
     # it again writes every field in its snapped form, whatever route built it
+    _check_instance("field", f, GridField)
     coef = GridField(f.spec, f.rank, f.coef).coef
     with open(_check_path(path), "wb") as fh:
         fh.write((_HEADER % (f.rank, f.spec.n)).encode("ascii"))

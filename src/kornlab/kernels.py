@@ -131,7 +131,9 @@ def project_kernel(points, matrices, space="devsym"):
     TooFewSamplesError below the minimum sample count and
     DegenerateGeometryError when the numerical rank of the design matrix
     (algebra3.numerical_rank) is below its column count, which is where
-    boundary_rank stops reporting the ten-parameter family as rigid.
+    boundary_rank stops reporting the ten-parameter family as rigid.  The
+    rank is read at the points' own scale: far from 1 (1e-4, 1e4 for normal
+    points) not even exactly rescaled points give the parameters back.
     """
     _choice("space", space, MIN_SAMPLES)
     pts = _points(points)

@@ -378,6 +378,10 @@ _NUMERIC_INPUTS = {
     "cross-matrix": ("matrix", lambda x: cross(x, [1, 2, 3]), _INT3),
     "cross-vector": ("vector", lambda x: cross(EYE3, x), [1, 2, 3]),
     "dev": ("matrix", dev, _INT3),
+    "dot-left": ("vector", lambda x: dot(x, [1, 2, 3]), [1, 2, 3]),
+    "dot-right": ("vector", lambda x: dot([1, 2, 3], x), [1, 2, 3]),
+    "frob-left": ("matrix", lambda x: frob(x, _INT3), _INT3),
+    "frob-right": ("matrix", lambda x: frob(_INT3, x), _INT3),
     "curl_symbol": ("frequency", curl_symbol, [1, 2, 3]),
     "apply_symbol-op": ("symbol", lambda x: apply_symbol(x, EYE3), np.eye(9, dtype=int).tolist()),
     "apply_symbol-matrix": ("matrix", lambda x: apply_symbol(np.eye(9), x), _INT3),

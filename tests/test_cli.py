@@ -33,6 +33,10 @@ def test_to_json_scalars():
     assert cli.to_json(3) == "3"
     assert cli.to_json(0.5) == "0.5"
     assert cli.to_json("a\"b") == '"a\\"b"'
+    # a type with no JSON form is named, also inside a container
+    for obj, name in [(object(), "object"), (1j, "complex"), ({1, 2}, "set"), ([{3}], "set")]:
+        with pytest.raises(TypeError, match="^cannot serialize <class '%s'>$" % name):
+            cli.to_json(obj)
 
 
 def test_to_json_float_digits():

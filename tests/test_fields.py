@@ -121,7 +121,7 @@ def test_field_rank_is_a_count(rank):
         GridField(GridSpec(4), rank, np.zeros((4, 4, 4, 3)))
 
 
-def test_field_rank_and_spec_types():
+def test_field_rank_and_spec_types(tmp_path):
     f = GridField(GridSpec(4), np.int64(1), np.zeros((4, 4, 4, 3)))
     assert type(f.rank) is int and f.rank == 1
     with pytest.raises(ValueError, match=r"rank must be >= 0"):
@@ -143,9 +143,14 @@ def test_field_rank_and_spec_types():
             (lambda: pointwise_part([f], "spherical"), r"^field must be a GridField, got \[Grid"),
             (lambda: random_bandlimited(8, 1, 1), "^spec must be a GridSpec, got 8$"),
             (lambda: field_from_samples(4, 0, np.zeros((4, 4, 4))),
-             "^spec must be a GridSpec, got 4$")]:
+             "^spec must be a GridSpec, got 4$"),
+            (lambda: dump_field("f", tmp_path / "f.bin"), "^field must be a GridField, got 'f'$"),
+            (lambda: dump_field(None, tmp_path / "f.bin"), "^field must be a GridField, got None$"),
+            (lambda: dump_field(True, tmp_path / "f.bin"), "^field must be a GridField, got True$")]:
         with pytest.raises(TypeError, match=message):
             call()
+    # dump_field reads its field before it opens the path: no file is created
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("dtype", [bool, str, object])
@@ -218,7 +223,8 @@ def test_coefficients_are_frozen():
 
 
 def _asymmetry(f):
-    return float(np.abs(f.coef - np.conj(fields._reflect(f.coef))).max())
+    n = f.spec.n
+    return float(np.abs(f.coef - fields._mirror(f.coef, np.arange(n), n)).max())
 
 
 def _same_bits(a, b):
@@ -266,7 +272,7 @@ def test_only_fields_knows_the_stored_layout():
     # the half spectrum a field stores (planes k1 = 0..n/2, their frequencies, the
     # mirror to the full spectrum, the unchecked build) is known to fields alone:
     # every other module maps a field through fields._map_planes
-    layout = {"_planes", "_freq_grids", "_full", "_derived", "_reflect"}
+    layout = {"_planes", "_freq_grids", "_full", "_derived", "_reflect", "_mirror"}
     here = os.path.dirname(fields.__file__)
     uses = []
     for name in sorted(os.listdir(here)):
@@ -286,13 +292,13 @@ def test_reality_is_checked_once_per_entry_field(monkeypatch):
     # five); everything else it builds is derived and is not re-checked
     from kornlab import identities
     calls = []
-    reflect = fields._reflect
+    mirror = fields._mirror
 
-    def counting(coef):
+    def counting(coef, k1, n):
         calls.append(coef.shape)
-        return reflect(coef)
+        return mirror(coef, k1, n)
 
-    monkeypatch.setattr(fields, "_reflect", counting)
+    monkeypatch.setattr(fields, "_mirror", counting)
     assert all(res.passed for res in identities.run_spectral())
     assert len(calls) == 15
 

@@ -216,6 +216,25 @@ def test_boundary_rank_is_scale_invariant(scale):
     assert [boundary_rank(scale * x) for x in (pts, circle, line)] == [10, 9, 9]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e8])
+def test_projection_is_refused_at_scales_where_a_fit_cannot_recover(scale):
+    # the fit reads its rank at the points' own scale: where it is refused, even
+    # a solve on exactly rescaled points recovers the parameters only to 1e-7 or
+    # worse, while the points stay rigid (boundary_rank is scale-invariant)
+    pts = scale * np.random.default_rng(5).standard_normal((12, 3))
+    e = KernelElement(a_tilde=[1.0, -2.0, 0.5], beta=0.75, b=[0.25, -1.0, 2.0],
+                      d=[-0.5, 1.5, 1.0])
+    assert boundary_rank(pts) == 10
+    if not 1e-2 <= scale <= 1e2:
+        with pytest.raises(DegenerateGeometryError):
+            project_kernel(pts, eval_kernel(e, pts))
+        return
+    fit = project_kernel(pts, eval_kernel(e, pts)).element
+    for got, want in [(fit.a_tilde, e.a_tilde), (fit.beta, e.beta), (fit.b, e.b), (fit.d, e.d)]:
+        assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def test_projection_is_degenerate_exactly_where_the_boundary_rank_drops():
     # the circle above, moved off itself: one rank cut (algebra3.numerical_rank)
     # decides both whether the points are rigid and whether a fit is refused
