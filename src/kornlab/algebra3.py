@@ -151,7 +151,8 @@ def axl(A):
     to the size of A.
     """
     A = _numeric(A, (3, 3), "matrix")
-    defect = mat_norm(A + tp(A)) / (2.0 * np.maximum(mat_norm(A), 1e-300))
+    scaled = A / _pow2(A, (-2, -1))      # exact: no norm of a finite A overflows
+    defect = mat_norm(sym(scaled)) / np.maximum(mat_norm(scaled), 1e-300)
     if np.any(defect > TOL_SKEW):
         raise NotSkewError("matrix is not skew-symmetric (relative defect %.3e)"
                            % float(np.max(defect)))
@@ -180,13 +181,13 @@ def cross(P, b):
 
 
 def sym(X):
-    X = np.asarray(X)
-    return 0.5 * (X + tp(X))
+    half = 0.5 * np.asarray(X)      # halved before the sum: finite entries never overflow
+    return half + tp(half)
 
 
 def skew(X):
-    X = np.asarray(X)
-    return 0.5 * (X - tp(X))
+    half = 0.5 * np.asarray(X)
+    return half - tp(half)
 
 
 def dev(X):

@@ -246,13 +246,9 @@ def run_identities(cfg):
 def run_symbol(cfg):
     # one draw of two sets of 100 directions: kernels, then multipliers
     kernel_dirs, xi = _unit(np.random.default_rng(cfg["seed"]).standard_normal((2, 100, 3)))
-    dims = []
-    gaps = []
-    for u in kernel_dirs:
-        basis = symbol.kernel_basis(symbol.curl_symbol(u, "devsym"))
-        dims.append(basis.dimension)
-        sv = basis.singular_values
-        gaps.append(float(sv[4] / max(sv[5], 1e-300)))
+    bases = [symbol.kernel_basis(op) for op in symbol.curl_symbol(kernel_dirs, "devsym")]
+    dims = [b.dimension for b in bases]
+    gaps = [float(b.singular_values[4] / max(b.singular_values[5], 1e-300)) for b in bases]
     m = symbol.build_multiplier(xi)
     a = symbol.curl_symbol(xi, "devsym")
     a_sym = symbol.curl_symbol(xi, "sym")

@@ -4,14 +4,15 @@ For each integer frequency k the quadratic form
 
     Q_k(P) = |sym P|^2 + |devsym(P x k)|^2
 
-is a Hermitian 9x9 form on complex 3x3 coefficients (the second term is
-the trace-free symmetric curl symbol squared).  The estimate holds modulo
-the skew part of the modes the derivatives cannot see, where Q_k is only
-|sym P|^2; there the form is completed by |skew P|^2 to exactly |P|^2.
+is a real symmetric 9x9 form, quadratic in k: the second term is the
+trace-free symmetric curl symbol squared, and its two factors of i
+cancel.  The estimate holds modulo the skew part of the modes the
+derivatives cannot see, where Q_k is only |sym P|^2; there the form is
+completed by |skew P|^2 to exactly |P|^2.
 The estimated constant is c = 1 / sqrt(min_k lambda_min(Q_k)).
 
 Two independent routes to the same number, each stating that zero-mode
-rule once: a direct dense eigensolve of the complex Hermitian forms,
+rule once: a direct dense eigensolve of the real symmetric forms,
 stacked over frequencies (the scan solves one representative per orbit of
 the cube's signed permutations, in one stack; the rule sits in
 frequency_form at k = 0), and an iterative smallest-eigenvalue solve of
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _check_count, _norm, _real, _unit, sym, tp
-from .symbol import _curl_symbol, basis_matrices, sharp_ratio
+from .algebra3 import _check_count, _finite, _norm, _real, _unit, sym, tp
+from .symbol import _CURL, basis_matrices, sharp_ratio
 
 __all__ = [
     "NoConvergenceError", "ProbeError",
@@ -59,7 +60,7 @@ CONVENTION = ("form |sym P|^2 + |devsym(P x k)|^2 per integer frequency k of the
 
 
 # matrix of P -> sym P in the row-major flattening; sym is an orthogonal
-# projector, so this matrix is also the Gram matrix S*S of |sym P|^2
+# projector, so this matrix is also the Gram matrix S^T S of |sym P|^2
 _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
 # |sym P|^2 + |skew P|^2 = |P|^2, so adding this to the k = 0 form (which is
 # _SYM_FORM) gives exactly the identity: the zero-mode completion
@@ -106,22 +107,23 @@ class ProbeError(RuntimeError):
 
 
 def frequency_form(k):
-    """Completed Hermitian 9x9 form Q_k = S*S + C_k*C_k in the row-major flattening.
+    """Completed real symmetric 9x9 form Q_k = S^T S + R_k^T R_k in the row-major flattening.
 
+    R_k = sum_a k_a _CURL["devsym"][a] is i times the devsym curl symbol, and real.
     At k = 0 the derivatives see nothing and the skew matrices are null
-    directions of S*S; the estimate holds modulo them, so the form there is
+    directions of S^T S; the estimate holds modulo them, so the form there is
     completed by _SKEW_FORM to exactly the identity.  A stack of frequencies
-    of shape (..., 3) gives a stack of forms.  With t = |k|^2, S*S + C_k*C_k
+    of shape (..., 3) gives a stack of forms.  With t = |k|^2, S^T S + R_k^T R_k
     has the exact spectrum lambda_-+ = (2 + t -+ sqrt(t^2 + 4)) / 4, 1 and
     1 + t, each double, and t / 3 (proved in the tests in rational arithmetic).
-    A frequency that is not finite is a ValueError (curl_symbol's _finite),
-    and so is a finite one too large for its form to be finite (|k| of about
-    1e154 and above: the entries grow as |k|^2).
+    A frequency that is not finite is a ValueError (_finite), and so is a
+    finite one too large for its form to be finite (|k| of about 1e154 and
+    above: the entries grow as |k|^2).
     """
-    k = _real(k, (3,), "frequency")
+    k = _finite(_real(k, (3,), "frequency"), "frequency")
+    r = np.einsum("...a,aij->...ij", k, _CURL["devsym"])
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _curl_symbol(k, "devsym")
-        q = _SYM_FORM + tp(c.conj()) @ c
+        q = _SYM_FORM + tp(r) @ r
     if not np.isfinite(q).all():
         raise ValueError("frequency is too large: its form overflows")
     q[~k.any(axis=-1)] += _SKEW_FORM

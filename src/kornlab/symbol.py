@@ -9,7 +9,10 @@ column j is the image of the basis matrix with a single 1 at (j // 3, j % 3).
 The curl of a matrix field acts row-wise, and on the Fourier side a
 coefficient P_hat at frequency xi is mapped to -i * (P_hat x xi); the
 optional symmetric / trace-free symmetric projections are applied after
-the cross product.  The degree-zero multiplier M(xi), in closed form, maps
+the cross product.  The map is linear in xi: the symbol is
+-i * sum_a xi_a _CURL[part][a], where row a of the real table _CURL[part],
+built once, is the matrix of P -> proj(P x e_a); each entry is nonzero in
+one row only.  The degree-zero multiplier M(xi), in closed form, maps
 the trace-free symmetric symbol onto the symmetric one, and the sharp ratio
 sup |sym(P x xi)| / |devsym(P x xi)| = sqrt(3) is its operator norm.  Every
 function of a frequency also takes a (..., 3) stack of frequencies.
@@ -39,27 +42,21 @@ def basis_matrices():
     return np.eye(9).reshape(9, 3, 3)
 
 
+_CURL = {name: np.stack([proj(cross(basis_matrices(), e)).reshape(9, 9).T for e in EYE3])
+         for name, proj in _PARTS.items()}
+
+
 def curl_symbol(xi, part="full"):
     """Symbol of (a projection of) the row-wise matrix curl at frequency xi.
 
     Returns the 9x9 complex matrix of P_hat -> -i * proj(P_hat x xi).  A
     stack of frequencies of shape (..., 3) gives a stack of shape (..., 9, 9).
-    xi is read by _numeric and _finite: bool or text a TypeError, NaN or inf a ValueError,
-    and so is xi whose "sym" or "devsym" symbol, adding its entries, overflows.
+    xi is read by _numeric and _finite: bool or text a TypeError, NaN or inf a ValueError.
+    Each entry is one product c * xi_a, |c| <= 1, so a finite xi gives a finite symbol.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = _curl_symbol(xi, part)
-    if not np.isfinite(op).all():
-        raise ValueError("frequency is too large: its symbol overflows")
-    return op
-
-
-def _curl_symbol(xi, part):
-    """curl_symbol with overflow unchecked: frequency_form checks its form instead."""
-    proj = _PARTS[_choice("part", part, _PARTS)]
+    table = _CURL[_choice("part", part, _CURL)]
     xi = _finite(_numeric(xi, (3,), "frequency"), "frequency")
-    images = proj(-1j * cross(basis_matrices(), xi[..., None, :]))
-    return images.reshape(xi.shape[:-1] + (9, 9)).swapaxes(-1, -2).copy()
+    return np.einsum("...a,aij->...ij", xi, -1j * table)
 
 
 def apply_symbol(op, P):

@@ -130,6 +130,19 @@ def test_a_pairing_that_overflows_is_named(name, call):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1.0, 1j], ids=["real", "complex"])
+def test_parts_at_entries_of_1e308_are_finite_and_quiet(c):
+    # sym and skew halve before they add, and axl reads its defect over a power of
+    # two: no sum of two finite entries overflows, and the defect is a number
+    full, skewed = c * np.full((3, 3), 1e308), anti(c * _BIG)
+    assert_array_equal(sym(full), full)
+    assert_array_equal(skew(skewed), skewed)
+    assert_array_equal(axl(skewed), c * _BIG)
+    with pytest.raises(NotSkewError, match=r"\(relative defect 1\.000e\+00\)$"):
+        axl(full)
+
+
+@pytest.mark.filterwarnings("error")
 def test_pairings_propagate_nan_and_inf_quietly():
     got = dot([[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, 1e308, 1e308], [1.0, 2.0, 3.0]],
               [1.0, 1.0, 1.0])

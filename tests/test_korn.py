@@ -31,7 +31,7 @@ def test_frequency_form_is_hermitian_psd():
     for _ in range(20):
         k = rng.integers(-5, 6, size=3)
         q = frequency_form(k)
-        assert q.shape == (9, 9)
+        assert q.shape == (9, 9) and q.dtype == np.float64
         assert_allclose(q, q.conj().T, atol=1e-13)
         w = np.linalg.eigvalsh(q)
         assert w[0] > -1e-12
@@ -40,7 +40,7 @@ def test_frequency_form_is_hermitian_psd():
 def test_frequency_form_accepts_frequency_stacks():
     k = np.random.default_rng(2).integers(-5, 6, size=(10, 3))
     q = frequency_form(k)
-    assert q.shape == (10, 9, 9)
+    assert q.shape == (10, 9, 9) and q.dtype == np.float64
     for m in range(10):
         assert_allclose(q[m], frequency_form(k[m]), atol=1e-14)
 
@@ -98,6 +98,7 @@ def test_a_frequency_whose_minimum_is_lost_in_rounding_is_named():
 
 def test_lambda_min_zero_frequency():
     lam, m = lambda_min([0, 0, 0])
+    assert lam.dtype == m.dtype == np.float64
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert_allclose(m, m.T, atol=1e-12)          # minimizer is symmetric
     assert np.linalg.norm(m) == pytest.approx(1.0)
@@ -261,6 +262,7 @@ def test_lambda_min_stack_matches_points():
     K = np.concatenate([np.random.default_rng(5).integers(-6, 7, size=(30, 3)),
                         np.zeros((1, 3), dtype=int)])
     lam, m = lambda_min(K)
+    assert lam.dtype == m.dtype == np.float64
     for kk, lam_k, m_k in zip(K, lam, m):
         lam_point, _ = lambda_min(kk)
         assert lam_k == pytest.approx(lam_point, abs=1e-13)
