@@ -30,14 +30,14 @@ import numpy as np
 
 __all__ = [
     "NotSkewError", "NotTracelessSymError", "ZeroDirectionError",
-    "TOL_SKEW", "RANK_TOL",
+    "RANK_TOL",
     "numerical_rank", "anti", "axl", "cross", "sym", "skew", "dev", "tr", "tp",
     "dot", "frob", "vec_norm", "mat_norm",
     "OrthSplit", "orth_decompose", "recover_axial", "tangential_projector",
     "random_rotation",
 ]
 
-TOL_SKEW = 1e-9
+_TOL_SKEW = 1e-9
 RANK_TOL = 1e-8
 
 EYE3 = np.eye(3)
@@ -147,13 +147,13 @@ def anti(a):
 def axl(A):
     """Axial vector of a skew matrix; inverse of anti.
 
-    Raises NotSkewError when the symmetric part of A exceeds TOL_SKEW relative
-    to the size of A.
+    Raises NotSkewError when the symmetric part of A exceeds _TOL_SKEW relative
+    to the size of A; A is read by _numeric and _finite.
     """
-    A = _numeric(A, (3, 3), "matrix")
+    A = _finite(_numeric(A, (3, 3), "matrix"), "matrix")
     scaled = A / _pow2(A, (-2, -1))      # exact: no norm of a finite A overflows
     defect = mat_norm(sym(scaled)) / np.maximum(mat_norm(scaled), 1e-300)
-    if np.any(defect > TOL_SKEW):
+    if not np.all(defect <= _TOL_SKEW):
         raise NotSkewError("matrix is not skew-symmetric (relative defect %.3e)"
                            % float(np.max(defect)))
     return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
@@ -320,13 +320,14 @@ def recover_axial(M, b):
 
         a = (2/|b|) * (M u - (1/4) <M u, u> u).
 
-    M must be traceless symmetric (NotTracelessSymError) and b a real vector (_real)
-    that is neither zero nor non-finite (ZeroDirectionError); its scale does not matter.
+    M is read by _numeric and _finite, and must be traceless symmetric
+    (NotTracelessSymError); b must be a real vector (_real) that is neither zero nor
+    non-finite (ZeroDirectionError); its scale does not matter.
     """
-    M = np.asarray(M)
+    M = _finite(_numeric(M, (3, 3), "matrix"), "matrix")
     b = _real(b, (3,), "direction")
-    cut = TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
-    if np.any(mat_norm(M - tp(M)) > 2.0 * cut) or np.any(np.abs(tr(M)) > cut):
+    cut = _TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
+    if not (np.all(mat_norm(M - tp(M)) <= 2.0 * cut) and np.all(np.abs(tr(M)) <= cut)):
         raise NotTracelessSymError("matrix is not traceless symmetric within tolerance")
     u = _unit(b)
     Mu = (M @ u[..., None])[..., 0]

@@ -72,7 +72,7 @@ __all__ = [
     "GridSpec", "GridField", "BoxDomain",
     "field_from_samples", "field_from_coef", "values",
     "apply_operator", "pointwise_part",
-    "magnitude", "lp_norm", "random_bandlimited",
+    "magnitude", "random_bandlimited",
     "growth_ratio", "halfspace_ratio", "bump_profile",
     "dump_field", "load_field",
 ]
@@ -344,20 +344,6 @@ def _bandlimited_coef(spec, seed, kmax, rank):
     keep = np.abs(spec.frequencies) <= kmax
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     return coef * mask[(...,) + (None,) * rank]
-
-
-def lp_norm(f, p):
-    """L^p norm of the pointwise Hermitian magnitude of a periodic field.
-
-    The grid weight is (2*pi/n)^3, and the magnitude is divided by an
-    exact power of two within a factor 2 below its maximum before the
-    power, so that neither underflows to 0 nor overflows to inf at large p.
-    """
-    p = _check_exponent(p)
-    mag = magnitude(f)
-    top = _pow2(mag).item()
-    w = (2.0 * np.pi / f.spec.n) ** 3
-    return top * float((np.sum((mag / top) ** p) * w) ** (1.0 / p))
 
 
 # ----------------------------------------------------------------------------

@@ -24,13 +24,12 @@ __all__ = [
     "KernelElement",
     "eval_kernel", "axial_polynomial", "curl_kernel_closed_form",
     "ProjectionResult", "project_kernel",
-    "boundary_system", "boundary_rank",
+    "boundary_rank",
 ]
 
 # design columns of each family, in the parameter order (a_tilde, beta, b, d);
 # a fit needs at least as many samples as it has parameters
 _COLUMNS = {"sym": np.r_[0:3, 4:7], "devsym": np.arange(10)}
-MIN_SAMPLES = {space: cols.size for space, cols in _COLUMNS.items()}
 
 
 class TooFewSamplesError(ValueError):
@@ -135,17 +134,17 @@ def project_kernel(points, matrices, space="devsym"):
     rank is read at the points' own scale: far from 1 (1e-4, 1e4 for normal
     points) not even exactly rescaled points give the parameters back.
     """
-    _choice("space", space, MIN_SAMPLES)
+    _choice("space", space, _COLUMNS)
     pts = _points(points)
     mats = _real(matrices, (3, 3), "matrices")
     m = pts.shape[0]
     if mats.shape != (m, 3, 3):
         raise ValueError("matrices must have shape (m, 3, 3) matching the points")
     _finite(mats, "matrices")
-    if m < MIN_SAMPLES[space]:
-        raise TooFewSamplesError("space %r needs at least %d samples, got %d"
-                                 % (space, MIN_SAMPLES[space], m))
     cols = _COLUMNS[space]
+    if m < cols.size:
+        raise TooFewSamplesError("space %r needs at least %d samples, got %d"
+                                 % (space, cols.size, m))
     design = anti(np.moveaxis(_axial_design(pts)[..., cols], -1, 0)).reshape(cols.size, 9 * m).T
     rhs = mats.reshape(9 * m)
     sv = np.linalg.svd(design, compute_uv=False)
@@ -162,16 +161,6 @@ def project_kernel(points, matrices, space="devsym"):
     return ProjectionResult(element=e, residual=residual, cond=cond)
 
 
-def boundary_system(points):
-    """Rows of the vanishing conditions f(x) = 0, three per point, ten unknowns.
-
-    Unknown order: (a_tilde, beta, b, d), the parameters of KernelElement,
-    so the three rows of a point x evaluate axial_polynomial at x.
-    """
-    pts = _points(points)
-    return _axial_design(pts).reshape(3 * pts.shape[0], 10)
-
-
 def boundary_rank(points):
     """Number of kernel parameters a point set pins down (10 = rigid).
 
@@ -182,10 +171,10 @@ def boundary_rank(points):
     by a power of the factor, while numerical_rank cuts relative to the
     largest singular value; so the rank is taken on the points over their
     _pow2, an exact scaling, and reads the same at every scale.  Points
-    whose polynomial overflows are refused first, as boundary_system does.
+    whose polynomial overflows are refused first, as axial_polynomial does.
     """
     pts = _points(points)
-    boundary_system(pts)        # the refusal of points whose polynomial overflows
+    _axial_design(pts)          # the refusal of points whose polynomial overflows
     if pts.size:
         pts = pts / _pow2(pts)
-    return int(numerical_rank(np.linalg.svd(boundary_system(pts), compute_uv=False)))
+    return int(numerical_rank(np.linalg.svd(_axial_design(pts).reshape(-1, 10), compute_uv=False)))

@@ -51,7 +51,7 @@ from .symbol import _CURL, basis_matrices, sharp_ratio
 __all__ = [
     "NoConvergenceError", "ProbeError",
     "frequency_form", "lambda_min", "KornReport", "korn_constant",
-    "grid_crosscheck", "equivalence_constant", "sphere_directions",
+    "grid_crosscheck", "equivalence_constant",
 ]
 
 CONVENTION = ("form |sym P|^2 + |devsym(P x k)|^2 per integer frequency k of the "
@@ -358,21 +358,17 @@ def grid_crosscheck(n):
     return abs(lam_grid - korn_constant(n // 2 - 1).lambda_global)
 
 
-def sphere_directions(samples, seed=1):
-    """Deterministic batch of unit vectors."""
-    samples = _check_count("samples", samples)
-    seed = _check_count("seed", seed, 0)
-    return _unit(np.random.default_rng(seed).standard_normal((samples, 3)))
-
-
 def equivalence_constant(samples=1000, seed=1):
     """Largest sym/devsym curl ratio over a sphere sample of directions.
 
+    The directions are a deterministic draw: seed's standard normals, made unit.
     The ratio is direction independent; a spread above 1e-9 across the
     sample, or a NaN in it, means the symbol machinery is broken, so that
     is an error.
     """
-    dirs = sphere_directions(samples, seed)
+    samples = _check_count("samples", samples)
+    seed = _check_count("seed", seed, 0)
+    dirs = _unit(np.random.default_rng(seed).standard_normal((samples, 3)))
     # stacked calls of at most 4096 directions: the multiplier stack and its
     # SVD workspace would otherwise grow without bound with --samples
     ratios = np.concatenate([sharp_ratio(dirs[i:i + 4096]) for i in range(0, samples, 4096)])

@@ -29,8 +29,6 @@ __all__ = ["ZeroFrequencyError", "basis_matrices", "curl_symbol", "apply_symbol"
            "kernel_basis", "build_multiplier", "sharp_ratio", "KernelWitness"]
 
 _PARTS = {"full": lambda X: X, "sym": sym, "devsym": lambda X: dev(sym(X))}
-# matrix of P -> dev sym P in the row-major flattening, an orthogonal projector
-_DEVSYM = dev(sym(np.eye(9).reshape(9, 3, 3))).reshape(9, 9)
 
 
 class ZeroFrequencyError(ValueError):
@@ -42,6 +40,8 @@ def basis_matrices():
     return np.eye(9).reshape(9, 3, 3)
 
 
+# matrix of P -> dev sym P in the row-major flattening, an orthogonal projector
+_DEVSYM = dev(sym(basis_matrices())).reshape(9, 9)
 _CURL = {name: np.stack([proj(cross(basis_matrices(), e)).reshape(9, 9).T for e in EYE3])
          for name, proj in _PARTS.items()}
 

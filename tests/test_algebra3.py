@@ -222,6 +222,19 @@ def test_recover_axial_at_any_scale_of_the_direction(scale, rtol):
     assert_allclose(recover_axial(dev(sym(cross(anti(a), b))), b), a, rtol=rtol)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [np.full((3, 3), np.nan), [[0, 1, 0], [np.inf, 0, 0], [0, 0, 0]],
+                                    np.diag([np.inf, 0.0, 0.0])],
+                         ids=["nan", "inf-skew", "inf-diagonal"])
+@pytest.mark.parametrize("call", [axl, lambda M: recover_axial(M, [0.0, 0.0, 1.0])],
+                         ids=["axl", "recover_axial"])
+def test_a_non_finite_matrix_is_named(call, matrix):
+    # a NaN defect compares false with every tolerance, so a defect test written as
+    # its failure let it through: NaN came back, or inf with only a numpy warning
+    with pytest.raises(ValueError, match="^matrix must be finite$"):
+        call(matrix)
+
+
 @pytest.mark.parametrize("b", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0],
                                [[0.0, 0.0, 1.0], [1.0, -np.inf, 0.0]]])
 def test_recover_axial_refuses_a_non_finite_direction(b):
@@ -388,6 +401,8 @@ _INT3 = [[0, -3, 2], [3, 0, -1], [-2, 1, 0]]
 _NUMERIC_INPUTS = {
     "anti": ("vector", anti, [1, 2, 3]),
     "axl": ("matrix", axl, _INT3),
+    "recover_axial-matrix": ("matrix", lambda x: recover_axial(x, [0, 0, 1]),
+                             [[0, 0, 1], [0, 0, 2], [1, 2, 0]]),
     "cross-matrix": ("matrix", lambda x: cross(x, [1, 2, 3]), _INT3),
     "cross-vector": ("vector", lambda x: cross(EYE3, x), [1, 2, 3]),
     "dev": ("matrix", dev, _INT3),

@@ -16,7 +16,7 @@ from kornlab.fields import (
     GridField, GridSpec, NonFiniteError, RankMismatchError, UnderResolvedError,
     apply_operator,
     bump_profile, dump_field, field_from_coef, field_from_samples, growth_ratio,
-    halfspace_ratio, load_field, lp_norm, pointwise_part, random_bandlimited, values,
+    halfspace_ratio, load_field, pointwise_part, random_bandlimited, values,
 )
 from kornlab.symbol import KernelWitness
 
@@ -59,10 +59,8 @@ _CUBE = BoxDomain(lo=(-1, -1, -1), hi=(1, 1, 1))
     (lambda: growth_ratio(1, "2", _CUBE), "real number"),
     (lambda: growth_ratio(1, True, _CUBE), "real number"),
     (lambda: halfspace_ratio(2, np.bool_(True)), "real number"),
-    (lambda: lp_norm(GridField(GridSpec(4), 0, np.zeros((4, 4, 4), complex)), "2"),
-     "real number"),
 ], ids=["grid-float", "grid-float64", "grid-bool", "growth-k-bool", "halfspace-k-bool",
-        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool", "lp-p-str"])
+        "kmax-bool", "growth-p-str", "growth-p-bool", "halfspace-p-npbool"])
 def test_counts_and_exponents_refuse_bools_and_non_numbers(call, message):
     with pytest.raises(TypeError, match=message):
         call()
@@ -138,7 +136,6 @@ def test_field_rank_and_spec_types(tmp_path):
     for call, message in [
             (lambda: values(np.zeros((4, 4, 4))), "^field must be a GridField, got array"),
             (lambda: fields.magnitude("f"), "^field must be a GridField, got 'f'$"),
-            (lambda: lp_norm(None, 2.0), "^field must be a GridField, got None$"),
             (lambda: apply_operator(3, "grad"), "^field must be a GridField, got 3$"),
             (lambda: pointwise_part([f], "spherical"), r"^field must be a GridField, got \[Grid"),
             (lambda: random_bandlimited(8, 1, 1), "^spec must be a GridSpec, got 8$"),
@@ -507,59 +504,6 @@ def test_band_must_be_an_integer(kmax):
 def test_bandlimited_reads_the_seed_as_a_count(seed, error):
     with pytest.raises(error, match="^seed must be"):
         random_bandlimited(GridSpec(8), seed, 1)
-
-
-# ----------------------------------------------------------------------------
-# norms
-
-
-def test_lp_norm_constant_field():
-    spec = GridSpec(8)
-    f = field_from_samples(spec, 0, np.full((8, 8, 8), 2.5))
-    for p in (1.0, 2.0, 3.0, 64.0):
-        assert lp_norm(f, p) == pytest.approx(2.5 * (2.0 * np.pi) ** (3.0 / p),
-                                              rel=1e-12)
-
-
-def test_lp_norm_extreme_constants():
-    # the power of a tiny or huge magnitude neither underflows to 0 nor
-    # overflows to inf: the norm is exact up to rounding at every scale
-    spec = GridSpec(8)
-    for c in (1e-300, 1e-200, 1e-10, 2.5, 1e10, 1e200, 1e300):
-        f = field_from_samples(spec, 0, np.full((8, 8, 8), c))
-        for p in (1.0, 2.0, 64.0):
-            assert lp_norm(f, p) == pytest.approx(c * (2.0 * np.pi) ** (3.0 / p), rel=1e-12)
-        # a vector field's pointwise magnitude neither: sqrt(3) c at every point
-        u = field_from_samples(spec, 1, np.full((8, 8, 8, 3), c))
-        assert lp_norm(u, 2.0) == pytest.approx(np.sqrt(3.0) * c * (2.0 * np.pi) ** 1.5,
-                                                rel=1e-12)
-    assert lp_norm(field_from_samples(spec, 0, np.zeros((8, 8, 8))), 2.0) == 0.0
-
-
-def test_lp_norm_sine():
-    spec = GridSpec(16)
-    X1, _, _ = grid_xyz(spec)
-    f = field_from_samples(spec, 0, np.sin(X1))
-    vol = (2.0 * np.pi) ** 3
-    assert lp_norm(f, 2.0) == pytest.approx(np.sqrt(vol / 2.0), rel=1e-12)
-    assert lp_norm(f, 4.0) == pytest.approx((3.0 * vol / 8.0) ** 0.25, rel=1e-12)
-
-
-def test_lp_norm_vector_magnitude():
-    spec = GridSpec(16)
-    X1, _, _ = grid_xyz(spec)
-    u = field_from_samples(spec, 1, np.stack([
-        np.sin(X1), np.cos(X1), np.zeros_like(X1)], axis=-1))
-    # pointwise magnitude is identically 1
-    assert lp_norm(u, 2.0) == pytest.approx((2.0 * np.pi) ** 1.5, rel=1e-12)
-
-
-def test_lp_norm_exponent_range():
-    spec = GridSpec(4)
-    f = field_from_samples(spec, 0, np.ones((4, 4, 4)))
-    for bad in (0.5, 0.99, 64.01, 100.0):
-        with pytest.raises(BadExponentError):
-            lp_norm(f, bad)
 
 
 # ----------------------------------------------------------------------------

@@ -197,7 +197,6 @@ def test_report_tolerances_cover_everything():
 
 @pytest.mark.parametrize("count", [0, -3])
 @pytest.mark.parametrize("call, name", [
-    (korn_estimator.sphere_directions, "samples"),
     (korn_estimator.equivalence_constant, "samples"),
     (run_algebra, "samples"),
     (run_spectral, "draws"),

@@ -4,9 +4,8 @@ from numpy.testing import assert_allclose
 
 from kornlab.algebra3 import anti, dev, sym
 from kornlab.kernels import (
-    DegenerateGeometryError, KernelElement, TooFewSamplesError,
-    axial_polynomial, boundary_rank, boundary_system, curl_kernel_closed_form,
-    eval_kernel, project_kernel,
+    DegenerateGeometryError, KernelElement, TooFewSamplesError, _axial_design,
+    axial_polynomial, boundary_rank, curl_kernel_closed_form, eval_kernel, project_kernel,
 )
 
 RNG = np.random.default_rng(20240820)
@@ -154,17 +153,17 @@ def test_project_kernel_degenerate_points():
 
 
 def test_boundary_system_encodes_the_field():
+    # the rows of boundary_rank's system: three per point, in the ten unknowns
     pts = RNG.standard_normal((6, 3))
-    rows = boundary_system(pts)
-    assert rows.shape == (18, 10)
+    rows = _axial_design(pts)
+    assert rows.shape == (6, 3, 10)
     a_tilde = RNG.standard_normal(3)
     beta = float(RNG.standard_normal())
     b = RNG.standard_normal(3)
     d = RNG.standard_normal(3)
     theta = np.concatenate([a_tilde, [beta], b, d])
     e = KernelElement(a_tilde=a_tilde, beta=beta, b=b, d=d)
-    want = axial_polynomial(e, pts).reshape(18)
-    assert_allclose(rows @ theta, want, atol=1e-12)
+    assert_allclose(rows @ theta, axial_polynomial(e, pts), atol=1e-12)
 
 
 def test_boundary_rank_random_sphere_points():
@@ -200,7 +199,7 @@ def test_boundary_rank_circle_through_origin():
     theta = np.zeros(10)
     theta[0] = 1.0        # A_axial = e1
     theta[9] = 1.0        # d = e3
-    assert_allclose(boundary_system(circle) @ theta, 0.0, atol=1e-13)
+    assert_allclose(_axial_design(circle) @ theta, 0.0, atol=1e-13)
 
 
 @pytest.mark.filterwarnings("error")
@@ -280,7 +279,6 @@ _E_PTS = _E_RNG.standard_normal((14, 3))
 _E = random_element(_E_RNG)
 _OVERFLOW_CALLS = {     # name: call on a point set
     "project_kernel": lambda pts: project_kernel(pts, eval_kernel(_E, _E_PTS)).residual,
-    "boundary_system": boundary_system,
     "boundary_rank": boundary_rank,
     "eval_kernel": lambda pts: eval_kernel(_E, pts),
     "axial_polynomial": lambda pts: axial_polynomial(_E, pts),

@@ -10,7 +10,7 @@ from kornlab import fields, korn_estimator
 from kornlab.algebra3 import anti, random_rotation
 from kornlab.korn_estimator import (
     KornReport, NoConvergenceError, ProbeError, equivalence_constant, frequency_form,
-    grid_crosscheck, korn_constant, lambda_min, sphere_directions,
+    grid_crosscheck, korn_constant, lambda_min,
 )
 
 # smallest per-frequency eigenvalue on the axis |k| = 1, and the constant
@@ -345,18 +345,12 @@ def test_grid_crosscheck_traced_peak_stays_small():
     assert peak < 10 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
 
 
-def test_sphere_directions():
-    d = sphere_directions(64, seed=3)
-    assert d.shape == (64, 3)
-    assert_allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
-    assert_allclose(d, sphere_directions(64, seed=3))
-
-
 @pytest.mark.parametrize("seed, error", [("1", TypeError), (True, TypeError),
                                          (2.0, TypeError), (-1, ValueError)])
 def test_sphere_directions_read_the_seed_as_a_count(seed, error):
+    # equivalence_constant draws its sphere directions from the seed
     with pytest.raises(error, match="^seed must be"):
-        sphere_directions(8, seed)
+        equivalence_constant(8, seed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

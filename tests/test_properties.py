@@ -6,18 +6,24 @@ file property states that a malformed file raises the boundary's typed
 error and nothing else, and that a file the reader accepts is written back
 as the same field; a written field reads back as itself, complex64-rounded.
 The command line, on bounded arguments, exits 0, 1 or 2 and never raises,
-and it exits 1 exactly when its report names errors.
+and it exits 1 exactly when its report names errors.  Every public name has
+a caller outside the tests.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kornlab
 from kornlab import cli
 from kornlab.fields import CorruptFieldError, GridField, GridSpec, dump_field, \
     field_from_samples, load_field, random_bandlimited
@@ -174,3 +180,27 @@ def test_cli_exits_1_exactly_when_it_names_errors(command, fmt, options):
     if status != 2 and fmt == "json":
         assert json.loads(out.getvalue())["errors"] == named
     assert bool(named) == (status == 1)
+
+
+# ----------------------------------------------------------------------------
+# the public surface
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a function or constant in a library module's __all__ stays public only if
+    # another kornlab module, the README, the benchmark or a tool names it as a
+    # whole word; classes (errors and return types) are exempt
+    outside = [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "tools").glob("*.py"))
+    unreached = []
+    for module_name in kornlab.__all__:
+        module = importlib.import_module("kornlab." + module_name)
+        others = [path for path in Path(kornlab.__file__).parent.glob("*.py")
+                  if path.stem != module_name]
+        text = "\n".join(path.read_text() for path in others + outside)
+        unreached += [module_name + "." + name for name in module.__all__
+                      if not inspect.isclass(getattr(module, name))
+                      and not re.search(r"\b%s\b" % re.escape(name), text)]
+    assert unreached == []
