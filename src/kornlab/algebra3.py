@@ -326,8 +326,13 @@ def recover_axial(M, b):
     """
     M = _finite(_numeric(M, (3, 3), "matrix"), "matrix")
     b = _real(b, (3,), "direction")
-    cut = _TOL_SKEW * np.maximum(mat_norm(M), 1e-300)
-    if not (np.all(mat_norm(M - tp(M)) <= 2.0 * cut) and np.all(np.abs(tr(M)) <= cut)):
+    # the gate reads M over its _pow2, exact, so that M - tp(M) cannot overflow; the
+    # norm's floor 1e-300 stays in M's units: it binds only on a norm below 1e-300
+    p = _pow2(M, (-2, -1))
+    scaled = M / p
+    cut = _TOL_SKEW * np.maximum(mat_norm(scaled), 1e-300 / np.minimum(p[..., 0, 0], 1.0))
+    if not (np.all(mat_norm(scaled - tp(scaled)) <= 2.0 * cut)
+            and np.all(np.abs(tr(scaled)) <= cut)):
         raise NotTracelessSymError("matrix is not traceless symmetric within tolerance")
     u = _unit(b)
     Mu = (M @ u[..., None])[..., 0]

@@ -15,31 +15,24 @@ Two independent routes to the same number, each stating that zero-mode
 rule once: a direct dense eigensolve of the real symmetric forms,
 stacked over frequencies (the scan solves one representative per orbit of
 the cube's signed permutations, in one stack; the rule sits in
-frequency_form at k = 0), and an iterative smallest-eigenvalue solve of
-the assembled field-level operator
-sym + curl(devsym(curl .)) on a grid (the rule sits in its Fourier side,
-at the mean and the seven checkerboard modes).  The grid operator
-commutes with translations, so it is one 9x9 block per grid frequency.
-Those blocks are probed through the fields module (the operator applied
-to the nine constant coefficient arrays), never built from the symbol,
-so the two routes stay independent.  The curl symbol enters twice, so
-its factors of i cancel: every block is real, so the block at -k is the
-block at k, and in orthonormal Hartley coordinates (_hartley) the
-operator on real fields is exactly one real 9x9 matrix per frequency.
-The planes k1 = 0..n/2 that fields stores hold every distinct block, and
-their Hartley coordinates span an invariant subspace holding every
-eigenvalue, so the probe, the preconditioner and LOBPCG live there alone.
-LOBPCG runs from a 2-column start block, each iteration one stacked
-matmul with no FFT, preconditioned by each block's exact (shifted)
-inverse.  Two gates on the fields chain itself follow, so a wrong probe
-cannot pass: the eigenvector it returns, zero on the other planes, must
-have a small residual, and the blocks must reproduce the chain on a
-random field at every stored frequency at once.
-scipy is loaded on the first call of `lobpcg`, so importing kornlab
-loads no scipy module.
+frequency_form at k = 0), and a direct eigensolve of the assembled
+field-level operator sym + curl(devsym(curl .)) on a grid (the rule sits
+in its Fourier side, at the mean and the seven checkerboard modes).  The
+grid operator commutes with translations, so it is one 9x9 block per grid
+frequency.  Those blocks are probed through the fields module (the
+operator applied to the nine constant coefficient arrays), never built
+from the symbol, so the two routes stay independent.  The curl symbol
+enters twice, so its factors of i cancel: every block is real, so the
+block at -k is the block at k, and in orthonormal Hartley coordinates
+(_hartley) the operator on real fields is exactly one real 9x9 matrix per
+frequency.  The planes k1 = 0..n/2 that fields stores hold every distinct
+block, so one stacked eigh of those blocks gives every grid eigenvalue.
+Two gates on the fields chain itself follow, so a wrong probe cannot
+pass: the minimizing eigenvector, carried back to the grid by one Hartley
+transform, must have a small residual, and the blocks must reproduce the
+chain on a random field at every stored frequency at once.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +42,7 @@ from .algebra3 import _check_count, _finite, _norm, _real, _unit, sym, tp
 from .symbol import _CURL, basis_matrices, sharp_ratio
 
 __all__ = [
-    "NoConvergenceError", "ProbeError",
+    "ProbeError",
     "frequency_form", "lambda_min", "KornReport", "korn_constant",
     "grid_crosscheck", "equivalence_constant",
 ]
@@ -65,24 +58,6 @@ _SYM_FORM = sym(basis_matrices()).reshape(9, 9)
 # |sym P|^2 + |skew P|^2 = |P|^2, so adding this to the k = 0 form (which is
 # _SYM_FORM) gives exactly the identity: the zero-mode completion
 _SKEW_FORM = np.eye(9) - _SYM_FORM
-# grid_crosscheck preconditions with (Q_k + _PRECOND_SHIFT * I)^-1 per grid
-# frequency; the shift bounds every inverted block by 1/_PRECOND_SHIFT
-# whatever the probe returns, and is applied in Hartley coordinates like the
-# blocks.  A preconditioner cannot move the converged eigenvalue; at n = 16
-# shifts 0, 0.05 and 0.2 took 14, 15 and 19 iterations
-_PRECOND_SHIFT = 0.05
-# LOBPCG start block width, drawn in Hartley coordinates.  Only lambda_min is
-# wanted, and the Rayleigh-Ritz blocks, LOBPCG's (9 (n/2 + 1) n^2, 3 * width)
-# work arrays and each _apply_blocks matmul grow with the width: at n = 16, 1,
-# 2, 3 and 4 columns took 16, 15, 15 and 15 iterations and 72.0, 73.7, 76.2
-# and 78.4 MB peak RSS (scipy included, one BLAS thread).  Not 1:
-# scipy then squeezes each residual-history row to a 0-d array, which a
-# reader indexing the row by column cannot use
-_START_COLUMNS = 2
-# LOBPCG's own stopping rule; the start block is drawn from seed 1.  With the
-# block preconditioner it stops after 14 iterations at n = 8 and 15 at n = 16
-_LOBPCG_MAXITER = 80
-_LOBPCG_TOL = 1e-7
 # the largest share of lambda_- that lambda_min's error bound may reach: met up
 # to |k|^2 of about 1.4e11, far beyond korn --kmax 256 (|k|^2 <= 196608)
 _LAMBDA_SHARE = 1e-3
@@ -91,15 +66,11 @@ _LAMBDA_SHARE = 1e-3
 def lobpcg(*args, **kwargs):
     """scipy.sparse.linalg.lobpcg, imported on first call.
 
-    Only grid_crosscheck needs scipy; importing it here keeps about 0.3 s
-    of scipy.sparse out of every other kornlab process.
+    No kornlab code calls it: grid_crosscheck solves its blocks directly.
+    It stays only because the benchmark's tracer names it as a layer.
     """
     from scipy.sparse.linalg import lobpcg as scipy_lobpcg
     return scipy_lobpcg(*args, **kwargs)
-
-
-class NoConvergenceError(RuntimeError):
-    """Iterative eigensolver did not reach the requested residual."""
 
 
 class ProbeError(RuntimeError):
@@ -273,28 +244,41 @@ def _apply_blocks(blocks, x):
     return (blocks @ x.reshape(blocks.shape[:3] + (9, -1))).reshape(x.shape)
 
 
+def _grid_eigenpair(q):
+    """Smallest eigenvalue of the real blocks q, shape (n/2 + 1, n, n, 9, 9), and a unit
+    eigenvector on the grid, flattened to (9 n^3,).
+
+    One stacked eigh gives every block's spectrum; the eigenvector of the
+    first minimizing block sits at its frequency in Hartley coordinates,
+    zero elsewhere (on the planes k1 > n/2 too), and one _hartley call
+    carries it back to the grid.  lambda_-(1) is double at each |k| = 1
+    frequency, and any vector of that eigenspace is an eigenvector.
+    """
+    n = q.shape[1]
+    w, v = np.linalg.eigh(q)
+    i = np.unravel_index(np.argmin(w[..., 0]), w.shape[:-1])
+    vec = np.zeros((n, n, n, 9))
+    vec[i] = v[i][:, 0]
+    return float(w[i][0]), _hartley(vec.reshape(-1), n)
+
+
 def grid_crosscheck(n):
-    """Iterative grid eigenvalue versus the per-frequency minimum.
+    """Direct grid eigenvalue versus the per-frequency minimum.
 
     Finds the smallest eigenvalue of P -> sym P + curl(devsym(curl P)) on
     the real fields of an n^3 grid (n a power of two, at least 8), completed
-    by skew P at the eight zero grid frequencies (_apply_hat), with LOBPCG
-    from a 2-column random start block (seed 1), and returns
+    by skew P at the eight zero grid frequencies (_apply_hat), and returns
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is
-    projected out.  LOBPCG works in the orthonormal Hartley coordinates
-    (_hartley) of the stored planes k1 = 0..n/2, where the operator is the
-    real probed 9x9 block of each frequency (_probed_blocks) applied to its
-    whole block of fields at once, and is preconditioned by the inverse of
-    each block plus _PRECOND_SHIFT, so it stops by its tolerance _LOBPCG_TOL
-    long before the cap of _LOBPCG_MAXITER iterations.  Two gates use the
-    fields chain (_apply_fields), independently of the probe:
-    NoConvergenceError if the returned eigenvector's explicit residual
-    exceeds 1e-4 or is NaN (a vector that is not finite), and ProbeError if
-    the blocks miss the chain on one seeded random field by more than 1e-10
-    relative on the stored planes, or if the probe has an imaginary part.
-    The first call loads scipy.sparse.linalg.
+    projected out.  In the orthonormal Hartley coordinates (_hartley) of
+    the stored planes k1 = 0..n/2 the operator is the real probed 9x9 block
+    of each frequency (_probed_blocks), so one stacked eigh of the blocks
+    (_grid_eigenpair) gives lambda_grid and its eigenvector.  Three gates
+    raise ProbeError: the probe has an imaginary part; the eigenvector's
+    residual through the fields chain (_apply_fields) exceeds 1e-4 or is
+    NaN (a vector that is not finite); or the blocks miss the chain on one
+    seeded random field by more than 1e-10 relative on the stored planes.
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
@@ -306,48 +290,19 @@ def grid_crosscheck(n):
                          % (imag, scale))
     # the copy lets the complex probe be freed
     q = q.real.copy()
-    q_inv = np.linalg.inv(q + _PRECOND_SHIFT * np.eye(9))
-
-    def op(x):
-        return _apply_blocks(q, x)
-
-    def precond(x):
-        return _apply_blocks(q_inv, x)
-
-    # H is orthogonal, so a Gaussian block drawn in Hartley coordinates has
-    # the same distribution as one drawn on the grid
-    rng = np.random.default_rng(1)
-    x0 = rng.standard_normal((q.size // 9, _START_COLUMNS))
-    # convergence is gated on the explicit residual check below, not on
-    # lobpcg hitting tol for the whole block, so its warnings are noise
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w, v, hist = lobpcg(op, x0, M=precond, largest=False, tol=_LOBPCG_TOL,
-                            maxiter=_LOBPCG_MAXITER, retResidualNormsHistory=True)
-    lam_grid = float(np.min(w))
-    # zero on the planes k1 > n/2: still an eigenvector, of the operator on all of them
-    vec = np.zeros((n, n, n, 9))
-    vec[:n // 2 + 1] = v[:, int(np.argmin(w))].reshape(q.shape[:4])
-    vec = _hartley(vec.reshape(-1), n)
+    lam_grid, vec = _grid_eigenpair(q)
     # a vector that is not finite is no field for the chain: the gate names it as NaN
     resid = (float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
              if np.isfinite(vec).all() else np.nan)
-    # lam_grid is a Rayleigh quotient: its error is at most resid^2 over the spectral
-    # gap, exactly lambda_-(2) - lambda_-(1) = 0.1019...; 1e-4 keeps it below 1e-7.
+    # an exact solve of the probed blocks can only miss the chain if the probe is wrong
     if not (np.isfinite(lam_grid) and resid <= 1e-4):
-        # lobpcg returns its best iterate and cuts the history just after it,
-        # so len(hist) - 2 is the iteration that made it; at the cap scipy
-        # runs one update past maxiter, so this can exceed _LOBPCG_MAXITER
-        raise NoConvergenceError("grid eigensolve stalled: residual %.3e after %d LOBPCG "
-                                 "iterations (maxiter %d)"
-                                 % (resid, len(hist) - 2, _LOBPCG_MAXITER))
-    # the residual gate sees only the minimizing block (and names a wrong
-    # one as a stall); a random field has a component at every frequency,
-    # so this sees every block.  Its Re F(k) and Im F(k) are independent, so
-    # matching H(k) = Re F(k) - Im F(k) pins the chain's multiplier at k to
-    # the real block; the chain's image is real, so the planes k1 > n/2
-    # follow by conjugate symmetry
-    field = rng.standard_normal(9 * n ** 3)
+        raise ProbeError("grid eigenpair misses the fields chain: residual %.3e" % resid)
+    # the residual gate sees only the minimizing block; a random field has a
+    # component at every frequency, so this sees every block.  Its Re F(k)
+    # and Im F(k) are independent, so matching H(k) = Re F(k) - Im F(k) pins
+    # the chain's multiplier at k to the real block; the chain's image is
+    # real, so the planes k1 > n/2 follow by conjugate symmetry
+    field = np.random.default_rng(1).standard_normal(9 * n ** 3)
     want = _stored(_hartley(_apply_fields(spec, field), n), n)
     got = _apply_blocks(q, _stored(_hartley(field, n), n))
     miss = float(_norm(got - want, 1) / _norm(want, 1))

@@ -235,6 +235,17 @@ def test_a_non_finite_matrix_is_named(call, matrix):
         call(matrix)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [[[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]],
+                                    np.diag([1e308, 1e308, 0.0])],
+                         ids=["huge-skew", "huge-trace"])
+def test_recover_axial_refuses_a_huge_matrix_without_a_warning(matrix):
+    # M - tp(M) and tr(M) overflow on finite entries near 1e308; the gate reads M
+    # over its power of two, so the typed error comes with no numpy warning
+    with pytest.raises(NotTracelessSymError):
+        recover_axial(matrix, [0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("b", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0],
                                [[0.0, 0.0, 1.0], [1.0, -np.inf, 0.0]]])
 def test_recover_axial_refuses_a_non_finite_direction(b):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from kornlab import fields, korn_estimator
 from kornlab.algebra3 import anti, random_rotation
 from kornlab.korn_estimator import (
-    KornReport, NoConvergenceError, ProbeError, equivalence_constant, frequency_form,
+    KornReport, ProbeError, equivalence_constant, frequency_form,
     grid_crosscheck, korn_constant, lambda_min,
 )
 
@@ -333,16 +333,22 @@ def test_grid_crosscheck_small():
 
 
 def test_grid_crosscheck_traced_peak_stays_small():
-    # the probe, the preconditioner and LOBPCG's work arrays cover the stored
-    # planes k1 = 0..n/2 only; over all n planes the traced peak was 13.6 MB
-    grid_crosscheck(8)          # scipy is imported here, outside the trace
+    # the probe and its eigendecomposition cover the stored planes k1 = 0..n/2
+    # only; over all n planes the traced peak was 13.6 MB, and 7.7 MB with LOBPCG
     tracemalloc.start()
     try:
         grid_crosscheck(16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+    assert peak < 7 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_crosscheck_runs_without_a_floating_point_event():
+    # no warning is silenced inside the crosscheck, so none may be raised
+    with np.errstate(all="raise"):
+        assert grid_crosscheck(8) < 1e-8
 
 
 @pytest.mark.parametrize("seed, error", [("1", TypeError), (True, TypeError),
@@ -376,34 +382,6 @@ def test_equivalence_constant_refuses_a_nan_direction(monkeypatch):
         equivalence_constant(samples=30)
 
 
-def _record_lobpcg_iterations(monkeypatch):
-    """Wrap korn_estimator.lobpcg; the list collects len(hist) - 2 per call."""
-    real, used = korn_estimator.lobpcg, []
-
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        used.append(len(result[2]) - 2)
-        return result
-
-    monkeypatch.setattr(korn_estimator, "lobpcg", recording)
-    return used
-
-
-def test_grid_crosscheck_stops_by_tolerance(monkeypatch):
-    used = _record_lobpcg_iterations(monkeypatch)
-    assert grid_crosscheck(8) < 1e-8
-    assert len(used) == 1 and used[0] < 40, "LOBPCG used %s of 80 iterations" % used
-
-
-@pytest.mark.parametrize("cap", [2, 4])
-def test_grid_crosscheck_stall_names_iterations_used(monkeypatch, cap):
-    used = _record_lobpcg_iterations(monkeypatch)
-    monkeypatch.setattr(korn_estimator, "_LOBPCG_MAXITER", cap)
-    with pytest.raises(NoConvergenceError, match="stalled: residual") as err:
-        grid_crosscheck(8)
-    assert "after %d LOBPCG iterations (maxiter %d)" % (used[0], cap) in str(err.value)
-
-
 def test_grid_crosscheck_refuses_a_nan_eigenvector(monkeypatch):
     # the first Hartley transform carries the eigenvector back to the grid;
     # a NaN in it gives a NaN residual, which the gate must name, not pass
@@ -417,7 +395,7 @@ def test_grid_crosscheck_refuses_a_nan_eigenvector(monkeypatch):
         calls.append(n)
         return out
     monkeypatch.setattr(korn_estimator, "_hartley", planted)
-    with pytest.raises(NoConvergenceError, match="residual nan"):
+    with pytest.raises(ProbeError, match="residual nan"):
         grid_crosscheck(8)
 
 
@@ -434,10 +412,10 @@ def test_probed_blocks_are_the_frequency_forms():
 
 @pytest.mark.parametrize("columns", [1, 4])
 def test_block_operator_matches_fields_chain(columns):
-    # LOBPCG's operator (probed blocks in Hartley coordinates) against the
-    # fields chain that gates its result, column by column; the inputs carry
-    # the Nyquist planes and all eight zero modes (mean and checkerboards),
-    # where the skew completion acts
+    # the probe gate's operator (probed blocks in Hartley coordinates) against
+    # the fields chain, column by column; the inputs carry the Nyquist planes
+    # and all eight zero modes (mean and checkerboards), where the skew
+    # completion acts
     n = 8
     spec = fields.GridSpec(n)
     rng = np.random.default_rng(columns)
@@ -501,9 +479,9 @@ def test_probe_gate_catches_a_wrong_non_minimal_block(monkeypatch):
 
 
 def test_residual_gate_is_on_the_fields_chain(monkeypatch):
-    # a 1 % wrong probe moves LOBPCG's eigenvalue by 1 %; the gate recomputes
+    # a 1 % wrong probe moves the grid eigenvalue by 1 %; the gate recomputes
     # the residual through the fields chain, so it must catch that
     probed = korn_estimator._probed_blocks
     monkeypatch.setattr(korn_estimator, "_probed_blocks", lambda spec: 1.01 * probed(spec))
-    with pytest.raises(NoConvergenceError, match="stalled: residual"):
+    with pytest.raises(ProbeError, match="misses the fields chain: residual"):
         grid_crosscheck(8)
