@@ -11,7 +11,7 @@ The package is organized by what the objects do:
 * kernels         the finite-dimensional kernel families of the curl
                   seminorms and their point-set rigidity,
 * korn_estimator  per-frequency quadratic forms, the estimated Korn
-                  constant, and an iterative grid crosscheck,
+                  constant, and a direct grid crosscheck,
 * identities      the named residual checks behind `kornlab identities`,
 * cli             the `kornlab` executable.
 """

@@ -193,18 +193,41 @@ def skew(X):
 def dev(X):
     """Trace-free part X - tr(X)/3 * id.
 
-    The third of the trace comes off the diagonal of one copy of X (through
-    einsum's writable diagonal view); on a coefficient grid no (..., 3, 3)
-    multiple of the identity is built.
+    The third of the trace (_third_trace) comes off the diagonal of one copy
+    of X (through einsum's writable diagonal view); on a coefficient grid no
+    (..., 3, 3) multiple of the identity is built.  Finite entries whose
+    trace-free part overflows are a ValueError naming it, with no numpy
+    warning; NaN and inf entries propagate.
     """
     X = _numeric(X, (3, 3), "matrix")
     out = X.astype(np.result_type(X.dtype, float))
-    np.einsum("...ii->...i", out)[...] -= tr(X)[..., None] / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.einsum("...ii->...i", out)[...] -= _third_trace(X)[..., None]
+    if not np.isfinite(out).all():
+        if np.any(np.isfinite(X).all(axis=(-2, -1)) & ~np.isfinite(out).all(axis=(-2, -1))):
+            raise ValueError("entries are too large: the trace-free part overflows")
     return out
 
 
 def tr(X):
     return np.einsum("...ii->...", np.asarray(X))
+
+
+def _third_trace(X):
+    """tr(X) / 3 as an array, that expression wherever it is finite; where finite
+    diagonal entries overflow the trace (einsum gives inf, and no warning), recomputed
+    from the diagonal over its _pow2, with no numpy warning.  NaN and inf entries
+    propagate."""
+    X = np.asarray(X)
+    with np.errstate(invalid="ignore"):     # a complex inf over 3 is NaN
+        third = np.asarray(tr(X) / 3.0)
+    diag = np.einsum("...ii->...i", X)
+    lost = ~np.isfinite(third) & np.isfinite(diag).all(axis=-1)
+    if lost.any():
+        d = diag[lost]
+        top = _pow2(d, -1)
+        third[lost] = np.sum(d / top, axis=-1) / 3.0 * top[:, 0]
+    return third
 
 
 def tp(X):
@@ -307,9 +330,7 @@ class OrthSplit:
 def orth_decompose(X):
     """Split X into trace-free symmetric, skew and spherical parts."""
     X = np.asarray(X)
-    s = sym(X)
-    sphere = tr(X) / 3.0
-    return OrthSplit(devsym=s - sphere[..., None, None] * EYE3, skew=skew(X), sphere=sphere)
+    return OrthSplit(devsym=dev(sym(X)), skew=skew(X), sphere=_third_trace(X)[()])
 
 
 def recover_axial(M, b):

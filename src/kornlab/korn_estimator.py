@@ -23,14 +23,13 @@ frequency.  Those blocks are probed through the fields module (the
 operator applied to the nine constant coefficient arrays), never built
 from the symbol, so the two routes stay independent.  The curl symbol
 enters twice, so its factors of i cancel: every block is real, so the
-block at -k is the block at k, and in orthonormal Hartley coordinates
-(_hartley) the operator on real fields is exactly one real 9x9 matrix per
-frequency.  The planes k1 = 0..n/2 that fields stores hold every distinct
-block, so one stacked eigh of those blocks gives every grid eigenvalue.
-Two gates on the fields chain itself follow, so a wrong probe cannot
-pass: the minimizing eigenvector, carried back to the grid by one Hartley
-transform, must have a small residual, and the blocks must reproduce the
-chain on a random field at every stored frequency at once.
+block at -k is the block at k.  The planes k1 = 0..n/2 that fields stores
+hold every distinct block, so one stacked eigh of those blocks gives every
+grid eigenvalue, and the minimizing eigenvector, put at its frequency and
+at minus it, is the spectrum of a real eigenfield.  Two gates on the fields
+chain itself follow, in Fourier coefficients, so a wrong probe cannot
+pass: that eigenfield must have a small residual, and the blocks must
+reproduce the chain on a random field at every stored frequency at once.
 """
 
 from dataclasses import dataclass
@@ -188,12 +187,6 @@ def _apply_hat(f):
     return fields.pointwise_part(f, "sym") + fields.apply_operator(inner, "curl_mat") + skew
 
 
-def _apply_fields(spec, v):
-    """The operator on one real field, flattened to (9 n^3,), through the fields chain."""
-    f = fields.field_from_samples(spec, 2, v.reshape((spec.n,) * 3 + (3, 3)))
-    return fields.values(_apply_hat(f)).reshape(v.shape)
-
-
 def _probed_blocks(spec):
     """The operator's 9x9 block at every stored grid frequency, planes k1 = 0..n/2,
     shape (n/2 + 1, n, n, 9, 9), complex as probed.
@@ -213,53 +206,24 @@ def _probed_blocks(spec):
     return q
 
 
-def _hartley(x, n):
-    """Orthonormal Hartley transform of real fields, one per column of x.
-
-    x has shape (9 n^3, m) or (9 n^3,), nine slots per grid point; each slot
-    maps to (Re - Im)(fftn) / n^(3/2), the cas transform.  The map is
-    orthogonal and symmetric, so it is its own inverse.  The planes
-    k1 = 0..n/2 of the result are the coordinates the crosscheck solves in.
-    """
-    f = np.fft.fftn(x.reshape(n, n, n, 9, -1), axes=(0, 1, 2))
-    return ((f.real - f.imag) / n ** 1.5).reshape(x.shape)
-
-
-def _stored(h, n):
-    """The planes k1 = 0..n/2 of Hartley coordinates h, flattened like h: (9 (n/2 + 1) n^2, m)
-    or (9 (n/2 + 1) n^2,)."""
-    return h.reshape((n, -1) + h.shape[1:])[:n // 2 + 1].reshape((-1,) + h.shape[1:])
-
-
-def _apply_blocks(blocks, x):
-    """Per-frequency real 9x9 blocks applied in Hartley coordinates.
-
-    blocks has shape (m1, n, n, 9, 9), its frequencies those of x, which
-    holds Hartley coordinates flattened to (9 m1 n^2, m) or (9 m1 n^2,).
-    The operator multiplies the Fourier coefficients at k by Q(k); a real
-    Q(k) commutes with taking real and imaginary parts, so it maps the cas
-    coefficients at k the same way: the operator is one matmul per
-    frequency, and any set of frequencies spans an invariant subspace.
-    """
-    return (blocks @ x.reshape(blocks.shape[:3] + (9, -1))).reshape(x.shape)
-
-
 def _grid_eigenpair(q):
-    """Smallest eigenvalue of the real blocks q, shape (n/2 + 1, n, n, 9, 9), and a unit
-    eigenvector on the grid, flattened to (9 n^3,).
+    """Smallest eigenvalue of the real blocks q, shape (n/2 + 1, n, n, 9, 9), and the
+    spectrum, shape (n, n, n, 3, 3), of a real eigenfield.
 
-    One stacked eigh gives every block's spectrum; the eigenvector of the
-    first minimizing block sits at its frequency in Hartley coordinates,
-    zero elsewhere (on the planes k1 > n/2 too), and one _hartley call
-    carries it back to the grid.  lambda_-(1) is double at each |k| = 1
-    frequency, and any vector of that eigenspace is an eigenvector.
+    One stacked eigh gives every block's spectrum.  The unit eigenvector v of
+    the first minimizing block, at stored index i, is the coefficient at i
+    and at -i (mod n), zero elsewhere: the block at -k is the block at k, so
+    this is an eigenfield, and v is real, so it is the real field
+    2 v cos(k.x) / n^3 (v cos(k.x) / n^3 where -i is i).  lambda_-(1) is
+    double at each |k| = 1 frequency, and any vector of that eigenspace is an
+    eigenvector.
     """
     n = q.shape[1]
     w, v = np.linalg.eigh(q)
     i = np.unravel_index(np.argmin(w[..., 0]), w.shape[:-1])
-    vec = np.zeros((n, n, n, 9))
-    vec[i] = v[i][:, 0]
-    return float(w[i][0]), _hartley(vec.reshape(-1), n)
+    coef = np.zeros((n, n, n, 3, 3))
+    coef[i] = coef[tuple(np.negative(i) % n)] = v[i][:, 0].reshape(3, 3)
+    return float(w[i][0]), coef
 
 
 def grid_crosscheck(n):
@@ -271,14 +235,14 @@ def grid_crosscheck(n):
     |lambda_grid - min_k lambda_min(k)| over the frequencies the grid
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is
-    projected out.  In the orthonormal Hartley coordinates (_hartley) of
-    the stored planes k1 = 0..n/2 the operator is the real probed 9x9 block
-    of each frequency (_probed_blocks), so one stacked eigh of the blocks
-    (_grid_eigenpair) gives lambda_grid and its eigenvector.  Three gates
-    raise ProbeError: the probe has an imaginary part; the eigenvector's
-    residual through the fields chain (_apply_fields) exceeds 1e-4 or is
-    NaN (a vector that is not finite); or the blocks miss the chain on one
-    seeded random field by more than 1e-10 relative on the stored planes.
+    projected out.  The operator multiplies the Fourier coefficient of a
+    field at k by the real probed 9x9 block of k (_probed_blocks), so one
+    stacked eigh of the blocks of the stored planes k1 = 0..n/2
+    (_grid_eigenpair) gives lambda_grid and an eigenfield.  Three gates
+    raise ProbeError: the probe has an imaginary part; the eigenfield's
+    residual through the fields chain exceeds 1e-4 or is NaN (a spectrum
+    that is not finite); or the blocks miss the chain on one seeded random
+    field by more than 1e-10 relative on the stored planes.
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
@@ -290,22 +254,28 @@ def grid_crosscheck(n):
                          % (imag, scale))
     # the copy lets the complex probe be freed
     q = q.real.copy()
-    lam_grid, vec = _grid_eigenpair(q)
-    # a vector that is not finite is no field for the chain: the gate names it as NaN
-    resid = (float(_norm(_apply_fields(spec, vec) - lam_grid * vec, 1) / _norm(vec, 1))
-             if np.isfinite(vec).all() else np.nan)
+    lam_grid, coef = _grid_eigenpair(q)
+    # a spectrum that is not finite is no field for the chain: the gate names it as NaN;
+    # by Parseval the relative residual of the samples is that of the coefficients
+    resid = np.nan
+    if np.isfinite(lam_grid) and np.isfinite(coef).all():
+        f = fields.GridField(spec, 2, coef)
+        resid = float(_norm((_apply_hat(f) - lam_grid * f).coef, 5) / _norm(f.coef, 5))
     # an exact solve of the probed blocks can only miss the chain if the probe is wrong
-    if not (np.isfinite(lam_grid) and resid <= 1e-4):
+    if not resid <= 1e-4:
         raise ProbeError("grid eigenpair misses the fields chain: residual %.3e" % resid)
     # the residual gate sees only the minimizing block; a random field has a
-    # component at every frequency, so this sees every block.  Its Re F(k)
-    # and Im F(k) are independent, so matching H(k) = Re F(k) - Im F(k) pins
-    # the chain's multiplier at k to the real block; the chain's image is
-    # real, so the planes k1 > n/2 follow by conjugate symmetry
-    field = np.random.default_rng(1).standard_normal(9 * n ** 3)
-    want = _stored(_hartley(_apply_fields(spec, field), n), n)
-    got = _apply_blocks(q, _stored(_hartley(field, n), n))
-    miss = float(_norm(got - want, 1) / _norm(want, 1))
+    # component at every frequency, so this sees every block.  Its random
+    # complex F(k) pins the chain's multiplier at k to the real block; the
+    # chain's image is real, so the planes k1 > n/2 follow by conjugate
+    # symmetry.  q meets Re F and Im F apart: q @ F would upcast q to complex
+    half = n // 2 + 1
+    field = fields.field_from_samples(
+        spec, 2, np.random.default_rng(1).standard_normal(9 * n ** 3).reshape(n, n, n, 3, 3))
+    want = _apply_hat(field).coef[:half].reshape(half, n, n, 9, 1)
+    F = field.coef[:half].reshape(half, n, n, 9, 1)
+    got = q @ F.real + 1j * (q @ F.imag)
+    miss = float(_norm(got - want, 5) / _norm(want, 5))
     if not miss <= 1e-10:
         raise ProbeError("probed blocks miss the fields chain by %.3e relative" % miss)
 

@@ -115,17 +115,25 @@ def test_bilinear_pairing_is_not_hermitian():
 _BIG = np.array([1e308, 1e308, 0.0])
 
 
+# a trace-free part that is not representable: 1.7e308 + 1.7e308 / 3 overflows
+_UNBOUNDED = np.diag([1.7e308, -1.7e308, -1.7e308])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, call", [
-    ("dot", lambda: dot(_BIG, [10.0, 0.0, 0.0])),                 # a product overflows
-    ("dot", lambda: dot(_BIG, [1.0, 1.0, 0.0])),                  # the sum overflows
-    ("dot", lambda: dot([[1.0, 2.0, 3.0], _BIG], [1.0, 1.0, 0.0])),   # one row of a stack
-    ("dot", lambda: dot(1j * _BIG, 1j * _BIG)),
-    ("frob", lambda: frob(1e308 * np.eye(3), 10.0 * np.eye(3))),
-    ("frob", lambda: frob(np.full((3, 3), 1e308), np.ones((3, 3)))),
-], ids=["dot-product", "dot-sum", "dot-stack", "dot-complex", "frob-product", "frob-sum"])
+    ("dot pairing", lambda: dot(_BIG, [10.0, 0.0, 0.0])),             # a product overflows
+    ("dot pairing", lambda: dot(_BIG, [1.0, 1.0, 0.0])),              # the sum overflows
+    ("dot pairing", lambda: dot([[1.0, 2.0, 3.0], _BIG], [1.0, 1.0, 0.0])),  # one stack row
+    ("dot pairing", lambda: dot(1j * _BIG, 1j * _BIG)),
+    ("frob pairing", lambda: frob(1e308 * np.eye(3), 10.0 * np.eye(3))),
+    ("frob pairing", lambda: frob(np.full((3, 3), 1e308), np.ones((3, 3)))),
+    ("trace-free part", lambda: dev(_UNBOUNDED)),
+    ("trace-free part", lambda: dev(np.stack([np.eye(3), 1j * _UNBOUNDED]))),
+    ("trace-free part", lambda: orth_decompose(_UNBOUNDED)),
+], ids=["dot-product", "dot-sum", "dot-stack", "dot-complex", "frob-product", "frob-sum",
+        "dev", "dev-stack-complex", "orth_decompose"])
 def test_a_pairing_that_overflows_is_named(name, call):
-    with pytest.raises(ValueError, match="^entries are too large: the %s pairing overflows$" % name):
+    with pytest.raises(ValueError, match="^entries are too large: the %s overflows$" % name):
         call()
 
 
@@ -140,6 +148,14 @@ def test_parts_at_entries_of_1e308_are_finite_and_quiet(c):
     assert_array_equal(axl(skewed), c * _BIG)
     with pytest.raises(NotSkewError, match=r"\(relative defect 1\.000e\+00\)$"):
         axl(full)
+    # the trace 3e308 overflows inside einsum; its third is read off the diagonal
+    # over a power of two, so the trace-free part is exact and the sphere finite
+    want = full - np.diag(np.diag(full))
+    assert_array_equal(dev(full), want)
+    parts = orth_decompose(full)
+    assert_array_equal(parts.devsym, want)
+    assert parts.sphere == c * 1e308
+    assert_array_equal(dev(np.stack([np.eye(3), full])), np.stack([dev(np.eye(3)), want]))
 
 
 @pytest.mark.filterwarnings("error")

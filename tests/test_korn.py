@@ -334,14 +334,16 @@ def test_grid_crosscheck_small():
 
 def test_grid_crosscheck_traced_peak_stays_small():
     # the probe and its eigendecomposition cover the stored planes k1 = 0..n/2
-    # only; over all n planes the traced peak was 13.6 MB, and 7.7 MB with LOBPCG
+    # only (over all n planes the traced peak was 13.6 MB), and the probe gate
+    # applies the real blocks to Re F and Im F apart: 4.9 MB.  Applied to the
+    # complex F, q is upcast to a complex copy, 6.6 MB
     tracemalloc.start()
     try:
         grid_crosscheck(16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+    assert peak < 6 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
 
 
 @pytest.mark.filterwarnings("error")
@@ -383,18 +385,15 @@ def test_equivalence_constant_refuses_a_nan_direction(monkeypatch):
 
 
 def test_grid_crosscheck_refuses_a_nan_eigenvector(monkeypatch):
-    # the first Hartley transform carries the eigenvector back to the grid;
-    # a NaN in it gives a NaN residual, which the gate must name, not pass
-    hartley = korn_estimator._hartley
-    calls = []
+    # a NaN in the eigenfield's spectrum gives a NaN residual, which the gate
+    # must name, not pass, before any field constructor sees it
+    eigenpair = korn_estimator._grid_eigenpair
 
-    def planted(x, n):
-        out = hartley(x, n)
-        if not calls:
-            out[0] = np.nan
-        calls.append(n)
-        return out
-    monkeypatch.setattr(korn_estimator, "_hartley", planted)
+    def planted(q):
+        lam, coef = eigenpair(q)
+        coef[0, 0, 0, 0, 0] = np.nan
+        return lam, coef
+    monkeypatch.setattr(korn_estimator, "_grid_eigenpair", planted)
     with pytest.raises(ProbeError, match="residual nan"):
         grid_crosscheck(8)
 
@@ -412,11 +411,12 @@ def test_probed_blocks_are_the_frequency_forms():
 
 @pytest.mark.parametrize("columns", [1, 4])
 def test_block_operator_matches_fields_chain(columns):
-    # the probe gate's operator (probed blocks in Hartley coordinates) against
-    # the fields chain, column by column; the inputs carry the Nyquist planes
-    # and all eight zero modes (mean and checkerboards), where the skew
-    # completion acts
+    # the probe gate's operator (probed blocks on each Fourier coefficient)
+    # against the fields chain, field by field; the inputs carry the Nyquist
+    # planes and all eight zero modes (mean and checkerboards), where the
+    # skew completion acts
     n = 8
+    half = n // 2 + 1
     spec = fields.GridSpec(n)
     rng = np.random.default_rng(columns)
     x = rng.standard_normal((n, n, n, 9, columns))
@@ -428,25 +428,42 @@ def test_block_operator_matches_fields_chain(columns):
     for s1, s2, s3 in np.ndindex(2, 2, 2):      # no flip or alternating, per axis
         pattern = signs[s1][:, None, None] * signs[s2][:, None] * signs[s3]
         x += pattern[..., None, None] * rng.standard_normal((9, columns))
-    x = x.reshape(9 * n ** 3, columns)
     blocks = korn_estimator._probed_blocks(spec).real
-    h = korn_estimator._stored(korn_estimator._hartley(x, n), n)
-    got = korn_estimator._apply_blocks(blocks, h)
-    want = np.stack([korn_estimator._apply_fields(spec, x[:, j]) for j in range(columns)],
-                    axis=1)
-    # compared on the stored planes k1 = 0..n/2, where the blocks live
-    assert got.shape == h.shape == (9 * (n // 2 + 1) * n ** 2, columns)
-    assert_allclose(got, korn_estimator._stored(korn_estimator._hartley(want, n), n),
-                    rtol=0, atol=1e-12)
+    for j in range(columns):
+        f = fields.field_from_samples(spec, 2, x[..., j].reshape(n, n, n, 3, 3))
+        # compared on the stored planes k1 = 0..n/2, where the blocks live; raw
+        # coefficients are n^(3/2) times orthonormal ones, so 1e-12 is tighter here
+        got = blocks @ f.coef[:half].reshape(half, n, n, 9, 1)
+        want = korn_estimator._apply_hat(f).coef[:half].reshape(half, n, n, 9, 1)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(9 * 8 ** 3,), (9 * 8 ** 3, 3)])
-def test_hartley_is_an_orthogonal_involution(shape):
-    x = np.random.default_rng(5).standard_normal(shape)
-    h = korn_estimator._hartley(x, 8)
-    assert h.shape == x.shape
-    assert_allclose(korn_estimator._hartley(h, 8), x, rtol=0, atol=1e-13)
-    assert_allclose(np.linalg.norm(h, axis=0), np.linalg.norm(x, axis=0), rtol=1e-14)
+@pytest.mark.parametrize("i", [(4, 0, 0), (1, 2, 3)], ids=["self-conjugate", "generic"])
+def test_grid_eigenpair_gives_a_real_eigenfield(i):
+    # identity blocks but one with a smaller eigenvalue, at a frequency that is its
+    # own mirror (n/2, 0, 0) or not: the spectrum is written at i and at -i
+    n = 8
+    q = np.broadcast_to(np.eye(9), (n // 2 + 1, n, n, 9, 9)).copy()
+    u = np.random.default_rng(3).standard_normal(9)
+    u /= np.linalg.norm(u)
+    q[i] -= 0.75 * np.outer(u, u)
+    lam, coef = korn_estimator._grid_eigenpair(q)
+    assert lam == pytest.approx(0.25, abs=1e-14)
+    assert coef.shape == (n, n, n, 3, 3) and coef.dtype == np.float64
+    # the checked constructor refuses a spectrum that is not conjugate-symmetric
+    f = fields.GridField(fields.GridSpec(n), 2, coef)
+    mirror = tuple(np.negative(i) % n)
+    for k in (i, mirror):           # the block at -k is the block at k
+        c = coef[k].reshape(9)
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+        assert_allclose(q[i] @ c, lam * c, rtol=0, atol=1e-14)
+    writes = len({i, mirror})
+    assert np.count_nonzero(np.abs(coef).sum(axis=(-2, -1))) == writes
+    # so the field is real: (v e^(ik.x) + v e^(-ik.x)) / n^3 = 2 v cos(k.x) / n^3,
+    # and v cos(k.x) / n^3 where k = -k
+    phase = 2.0 * np.pi * np.tensordot(i, np.indices((n, n, n)), axes=1) / n
+    want = writes * np.cos(phase)[..., None, None] * coef[i] / n ** 3
+    assert_allclose(fields.values(f), want, rtol=0, atol=1e-15)
 
 
 def test_complex_probe_raises(monkeypatch):
