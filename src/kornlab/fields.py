@@ -9,13 +9,13 @@ integer frequencies GridSpec.frequencies), which are exactly
 conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and coef
 mirrors the rest on read (_mirror, the one conjugate mirror).  Only this
 module reads the stored planes: the maps below run on them, values reads
-the samples off them with one real inverse FFT, and every field computed
-from fields, here or in another module, leaves through _map_planes.  The
-derivative multipliers drop the unpaired Nyquist mode so that derived
-fields stay real.  Coefficients and grid samples are stored tensor-last:
-scalar fields have shape (n, n, n), vector fields (n, n, n, 3), matrix
-fields (n, n, n, 3, 3).  Every pointwise operation is therefore a
-broadcast call into algebra3.
+the samples off them with one real inverse FFT, coef_peak their largest
+norm, and every field computed from fields, here or in another module,
+leaves through _map_planes.  The derivative multipliers drop the
+unpaired Nyquist mode so that derived fields stay real.  Coefficients
+and grid samples are stored tensor-last: scalar fields have shape
+(n, n, n), vector fields (n, n, n, 3), matrix fields (n, n, n, 3, 3).
+Every pointwise operation is therefore a broadcast call into algebra3.
 
 Each field map is one table row that states its ranks: _OPS (the
 operators of apply_operator) and _PARTS (the slot-wise maps of
@@ -72,7 +72,7 @@ __all__ = [
     "GridSpec", "GridField", "BoxDomain",
     "field_from_samples", "field_from_coef", "values",
     "apply_operator", "pointwise_part",
-    "magnitude", "random_bandlimited",
+    "coef_peak", "random_bandlimited",
     "growth_ratio", "halfspace_ratio", "bump_profile",
     "dump_field", "load_field",
 ]
@@ -310,9 +310,12 @@ def pointwise_part(f, part):
     return _map_planes(f, out_rank, lambda planes, K: fn(planes))
 
 
-def magnitude(f):
-    """Pointwise Hermitian magnitude of the field's grid samples, shape (n, n, n)."""
-    return _norm(values(f), f.rank)
+def coef_peak(f):
+    """The largest Hermitian norm over the field's Fourier coefficients, a float that is
+    NaN when any coefficient is: read over the stored planes k1 = 0..n/2, which hold
+    every |c(k)| since |c(-k)| = |c(k)|."""
+    planes = _check_instance("field", f, GridField)._planes
+    return float(np.max(_norm(planes, f.rank)))
 
 
 def random_bandlimited(spec, seed, kmax, structure="general"):

@@ -107,9 +107,19 @@ def _axial_design(pts):
     """Axial vectors of the ten unit parameter directions at each point, (m, 3, 10).
 
     The map from parameters to axial vectors is linear, so this design
-    matrix times theta is axial_polynomial(_element(theta), pts).
+    matrix times theta is axial_polynomial(_element(theta), pts).  Its
+    columns are written from the algebra: e_j x x = anti(-x) e_j for a_tilde,
+    x for beta, e_j for b and x_j x - e_j |x|^2 / 2 for d.  Points whose
+    quadratic columns overflow are refused as axial_polynomial refuses them.
     """
-    return np.stack([axial_polynomial(_element(u), pts) for u in np.eye(10)], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.sum(pts * pts, axis=-1)
+        quad = pts[:, :, None] * pts[:, None, :]
+        np.einsum("...ii->...i", quad)[...] -= 0.5 * x2[:, None]
+    if not np.isfinite(quad).all():
+        raise ValueError("points are too large: the kernel polynomial overflows")
+    eye = np.broadcast_to(np.eye(3), quad.shape)
+    return np.concatenate([anti(-pts), pts[:, :, None], eye, quad], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,13 @@ _UNBOUNDED = np.diag([1.7e308, -1.7e308, -1.7e308])
     ("trace-free part", lambda: dev(_UNBOUNDED)),
     ("trace-free part", lambda: dev(np.stack([np.eye(3), 1j * _UNBOUNDED]))),
     ("trace-free part", lambda: orth_decompose(_UNBOUNDED)),
+    ("cross product", lambda: cross(np.ones((3, 3)), [1e308, -1e308, 1e308])),   # a difference
+    ("cross product", lambda: cross(np.full((3, 3), 1e308), np.full(3, 1e308))),  # a product
+    ("cross product", lambda: cross(np.stack([np.eye(3), 1j * np.ones((3, 3))]),
+                                    [1e308, -1e308, 1e308])),
 ], ids=["dot-product", "dot-sum", "dot-stack", "dot-complex", "frob-product", "frob-sum",
-        "dev", "dev-stack-complex", "orth_decompose"])
+        "dev", "dev-stack-complex", "orth_decompose", "cross-difference", "cross-product",
+        "cross-stack-complex"])
 def test_a_pairing_that_overflows_is_named(name, call):
     with pytest.raises(ValueError, match="^entries are too large: the %s overflows$" % name):
         call()
@@ -166,6 +171,10 @@ def test_pairings_propagate_nan_and_inf_quietly():
     assert np.isnan(dot([np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]))
     assert np.isnan(frob(np.full((3, 3), np.inf), np.eye(3)))       # inf * 0
     assert frob(np.diag([np.inf, 1.0, 1.0]), np.eye(3)) == np.inf
+    # the cross product too, also where a finite row meets a non-finite direction
+    assert np.isnan(cross(np.full((3, 3), np.inf), [1.0, 2.0, 3.0])).all()
+    assert_array_equal(cross(np.eye(3), [np.nan, 0.0, 1.0])[:, 0], [0.0, 1.0, 0.0])
+    assert_array_equal(cross(np.diag([np.inf, 1.0, 1.0]), [0.0, 0.0, 1.0])[0], [0, -np.inf, np.nan])
 
 
 def test_frob_is_trace_pairing():

@@ -135,7 +135,7 @@ def test_field_rank_and_spec_types(tmp_path):
     f = GridField(GridSpec(4), 0, np.zeros((4, 4, 4)))
     for call, message in [
             (lambda: values(np.zeros((4, 4, 4))), "^field must be a GridField, got array"),
-            (lambda: fields.magnitude("f"), "^field must be a GridField, got 'f'$"),
+            (lambda: fields.coef_peak("f"), "^field must be a GridField, got 'f'$"),
             (lambda: apply_operator(3, "grad"), "^field must be a GridField, got 3$"),
             (lambda: pointwise_part([f], "spherical"), r"^field must be a GridField, got \[Grid"),
             (lambda: random_bandlimited(8, 1, 1), "^spec must be a GridSpec, got 8$"),

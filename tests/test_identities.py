@@ -136,9 +136,9 @@ def _fzero_of(d):
     *[(identities._i_double_cross_respects_split, "algebra", identities, "rel", k)
       for k in (1, 2)],
     *[(identities._s_inc_commutes_with_split, "spectral", identities, "frel", k) for k in (1, 2)],
-    # the second transform of frel gives only its scale; the second _fmax of fzero too
-    (_frel_of, "spectral", fields, "values", 2),
-    (_fzero_of, "spectral", identities, "_fmax", 2),
+    # the coefficient peaks of frel (the difference, then the two scales) and of fzero
+    *[(_frel_of, "spectral", fields, "coef_peak", k) for k in (1, 2, 3)],
+    *[(_fzero_of, "spectral", fields, "coef_peak", k) for k in (1, 2)],
 ])
 def test_a_nan_in_any_part_fails_its_check(monkeypatch, check_data, check, data, owner,
                                             helper, call):
@@ -154,8 +154,12 @@ def test_a_nan_in_any_part_fails_its_check(monkeypatch, check_data, check, data,
     assert next(calls) > call      # the planted call was made
 
 
-def _frel_three_transforms(fa, fb):
-    a, b, d = (float(np.max(fields.magnitude(f))) for f in (fa, fb, fa - fb))
+def _frel_full_spectrum(fa, fb):
+    # the three peaks, of fa, fb and fa - fb, over the whole fftn spectrum, which
+    # GridField.coef mirrors from the stored planes apart from coef_peak's read of them
+    # (the test keeps its name from when each peak came from one inverse transform)
+    a, b, d = (float(np.max(np.sqrt(np.sum(np.abs(f.coef) ** 2, axis=(3, 4)[:f.rank]))))
+               for f in (fa, fb, fa - fb))
     return d / max(1.0, a, b)
 
 
@@ -166,9 +170,20 @@ def test_frel_matches_the_three_transform_definition(structure):
     g = fields.random_bandlimited(spec, 4, 2, structure)
     cases = [(f, f + 1e-9 * g), (f, 5.0 * g), (1e-3 * f, 1e-3 * g), (f, g)]
     for fa, fb in cases:
-        want = _frel_three_transforms(fa, fb)
-        assert abs(frel(fa, fb) - want) <= 1e-15 * want
+        assert frel(fa, fb) == _frel_full_spectrum(fa, fb)
     assert frel(f, f) == 0.0
+
+
+def test_run_spectral_makes_no_transform(monkeypatch):
+    # the identities compare the fields' coefficients: no grid sample is read
+    def refused(*args, **kwargs):
+        raise AssertionError("a transform was made")
+
+    monkeypatch.setattr(np.fft, "irfftn", refused)
+    monkeypatch.setattr(fields, "values", refused)
+    results = run_spectral(8)
+    assert len(results) == len(identities.SPECTRAL)
+    assert all(r.passed for r in results)
 
 
 def test_frel_refuses_fields_of_other_ranks_or_grids():

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from kornlab.algebra3 import anti, dev, sym
 from kornlab.kernels import (
-    DegenerateGeometryError, KernelElement, TooFewSamplesError, _axial_design,
+    DegenerateGeometryError, KernelElement, TooFewSamplesError, _axial_design, _element,
     axial_polynomial, boundary_rank, curl_kernel_closed_form, eval_kernel, project_kernel,
 )
 
@@ -164,6 +164,23 @@ def test_boundary_system_encodes_the_field():
     theta = np.concatenate([a_tilde, [beta], b, d])
     e = KernelElement(a_tilde=a_tilde, beta=beta, b=b, d=d)
     assert_allclose(rows @ theta, axial_polynomial(e, pts), atol=1e-12)
+
+
+_TH = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+_DRAW = np.random.default_rng(7)        # its own stream: the shared RNG's draws stay put
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts", [
+    _DRAW.standard_normal((12, 3)),
+    1e150 * _DRAW.standard_normal((5, 3)),
+    1e-200 * _DRAW.standard_normal((7, 3)),
+    np.stack([np.cos(_TH), 1.0 + np.sin(_TH), np.zeros_like(_TH)], axis=1),
+], ids=["random", "scaled-up", "scaled-down", "circle"])
+def test_axial_design_is_the_polynomial_at_each_unit_direction(pts):
+    # the closed-form columns against the polynomial of each unit parameter vector
+    want = np.stack([axial_polynomial(_element(u), pts) for u in np.eye(10)], -1)
+    assert np.array_equal(_axial_design(pts), want)
 
 
 def test_boundary_rank_random_sphere_points():
