@@ -44,14 +44,15 @@ with tensorized Gauss-Legendre rules on a BoxDomain, built once per size,
 starting at 64 points per axis and doubling until the result moves by
 less than 0.1% (capped at 1024 points per axis, then UnderResolvedError).
 An integrand that vanishes off a ball about the origin (the boundary layer
-of halfspace_ratio) is summed on each x3 plane only over the nodes of the
-disc's bounding square: the nodes left out contribute exact zeros, so the
-sum is the full tensor sum in another order.  An axis symmetric about 0 in
-which the integrand is even keeps its positive nodes at doubled weights
-(_rules): mirrored nodes hold equal values, so again only the order of the
-sum changes.  halfspace_ratio folds x2 and x3 (its witness forms are
-closed-form diagonal constants, checked against the witness in the tests);
-growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes on [-1, 1]^3.
+of halfspace_ratio) is evaluated only at the nodes strictly inside the ball,
+in blocks of at most _BLOCK nodes (_box_sum): the nodes left out contribute
+exact zeros, so the sum is the full tensor sum in another order.  An axis
+symmetric about 0 in which the integrand is even keeps its positive nodes at
+doubled weights (_rules): mirrored nodes hold equal values, so again only
+the order of the sum changes.  halfspace_ratio folds x2 and x3 (its witness
+forms are closed-form diagonal constants, checked against the witness in the
+tests); growth_ratio folds x1 and x2 when symmetric, a quarter of the nodes
+on [-1, 1]^3, and builds its tables once per box and rule size.
 """
 
 import math
@@ -400,35 +401,57 @@ def _rules(box, m, axes, even):
     return rules
 
 
-def _box_sum(box, m, integrand, radius=np.inf, even=()):
-    """Tensor Gauss-Legendre sum over the box at m points per axis, plane by plane.
+# the most nodes one integrand call of _box_sum sees: 32 KiB per float64 temporary
+_BLOCK = 4096
 
-    integrand(X1 (m1, 1), X2 (1, m2), x3) returns values broadcasting to
-    (..., m1, m2) at one x3 node; the leading axes are kept in the sum.
-    The integrand must be exactly zero at every node with x1^2 + x2^2 +
-    x3^2 >= radius^2, and each plane passes only the nodes with x1^2 and
-    x2^2 below radius^2 - x3^2, the bounding square of the plane's disc:
-    the nodes left out contribute exact zeros, so only the summation order
-    changes.  The default radius, inf, keeps all m x m nodes of each plane.
-    The kept nodes are contiguous because Gauss-Legendre nodes are sorted.
-    The axes in even are folded onto their positive half where they can be
-    (_rules).
+
+def _box_sum(box, m, integrand, radius=np.inf, even=()):
+    """Tensor Gauss-Legendre sum over the box at m points per axis, on the ball's nodes.
+
+    integrand(X1, X2, X3) takes equal-length 1-D node arrays and returns
+    values of shape (..., len(X1)); the leading axes are kept in the sum.
+    The integrand must be exactly zero at every node with X1^2 + X2^2 +
+    X3^2 >= radius^2, and only the nodes strictly inside the ball are
+    passed: the nodes left out contribute exact zeros, so only the
+    summation order changes.  The default radius, inf, passes every node.
+    The (x1, x2) nodes are sorted once by x1^2 + x2^2, so each x3 plane's
+    disc is a prefix of that order; the prefixes of consecutive planes are
+    concatenated and cut into blocks of at most _BLOCK nodes, one
+    integrand call each.  The axes in even are folded onto their positive
+    half where they can be (_rules).
     """
     (x1, w1), (x2, w2), (x3, w3) = _rules(box, m, range(3), even)
+    x1, x2, w12, n = _discs(x1, w1, x2, w2, x3 * x3, radius ** 2)
+    edges = np.concatenate([[0], np.cumsum(n)])     # plane l holds [edges[l], edges[l + 1])
     total = 0.0
-    for x3v, w3v in zip(x3, w3):
-        reach = radius ** 2 - x3v ** 2
-        s1, s2 = _inside(x1, reach), _inside(x2, reach)
-        X1, X2 = x1[s1, None], x2[None, s2]
-        F = np.asarray(integrand(X1, X2, x3v), dtype=float)
-        total += w3v * (np.broadcast_to(F, F.shape[:-2] + (X1.size, X2.size)) @ w2[s2] @ w1[s1])
+    for a in range(0, edges[-1], _BLOCK):
+        b = min(a + _BLOCK, edges[-1])
+        plane = np.repeat(np.arange(n.size), np.diff(np.clip(edges, a, b)))
+        i = np.arange(a, b) - edges[plane]
+        F = np.asarray(integrand(x1[i], x2[i], x3[plane]), dtype=float)
+        total += np.sum(F * (w12[i] * w3[plane]), axis=-1)
     return total
 
 
-def _inside(x, reach):
-    """The slice of the sorted nodes x with x * x < reach."""
-    idx = np.flatnonzero(x * x < reach)
-    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+def _discs(x1, w1, x2, w2, c, reach):
+    """The (x1, x2) nodes and weight products sorted stably by d = x1^2 + x2^2, and
+    for each entry of c the length of the prefix with d + c < reach.
+
+    It is a prefix because d + c rounds monotonically in d.  searchsorted
+    finds it against the rounded reach - c, and each length is then stepped
+    to the exact end of d + c < reach.
+    """
+    d = np.add.outer(x1 * x1, x2 * x2).ravel()
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    i1, i2 = np.divmod(order, x2.size)
+    n = np.searchsorted(d, reach - c)
+    while True:
+        over = (n > 0) & (d[n - 1] + c >= reach)
+        under = (n < d.size) & (d[np.minimum(n, d.size - 1)] + c < reach)
+        if not (over.any() or under.any()):
+            return x1[i1], x2[i2], w1[i1] * w2[i2], n
+        n = n + under - over
 
 
 def _resolve(compute):
@@ -471,21 +494,38 @@ def growth_ratio(k, p, box):
     to the power j*p/2, so the powers stay in [0, 1] and cannot overflow at
     large k*p.  |z|^2 is even in x1 and in x2, so each of them whose
     interval is symmetric about 0 is folded onto its positive half (_rules).
+    These tables depend on the box and the rule size only, and are built
+    once per pair (_growth_rule).
     """
     _check_instance("box", box, BoxDomain)
     p = _check_exponent(p)
     k = _check_count("k", k)
     powers = np.array([k - 1, k])[:, None, None] * p / 2.0
-    s = _pow2(box.lo[:2] + box.hi[:2]).item()
 
     def compute(m):
-        (x1, w1), (x2, w2) = _rules(box, m, (0, 1), (0, 1))
-        r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
-        top = r2.max()
-        below, above = (r2 / top) ** powers @ (w2 / s) @ (w1 / s)
-        return k / np.sqrt(top) * (below / above) ** (1.0 / p) / s
+        r2, w2, w1, root, s = _growth_rule(box, m)
+        below, above = r2 ** powers @ w2 @ w1
+        return k / root * (below / above) ** (1.0 / p) / s
 
     return _resolve(compute)
+
+
+# a box's whole refinement ladder, 64 to 1024 points, is five entries
+@lru_cache(maxsize=8)
+def _growth_rule(box, m):
+    """growth_ratio's tables at m points per axis: |z|^2 / top, w2 / s, w1 / s, sqrt(top), s.
+
+    The arrays are read-only; s is the power of two that scales the box's
+    (x1, x2) nodes and top the largest scaled |z|^2 on the rule.
+    """
+    s = _pow2(box.lo[:2] + box.hi[:2]).item()
+    (x1, w1), (x2, w2) = _rules(box, m, (0, 1), (0, 1))
+    r2 = (x1[:, None] / s) ** 2 + (x2[None, :] / s) ** 2
+    top = r2.max()
+    tables = r2 / top, w2 / s, w1 / s
+    for t in tables:
+        t.setflags(write=False)
+    return (*tables, np.sqrt(top), s)
 
 
 def bump_profile(r):
@@ -526,8 +566,9 @@ def halfspace_ratio(k, p):
     t . x.  They are integrated over [-2, 0] x [-2, 2] x [-2, 2] with the
     shared refinement loop watching the quotient.  eta and eta' are exactly
     zero at r >= 2 (and exp(-1/(2 - r)) is already 0 within rounding of the
-    edge), so both integrands vanish there for every p >= 1 and each x3
-    plane is summed only inside the ball of radius 2.
+    edge), so both integrands vanish there for every p >= 1, and only the
+    nodes strictly inside the ball of radius 2 are evaluated, in blocks of
+    at most _BLOCK nodes (_box_sum).
 
     The witness Grams are the closed-form diagonal constants _GRAM_SYM and
     _GRAM_DEV and t = (_T1, 0, 0), checked against the witness in the
@@ -539,14 +580,14 @@ def halfspace_ratio(k, p):
     k = _check_count("k", k)
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
 
-    def integrands(X1, X2, x3):
-        r = np.sqrt(X1 ** 2 + X2 ** 2 + x3 ** 2)
+    def integrands(X1, X2, X3):
+        r = np.sqrt(X1 ** 2 + X2 ** 2 + X3 ** 2)
         g, gp = bump_profile(r)
         s = gp / np.maximum(r, 1e-300)
         s2 = s * s
-        dev_sq = s2 * _diagonal_form(_GRAM_DEV, X1, X2, x3)
+        dev_sq = s2 * _diagonal_form(_GRAM_DEV, X1, X2, X3)
         sym_sq = (3.0 * g * g + (2.0 * g / k) * s * (_T1 * X1)
-                  + s2 * _diagonal_form(_GRAM_SYM, X1, X2, x3) / k ** 2)
+                  + s2 * _diagonal_form(_GRAM_SYM, X1, X2, X3) / k ** 2)
         return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
                                               dev_sq ** (p / 2.0) / k ** p])
 
@@ -557,9 +598,9 @@ def halfspace_ratio(k, p):
     return _resolve(compute)
 
 
-def _diagonal_form(d, X1, X2, x3):
-    """x^T diag(d) x at x = (X1 (m1, 1), X2 (1, m2), x3) on the open grid."""
-    return (d[0] * X1 ** 2 + d[2] * x3 ** 2) + d[1] * X2 ** 2
+def _diagonal_form(d, X1, X2, X3):
+    """x^T diag(d) x at the nodes x = (X1, X2, X3), three equal-length node arrays."""
+    return (d[0] * X1 ** 2 + d[2] * X3 ** 2) + d[1] * X2 ** 2
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -558,6 +559,7 @@ def test_axis_rule_integrates_polynomials(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     fields._legendre.cache_clear()
+    fields._growth_rule.cache_clear()
     for k in range(1, 21):
         growth_ratio(k, 2.0, box)
     assert sizes and set(sizes.values()) == {1}, sizes
@@ -669,6 +671,31 @@ def test_growth_ratio_matches_the_full_rule_reference(monkeypatch):
                     assert got == want, (k, p)
 
 
+def test_growth_rule_is_built_once_per_box_and_size(monkeypatch):
+    # the sweep at p = 1 and p = 2 reads one set of tables per rule size
+    box = BoxDomain(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 1.0))
+    built = Counter()
+    rules = fields._rules
+
+    def counting(box, m, axes, even):
+        built[box, m] += 1
+        return rules(box, m, axes, even)
+
+    monkeypatch.setattr(fields, "_rules", counting)
+    fields._growth_rule.cache_clear()
+    for p in (1.0, 2.0):
+        for k in range(1, 21):
+            growth_ratio(k, p, box)
+    assert built and set(built.values()) == {1}, built
+
+
+def test_growth_rule_tables_refuse_writes():
+    box = BoxDomain(lo=(-1.5, -0.5, 0.0), hi=(1.5, 2.0, 1.0))
+    for table in fields._growth_rule(box, 64)[:3]:
+        with pytest.raises(ValueError):
+            table[0] = 7.0
+
+
 def test_growth_ratio_large_exponent():
     # |z|^(k p) overflows a double for k*p beyond about 2000 on the unit
     # box; the ratio must stay above its floor k / max|z| = k / sqrt(2)
@@ -727,9 +754,9 @@ def test_box_sum_on_the_support_of_a_ball():
     radius = 1.7
     seen = []
 
-    def bump(X1, X2, x3):
-        seen.append((X1, X2, x3))
-        f = np.maximum(radius ** 2 - (X1 ** 2 + X2 ** 2 + x3 ** 2), 0.0) ** 2
+    def bump(X1, X2, X3):
+        seen.append((X1, X2, X3))
+        f = np.maximum(radius ** 2 - (X1 ** 2 + X2 ** 2 + X3 ** 2), 0.0) ** 2
         return np.stack([f, f * np.exp(X1 - X2)])
 
     for m in (16, 64):
@@ -737,11 +764,37 @@ def test_box_sum_on_the_support_of_a_ball():
         seen.clear()
         cut = fields._box_sum(box, m, bump, radius=radius)
         assert_allclose(cut, full, rtol=1e-15, atol=0.0)
-        assert len(seen) == m
-        for X1, X2, x3 in seen:
-            reach = radius ** 2 - x3 ** 2
-            assert np.all(X1 ** 2 < reach) and np.all(X2 ** 2 < reach)
-        assert min(X1.size * X2.size for X1, X2, _ in seen) < m * m // 4
+        # every node passed is strictly inside the ball, and no call passes
+        # more than one block
+        X1, X2, X3 = (np.concatenate(axis) for axis in zip(*seen))
+        assert np.all(X1 ** 2 + X2 ** 2 + X3 ** 2 < radius ** 2)
+        assert max(x.size for x, _, _ in seen) <= fields._BLOCK
+        # the nodes passed are exactly the grid's in-ball nodes, each once
+        G1, G2, G3 = np.meshgrid(*(box.axis_rule(axis, m)[0] for axis in range(3)),
+                                 indexing="ij")
+        inside = G1 ** 2 + G2 ** 2 + G3 ** 2 < radius ** 2
+        want = sorted(zip(G1[inside], G2[inside], G3[inside]))
+        assert sorted(zip(X1, X2, X3)) == want
+
+
+@pytest.mark.parametrize("reach", [4.0, 2.89])
+def test_discs_are_the_exact_prefixes_inside_the_ball(reach):
+    # reach - c rounds, so searchsorted alone can count a node whose d + c
+    # rounds to reach (reach 4) or miss one whose d + c rounds below it
+    # (reach 2.89); c within three ulps of each node's own edge meets both
+    rng = np.random.default_rng(7)
+    x1, x2 = -1.5 * rng.random(40), 1.5 * rng.random(30)
+    w1, w2 = rng.random(40), rng.random(30)
+    edge = reach - (x1[:, None] ** 2 + x2[None, :] ** 2).ravel()
+    c = (edge[:, None] + np.spacing(edge)[:, None] * np.arange(-3, 4)).ravel()
+    X1, X2, W, n = fields._discs(x1, w1, x2, w2, c, reach)
+    d = X1 ** 2 + X2 ** 2
+    assert np.all(np.diff(d) >= 0.0)
+    assert_array_equal(n, [np.count_nonzero(d + cv < reach) for cv in c])
+    # every node once, with its own weight product
+    G1, G2 = np.meshgrid(x1, x2, indexing="ij")
+    want = sorted(zip(G1.ravel(), G2.ravel(), np.outer(w1, w2).ravel()))
+    assert sorted(zip(X1, X2, W)) == want
 
 
 def test_box_sum_folds_even_axes():
@@ -792,8 +845,8 @@ def _halfspace_full_planes(k, p):
     """halfspace_ratio as it was first written, the reference for the support sum.
 
     The cutoff-gradient coefficients c = (eta'(r)/r) * x are stacked to
-    (3, m, m) and contracted with the witness Grams by einsum, on every
-    node of every plane.
+    (3, nodes) and contracted with the witness Grams by einsum, on every
+    node of the box.
     """
     gram_sym, gram_dev, t_sym = _witness_forms()
     box = BoxDomain(lo=(-2.0, -2.0, -2.0), hi=(0.0, 2.0, 2.0))
@@ -803,10 +856,10 @@ def _halfspace_full_planes(k, p):
         g, gp = bump_profile(r)
         rs = np.maximum(r, 1e-300)
         c = np.stack([gp * X1 / rs, gp * X2 / rs, gp * (x3 / rs)])
-        dev_sq = np.einsum("jxy,jl,lxy->xy", c, gram_dev, c)
+        dev_sq = np.einsum("j...,jl,l...->...", c, gram_dev, c)
         sym_sq = (3.0 * g * g
-                  + (2.0 * g / k) * np.einsum("j,jxy->xy", t_sym, c)
-                  + np.einsum("jxy,jl,lxy->xy", c, gram_sym, c) / k ** 2)
+                  + (2.0 * g / k) * np.einsum("j,j...->...", t_sym, c)
+                  + np.einsum("j...,jl,l...->...", c, gram_sym, c) / k ** 2)
         return np.exp(p * k * X1) * np.stack([np.maximum(sym_sq, 0.0) ** (p / 2.0),
                                               dev_sq ** (p / 2.0) / k ** p])
 
@@ -825,6 +878,21 @@ def test_halfspace_ratio_matches_the_full_plane_reference(monkeypatch):
         for k in (2, 8, 32):
             assert_allclose(halfspace_ratio(k, p), _halfspace_full_planes(k, p),
                             rtol=1e-13, atol=0.0, err_msg="p=%r k=%d" % (p, k))
+
+
+def test_halfspace_ratio_traced_peak_stays_small():
+    # the sum passes the ball's nodes in blocks of at most _BLOCK = 4096
+    # nodes: 0.89 MiB traced (0.86 MiB with one call per plane's bounding
+    # square); the whole level flattened into one call held 21 MiB.  The first
+    # call imports and caches the Legendre rules
+    halfspace_ratio(2, 2.0)
+    tracemalloc.start()
+    try:
+        halfspace_ratio(32, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, "traced peak %.2f MiB" % (peak / 2 ** 20)
 
 
 def test_halfspace_ratio_reference_values():

@@ -164,7 +164,7 @@ def _frel_full_spectrum(fa, fb):
 
 
 @pytest.mark.parametrize("structure", ["scalar", "vector", "general"])
-def test_frel_matches_the_three_transform_definition(structure):
+def test_frel_matches_the_coefficient_peak_definition(structure):
     spec = fields.GridSpec(8)
     f = fields.random_bandlimited(spec, 3, 2, structure)
     g = fields.random_bandlimited(spec, 4, 2, structure)
