@@ -130,6 +130,17 @@ def _check_count(name, value, least=1):
     return value
 
 
+def _no_overflow(out, message, finite=None, axes=()):
+    """out, computed under np.errstate(over="ignore", invalid="ignore"), or a ValueError with
+    message where finite inputs gave a non-finite slot (out over axes): the one overflow guard.
+    finite() masks the slots whose inputs are finite, built only if needed; None: every input
+    is.  NaN and inf inputs propagate.  einsum and BLAS matmul set no flag: isfinite reads it."""
+    if not np.isfinite(out).all():
+        if finite is None or np.any(finite() & ~np.isfinite(out).all(axis=axes)):
+            raise ValueError(message)
+    return out
+
+
 def anti(a):
     """Skew matrix of a, so that anti(a) @ b is the cross product a x b."""
     a = _numeric(a, (3,), "vector")
@@ -159,31 +170,34 @@ def axl(A):
     return np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
 
 
+def _cross(P, b):
+    """cross's component formula, unchecked: the rows of P (..., 3, 3) crossed with b (..., 3)."""
+    (P1, P2, P3), (b1, b2, b3) = np.moveaxis(P, -1, 0), np.moveaxis(b[..., None, :], -1, 0)
+    first = P2 * b3 - P3 * b2
+    out = np.empty(first.shape + (3,), first.dtype)
+    out[..., 0] = first
+    out[..., 1] = P3 * b1 - P1 * b3
+    out[..., 2] = P1 * b2 - P2 * b1
+    return out
+
+
 def cross(P, b):
     """Matrix cross product P x b, acting on rows: P @ anti(b), each row crossed with b.
 
     Leading axes of P and b broadcast, so one call serves a single point,
     a stack of frequencies or a whole grid of coefficients.  The product is
-    written out component by component: on a 16^3 coefficient grid that
-    takes less than half the time of the batched 3x3 matmul, and it leaves
-    the matmul an independent route for the identity checks.  A finite row
-    and direction whose product overflows are a ValueError naming it, with
-    no numpy warning; NaN and inf entries propagate.
+    written out component by component (_cross): on a 16^3 coefficient grid
+    that takes less than half the time of the batched 3x3 matmul, and it
+    leaves the matmul an independent route for the identity checks.  A finite
+    row and direction whose product overflows are a ValueError naming it
+    (_no_overflow); NaN and inf entries propagate.
     """
     P = _numeric(P, (3, 3), "matrix")
-    b = _numeric(b, (3,), "vector")[..., None, :]
-    P1, P2, P3 = P[..., 0], P[..., 1], P[..., 2]
-    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    b = _numeric(b, (3,), "vector")
     with np.errstate(over="ignore", invalid="ignore"):
-        first = P2 * b3 - P3 * b2
-        out = np.empty(first.shape + (3,), first.dtype)
-        out[..., 0] = first
-        out[..., 1] = P3 * b1 - P1 * b3
-        out[..., 2] = P1 * b2 - P2 * b1
-    if not np.isfinite(out).all():
-        if np.any(np.isfinite(P).all(-1) & np.isfinite(b).all(-1) & ~np.isfinite(out).all(-1)):
-            raise ValueError("entries are too large: the cross product overflows")
-    return out
+        out = _cross(P, b)
+    return _no_overflow(out, "entries are too large: the cross product overflows",
+                        lambda: np.isfinite(P).all(-1) & np.isfinite(b).all(-1)[..., None], -1)
 
 
 def sym(X):
@@ -202,17 +216,15 @@ def dev(X):
     The third of the trace (_third_trace) comes off the diagonal of one copy
     of X (through einsum's writable diagonal view); on a coefficient grid no
     (..., 3, 3) multiple of the identity is built.  Finite entries whose
-    trace-free part overflows are a ValueError naming it, with no numpy
-    warning; NaN and inf entries propagate.
+    trace-free part overflows are a ValueError naming it (_no_overflow); NaN
+    and inf entries propagate.
     """
     X = _numeric(X, (3, 3), "matrix")
     out = X.astype(np.result_type(X.dtype, float))
     with np.errstate(over="ignore", invalid="ignore"):
         np.einsum("...ii->...i", out)[...] -= _third_trace(X)[..., None]
-    if not np.isfinite(out).all():
-        if np.any(np.isfinite(X).all(axis=(-2, -1)) & ~np.isfinite(out).all(axis=(-2, -1))):
-            raise ValueError("entries are too large: the trace-free part overflows")
-    return out
+    return _no_overflow(out, "entries are too large: the trace-free part overflows",
+                        lambda: np.isfinite(X).all(axis=(-2, -1)), (-2, -1))
 
 
 def tr(X):
@@ -242,17 +254,14 @@ def tp(X):
 
 def _pairing(a, b, rank, name):
     """sum(a * b) over the last rank axes of vectors (rank 1) or matrices (2) read by
-    _numeric, with no numpy warning: a ValueError naming the pairing where finite entries
-    give a product or a sum that overflows; NaN and inf entries propagate."""
+    _numeric: a ValueError naming the pairing where finite entries give a product or a sum
+    that overflows (_no_overflow); NaN and inf entries propagate."""
     a, b = (_numeric(x, (3,) * rank, ("vector", "matrix")[rank - 1]) for x in (a, b))
     axes = tuple(range(-rank, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.sum(a * b, axis=axes)
-    if not np.isfinite(out).all():
-        finite = np.all(np.isfinite(a) & np.isfinite(b), axis=axes)
-        if np.any(finite & ~np.isfinite(out)):
-            raise ValueError("entries are too large: the %s pairing overflows" % name)
-    return out
+    return _no_overflow(out, "entries are too large: the %s pairing overflows" % name,
+                        lambda: np.all(np.isfinite(a) & np.isfinite(b), axis=axes))
 
 
 def dot(a, b):

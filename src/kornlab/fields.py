@@ -27,7 +27,8 @@ refuse coefficients that are not finite or not conjugate-symmetric (the
 planes k1 = 0..n/2 against their _mirror), and snap the rest to exact
 symmetry.  Fields computed from fields (the table maps, + - and scalar *)
 keep that symmetry exactly, so _map_planes builds them without a copy or a
-re-check; a scalar factor is a finite real number.
+re-check of it, but refuses planes that overflowed (algebra3._no_overflow):
+every field is finite.  A scalar factor is a finite real number.
 Every argument meets one reader that names it: algebra3's shared ones
 (fields, grids, coefficients, samples, counts, names) or this module's
 _check_exponent, _check_rank, _check_path.
@@ -63,9 +64,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _finite,
-                       _norm, _numeric, _pow2, _real, anti, axl, cross, dev, dot, skew, sym,
-                       tp, tr)
+from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _cross,
+                       _finite, _no_overflow, _norm, _numeric, _pow2, _real, anti, axl, dev,
+                       dot, skew, sym, tp, tr)
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -174,8 +175,8 @@ def _check_rank(rank):
 class GridField:
     """Immutable real periodic tensor field: its full fftn spectrum coef is finite and
     conjugate-symmetric, and _planes stores planes k1 = 0..n/2, checked against their
-    _mirror on entry; f + g, f - g, f * c and the table maps leave through _map_planes.
-    f * c takes a finite real number c that is not a bool."""
+    _mirror on entry; f + g, f - g, f * c (c finite and real, not a bool) and the table
+    maps leave through _map_planes, which refuses planes that overflowed."""
 
     spec: GridSpec
     rank: int
@@ -190,15 +191,17 @@ class GridField:
                              % (coef.shape, rank, spec.n))
         if not np.isfinite(coef).all():
             raise ValueError("coefficients are not finite")
-        # planes k1 = 0..n/2 meet every pair k, -k, and |a - conj b| is |b - conj a| exactly
+        # planes k1 = 0..n/2 meet every pair k, -k, and |a - conj b| is |b - conj a| exactly;
+        # halved, exactly, as sym does: no finite scale or snap overflows (a defect is inf)
         half = spec.n // 2 + 1
-        planes, mirror = coef[:half], _mirror(coef, np.arange(half), spec.n)
-        scale = max(float(np.abs(coef).max()), 1.0)
-        if float(np.abs(planes - mirror).max()) > REALITY_TOL * scale:
-            raise ValueError("coefficients lack conjugate symmetry")
+        planes, mirror = 0.5 * coef[:half], 0.5 * _mirror(coef, np.arange(half), spec.n)
+        scale = max(float(np.abs(planes).max()), float(np.abs(mirror).max()), 0.5)
+        with np.errstate(over="ignore"):
+            if float(np.abs(planes - mirror).max()) > REALITY_TOL * scale:
+                raise ValueError("coefficients lack conjugate symmetry")
         # snap to exact symmetry: every map below keeps it exactly, which is why derived
         # fields skip this check (tests/test_fields.py pins it for each of them)
-        _fill(self, spec, rank, 0.5 * (planes + mirror))
+        _fill(self, spec, rank, planes + mirror)
 
     @property
     def coef(self):
@@ -209,22 +212,22 @@ class GridField:
         coef.setflags(write=False)
         return coef
 
-    def _binary(self, other, op):
+    def _binary(self, other, op, name):
         if not isinstance(other, GridField):
             return NotImplemented
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
-        return _map_planes(self, self.rank, lambda planes, K: op(planes, other._planes))
+        return _map_planes(self, self.rank, lambda planes, K: op(planes, other._planes), name)
 
     def __add__(self, other):
-        return self._binary(other, np.add)
+        return self._binary(other, np.add, "+")
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        return self._binary(other, np.subtract, "-")
 
     def __mul__(self, c):
         c = _finite(_check_real("scalar", c), "scalar")
-        return _map_planes(self, self.rank, lambda planes, K: c * planes)
+        return _map_planes(self, self.rank, lambda planes, K: c * planes, "*")
 
     __rmul__ = __mul__
 
@@ -248,7 +251,8 @@ def field_from_samples(spec, rank, samples):
     if samples.shape != _coef_shape(rank, spec.n):
         raise ValueError("sample shape %s does not match rank %d on n=%d"
                          % (samples.shape, rank, spec.n))
-    return GridField(spec=spec, rank=rank, coef=np.fft.fftn(samples, axes=(0, 1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):     # coefficients that overflow: refused
+        return GridField(spec=spec, rank=rank, coef=np.fft.fftn(samples, axes=(0, 1, 2)))
 
 
 def values(f):
@@ -258,7 +262,7 @@ def values(f):
 
 
 def _curl(coef, K):
-    return -1j * cross(coef, K)
+    return -1j * _cross(coef, K)        # unchecked: _map_planes checks what leaves
 
 
 _OPS = {    # name: {input rank: (output rank, map of coefficients c at frequencies K)}
@@ -288,14 +292,17 @@ def apply_operator(f, op):
     rows = _OPS[_choice("operator", op, _OPS)]
     if f.rank not in rows:
         raise RankMismatchError("%s needs a field of rank %s" % (op, " or ".join(map(str, rows))))
-    return _map_planes(f, *rows[f.rank])
+    return _map_planes(f, *rows[f.rank], op)
 
 
-def _map_planes(f, rank, fn):
+def _map_planes(f, rank, fn, name):
     """The field of the given rank whose stored planes are fn(c, K): c the planes k1 =
     0..n/2 that f stores, K their frequencies.  The one way out for a field computed from
-    fields: the planes are frozen, not re-checked, so fn must keep exact conjugate symmetry."""
-    planes = fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)])
+    fields: the planes are frozen, their symmetry not re-checked, so fn must keep it exactly;
+    planes that overflowed are a ValueError naming the map, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        planes = fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)])
+    _no_overflow(planes, "coefficients are too large: %r overflows" % name)
     return _fill(object.__new__(GridField), f.spec, rank, planes)
 
 
@@ -308,7 +315,7 @@ def pointwise_part(f, part):
     rank, out_rank, fn = _PARTS[_choice("part", part, _PARTS)]
     if f.rank != rank:
         raise RankMismatchError("%s needs a field of rank %d" % (part, rank))
-    return _map_planes(f, out_rank, lambda planes, K: fn(planes))
+    return _map_planes(f, out_rank, lambda planes, K: fn(planes), part)
 
 
 def coef_peak(f):

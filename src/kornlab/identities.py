@@ -472,11 +472,11 @@ def _s_div_of_curl(d):
 
 def _s_operator_matches_symbol(d):
     # the 9x9 symbol applied one plane at a time (one whole-grid call raised the peak
-    # RSS of run_spectral(16) from 44.6 to 47.2 MB) through the unchecked _map_planes:
-    # a wrong symbol is this check's residual, not a refusal of its asymmetric field
+    # RSS of run_spectral(16) from 44.6 to 47.2 MB) through _map_planes, which checks no
+    # symmetry: a wrong symbol is this check's residual, not a refusal of its field
     got = fields.pointwise_part(fields.apply_operator(d.P, "curl_mat"), "devsym")
     return frel(got, fields._map_planes(d.P, 2, lambda c, K: np.stack(
-        [apply_symbol(curl_symbol(k, "devsym"), p) for k, p in zip(K, c)])))
+        [apply_symbol(curl_symbol(k, "devsym"), p) for k, p in zip(K, c)]), "devsym symbol"))
 
 
 SPECTRAL = [

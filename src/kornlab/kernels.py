@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra3 import (_check_instance, _check_real, _choice, _finite, _norm, _pow2, _real, anti,
-                       dot, numerical_rank)
+from .algebra3 import (_check_instance, _check_real, _choice, _finite, _no_overflow, _norm, _pow2,
+                       _real, anti, dot, numerical_rank)
 
 __all__ = [
     "TooFewSamplesError", "DegenerateGeometryError",
@@ -79,9 +79,7 @@ def axial_polynomial(e, x):
         x2 = np.sum(x * x, axis=-1)[..., None]
         axial = (np.cross(e.a_tilde, x) + e.beta * x + e.b
                  + np.sum(e.d * x, axis=-1)[..., None] * x - 0.5 * e.d * x2)
-    if not np.isfinite(axial).all():
-        raise ValueError("points are too large: the kernel polynomial overflows")
-    return axial
+    return _no_overflow(axial, "points are too large: the kernel polynomial overflows")
 
 
 def eval_kernel(e, x):
@@ -116,8 +114,7 @@ def _axial_design(pts):
         x2 = np.sum(pts * pts, axis=-1)
         quad = pts[:, :, None] * pts[:, None, :]
         np.einsum("...ii->...i", quad)[...] -= 0.5 * x2[:, None]
-    if not np.isfinite(quad).all():
-        raise ValueError("points are too large: the kernel polynomial overflows")
+    _no_overflow(quad, "points are too large: the kernel polynomial overflows")
     eye = np.broadcast_to(np.eye(3), quad.shape)
     return np.concatenate([anti(-pts), pts[:, :, None], eye, quad], axis=-1)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _check_count, _finite, _norm, _real, _unit, sym, tp
+from .algebra3 import _check_count, _finite, _no_overflow, _norm, _real, _unit, sym, tp
 from .symbol import _CURL, basis_matrices, sharp_ratio
 
 __all__ = [
@@ -65,8 +65,8 @@ _LAMBDA_SHARE = 1e-3
 def lobpcg(*args, **kwargs):
     """scipy.sparse.linalg.lobpcg, imported on first call.
 
-    No kornlab code calls it: grid_crosscheck solves its blocks directly.
-    It stays only because the benchmark's tracer names it as a layer.
+    No kornlab code calls it, and only the test extra installs scipy: grid_crosscheck
+    solves its blocks directly.  It stays because the benchmark's tracer names it.
     """
     from scipy.sparse.linalg import lobpcg as scipy_lobpcg
     return scipy_lobpcg(*args, **kwargs)
@@ -94,8 +94,7 @@ def frequency_form(k):
     r = np.einsum("...a,aij->...ij", k, _CURL["devsym"])
     with np.errstate(over="ignore", invalid="ignore"):
         q = _SYM_FORM + tp(r) @ r
-    if not np.isfinite(q).all():
-        raise ValueError("frequency is too large: its form overflows")
+    _no_overflow(q, "frequency is too large: its form overflows")
     q[~k.any(axis=-1)] += _SKEW_FORM
     return q
 
@@ -182,8 +181,8 @@ def _apply_hat(f):
     part is added back, the same completion as frequency_form at k = 0.
     """
     inner = fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "devsym")
-    skew = fields._map_planes(fields.pointwise_part(f, "skew"), 2,
-                              lambda c, K: np.where(K.any(axis=-1)[..., None, None], 0.0, c))
+    skew = fields._map_planes(fields.pointwise_part(f, "skew"), 2, lambda c, K: np.where(
+        K.any(axis=-1)[..., None, None], 0.0, c), "zero-mode completion")
     return fields.pointwise_part(f, "sym") + fields.apply_operator(inner, "curl_mat") + skew
 
 

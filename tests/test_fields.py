@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import struct
 import tracemalloc
 from collections import Counter
@@ -218,6 +219,52 @@ def test_coefficients_are_frozen():
             g._planes[(0,) * g._planes.ndim] = 1.0
     # a real field's coef is built on read; what it stores is its planes
     assert np.shares_memory(pointwise_part(P, "transpose")._planes, P._planes)
+
+
+def _at_top_frequency(rank, n=8):
+    # the real field 2e308 cos(3 x1), along e_2 for a vector field: its coefficients
+    # sit at k1 = +-3, the highest frequency a derivative keeps on n = 8
+    coef = np.zeros(fields._coef_shape(rank, n), complex)
+    slot = (1,) * rank
+    coef[(3, 0, 0) + slot] = coef[(-3, 0, 0) + slot] = 1e308
+    return field_from_coef(GridSpec(n), rank, coef)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, call", [
+    ("*", lambda: random_bandlimited(GridSpec(8), 1, 2) * 1e308),
+    ("+", lambda: _at_top_frequency(0) + _at_top_frequency(0)),
+    ("grad", lambda: apply_operator(_at_top_frequency(0), "grad")),
+    ("curl_vec", lambda: apply_operator(_at_top_frequency(1), "curl_vec")),
+], ids=["scale", "sum", "grad", "curl_vec"])
+def test_a_derived_field_that_overflows_is_named(name, call):
+    # finite planes whose map overflows do not leave _map_planes: a ValueError names
+    # the map, with no numpy warning, so every field is finite
+    with pytest.raises(ValueError, match="^coefficients are too large: %s overflows$"
+                       % re.escape(repr(name))):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_symmetry_snap_is_finite_and_quiet_near_the_double_limit():
+    # the snap and the defect halve before they add: a coefficient of 1.7e308 is
+    # stored as itself, and an asymmetric pair whose defect overflows is refused
+    coef = np.zeros((8, 8, 8), complex)
+    coef[0, 0, 0] = 1.7e308
+    f = field_from_coef(GridSpec(8), 0, coef)
+    assert_array_equal(f.coef, coef)
+    assert fields.coef_peak(f) == 1.7e308
+    coef[3, 0, 0] = 1.7e308 + 1.7e308j
+    coef[-3, 0, 0] = -np.conj(coef[3, 0, 0])
+    with pytest.raises(ValueError, match="^coefficients lack conjugate symmetry$"):
+        field_from_coef(GridSpec(8), 0, coef)
+
+
+@pytest.mark.filterwarnings("error")
+def test_samples_whose_transform_overflows_are_refused_quietly():
+    # the mean of 512 finite samples of 1e307 overflows inside the FFT
+    with pytest.raises(ValueError, match="^coefficients are not finite$"):
+        field_from_samples(GridSpec(8), 0, np.full((8, 8, 8), 1e307))
 
 
 def _asymmetry(f):
