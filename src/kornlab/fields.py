@@ -66,7 +66,7 @@ import numpy as np
 
 from .algebra3 import (EYE3, _check_count, _check_instance, _check_real, _choice, _cross,
                        _finite, _no_overflow, _norm, _numeric, _pow2, _real, anti, axl, dev,
-                       dot, skew, sym, tp, tr)
+                       skew, sym, tp, tr)
 
 __all__ = [
     "RankMismatchError", "BadExponentError", "BandTooWideError", "UnderResolvedError",
@@ -268,7 +268,7 @@ def _curl(coef, K):
 _OPS = {    # name: {input rank: (output rank, map of coefficients c at frequencies K)}
     "grad": {0: (1, lambda c, K: 1j * K * c[..., None]),
              1: (2, lambda c, K: 1j * (c[..., :, None] * K[..., None, :]))},
-    "div": {1: (0, lambda c, K: 1j * dot(c, K))},
+    "div": {1: (0, lambda c, K: 1j * np.sum(c * K, axis=-1))},
     "curl_vec": {1: (1, lambda c, K: 1j * np.cross(K, c))},
     "curl_mat": {2: (2, _curl)}, "inc": {2: (2, lambda c, K: _curl(tp(_curl(c, K)), K))},
 }

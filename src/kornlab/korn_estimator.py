@@ -24,14 +24,16 @@ operator applied to the nine constant coefficient arrays), never built
 from the symbol, so the two routes stay independent.  The curl symbol
 enters twice, so its factors of i cancel: every block is real, so the
 block at -k is the block at k.  The planes k1 = 0..n/2 that fields stores
-hold every distinct block, so one stacked eigh of those blocks gives every
-grid eigenvalue, and the minimizing eigenvector, put at its frequency and
-at minus it, is the spectrum of a real eigenfield.  Two gates on the fields
-chain itself follow, in Fourier coefficients, so a wrong probe cannot
-pass: that eigenfield must have a small residual, and the blocks must
-reproduce the chain on a random field at every stored frequency at once.
+hold every distinct block, so one stacked eigvalsh of those blocks gives
+every grid eigenvalue, and the minimizing block's eigenvector (one eigh),
+put at its frequency and at minus it, is the spectrum of a real eigenfield.
+Two gates on the fields chain itself follow, in Fourier coefficients, so a
+wrong probe cannot pass: that eigenfield must have a small residual, and the
+blocks must reproduce the chain on a random field at every stored frequency
+at once.
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,15 +194,20 @@ def _probed_blocks(spec):
 
     The operator commutes with translations, so applying it to the constant
     coefficient arrays E_j (real point masses) gives column j of every block
-    at once as its image's spectrum coef: nine fields calls, no symbol.  The
-    blocks are real, so the block at -k is the block at k, and the planes
-    k1 = 0..n/2 hold every distinct one.
+    at once as its image's spectrum coef: nine fields calls, no symbol.  A
+    constant real array is finite and conjugate-symmetric, so the columns skip
+    the checked constructor: each is one zero field mapped to E_j through
+    fields._map_planes, as _apply_hat builds its completion.  The blocks are
+    real, so the block at -k is the block at k, and the planes k1 = 0..n/2 hold
+    every distinct one.
     """
     n = spec.n
     half = n // 2 + 1
+    zero = fields.GridField(spec, 2, np.zeros((n, n, n, 3, 3)))
     q = np.empty((half, n, n, 9, 9), complex)
-    for j, e in enumerate(basis_matrices()):
-        column = fields.field_from_coef(spec, 2, np.broadcast_to(e, (n, n, n, 3, 3)))
+    for j, e in enumerate(basis_matrices().astype(complex)):
+        column = fields._map_planes(zero, 2, lambda c, K: np.broadcast_to(e, c.shape),
+                                    "probe column")
         q[..., j] = _apply_hat(column).coef[:half].reshape(half, n, n, 9)
     return q
 
@@ -209,8 +216,9 @@ def _grid_eigenpair(q):
     """Smallest eigenvalue of the real blocks q, shape (n/2 + 1, n, n, 9, 9), and the
     spectrum, shape (n, n, n, 3, 3), of a real eigenfield.
 
-    One stacked eigh gives every block's spectrum.  The unit eigenvector v of
-    the first minimizing block, at stored index i, is the coefficient at i
+    One stacked eigvalsh gives every block's eigenvalues, and eigh of the first
+    minimizing block, at stored index i, gives the value and its unit
+    eigenvector v, so the two belong to each other.  v is the coefficient at i
     and at -i (mod n), zero elsewhere: the block at -k is the block at k, so
     this is an eigenfield, and v is real, so it is the real field
     2 v cos(k.x) / n^3 (v cos(k.x) / n^3 where -i is i).  lambda_-(1) is
@@ -218,11 +226,12 @@ def _grid_eigenpair(q):
     eigenvector.
     """
     n = q.shape[1]
-    w, v = np.linalg.eigh(q)
-    i = np.unravel_index(np.argmin(w[..., 0]), w.shape[:-1])
+    w = np.linalg.eigvalsh(q)[..., 0]
+    i = np.unravel_index(np.argmin(w), w.shape)
+    lam, v = np.linalg.eigh(q[i])
     coef = np.zeros((n, n, n, 3, 3))
-    coef[i] = coef[tuple(np.negative(i) % n)] = v[i][:, 0].reshape(3, 3)
-    return float(w[i][0]), coef
+    coef[i] = coef[tuple(np.negative(i) % n)] = v[:, 0].reshape(3, 3)
+    return float(lam[0]), coef
 
 
 def grid_crosscheck(n):
@@ -236,12 +245,16 @@ def grid_crosscheck(n):
     modes at eigenvalue 1, above every grid minimum, so no mode is
     projected out.  The operator multiplies the Fourier coefficient of a
     field at k by the real probed 9x9 block of k (_probed_blocks), so one
-    stacked eigh of the blocks of the stored planes k1 = 0..n/2
-    (_grid_eigenpair) gives lambda_grid and an eigenfield.  Three gates
-    raise ProbeError: the probe has an imaginary part; the eigenfield's
-    residual through the fields chain exceeds 1e-4 or is NaN (a spectrum
-    that is not finite); or the blocks miss the chain on one seeded random
-    field by more than 1e-10 relative on the stored planes.
+    stacked eigvalsh of the blocks of the stored planes k1 = 0..n/2 and one
+    eigh of the minimizing block (_grid_eigenpair) give lambda_grid and an
+    eigenfield.  Three gates raise ProbeError: the probe has an imaginary
+    part; the eigenfield's residual through the fields chain exceeds 1e-4 or
+    is NaN (a spectrum that is not finite); or the blocks miss the chain on
+    one seeded random field by more than 1e-10 relative on the stored
+    planes.  That field's samples are white noise in [-0.5, 0.5) from the
+    standard library's random.Random(1): numpy.random would be the only
+    reason for a crosscheck process to import it (16 ms and 6 MB in a cold
+    process on a 2-vCPU machine).
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
@@ -269,8 +282,10 @@ def grid_crosscheck(n):
     # chain's image is real, so the planes k1 > n/2 follow by conjugate
     # symmetry.  q meets Re F and Im F apart: q @ F would upcast q to complex
     half = n // 2 + 1
+    # 53 random bits per sample, an exact double in [0, 1), shifted to [-0.5, 0.5)
+    bits = np.frombuffer(random.Random(1).randbytes(8 * 9 * n ** 3), "<u8")
     field = fields.field_from_samples(
-        spec, 2, np.random.default_rng(1).standard_normal(9 * n ** 3).reshape(n, n, n, 3, 3))
+        spec, 2, ((bits >> 11) * 2.0 ** -53 - 0.5).reshape(n, n, n, 3, 3))
     want = _apply_hat(field).coef[:half].reshape(half, n, n, 9, 1)
     F = field.coef[:half].reshape(half, n, n, 9, 1)
     got = q @ F.real + 1j * (q @ F.imag)

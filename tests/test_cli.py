@@ -796,6 +796,24 @@ def test_import_and_light_commands_load_no_scipy():
     assert scipy_modules == []
 
 
+def test_grid_crosscheck_loads_no_numpy_random():
+    # the probe gate draws its field from the standard library's random, so a fresh
+    # process that imports kornlab and runs the grid crosscheck never imports numpy.random
+    script = (
+        "import json, sys\n"
+        "import kornlab, kornlab.cli\n"
+        "gap = kornlab.korn_estimator.grid_crosscheck(8)\n"
+        "print(json.dumps([gap, 'numpy.random' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kornlab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    gap, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert gap < 1e-8
+    assert loaded is False
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, ["korn", "--kmax", "2", "--out", str(target)])

@@ -221,11 +221,11 @@ def test_coefficients_are_frozen():
     assert np.shares_memory(pointwise_part(P, "transpose")._planes, P._planes)
 
 
-def _at_top_frequency(rank, n=8):
-    # the real field 2e308 cos(3 x1), along e_2 for a vector field: its coefficients
-    # sit at k1 = +-3, the highest frequency a derivative keeps on n = 8
+def _at_top_frequency(rank, n=8, axis=1):
+    # the real field 2e308 cos(3 x1), along e_2 (or e_axis) for a vector field: its
+    # coefficients sit at k1 = +-3, the highest frequency a derivative keeps on n = 8
     coef = np.zeros(fields._coef_shape(rank, n), complex)
-    slot = (1,) * rank
+    slot = (axis,) * rank
     coef[(3, 0, 0) + slot] = coef[(-3, 0, 0) + slot] = 1e308
     return field_from_coef(GridSpec(n), rank, coef)
 
@@ -236,7 +236,9 @@ def _at_top_frequency(rank, n=8):
     ("+", lambda: _at_top_frequency(0) + _at_top_frequency(0)),
     ("grad", lambda: apply_operator(_at_top_frequency(0), "grad")),
     ("curl_vec", lambda: apply_operator(_at_top_frequency(1), "curl_vec")),
-], ids=["scale", "sum", "grad", "curl_vec"])
+    # div sums c * K itself, so the exit's guard names it, not algebra3's dot pairing
+    ("div", lambda: apply_operator(_at_top_frequency(1, axis=0), "div")),
+], ids=["scale", "sum", "grad", "curl_vec", "div"])
 def test_a_derived_field_that_overflows_is_named(name, call):
     # finite planes whose map overflows do not leave _map_planes: a ValueError names
     # the map, with no numpy warning, so every field is finite

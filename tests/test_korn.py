@@ -466,6 +466,13 @@ def test_grid_eigenpair_gives_a_real_eigenfield(i):
     assert_allclose(fields.values(f), want, rtol=0, atol=1e-15)
 
 
+def test_grid_eigenpair_takes_the_sweeps_minimum():
+    # the eigenvalue-only sweep picks the block; eigh of that block gives the value
+    q = korn_estimator._probed_blocks(fields.GridSpec(8)).real
+    lam, _ = korn_estimator._grid_eigenpair(q)
+    assert abs(lam - np.linalg.eigvalsh(q)[..., 0].min()) <= 1e-14
+
+
 def test_complex_probe_raises(monkeypatch):
     # the blocks are real because the curl symbol's factors of i cancel;
     # a probe that is not must be named, never cut to its real part
