@@ -232,13 +232,15 @@ def tr(X):
 
 
 def _third_trace(X):
-    """tr(X) / 3 as an array, that expression wherever it is finite; where finite
-    diagonal entries overflow the trace (einsum gives inf, and no warning), recomputed
-    from the diagonal over its _pow2, with no numpy warning.  NaN and inf entries
-    propagate."""
+    """tr(X) / 3 as an array, that expression wherever it is finite (returned at once when
+    it is finite everywhere); where finite diagonal entries overflow the trace (einsum
+    gives inf, and no warning), recomputed from the diagonal over its _pow2, with no numpy
+    warning.  NaN and inf entries propagate."""
     X = np.asarray(X)
     with np.errstate(invalid="ignore"):     # a complex inf over 3 is NaN
         third = np.asarray(tr(X) / 3.0)
+    if np.isfinite(third).all():
+        return third
     diag = np.einsum("...ii->...i", X)
     lost = ~np.isfinite(third) & np.isfinite(diag).all(axis=-1)
     if lost.any():

@@ -6,10 +6,15 @@ Fields live on the uniform n x n x n grid of the cube [0, 2*pi)^3 and are
 real, as the paper's fields are.  A field is given by its discrete Fourier
 coefficients GridField.coef (numpy fftn layout over the three grid axes,
 integer frequencies GridSpec.frequencies), which are exactly
-conjugate-symmetric, so it stores only its planes k1 = 0..n/2 and coef
-mirrors the rest on read (_mirror, the one conjugate mirror).  Only this
-module reads the stored planes: the maps below run on them, values reads
-the samples off them with one real inverse FFT, coef_peak their largest
+conjugate-symmetric and vanish outside its band b, the largest |k|_inf at
+which a coefficient can be nonzero.  So it stores only the box of its band:
+planes k1 = 0..b at k2, k3 in {0..b, -b..-1} (fftn order), shape
+(b + 1, 2b + 1, 2b + 1); the full band b = n/2 is stored as (n/2 + 1, n, n).
+coef embeds the box in zeros (_embed) and mirrors the rest on read (_mirror,
+the one conjugate mirror).  Entry fields hold the full band, except that
+random_bandlimited keeps only its own; a derived field keeps its input's.
+Only this module reads the stored box: the maps below run on it, values
+reads the samples off it with one real inverse FFT, coef_peak its largest
 norm, and every field computed from fields, here or in another module,
 leaves through _map_planes.  The derivative multipliers drop the
 unpaired Nyquist mode so that derived fields stay real.  Coefficients
@@ -154,6 +159,34 @@ def _freq_grids(n):
     return K
 
 
+def _box_index(b, w):
+    """Positions of the frequencies 0..b, -b..-1 (fftn order) on an axis of w slots; the
+    whole axis when 2b >= w, as for the full band b = n/2 stored on w = n."""
+    return np.r_[0:b + 1, w - b:w] if 2 * b < w else np.arange(w)
+
+
+@lru_cache(maxsize=None)
+def _band_freqs(n, b):
+    """The frequencies of band b's stored box on an n grid: _freq_grids' planes k1 = 0..b
+    at k2, k3 in _box_index(b, n), shape (b + 1, w, w, 3), read-only."""
+    i = _box_index(b, n)
+    K = _freq_grids(n)[:b + 1, i[:, None], i]
+    K.setflags(write=False)
+    return K
+
+
+def _embed(planes, b, n):
+    """A stored box of band len(planes) - 1 <= b in zeros, as band b's box on an n grid:
+    planes itself when it already is."""
+    if len(planes) == b + 1:
+        return planes
+    w = min(2 * b + 1, n)
+    out = np.zeros((b + 1, w, w) + planes.shape[3:], complex)
+    i = _box_index(len(planes) - 1, w)
+    out[:len(planes), i[:, None], i] = planes
+    return out
+
+
 def _mirror(coef, k1, n):
     """conj(coef) at -k (mod n) on the three grid axes, for the planes k1 only."""
     return np.conj(np.roll(coef[-k1 % n, ::-1, ::-1], 1, axis=(1, 2)))
@@ -174,9 +207,10 @@ def _check_rank(rank):
 @dataclass(frozen=True, init=False, eq=False)
 class GridField:
     """Immutable real periodic tensor field: its full fftn spectrum coef is finite and
-    conjugate-symmetric, and _planes stores planes k1 = 0..n/2, checked against their
-    _mirror on entry; f + g, f - g, f * c (c finite and real, not a bool) and the table
-    maps leave through _map_planes, which refuses planes that overflowed."""
+    conjugate-symmetric, checked against its _mirror on entry, and _planes stores the
+    box of its band b = len(_planes) - 1 (the full band n/2 from the constructor);
+    f + g, f - g (in the wider band of the two), f * c (c finite and real, not a bool)
+    and the table maps leave through _map_planes, which refuses planes that overflowed."""
 
     spec: GridSpec
     rank: int
@@ -205,10 +239,12 @@ class GridField:
 
     @property
     def coef(self):
-        """The full fftn spectrum, read-only, built on each read: the plane k1 > n/2
-        is the conjugate of the stored plane n - k1 at -k2, -k3 (mod n)."""
+        """The full fftn spectrum, read-only, built on each read: the stored box in
+        zeros (_embed), and the plane k1 > n/2 the conjugate of the plane n - k1 at
+        -k2, -k3 (mod n)."""
         n = self.spec.n
-        coef = np.concatenate([self._planes, _mirror(self._planes, np.arange(n // 2 + 1, n), n)])
+        planes = _embed(self._planes, n // 2, n)
+        coef = np.concatenate([planes, _mirror(planes, np.arange(n // 2 + 1, n), n)])
         coef.setflags(write=False)
         return coef
 
@@ -217,7 +253,10 @@ class GridField:
             return NotImplemented
         if other.spec != self.spec or other.rank != self.rank:
             raise RankMismatchError("fields live on different grids or ranks")
-        return _map_planes(self, self.rank, lambda planes, K: op(planes, other._planes), name)
+        wide = max(self, other, key=lambda g: len(g._planes))
+        b = len(wide._planes) - 1
+        return _map_planes(wide, self.rank, lambda planes, K: op(
+            _embed(self._planes, b, self.spec.n), _embed(other._planes, b, self.spec.n)), name)
 
     def __add__(self, other):
         return self._binary(other, np.add, "+")
@@ -256,9 +295,9 @@ def field_from_samples(spec, rank, samples):
 
 
 def values(f):
-    """Grid samples, float64, from the stored half spectrum k1 = 0..n/2."""
+    """Grid samples, float64, from the stored box embedded in the full band k1 = 0..n/2."""
     n = _check_instance("field", f, GridField).spec.n
-    return np.fft.irfftn(f._planes, s=(n, n, n), axes=(1, 2, 0))
+    return np.fft.irfftn(_embed(f._planes, n // 2, n), s=(n, n, n), axes=(1, 2, 0))
 
 
 def _curl(coef, K):
@@ -296,12 +335,15 @@ def apply_operator(f, op):
 
 
 def _map_planes(f, rank, fn, name):
-    """The field of the given rank whose stored planes are fn(c, K): c the planes k1 =
-    0..n/2 that f stores, K their frequencies.  The one way out for a field computed from
-    fields: the planes are frozen, their symmetry not re-checked, so fn must keep it exactly;
-    planes that overflowed are a ValueError naming the map, with no numpy warning."""
+    """The field of the given rank, in f's band, whose stored box is fn(c, K): c the box
+    that f stores, K its frequencies.  The one way out for a field computed from fields:
+    the planes are frozen, their symmetry not re-checked, so fn must keep it exactly.  fn
+    must also send zero coefficients to zero, since the frequencies outside the box stay
+    zero: every _OPS and _PARTS row does, being linear, but a constant map (the probe
+    columns of korn_estimator) is only right on a full-band f.  Planes that overflowed
+    are a ValueError naming the map, with no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        planes = fn(f._planes, _freq_grids(f.spec.n)[:len(f._planes)])
+        planes = fn(f._planes, _band_freqs(f.spec.n, len(f._planes) - 1))
     _no_overflow(planes, "coefficients are too large: %r overflows" % name)
     return _fill(object.__new__(GridField), f.spec, rank, planes)
 
@@ -320,24 +362,28 @@ def pointwise_part(f, part):
 
 def coef_peak(f):
     """The largest Hermitian norm over the field's Fourier coefficients, a float that is
-    NaN when any coefficient is: read over the stored planes k1 = 0..n/2, which hold
-    every |c(k)| since |c(-k)| = |c(k)|."""
+    NaN when any coefficient is: read over the stored box, which holds every nonzero
+    |c(k)| since |c(-k)| = |c(k)|."""
     planes = _check_instance("field", f, GridField)._planes
     return float(np.max(_norm(planes, f.rank)))
 
 
 def random_bandlimited(spec, seed, kmax, structure="general"):
-    """Deterministic random real field with |k|_inf <= kmax.
+    """Deterministic random real field with |k|_inf <= kmax, stored in band kmax.
 
     structure: "scalar", "vector", or a matrix field that is "general",
-    "sym" or "skew", imposed slot-wise.
+    "sym" or "skew", imposed slot-wise.  The checked constructor builds the
+    full band, which is then cropped to the box of band kmax: exactly, as
+    everything outside it is masked to zero and the snap keeps zeros.
     """
     _check_instance("spec", spec, GridSpec)
     rank, part = _STRUCTURES[_choice("structure", structure, _STRUCTURES)]
     coef = _bandlimited_coef(spec, seed, kmax, rank)
     if part is not None:
         coef = _PARTS[part][2](coef)
-    return GridField(spec, rank, coef)
+    f = GridField(spec, rank, coef)
+    i = _box_index(kmax, spec.n)
+    return _fill(f, spec, rank, f._planes[:kmax + 1, i[:, None], i])
 
 
 def _bandlimited_coef(spec, seed, kmax, rank):

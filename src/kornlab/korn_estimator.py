@@ -23,8 +23,8 @@ frequency.  Those blocks are probed through the fields module (the
 operator applied to the nine constant coefficient arrays), never built
 from the symbol, so the two routes stay independent.  The curl symbol
 enters twice, so its factors of i cancel: every block is real, so the
-block at -k is the block at k.  The planes k1 = 0..n/2 that fields stores
-hold every distinct block, so one stacked eigvalsh of those blocks gives
+block at -k is the block at k.  The planes k1 = 0..n/2 that a full-band
+field stores hold every distinct block, so one stacked eigvalsh of those blocks gives
 every grid eigenvalue, and the minimizing block's eigenvector (one eigh),
 put at its frequency and at minus it, is the spectrum of a real eigenfield.
 Two gates on the fields chain itself follow, in Fourier coefficients, so a

@@ -315,11 +315,70 @@ def test_derived_fields_stay_exactly_conjugate_symmetric(n):
         assert _same_bits(h._planes, full[name][:n // 2 + 1]), name
 
 
+def _full_band(f):
+    # the same field through the checked constructor, which stores the full band
+    return GridField(f.spec, f.rank, f.coef)
+
+
+@pytest.mark.parametrize("n, kmax", [(8, 1), (8, 3), (16, 1), (16, 7)])
+def test_band_fields_store_and_map_only_their_band(n, kmax, tmp_path):
+    spec = GridSpec(n)
+    f, g = ({rank: random_bandlimited(spec, seed + rank, kmax, s)
+             for rank, s in enumerate(("scalar", "vector", "general"))}
+            for seed in (n + kmax, 2 * n + kmax))
+    w = 2 * kmax + 1
+    for rank, h in f.items():
+        assert h._planes.shape == (kmax + 1, w, w) + (3,) * rank
+    pairs = {"field of rank %d" % rank: (h, _full_band(h)) for rank, h in f.items()}
+    for op, rows in fields._OPS.items():
+        for rank in rows:
+            pairs["%s of rank %d" % (op, rank)] = (apply_operator(f[rank], op),
+                                                   apply_operator(_full_band(f[rank]), op))
+    for part, (rank, _, _) in fields._PARTS.items():
+        pairs[part] = pointwise_part(f[rank], part), pointwise_part(_full_band(f[rank]), part)
+    for rank in (0, 1, 2):
+        a, b = _full_band(f[rank]), _full_band(g[rank])
+        pairs["sum of rank %d" % rank] = f[rank] + g[rank], a + b
+        pairs["difference of rank %d" % rank] = f[rank] - g[rank], a - b
+        pairs["scalar multiple of rank %d" % rank] = -2.75 * f[rank], -2.75 * a
+    i = fields._box_index(kmax, n)
+    for name, (h, full) in pairs.items():
+        # the box is the band's, and on it each map does the full band's arithmetic
+        assert h._planes.shape[:3] == (kmax + 1, w, w), name
+        assert _same_bits(h._planes, full._planes[:kmax + 1, i[:, None], i]), name
+        # outside the band both hold zeros: +0.0 embedded, while a map of the full
+        # band writes a zero whose sign depends on the map (K * 0.0 is -0.0 for K < 0),
+        # so coef is compared bit for bit once every zero is +0.0
+        assert _same_bits(h.coef + 0.0, full.coef + 0.0), name
+        assert _same_bits(values(h), values(full)), name
+        assert fields.coef_peak(h) == fields.coef_peak(full), name
+    # a random field writes the file its full-band copy writes (a derived field's file
+    # may differ in the sign of a zero: the snap of -0.0 and -0.0 is -0.0)
+    for h in (*f.values(), *g.values()):
+        dump_field(h, tmp_path / "band.bin")
+        dump_field(_full_band(h), tmp_path / "full.bin")
+        assert (tmp_path / "band.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
+def test_sums_of_fields_in_different_bands_are_in_the_wider_band():
+    # the narrower box is embedded in zeros in the wider one; a sampled field is full-band
+    spec = GridSpec(8)
+    one, three = random_bandlimited(spec, 5, 1), random_bandlimited(spec, 6, 3)
+    sampled = field_from_samples(spec, 2, RNG.standard_normal((8, 8, 8, 3, 3)))
+    for a, b in [(one, three), (three, one), (one, sampled), (sampled, three), (one, one)]:
+        for op, h, full in [("+", a + b, _full_band(a) + _full_band(b)),
+                            ("-", a - b, _full_band(a) - _full_band(b))]:
+            assert len(h._planes) == max(len(a._planes), len(b._planes)), op
+            assert _same_bits(h.coef, full.coef), op
+            assert _same_bits(values(h), values(full)), op
+
+
 def test_only_fields_knows_the_stored_layout():
-    # the half spectrum a field stores (planes k1 = 0..n/2, their frequencies, the
-    # mirror to the full spectrum, the unchecked build) is known to fields alone:
-    # every other module maps a field through fields._map_planes
-    layout = {"_planes", "_freq_grids", "_full", "_derived", "_reflect", "_mirror"}
+    # the box a field stores (planes k1 = 0..b of its band b, their frequencies, the
+    # embedding and mirror to the full spectrum, the unchecked build) is known to fields
+    # alone: every other module maps a field through fields._map_planes
+    layout = {"_planes", "_freq_grids", "_full", "_derived", "_reflect", "_mirror",
+              "_box_index", "_band_freqs", "_embed"}
     here = os.path.dirname(fields.__file__)
     uses = []
     for name in sorted(os.listdir(here)):
