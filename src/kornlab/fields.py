@@ -29,11 +29,13 @@ pointwise_part) give, per name and input rank, the output rank and the map.
 Coefficients are checked where they enter: the GridField constructor,
 field_from_coef, field_from_samples, load_field and random_bandlimited
 refuse coefficients that are not finite or not conjugate-symmetric (the
-planes k1 = 0..n/2 against their _mirror), and snap the rest to exact
-symmetry.  Fields computed from fields (the table maps, + - and scalar *)
-keep that symmetry exactly, so _map_planes builds them without a copy or a
-re-check of it, but refuses planes that overflowed (algebra3._no_overflow):
-every field is finite.  A scalar factor is a finite real number.
+planes k1 = 0..n/2 against their _mirror), snap the rest to exact
+symmetry, and refuse a coefficient whose Hermitian norm overflows.  Fields
+computed from fields (the table maps, + - and scalar *) keep that symmetry
+exactly, so _map_planes builds them without a copy or a re-check of it, but
+refuses planes that overflowed, in an entry or in a norm (_finite_norms):
+every field is finite, and so is its coef_peak.  A scalar factor is a
+finite real number.
 Every argument meets one reader that names it: algebra3's shared ones
 (fields, grids, coefficients, samples, counts, names) or this module's
 _check_exponent, _check_rank, _check_path.
@@ -235,7 +237,8 @@ class GridField:
                 raise ValueError("coefficients lack conjugate symmetry")
         # snap to exact symmetry: every map below keeps it exactly, which is why derived
         # fields skip this check (tests/test_fields.py pins it for each of them)
-        _fill(self, spec, rank, planes + mirror)
+        _fill(self, spec, rank, _finite_norms(
+            planes + mirror, rank, "coefficients are too large: their norm overflows"))
 
     @property
     def coef(self):
@@ -269,6 +272,24 @@ class GridField:
         return _map_planes(self, self.rank, lambda planes, K: c * planes, "*")
 
     __rmul__ = __mul__
+
+
+# per rank, the largest real or imaginary part of the 3^rank entries of a coefficient at
+# which its Hermitian norm, at most sqrt(2 * 3^rank) times that part, is still finite
+_SAFE_PART = tuple(np.finfo(float).max / math.sqrt(2 * 3 ** rank) for rank in range(3))
+
+
+def _finite_norms(planes, rank, message):
+    """planes, or a ValueError with message unless every entry and every coefficient's
+    Hermitian norm are finite, with no numpy warning.  Parts within _SAFE_PART pass on
+    two reductions, no dearer than isfinite; others meet algebra3._no_overflow on the
+    entries and then on their norms (_norm)."""
+    parts = np.ascontiguousarray(planes).view(float)
+    if parts.max() <= _SAFE_PART[rank] and parts.min() >= -_SAFE_PART[rank]:
+        return planes
+    _no_overflow(planes, message)
+    _no_overflow(_norm(planes, rank), message)
+    return planes
 
 
 def _fill(f, spec, rank, planes):
@@ -339,13 +360,24 @@ def _map_planes(f, rank, fn, name):
     that f stores, K its frequencies.  The one way out for a field computed from fields:
     the planes are frozen, their symmetry not re-checked, so fn must keep it exactly.  fn
     must also send zero coefficients to zero, since the frequencies outside the box stay
-    zero: every _OPS and _PARTS row does, being linear, but a constant map (the probe
-    columns of korn_estimator) is only right on a full-band f.  Planes that overflowed
-    are a ValueError naming the map, with no numpy warning."""
+    zero: every _OPS and _PARTS row does, being linear.  Planes that overflowed, or a
+    coefficient whose Hermitian norm does (_finite_norms), are a ValueError naming the
+    map, with no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         planes = fn(f._planes, _band_freqs(f.spec.n, len(f._planes) - 1))
-    _no_overflow(planes, "coefficients are too large: %r overflows" % name)
+    _finite_norms(planes, rank, "coefficients are too large: %r overflows" % name)
     return _fill(object.__new__(GridField), f.spec, rank, planes)
+
+
+def _band_images(spec, b, constants, image):
+    """The stored box of image(E) for each E of constants, E also the field of band b
+    holding E at every frequency: real and constant, so finite and conjugate-symmetric,
+    and built unchecked, a broadcast view.  image keeps the band (as the maps here do)."""
+    i = _box_index(b, spec.n)
+    for e in constants:
+        column = _fill(object.__new__(GridField), spec, e.ndim,
+                       np.broadcast_to(e, (b + 1, len(i), len(i)) + e.shape))
+        yield image(column)._planes
 
 
 def pointwise_part(f, part):
@@ -678,15 +710,16 @@ def dump_field(f, path):
 
     The header is "kornlab-field v1; rank=<r>; n=<n>; reality=real\\n".
     Coefficients follow in the order of coef: the three frequency axes vary
-    slowest (C order, k1 outermost), tensor slots fastest.
+    slowest (C order, k1 outermost), tensor slots fastest; every zero is +0.0.
     """
-    # a derived field may hold a -0.0 where the snap at entry writes +0.0: entering
-    # it again writes every field in its snapped form, whatever route built it
-    _check_instance("field", f, GridField)
-    coef = GridField(f.spec, f.rank, f.coef).coef
+    # the sign of a zero depends on the route that built the field (a band's embedding
+    # holds +0.0 where a full-band map may write K * -0.0): x + 0 is x for every x but
+    # -0.0, which it turns to +0.0 in both parts, so the bytes follow the values alone
+    payload = np.array(_check_instance("field", f, GridField).coef, dtype="<c8")
+    payload += 0
     with open(_check_path(path), "wb") as fh:
         fh.write((_HEADER % (f.rank, f.spec.n)).encode("ascii"))
-        fh.write(np.ascontiguousarray(coef, dtype="<c8").tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_field(path):

@@ -23,14 +23,17 @@ frequency.  Those blocks are probed through the fields module (the
 operator applied to the nine constant coefficient arrays), never built
 from the symbol, so the two routes stay independent.  The curl symbol
 enters twice, so its factors of i cancel: every block is real, so the
-block at -k is the block at k.  The planes k1 = 0..n/2 that a full-band
-field stores hold every distinct block, so one stacked eigvalsh of those blocks gives
-every grid eigenvalue, and the minimizing block's eigenvector (one eigh),
-put at its frequency and at minus it, is the spectrum of a real eigenfield.
-Two gates on the fields chain itself follow, in Fourier coefficients, so a
-wrong probe cannot pass: that eigenfield must have a small residual, and the
-blocks must reproduce the chain on a random field at every stored frequency
-at once.
+block at -k is the block at k.  The grid derivatives drop the Nyquist
+mode, so a block at a frequency with a component n/2 is the block with
+that component 0: the represented box |k|_inf <= n/2 - 1, k1 >= 0, holds
+every distinct block once.  So the probe covers that box alone, one
+stacked eigvalsh of its blocks gives every grid eigenvalue, and the
+minimizing block's eigenvector (one eigh), put at its frequency and at
+minus it, is the spectrum of a real eigenfield.  Two gates on the fields
+chain itself follow, in Fourier coefficients, so a wrong probe cannot
+pass: that eigenfield must have a small residual, and the blocks must
+reproduce the chain on a random field at every stored frequency of the
+full band at once, Nyquist planes included.
 """
 
 import random
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .algebra3 import _check_count, _finite, _no_overflow, _norm, _real, _unit, sym, tp
+from .algebra3 import _check_count, _finite, _no_overflow, _norm, _real, _unit, skew, sym, tp
 from .symbol import _CURL, basis_matrices, sharp_ratio
 
 __all__ = [
@@ -181,56 +184,66 @@ def _apply_hat(f):
     The mean and the seven checkerboard modes (every component 0 or n/2)
     have zero grid frequency: the derivatives drop them, and their skew
     part is added back, the same completion as frequency_form at k = 0.
+    skew is computed at those frequencies only.
     """
+    def completion(c, K):
+        out = np.zeros_like(c)
+        zero = ~K.any(axis=-1)
+        out[zero] = skew(c[zero])
+        return out
+
     inner = fields.pointwise_part(fields.apply_operator(f, "curl_mat"), "devsym")
-    skew = fields._map_planes(fields.pointwise_part(f, "skew"), 2, lambda c, K: np.where(
-        K.any(axis=-1)[..., None, None], 0.0, c), "zero-mode completion")
-    return fields.pointwise_part(f, "sym") + fields.apply_operator(inner, "curl_mat") + skew
+    return (fields.pointwise_part(f, "sym") + fields.apply_operator(inner, "curl_mat")
+            + fields._map_planes(f, 2, completion, "zero-mode completion"))
 
 
 def _probed_blocks(spec):
-    """The operator's 9x9 block at every stored grid frequency, planes k1 = 0..n/2,
-    shape (n/2 + 1, n, n, 9, 9), complex as probed.
+    """The operator's real 9x9 block at every represented frequency, |k|_inf <= n/2 - 1
+    with k1 >= 0: shape (n/2, n - 1, n - 1, 9, 9), the block of k at (k1, k2 mod (n - 1),
+    k3 mod (n - 1)).
 
     The operator commutes with translations, so applying it to the constant
-    coefficient arrays E_j (real point masses) gives column j of every block
-    at once as its image's spectrum coef: nine fields calls, no symbol.  A
-    constant real array is finite and conjugate-symmetric, so the columns skip
-    the checked constructor: each is one zero field mapped to E_j through
-    fields._map_planes, as _apply_hat builds its completion.  The blocks are
-    real, so the block at -k is the block at k, and the planes k1 = 0..n/2 hold
-    every distinct one.
+    coefficient arrays E_j gives column j of every block at once as its image's
+    spectrum: nine fields calls, no symbol.  Each column is the field of band
+    n/2 - 1 holding E_j at every frequency (fields._band_images).  The probe is
+    complex as computed: an imaginary part above 1e-12 of its largest entry
+    raises ProbeError, and the blocks are its real part.
     """
     n = spec.n
-    half = n // 2 + 1
-    zero = fields.GridField(spec, 2, np.zeros((n, n, n, 3, 3)))
-    q = np.empty((half, n, n, 9, 9), complex)
-    for j, e in enumerate(basis_matrices().astype(complex)):
-        column = fields._map_planes(zero, 2, lambda c, K: np.broadcast_to(e, c.shape),
-                                    "probe column")
-        q[..., j] = _apply_hat(column).coef[:half].reshape(half, n, n, 9)
+    q = np.empty((n // 2, n - 1, n - 1, 9, 9))
+    imag = scale = 0.0
+    columns = fields._band_images(spec, n // 2 - 1, basis_matrices().astype(complex), _apply_hat)
+    for j, box in enumerate(columns):
+        q[..., j] = box.real.reshape(q.shape[:4])
+        imag = max(imag, float(np.abs(box.imag).max()))
+        scale = max(scale, float(np.abs(box).max()))
+    if not imag <= 1e-12 * scale:
+        raise ProbeError("probed blocks are not real: max |Im| %.3e of max |q| %.3e"
+                         % (imag, scale))
     return q
 
 
 def _grid_eigenpair(q):
-    """Smallest eigenvalue of the real blocks q, shape (n/2 + 1, n, n, 9, 9), and the
-    spectrum, shape (n, n, n, 3, 3), of a real eigenfield.
+    """Smallest eigenvalue of the real blocks q of _probed_blocks, (n/2, n - 1, n - 1, 9, 9),
+    and the spectrum, shape (n, n, n, 3, 3), of a real eigenfield.
 
     One stacked eigvalsh gives every block's eigenvalues, and eigh of the first
-    minimizing block, at stored index i, gives the value and its unit
-    eigenvector v, so the two belong to each other.  v is the coefficient at i
-    and at -i (mod n), zero elsewhere: the block at -k is the block at k, so
-    this is an eigenfield, and v is real, so it is the real field
-    2 v cos(k.x) / n^3 (v cos(k.x) / n^3 where -i is i).  lambda_-(1) is
-    double at each |k| = 1 frequency, and any vector of that eigenspace is an
-    eigenvector.
+    minimizing block, at index i (frequency k: i less n - 1 above n/2 - 1),
+    gives the value and its unit eigenvector v, so the two belong to each
+    other.  v is the coefficient at k and at -k (mod n), zero elsewhere: the
+    block at -k is the block at k, so this is an eigenfield, and v is real, so
+    it is the real field 2 v cos(k.x) / n^3 (v / n^3 at k = 0).  lambda_-(1)
+    is double at each |k| = 1 frequency, and any vector of that eigenspace is
+    an eigenvector.
     """
-    n = q.shape[1]
+    n = q.shape[1] + 1
     w = np.linalg.eigvalsh(q)[..., 0]
     i = np.unravel_index(np.argmin(w), w.shape)
     lam, v = np.linalg.eigh(q[i])
+    k = np.array(i)
+    k[k >= n // 2] -= n - 1
     coef = np.zeros((n, n, n, 3, 3))
-    coef[i] = coef[tuple(np.negative(i) % n)] = v[:, 0].reshape(3, 3)
+    coef[tuple(k % n)] = coef[tuple(-k % n)] = v[:, 0].reshape(3, 3)
     return float(lam[0]), coef
 
 
@@ -244,28 +257,22 @@ def grid_crosscheck(n):
     derivatives represent.  The completion puts the otherwise null skew
     modes at eigenvalue 1, above every grid minimum, so no mode is
     projected out.  The operator multiplies the Fourier coefficient of a
-    field at k by the real probed 9x9 block of k (_probed_blocks), so one
-    stacked eigvalsh of the blocks of the stored planes k1 = 0..n/2 and one
-    eigh of the minimizing block (_grid_eigenpair) give lambda_grid and an
-    eigenfield.  Three gates raise ProbeError: the probe has an imaginary
-    part; the eigenfield's residual through the fields chain exceeds 1e-4 or
-    is NaN (a spectrum that is not finite); or the blocks miss the chain on
-    one seeded random field by more than 1e-10 relative on the stored
-    planes.  That field's samples are white noise in [-0.5, 0.5) from the
-    standard library's random.Random(1): numpy.random would be the only
-    reason for a crosscheck process to import it (16 ms and 6 MB in a cold
-    process on a 2-vCPU machine).
+    field at k by the real probed 9x9 block of k with its Nyquist components
+    0 (_probed_blocks), so one stacked eigvalsh of the (n/2)(n - 1)^2 blocks
+    at |k|_inf <= n/2 - 1, k1 >= 0, and one eigh of the minimizing block
+    (_grid_eigenpair) give lambda_grid and an eigenfield.  Three gates raise
+    ProbeError: the probe has an imaginary part; the eigenfield's residual
+    through the fields chain exceeds 1e-4 or is NaN (a spectrum that is not
+    finite); or the blocks miss the chain on one seeded random field by more
+    than 1e-10 relative, at every stored frequency of its full band, Nyquist
+    planes included.  That field's samples are white noise in [-0.5, 0.5)
+    from the standard library's random.Random(1): numpy.random would be the
+    only reason for a crosscheck process to import it (16 ms and 6 MB in a
+    cold process on a 2-vCPU machine).
     """
     n = _check_count("n", n, 8)
     spec = fields.GridSpec(n)
     q = _probed_blocks(spec)
-    scale = float(np.abs(q).max())
-    imag = float(np.abs(q.imag).max())
-    if not imag <= 1e-12 * scale:
-        raise ProbeError("probed blocks are not real: max |Im| %.3e of max |q| %.3e"
-                         % (imag, scale))
-    # the copy lets the complex probe be freed
-    q = q.real.copy()
     lam_grid, coef = _grid_eigenpair(q)
     # a spectrum that is not finite is no field for the chain: the gate names it as NaN;
     # by Parseval the relative residual of the samples is that of the coefficients
@@ -277,19 +284,23 @@ def grid_crosscheck(n):
     if not resid <= 1e-4:
         raise ProbeError("grid eigenpair misses the fields chain: residual %.3e" % resid)
     # the residual gate sees only the minimizing block; a random field has a
-    # component at every frequency, so this sees every block.  Its random
-    # complex F(k) pins the chain's multiplier at k to the real block; the
-    # chain's image is real, so the planes k1 > n/2 follow by conjugate
-    # symmetry.  q meets Re F and Im F apart: q @ F would upcast q to complex
-    half = n // 2 + 1
+    # component at every frequency, so this sees every block.  Its random complex
+    # F(k) pins the chain's multiplier at k to the block of the frequency K the
+    # derivatives see there (a Nyquist component is 0).  q meets Re F and Im F
+    # apart: q @ F would upcast q to complex
+    def blocks_times(c, K):
+        B = q[tuple(np.moveaxis(K.astype(int) % (n - 1), -1, 0))]
+        F = c.reshape(c.shape[:3] + (9, 1))
+        return (B @ F.real + 1j * (B @ F.imag)).reshape(c.shape)
+
     # 53 random bits per sample, an exact double in [0, 1), shifted to [-0.5, 0.5)
     bits = np.frombuffer(random.Random(1).randbytes(8 * 9 * n ** 3), "<u8")
     field = fields.field_from_samples(
         spec, 2, ((bits >> 11) * 2.0 ** -53 - 0.5).reshape(n, n, n, 3, 3))
-    want = _apply_hat(field).coef[:half].reshape(half, n, n, 9, 1)
-    F = field.coef[:half].reshape(half, n, n, 9, 1)
-    got = q @ F.real + 1j * (q @ F.imag)
-    miss = float(_norm(got - want, 5) / _norm(want, 5))
+    del bits        # 19 MB at n = 64, no longer needed while the blocks are looked up
+    got = fields._map_planes(field, 2, blocks_times, "probed blocks")
+    want = _apply_hat(field)
+    miss = float(_norm((got - want).coef, 5) / _norm(want.coef, 5))
     if not miss <= 1e-10:
         raise ProbeError("probed blocks miss the fields chain by %.3e relative" % miss)
 

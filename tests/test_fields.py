@@ -238,10 +238,13 @@ def _at_top_frequency(rank, n=8, axis=1):
     ("curl_vec", lambda: apply_operator(_at_top_frequency(1), "curl_vec")),
     # div sums c * K itself, so the exit's guard names it, not algebra3's dot pairing
     ("div", lambda: apply_operator(_at_top_frequency(1, axis=0), "div")),
-], ids=["scale", "sum", "grad", "curl_vec", "div"])
+    # entries of 1.5e308 in two slots are finite, their Hermitian norm is not
+    ("*", lambda: (_at_top_frequency(1, axis=0) + _at_top_frequency(1)) * 1.5),
+], ids=["scale", "sum", "grad", "curl_vec", "div", "norm"])
 def test_a_derived_field_that_overflows_is_named(name, call):
-    # finite planes whose map overflows do not leave _map_planes: a ValueError names
-    # the map, with no numpy warning, so every field is finite
+    # finite planes whose map overflows, in an entry or in a coefficient's norm, do
+    # not leave _map_planes: a ValueError names the map, with no numpy warning, so
+    # every field is finite, and so is its coef_peak
     with pytest.raises(ValueError, match="^coefficients are too large: %s overflows$"
                        % re.escape(repr(name))):
         call()
@@ -260,6 +263,28 @@ def test_the_symmetry_snap_is_finite_and_quiet_near_the_double_limit():
     coef[-3, 0, 0] = -np.conj(coef[3, 0, 0])
     with pytest.raises(ValueError, match="^coefficients lack conjugate symmetry$"):
         field_from_coef(GridSpec(8), 0, coef)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_a_coefficient_whose_norm_overflows_is_refused(rank):
+    # 1.7e308 + 1.7e308j at k1 = +-1 is finite, but its modulus, 2.4e308, is not: the
+    # constructor refuses it, so coef_peak never reads inf; 1.7e308 alone is stored
+    coef = np.zeros(fields._coef_shape(rank, 4), complex)
+    slot = (0,) * rank
+    coef[(1, 0, 0) + slot] = 1.7e308
+    coef[(-1, 0, 0) + slot] = 1.7e308
+    assert fields.coef_peak(field_from_coef(GridSpec(4), rank, coef)) == 1.7e308
+    coef[(1, 0, 0) + slot] = 1.7e308 + 1.7e308j
+    coef[(-1, 0, 0) + slot] = 1.7e308 - 1.7e308j
+    with pytest.raises(ValueError, match="^coefficients are too large: their norm overflows$"):
+        field_from_coef(GridSpec(4), rank, coef)
+    if rank:
+        # finite moduli whose sum of squares over the slots overflows: 1.2e308 in 3 slots
+        coef[...] = 0.0
+        coef[(1, 0, 0)] = coef[(-1, 0, 0)] = 1.2e308
+        with pytest.raises(ValueError, match="norm overflows$"):
+            field_from_coef(GridSpec(4), rank, coef)
 
 
 @pytest.mark.filterwarnings("error")
@@ -352,12 +377,36 @@ def test_band_fields_store_and_map_only_their_band(n, kmax, tmp_path):
         assert _same_bits(h.coef + 0.0, full.coef + 0.0), name
         assert _same_bits(values(h), values(full)), name
         assert fields.coef_peak(h) == fields.coef_peak(full), name
-    # a random field writes the file its full-band copy writes (a derived field's file
-    # may differ in the sign of a zero: the snap of -0.0 and -0.0 is -0.0)
+    # a random field writes the file its full-band copy writes (a derived field too:
+    # test_a_field_file_does_not_depend_on_the_band)
     for h in (*f.values(), *g.values()):
         dump_field(h, tmp_path / "band.bin")
         dump_field(_full_band(h), tmp_path / "full.bin")
         assert (tmp_path / "band.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
+@pytest.mark.parametrize("n, kmax", [(8, 1), (16, 7)])
+def test_a_field_file_does_not_depend_on_the_band(n, kmax, tmp_path):
+    # a map of the full band writes -0.0 where the band's embedding holds +0.0 (K * 0.0
+    # for K < 0), and dump_field writes every zero as +0.0: after every operator and
+    # part, a band field and its full-band copy write the same bytes
+    spec = GridSpec(n)
+    f = {rank: random_bandlimited(spec, n + rank, kmax, s)
+         for rank, s in enumerate(("scalar", "vector", "general"))}
+    maps = [(op, rank, lambda h, op=op: apply_operator(h, op))
+            for op, rows in fields._OPS.items() for rank in rows]
+    maps += [(part, rank, lambda h, part=part: pointwise_part(h, part))
+             for part, (rank, _, _) in fields._PARTS.items()]
+    signed_zeros = 0
+    for name, rank, fn in maps:
+        band, full = fn(f[rank]), fn(_full_band(f[rank]))
+        assert np.array_equal(band.coef, full.coef), name
+        signed_zeros += not _same_bits(band.coef, full.coef)
+        dump_field(band, tmp_path / "band.bin")
+        dump_field(full, tmp_path / "full.bin")
+        assert (tmp_path / "band.bin").read_bytes() == (tmp_path / "full.bin").read_bytes(), name
+    # the maps do write zeros of both signs, so the files would differ unnormalized
+    assert signed_zeros
 
 
 def test_sums_of_fields_in_different_bands_are_in_the_wider_band():
@@ -1058,7 +1107,7 @@ def test_dump_header_is_ascii(tmp_path):
 
 def test_dump_byte_order(tmp_path):
     # k1 outermost, then k2, k3, then the tensor slots, each value as
-    # little-endian (real, imag) float32
+    # little-endian (real, imag) float32, a zero as +0.0
     n = 4
     f = field_from_samples(GridSpec(n), 2, np.arange(n ** 3 * 9.0).reshape(n, n, n, 3, 3))
     coef = f.coef
@@ -1071,7 +1120,7 @@ def test_dump_byte_order(tmp_path):
                 for i in range(3):
                     for j in range(3):
                         z = coef[k1, k2, k3, i, j]
-                        want += struct.pack("<ff", z.real, z.imag)
+                        want += struct.pack("<ff", z.real + 0.0, z.imag + 0.0)
     with open(path, "rb") as fh:
         assert fh.readline() == b"kornlab-field v1; rank=2; n=4; reality=real\n"
         assert fh.read() == bytes(want)

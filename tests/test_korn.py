@@ -333,9 +333,9 @@ def test_grid_crosscheck_small():
 
 
 def test_grid_crosscheck_traced_peak_stays_small():
-    # the probe and its eigendecomposition cover the stored planes k1 = 0..n/2
-    # only (over all n planes the traced peak was 13.6 MB), and the probe gate
-    # applies the real blocks to Re F and Im F apart: 4.9 MB.  Applied to the
+    # the probe and its eigendecomposition cover the represented box |k|_inf <= n/2 - 1,
+    # k1 >= 0, only (over all n planes the traced peak was 13.6 MB), and the probe gate
+    # applies the real blocks to Re F and Im F apart: 4.5 MB.  Applied to the
     # complex F, q is upcast to a complex copy, 6.6 MB
     tracemalloc.start()
     try:
@@ -399,14 +399,19 @@ def test_grid_crosscheck_refuses_a_nan_eigenvector(monkeypatch):
 
 
 def test_probed_blocks_are_the_frequency_forms():
-    # the third check of the operator: every grid frequency, not only the
-    # band a random field occupies, and the eight zero modes, where both
-    # routes complete the form by its skew part
-    # the probe covers the stored planes k1 = 0..n/2, which hold every distinct block
-    K = fields._freq_grids(8)[:8 // 2 + 1]
+    # the third check of the operator: every frequency the grid derivatives
+    # represent, |k|_inf <= n/2 - 1, not only the band a random field occupies,
+    # and the zero mode, where both routes complete the form by its skew part
+    K = fields._band_freqs(8, 8 // 2 - 1)
     q = korn_estimator._probed_blocks(fields.GridSpec(8))
+    assert q.shape == (4, 7, 7, 9, 9) and q.dtype == np.float64
     assert_allclose(q, frequency_form(K), rtol=0, atol=1e-12)
     assert_allclose(np.linalg.eigvalsh(q)[..., 0], lambda_min(K)[0], rtol=0, atol=1e-12)
+
+
+def _lookup(q, K):
+    # the block of each frequency K the derivatives see, on n - 1 slots per axis
+    return q[tuple(np.moveaxis(K.astype(int) % q.shape[1], -1, 0))]
 
 
 @pytest.mark.parametrize("columns", [1, 4])
@@ -428,22 +433,26 @@ def test_block_operator_matches_fields_chain(columns):
     for s1, s2, s3 in np.ndindex(2, 2, 2):      # no flip or alternating, per axis
         pattern = signs[s1][:, None, None] * signs[s2][:, None] * signs[s3]
         x += pattern[..., None, None] * rng.standard_normal((9, columns))
-    blocks = korn_estimator._probed_blocks(spec).real
+    # every stored plane k1 = 0..n/2 of the full band, each frequency meeting the
+    # block of the frequency the derivatives see there (a Nyquist component is 0)
+    blocks = _lookup(korn_estimator._probed_blocks(spec), fields._freq_grids(n)[:half])
     for j in range(columns):
         f = fields.field_from_samples(spec, 2, x[..., j].reshape(n, n, n, 3, 3))
-        # compared on the stored planes k1 = 0..n/2, where the blocks live; raw
-        # coefficients are n^(3/2) times orthonormal ones, so 1e-12 is tighter here
+        # raw coefficients are n^(3/2) times orthonormal ones, so 1e-12 is tighter here
         got = blocks @ f.coef[:half].reshape(half, n, n, 9, 1)
         want = korn_estimator._apply_hat(f).coef[:half].reshape(half, n, n, 9, 1)
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("i", [(4, 0, 0), (1, 2, 3)], ids=["self-conjugate", "generic"])
-def test_grid_eigenpair_gives_a_real_eigenfield(i):
-    # identity blocks but one with a smaller eigenvalue, at a frequency that is its
-    # own mirror (n/2, 0, 0) or not: the spectrum is written at i and at -i
+@pytest.mark.parametrize("i, k", [((0, 0, 0), (0, 0, 0)), ((1, 2, 3), (1, 2, 3)),
+                                  ((2, 5, 6), (2, -2, -1))],
+                         ids=["self-conjugate", "generic", "negative"])
+def test_grid_eigenpair_gives_a_real_eigenfield(i, k):
+    # identity blocks but one with a smaller eigenvalue, at index i of the probe's
+    # box, frequency k: K = 0 is its own mirror, the others are not; the spectrum is
+    # written at k and at -k
     n = 8
-    q = np.broadcast_to(np.eye(9), (n // 2 + 1, n, n, 9, 9)).copy()
+    q = np.broadcast_to(np.eye(9), (n // 2, n - 1, n - 1, 9, 9)).copy()
     u = np.random.default_rng(3).standard_normal(9)
     u /= np.linalg.norm(u)
     q[i] -= 0.75 * np.outer(u, u)
@@ -452,37 +461,83 @@ def test_grid_eigenpair_gives_a_real_eigenfield(i):
     assert coef.shape == (n, n, n, 3, 3) and coef.dtype == np.float64
     # the checked constructor refuses a spectrum that is not conjugate-symmetric
     f = fields.GridField(fields.GridSpec(n), 2, coef)
-    mirror = tuple(np.negative(i) % n)
-    for k in (i, mirror):           # the block at -k is the block at k
-        c = coef[k].reshape(9)
+    at, mirror = tuple(np.mod(k, n)), tuple(np.negative(k) % n)
+    for slot in (at, mirror):       # the block at -k is the block at k
+        c = coef[slot].reshape(9)
         assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
         assert_allclose(q[i] @ c, lam * c, rtol=0, atol=1e-14)
-    writes = len({i, mirror})
+    writes = len({at, mirror})
     assert np.count_nonzero(np.abs(coef).sum(axis=(-2, -1))) == writes
     # so the field is real: (v e^(ik.x) + v e^(-ik.x)) / n^3 = 2 v cos(k.x) / n^3,
-    # and v cos(k.x) / n^3 where k = -k
-    phase = 2.0 * np.pi * np.tensordot(i, np.indices((n, n, n)), axes=1) / n
-    want = writes * np.cos(phase)[..., None, None] * coef[i] / n ** 3
+    # and v / n^3 at k = 0
+    phase = 2.0 * np.pi * np.tensordot(k, np.indices((n, n, n)), axes=1) / n
+    want = writes * np.cos(phase)[..., None, None] * coef[at] / n ** 3
     assert_allclose(fields.values(f), want, rtol=0, atol=1e-15)
 
 
 def test_grid_eigenpair_takes_the_sweeps_minimum():
     # the eigenvalue-only sweep picks the block; eigh of that block gives the value
-    q = korn_estimator._probed_blocks(fields.GridSpec(8)).real
+    q = korn_estimator._probed_blocks(fields.GridSpec(8))
     lam, _ = korn_estimator._grid_eigenpair(q)
     assert abs(lam - np.linalg.eigvalsh(q)[..., 0].min()) <= 1e-14
 
 
-def test_complex_probe_raises(monkeypatch):
-    # the blocks are real because the curl symbol's factors of i cancel;
-    # a probe that is not must be named, never cut to its real part
-    probed = korn_estimator._probed_blocks
+def _stored_plane_sweep(n):
+    # the probe and sweep over every stored plane k1 = 0..n/2 of the full band,
+    # (n/2 + 1) n^2 blocks: constant columns on all n^3 frequencies, eigvalsh of all
+    # their blocks, eigh of the first minimizing one, its vector at i and -i (mod n)
+    spec = fields.GridSpec(n)
+    half = n // 2 + 1
+    zero = fields.GridField(spec, 2, np.zeros((n, n, n, 3, 3)))
+    q = np.empty((half, n, n, 9, 9))
+    for j, e in enumerate(np.eye(9, dtype=complex).reshape(9, 3, 3)):
+        column = fields._map_planes(zero, 2, lambda c, K: np.broadcast_to(e, c.shape), "column")
+        q[..., j] = korn_estimator._apply_hat(column).coef[:half].real.reshape(half, n, n, 9)
+    w = np.linalg.eigvalsh(q)[..., 0]
+    i = np.unravel_index(np.argmin(w), w.shape)
+    lam, v = np.linalg.eigh(q[i])
+    coef = np.zeros((n, n, n, 3, 3))
+    coef[i] = coef[tuple(np.negative(i) % n)] = v[:, 0].reshape(3, 3)
+    return q, float(lam[0]), coef
 
-    def complex_probe(spec):
-        q = probed(spec)
-        q[1, 2, 3] += 1e-6j
-        return q
-    monkeypatch.setattr(korn_estimator, "_probed_blocks", complex_probe)
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_represented_sweep_is_the_stored_plane_sweep(n):
+    # the represented box holds every distinct block: each stored-plane block is,
+    # bit for bit, the block of the frequency the derivatives see there, and the
+    # sweep gives the same value and eigenvector as the sweep of every stored plane
+    q_all, lam_all, coef_all = _stored_plane_sweep(n)
+    q = korn_estimator._probed_blocks(fields.GridSpec(n))
+    assert np.array_equal(_lookup(q, fields._freq_grids(n)[:n // 2 + 1]), q_all)
+    lam, coef = korn_estimator._grid_eigenpair(q)
+    assert lam == lam_all
+    assert np.array_equal(coef, coef_all)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_sweep_sees_each_represented_block_once(n, monkeypatch):
+    # (n/2)(n - 1)^2 blocks: 196 at n = 8 and 1800 at n = 16, against the
+    # (n/2 + 1) n^2 (320, 2304) of every stored plane
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        seen.append(a.shape)
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert grid_crosscheck(n) < 1e-8
+    assert [int(np.prod(shape[:-2])) for shape in seen] == [(n // 2) * (n - 1) ** 2]
+
+
+def test_complex_probe_raises(monkeypatch):
+    # the blocks are real because the curl symbol's factors of i cancel; a
+    # chain whose image is not must be named, never cut to its real part
+    apply_hat = korn_estimator._apply_hat
+
+    def complex_image(f):
+        return fields._map_planes(apply_hat(f), 2, lambda c, K: c + 1e-6j * np.all(
+            K == (1, 2, 3), axis=-1)[..., None, None], "complex image")
+    monkeypatch.setattr(korn_estimator, "_apply_hat", complex_image)
     with pytest.raises(ProbeError, match="not real"):
         grid_crosscheck(8)
 
@@ -508,4 +563,20 @@ def test_residual_gate_is_on_the_fields_chain(monkeypatch):
     probed = korn_estimator._probed_blocks
     monkeypatch.setattr(korn_estimator, "_probed_blocks", lambda spec: 1.01 * probed(spec))
     with pytest.raises(ProbeError, match="misses the fields chain: residual"):
+        grid_crosscheck(8)
+
+
+def test_probe_gate_covers_the_nyquist_plane(monkeypatch):
+    # the chain's image scaled on the plane k1 = n/2 alone: no probe column has that
+    # plane (their band is n/2 - 1) and the eigenfield is zero there, so only the probe
+    # gate's full-band random field, looked up on every stored plane, can see it
+    apply_hat = korn_estimator._apply_hat
+
+    def nyquist_scaled(f):
+        n = f.spec.n
+        image = apply_hat(f)
+        return fields._map_planes(image, 2, lambda c, K: np.concatenate(
+            [c[:n // 2], 1.5 * c[n // 2:]]) if len(c) == n // 2 + 1 else c, "Nyquist plant")
+    monkeypatch.setattr(korn_estimator, "_apply_hat", nyquist_scaled)
+    with pytest.raises(ProbeError, match="miss the fields chain"):
         grid_crosscheck(8)
